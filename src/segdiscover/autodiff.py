@@ -10,8 +10,11 @@ exactly one forward/backward round trip.
 
 Supported operations: matmul, transpose, add (with column-vector bias
 broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
-L2 normalization, column-wise softmax, clamped log, sum reduction and
-row/column concatenation, plus a column gather used to slice batches.
+L2 normalization, column-wise softmax, clamped log, sum and mean
+reduction, row/column concatenation, a column gather used to slice
+batches, and a fused softmax cross entropy that scores a row/column
+block of a logit matrix as one tape node. Backward closures compute
+gradients only for operands that reach a tracked leaf.
 """
 
 from __future__ import annotations
@@ -115,8 +118,10 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def backward(grad, acc):
-        acc(a, grad @ b.data.T)
-        acc(b, a.data.T @ grad)
+        if _tracked(a):
+            acc(a, grad @ b.data.T)
+        if _tracked(b):
+            acc(b, a.data.T @ grad)
 
     return _result(out, (a, b), backward)
 
@@ -264,6 +269,13 @@ def concat_rows(tensors: Sequence):
     return _result(np.concatenate([t.data for t in tensors], axis=0), tensors, backward)
 
 
+def _distinct(indices, n) -> bool:
+    """Whether ``indices`` into a length-``n`` axis name no slot twice."""
+    mark = np.zeros(n, dtype=bool)
+    mark[indices] = True
+    return int(np.count_nonzero(mark)) == indices.size
+
+
 def gather_cols(a, indices):
     """Select columns by index; backward scatter-adds into the source."""
     a = _as_tensor(a)
@@ -275,6 +287,55 @@ def gather_cols(a, indices):
         acc(a, g)
 
     return _result(a.data[:, idx], (a,), backward)
+
+
+def softmax_cross_entropy(logits, cols, target, weights, *, scale, floor, rows=None):
+    """Weighted softmax cross entropy of a block of ``logits``, one node.
+
+    Selects ``rows`` (all when None) and ``cols``, multiplies by
+    ``scale``, takes the column softmax q and returns the 1x1 mean over
+    the m selected columns of -sum_c w_c t_cj log max(q_cj, floor). The
+    value is that of gather, mul, softmax_cols, log, mul and sum_all
+    chained; ``target`` and ``weights`` are constants.
+    """
+    logits = _as_tensor(logits)
+    if floor <= 0.0:
+        raise ValueError(f"softmax_cross_entropy needs a positive log floor, got {floor}")
+    n_rows, n_cols = logits.data.shape
+    ri = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+    ci = np.asarray(cols, dtype=np.intp)
+    target = np.asarray(target, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if target.shape != (ri.size, ci.size):
+        raise ShapeError(
+            f"softmax_cross_entropy {logits.label()}: block {(ri.size, ci.size)} "
+            f"vs target {target.shape}"
+        )
+    if weights.size != ri.size:
+        raise ShapeError(f"softmax_cross_entropy {logits.label()}: one weight per row required")
+    m = ci.size
+    if m == 0:
+        return constant(0.0)
+    s = logits.data[ri][:, ci] * scale
+    e = np.exp(s - s.max(axis=0, keepdims=True))
+    q = e / e.sum(axis=0, keepdims=True)
+    clamped = np.maximum(q, floor)
+    wt = weights[:, None] * target
+    out = np.array([[(wt * np.log(clamped)).sum() * (-1.0 / m)]])
+    distinct = _distinct(ri, n_rows) and _distinct(ci, n_cols)
+
+    def backward(grad, acc):
+        dq = wt * ((-float(grad[0, 0]) / m) * (q >= floor)) / clamped
+        ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
+        g = np.zeros_like(logits.data)
+        # assignment suffices unless a row or column repeats
+        if distinct:
+            g[np.ix_(ri, ci)] = ds * scale
+        else:
+            np.add.at(g, np.ix_(ri, ci), ds * scale)
+        acc(logits, g)
+
+    return _result(out, (logits,), backward)
 
 
 def backward(output: Tensor):
@@ -303,15 +364,22 @@ def backward(output: Tensor):
                 stack.append((p, False))
 
     grads = {id(output): np.ones_like(output.data)}
+    # A node's first gradient is kept as passed, possibly a view of an
+    # upstream gradient, so it is never written in place; the first sum
+    # makes an array of its own, which later terms are added into.
+    owned = set()
 
     def acc(node, g):
         if not _tracked(node):
             return
         key = id(node)
-        if key in grads:
+        if key not in grads:
+            grads[key] = g
+        elif key in owned:
             grads[key] += g
         else:
-            grads[key] = g.copy() if isinstance(g, np.ndarray) else np.array(g)
+            grads[key] = grads[key] + g
+            owned.add(key)
 
     for node in reversed(order):
         g = grads.get(id(node))

@@ -19,14 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
-from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, weighted_ce
+from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, one_hot, sum_tensors, tempered_ce
 from .model import CombinedHeadModel, ModelConfig, SegmentationModel, knn_indices
-from .train import _one_hot, sum_tensors
-
-
-def model_knn(model) -> int:
-    cfg = model.cfg if hasattr(model, "cfg") else model.backbone.cfg
-    return cfg.knn
 
 
 @dataclass(frozen=True)
@@ -203,14 +197,23 @@ def _merge_overclusters(centroids, assignments, point_entropy, n_target):
     return cents[sorted(alive)], merged
 
 
-def _train_supervised(model, scenes, targets_per_scene, weight_vec, cfg: TrainConfig,
+def _scene_neighbours(scenes, model_cfg: ModelConfig, neighbours=None):
+    """Per-scene k-NN indices: ``neighbours`` when given, else computed."""
+    if neighbours is None:
+        return [knn_indices(c.coords, model_cfg.knn) for c in scenes]
+    if len(neighbours) != len(scenes):
+        raise ValueError(f"{len(neighbours)} neighbour graphs for {len(scenes)} scenes")
+    return neighbours
+
+
+def _train_supervised(model, scenes, neighbours, targets_per_scene, weight_vec, cfg: TrainConfig,
                       aug: AugmentConfig, rng, logits_fn, epochs):
     """Plain supervised loop shared by pretraining and fine-tuning.
 
     ``targets_per_scene[i]`` is (col indices, one-hot matrix) or None for
-    scenes with nothing to supervise.
+    scenes with nothing to supervise; ``neighbours[i]`` is the scene's
+    k-NN graph.
     """
-    neighbours = [knn_indices(c.coords, model_knn(model)) for c in scenes]
     opt = SGD(model.parameters(), cfg.momentum, cfg.weight_decay)
     n_batches = (len(scenes) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = epochs * n_batches
@@ -226,8 +229,7 @@ def _train_supervised(model, scenes, targets_per_scene, weight_vec, cfg: TrainCo
                 cols, onehot = targets_per_scene[i]
                 view = make_views(scenes[i], rng, aug).view_a
                 z = model.extract_features(view.coords, neighbours[i])
-                scaled = ad.mul(ad.gather_cols(logits_fn(model, z), cols), 1.0 / cfg.temperature)
-                terms.append(weighted_ce(ad.softmax_cols(scaled), onehot, weight_vec))
+                terms.append(tempered_ce(logits_fn(model, z), cols, onehot, weight_vec, cfg.temperature))
             lr = lr_at(cfg, step, total_steps)
             step += 1
             if not terms:
@@ -241,8 +243,11 @@ def _train_supervised(model, scenes, targets_per_scene, weight_vec, cfg: TrainCo
 
 def pretrain_base(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
                   baseline_cfg: BaselineConfig, aug: AugmentConfig | None = None,
-                  ignore_label: int | None = None) -> SegmentationModel:
-    """Supervised training of extractor plus base head on base points only."""
+                  ignore_label: int | None = None, neighbours=None) -> SegmentationModel:
+    """Supervised training of extractor plus base head on base points only.
+
+    ``neighbours`` may carry each masked scene's k-NN indices.
+    """
     masked = mask_novel(clouds, split, ignore_id=ignore_label)
     base_order = sorted(split.base_classes)
     rng = np.random.default_rng(train_cfg.seed)
@@ -256,11 +261,12 @@ def pretrain_base(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: T
         if base_idx.size == 0:
             targets.append(None)
             continue
-        onehot = _one_hot(cloud.labels[base_idx], base_order, len(base_order))
+        onehot = one_hot(cloud.labels[base_idx], base_order, len(base_order))
         targets.append((base_idx, onehot))
 
     _train_supervised(
-        model, masked, targets, w_vec, train_cfg, aug or AugmentConfig(), rng,
+        model, masked, _scene_neighbours(masked, model_cfg, neighbours), targets, w_vec,
+        train_cfg, aug or AugmentConfig(), rng,
         lambda m, z: m.base_logits(z), baseline_cfg.pretrain_epochs,
     )
     return model
@@ -268,11 +274,13 @@ def pretrain_base(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: T
 
 def finetune(pretrained: SegmentationModel, clouds, pseudo, split: SplitSpec,
              model_cfg: ModelConfig, train_cfg: TrainConfig, baseline_cfg: BaselineConfig,
-             aug: AugmentConfig | None = None, ignore_label: int | None = None) -> CombinedHeadModel:
+             aug: AugmentConfig | None = None, ignore_label: int | None = None,
+             neighbours=None) -> CombinedHeadModel:
     """Joint training on base ground truth and hard novel pseudo-labels.
 
     ``pseudo[scene_id]`` holds (point indices, cluster slots in
-    0..n_novel-1) produced by the clustering stage.
+    0..n_novel-1) produced by the clustering stage; ``neighbours`` may
+    carry each masked scene's k-NN indices.
     """
     masked = mask_novel(clouds, split, ignore_id=ignore_label)
     base_order = sorted(split.base_classes)
@@ -293,7 +301,7 @@ def finetune(pretrained: SegmentationModel, clouds, pseudo, split: SplitSpec,
         cols = [base_idx]
         blocks = []
         if base_idx.size:
-            blocks.append(_one_hot(cloud.labels[base_idx], base_order, width))
+            blocks.append(one_hot(cloud.labels[base_idx], base_order, width))
         idx, slots = pseudo.get(
             cloud.scene_id, (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
         )
@@ -308,7 +316,8 @@ def finetune(pretrained: SegmentationModel, clouds, pseudo, split: SplitSpec,
         targets.append((np.concatenate(cols), np.concatenate(blocks, axis=1)))
 
     _train_supervised(
-        model, masked, targets, w_vec, train_cfg, aug or AugmentConfig(), rng,
+        model, masked, _scene_neighbours(masked, model_cfg, neighbours), targets, w_vec,
+        train_cfg, aug or AugmentConfig(), rng,
         lambda m, z: m.logits(z), baseline_cfg.finetune_epochs,
     )
     return model
@@ -319,8 +328,10 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
                  ignore_label: int | None = None):
     """Full offline pipeline; returns (model, per-scene pseudo-labels)."""
     masked = mask_novel(clouds, split, ignore_id=ignore_label)
+    # one k-NN graph per scene serves pretraining, clustering and fine-tuning
+    neighbours = _scene_neighbours(masked, model_cfg)
     pretrained = pretrain_base(
-        clouds, split, model_cfg, train_cfg, baseline_cfg, aug, ignore_label
+        clouds, split, model_cfg, train_cfg, baseline_cfg, aug, ignore_label, neighbours
     )
 
     rng = np.random.default_rng(train_cfg.seed + 2)
@@ -332,8 +343,9 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
         novel_indices.append(novel_idx)
         if picked.size == 0:
             continue
-        z = pretrained.extract_features(cloud.coords[picked]).data
-        feats.append(z.T)
+        # features of the whole scene, so k-NN pooling sees every point
+        z = pretrained.extract_features(cloud.coords, neighbours[i]).data
+        feats.append(z[:, picked].T)
         owners.extend((i, int(p)) for p in picked)
     pseudo: dict = {}
     if feats:
@@ -368,7 +380,7 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
 
     model = finetune(
         pretrained, clouds, pseudo, split, model_cfg, train_cfg, baseline_cfg,
-        aug, ignore_label,
+        aug, ignore_label, neighbours,
     )
     return model, pseudo
 

@@ -96,15 +96,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_dataset(data_dir, split_path=None):
+def _load_split(data_dir, split_path=None):
     data_dir = Path(data_dir)
     names = datamod.read_class_names(data_dir / "classes.txt")
     split_file = Path(split_path) if split_path else data_dir / "split.txt"
-    split = datamod.read_split_file(split_file, names)
-    train_clouds = datamod.load_scan_dir(data_dir / "train")
-    val_dir = data_dir / "val"
-    val_clouds = datamod.load_scan_dir(val_dir) if (val_dir / "scans").exists() else None
-    return train_clouds, val_clouds, split, names
+    return datamod.read_split_file(split_file, names), names
+
+
+def _load_val(data_dir):
+    """The validation scans, or None when the dataset has none."""
+    val_dir = Path(data_dir) / "val"
+    return datamod.load_scan_dir(val_dir) if (val_dir / "scans").exists() else None
+
+
+def _load_dataset(data_dir, split_path=None):
+    split, names = _load_split(data_dir, split_path)
+    train_clouds = datamod.load_scan_dir(Path(data_dir) / "train")
+    return train_clouds, _load_val(data_dir), split, names
 
 
 def cmd_train(args) -> int:
@@ -129,8 +137,9 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_clouds, val_clouds, split, names = _load_dataset(args.data, args.split)
-    clouds = val_clouds if val_clouds is not None else train_clouds
+    split, names = _load_split(args.data, args.split)
+    # the validation split, or the training split when there is none
+    clouds = _load_val(args.data) or datamod.load_scan_dir(Path(args.data) / "train")
     exp = cfgmod.experiment_config(cfg)
     rng = np.random.default_rng(exp.train.seed)
     model = SegmentationModel(exp.model, len(split.base_classes), split.n_novel, rng)

@@ -1,4 +1,4 @@
-"""Weighted cross entropy, the swapped prediction objective, LR schedule.
+"""Weighted cross entropy, one-hot targets, LR schedule and optimizer.
 
 Base-class loss weights are inverse relative frequencies normalized to
 mean one; novel classes all share weight one because their frequency is
@@ -106,16 +106,32 @@ def weighted_ce(pred, target, weights) -> "ad.Tensor":
     return ad.mul(ad.sum_all(ad.mul(wt, ad.log(pred_t, floor=LOG_FLOOR))), -1.0 / m)
 
 
-def swapped_loss(pred_a, pred_b, target_a, target_b, weights) -> "ad.Tensor":
-    """Cross-view consistency: each view is scored against the other
-    view's targets and the two terms are summed."""
-    pa = pred_a if isinstance(pred_a, ad.Tensor) else ad.constant(pred_a)
-    pb = pred_b if isinstance(pred_b, ad.Tensor) else ad.constant(pred_b)
-    if pa.data.shape != pb.data.shape:
-        raise ad.ShapeError(
-            f"swapped_loss: view shapes differ, {pa.data.shape} vs {pb.data.shape}"
-        )
-    return ad.add(weighted_ce(pa, target_b, weights), weighted_ce(pb, target_a, weights))
+def tempered_ce(logits, cols, target, weights, temperature, rows=None) -> "ad.Tensor":
+    """``weighted_ce`` of the column softmax of ``logits / temperature``
+    at ``cols`` (and ``rows``, all when None), as one fused tape node."""
+    return ad.softmax_cross_entropy(
+        logits, cols, target, weights, scale=1.0 / temperature, floor=LOG_FLOOR, rows=rows
+    )
+
+
+def one_hot(labels, class_order, width) -> np.ndarray:
+    """(width, n) matrix with a one in each label's row of ``class_order``."""
+    index = {c: i for i, c in enumerate(class_order)}
+    values, inverse = np.unique(np.asarray(labels), return_inverse=True)
+    outside = [v for v in values.tolist() if v not in index]
+    if outside:
+        raise ValueError(f"labels {outside} are not in the class order {list(class_order)}")
+    rows = np.array([index[v] for v in values.tolist()], dtype=np.intp)[inverse.reshape(-1)]
+    out = np.zeros((width, rows.size))
+    out[rows, np.arange(rows.size)] = 1.0
+    return out
+
+
+def sum_tensors(terms) -> "ad.Tensor":
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = ad.add(acc, t)
+    return acc
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:

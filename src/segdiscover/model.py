@@ -108,11 +108,13 @@ class SegmentationModel:
             params[p.name] = p
         return params
 
-    def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None) -> ad.Tensor:
+    def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None,
+                         mean_matrix: np.ndarray | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
 
-        ``neighbours`` may carry precomputed k-NN indices for the scene;
-        by default they are derived from ``coords``.
+        ``neighbours`` may carry precomputed k-NN indices for the scene,
+        or ``mean_matrix`` its ``knn_mean_matrix``, which takes
+        precedence; by default both are derived from ``coords``.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
@@ -120,8 +122,9 @@ class SegmentationModel:
         x = ad.constant(coords.T, name="xyz")
         h1 = ad.relu(ad.add(ad.matmul(self.w1, x), self.b1))
         h2 = ad.relu(ad.add(ad.matmul(self.w2, h1), self.b2))
-        mean_mat = knn_mean_matrix(coords, self.cfg.knn, neighbours)
-        agg = ad.matmul(h2, ad.constant(mean_mat, name="knn"))
+        if mean_matrix is None:
+            mean_matrix = knn_mean_matrix(coords, self.cfg.knn, neighbours)
+        agg = ad.matmul(h2, ad.constant(mean_matrix, name="knn"))
         cat = ad.concat_rows([h2, agg])
         z = ad.add(ad.matmul(self.w3, cat), self.b3)
         return ad.l2_normalize_cols(z)
@@ -141,6 +144,30 @@ class SegmentationModel:
 
     def head_logits(self, z: ad.Tensor, head: int) -> tuple[ad.Tensor, ad.Tensor]:
         return self.base_logits(z), self.novel_logits(z, head)
+
+    def stacked_heads(self, overcluster: bool) -> tuple[ad.Tensor, ad.Tensor]:
+        """All heads as one linear map: weight rows [base; novel_0..H-1;
+        over_0..H-1] (over-clustering rows only with ``overcluster``) and
+        a bias column that is zero past the base rows.
+
+        Built from the per-head parameters, so gradients reach them and
+        checkpoint names do not change; ``head_rows`` picks one head.
+        """
+        blocks = [self.base_w] + [ad.transpose(p) for p in self.novel_p]
+        if overcluster:
+            blocks += [ad.transpose(p) for p in self.over_p]
+        w = ad.concat_rows(blocks)
+        zeros = ad.constant(np.zeros((w.shape[0] - self.n_base, 1)))
+        return w, ad.concat_rows([self.base_b, zeros])
+
+    def head_rows(self, head: int, over: bool = False) -> np.ndarray:
+        """Rows of the ``stacked_heads`` logits for the base classes
+        followed by one novel (or over-clustering) head."""
+        if not (0 <= head < self.cfg.heads):
+            raise IndexError(f"head index {head} out of range")
+        width = self.n_novel * (self.cfg.overcluster_factor if over else 1)
+        start = self.n_base + (self.cfg.heads * self.n_novel if over else 0) + head * width
+        return np.concatenate([np.arange(self.n_base), np.arange(start, start + width)])
 
     def prototypes(self, head: int) -> np.ndarray:
         """The prototype matrix P (D x n_novel) of one novel head."""

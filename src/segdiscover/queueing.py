@@ -35,7 +35,7 @@ class SelectionResult:
     thresholds: dict  # class id -> tau_c (classes with no argmax points absent)
 
 
-def select_phi(class_probs: np.ndarray, p: float, features: np.ndarray | None = None) -> SelectionResult:
+def select_phi(class_probs: np.ndarray, p: float) -> SelectionResult:
     """Keep reliable points per predicted class.
 
     ``class_probs`` is (n_classes, m) with columns summing to one. For
@@ -51,8 +51,6 @@ def select_phi(class_probs: np.ndarray, p: float, features: np.ndarray | None = 
     colsums = probs.sum(axis=0)
     if probs.shape[1] and (np.any(probs < -1e-9) or np.any(np.abs(colsums - 1.0) > 1e-6)):
         raise ValueError("class_probs columns must be distributions summing to 1")
-    if features is not None and features.shape[1] != probs.shape[1]:
-        raise ValueError("features and class_probs disagree on point count")
 
     winners = probs.argmax(axis=0)
     confidence = probs.max(axis=0)

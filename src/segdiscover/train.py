@@ -19,10 +19,13 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
-from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, weighted_ce
-from .model import ModelConfig, SegmentationModel, knn_indices
+from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, one_hot, sum_tensors, tempered_ce
+from .model import ModelConfig, SegmentationModel, knn_indices, knn_mean_matrix
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
+
+# acceptance criterion 3 builds the step's loss from the private names
+_one_hot = one_hot
 
 METRICS_HEADER = "epoch\tloss\tlr\teps\tnovel_mIoU\tbase_mIoU\tall_mIoU"
 
@@ -85,12 +88,17 @@ class TrainResult:
 
 
 class _BatchView:
-    """One view of a batch: stacked features, labels, and index sets."""
+    """One view of a batch: stacked features, labels, and index sets.
 
-    def __init__(self, model, clouds, neighbours):
+    Each cloud's features pool with its entry of ``mean_matrices`` when
+    given, otherwise with its entry of ``neighbours``."""
+
+    def __init__(self, model, clouds, neighbours=None, mean_matrices=None):
+        neighbours = neighbours or [None] * len(clouds)
+        mats = mean_matrices or [None] * len(clouds)
         feats = [
-            model.extract_features(c.coords, neigh)
-            for c, neigh in zip(clouds, neighbours)
+            model.extract_features(c.coords, neigh, mat)
+            for c, neigh, mat in zip(clouds, neighbours, mats)
         ]
         self.z = ad.concat_cols(feats) if len(feats) > 1 else feats[0]
         self.labels = np.concatenate([c.labels for c in clouds])
@@ -110,19 +118,6 @@ def _pseudo_label(prototypes, z_novel, queue_cols, eps, iters, percentile, filte
     else:
         kept = np.arange(labels.shape[1])
     return kept, labels
-
-
-def _one_hot(labels, class_order, width, offset=0):
-    index = {c: i for i, c in enumerate(class_order)}
-    out = np.zeros((width, labels.shape[0]))
-    for col, lab in enumerate(labels.tolist()):
-        out[offset + index[lab], col] = 1.0
-    return out
-
-
-def _ce_columns(logits, cols, targets, weights, temperature):
-    pred = ad.softmax_cols(ad.mul(ad.gather_cols(logits, cols), 1.0 / temperature))
-    return weighted_ce(pred, targets, weights)
 
 
 def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
@@ -183,10 +178,11 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         for b in range(n_batches):
             scene_ids = order[b * tc.batch_size:(b + 1) * tc.batch_size]
             pairs = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
-            neigh = [scene_neigh[i] for i in scene_ids]
+            # both views of a scene share its neighbour graph
+            means = [knn_mean_matrix(masked[i].coords, k, scene_neigh[i]) for i in scene_ids]
             views = (
-                _BatchView(model, [p.view_a for p in pairs], neigh),
-                _BatchView(model, [p.view_b for p in pairs], neigh),
+                _BatchView(model, [p.view_a for p in pairs], mean_matrices=means),
+                _BatchView(model, [p.view_b for p in pairs], mean_matrices=means),
             )
             va, vb = views
             assert np.array_equal(va.labels, vb.labels)
@@ -221,10 +217,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                         )
                         over_targets[vi][h] = (kept_o, dist_o)
                 if dc.use_queue:
-                    _, head0 = _pseudo_label(
-                        model.novel_p[0].data, z_novel, qcols, eps,
-                        cfg.sinkhorn.iters, dc.percentile, False,
-                    )
+                    head0 = targets[vi][0][1]  # unfiltered head-0 distributions
                     cand = (
                         select_phi(head0, dc.percentile).kept_indices
                         if dc.phi_queue
@@ -236,38 +229,10 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                             cfg.queue.insert_fraction, rng,
                         )
 
-            base_onehot = [
-                _one_hot(v.labels[v.base_idx], base_order, n_base) for v in views
-            ]
-
-            loss_terms = []
-            batch_head_vals = np.zeros(heads)
-            for h in range(heads):
-                logits = [
-                    ad.concat_rows([model.base_logits(v.z), model.novel_logits(v.z, h)])
-                    for v in views
-                ]
-                term = _swapped_term(
-                    views, logits, base_onehot, targets, h, n_base, n_novel,
-                    w_novel, tc.temperature,
-                )
-                loss_terms.append(term)
-                batch_head_vals[h] = float(term.data[0, 0])
-                if dc.overcluster:
-                    over_logits = [
-                        ad.concat_rows([model.base_logits(v.z), model.over_logits(v.z, h)])
-                        for v in views
-                    ]
-                    loss_terms.append(
-                        _swapped_term(
-                            views, over_logits, base_onehot, over_targets, h,
-                            n_base, cfg.model.overcluster_factor * n_novel,
-                            w_over, tc.temperature,
-                        )
-                    )
-
-            # mean over novel heads plus mean over over-clustering heads
-            total = ad.mul(sum_tensors(loss_terms), 1.0 / heads)
+            total, batch_head_vals = _step_loss(
+                model, views, targets, over_targets if dc.overcluster else None,
+                base_order, w_novel, w_over, tc.temperature,
+            )
             lr = lr_at(tc, step, total_steps)
             opt.zero_grad()
             ad.backward(total)
@@ -304,16 +269,44 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     return TrainResult(model, metrics, model.selected_head, head_losses)
 
 
-def sum_tensors(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
+def _step_loss(model, views, targets, over_targets, base_order, w_novel, w_over, temperature):
+    """The step's objective and each novel head's swapped term.
+
+    The objective is the mean over heads of the novel swapped term plus,
+    when ``over_targets`` is given, the over-clustering one. One logit
+    matrix per view holds every head; each term reads the base rows and
+    its own head's rows of it.
+    """
+    n_base, heads = model.n_base, model.cfg.heads
+    over = over_targets is not None
+    base_onehot = [one_hot(v.labels[v.base_idx], base_order, n_base) for v in views]
+    w_stack, b_stack = model.stacked_heads(over)
+    logits = [ad.add(ad.matmul(w_stack, v.z), b_stack) for v in views]
+    terms = []
+    head_vals = np.zeros(heads)
+    for h in range(heads):
+        term = _swapped_term(
+            views, logits, base_onehot, targets, h, n_base, model.n_novel,
+            w_novel, temperature, model.head_rows(h),
+        )
+        terms.append(term)
+        head_vals[h] = float(term.data[0, 0])
+        if over:
+            terms.append(_swapped_term(
+                views, logits, base_onehot, over_targets, h, n_base,
+                model.cfg.overcluster_factor * model.n_novel, w_over, temperature,
+                model.head_rows(h, over=True),
+            ))
+    return ad.mul(sum_tensors(terms), 1.0 / heads), head_vals
 
 
-def _swapped_term(views, logits, base_onehot, targets, h, n_base, n_slots, w_vec, temperature):
+def _swapped_term(views, logits, base_onehot, targets, h, n_base, n_slots, w_vec, temperature,
+                  rows=None):
     """One head's swapped loss: predictions of each view against base
-    ground truth plus the other view's filtered pseudo-labels."""
+    ground truth plus the other view's filtered pseudo-labels.
+
+    ``logits[v]`` holds the view's base and head logits in ``rows``
+    (every row when None)."""
     terms = []
     for vi, other in ((0, 1), (1, 0)):
         view = views[vi]
@@ -328,7 +321,7 @@ def _swapped_term(views, logits, base_onehot, targets, h, n_base, n_slots, w_vec
         if col_idx.size == 0:
             continue
         target = np.concatenate(blocks, axis=1)
-        terms.append(_ce_columns(logits[vi], col_idx, target, w_vec, temperature))
+        terms.append(tempered_ce(logits[vi], col_idx, target, w_vec, temperature, rows))
     if not terms:
         return ad.constant(0.0)
     return sum_tensors(terms)

@@ -179,6 +179,84 @@ class TestFiniteDifferences:
         assert relative_error(analytic, fd).max() < 1e-3
 
 
+class TestGatherBackward:
+    @pytest.mark.parametrize("indices", [[4, 0, 2], [1, 3, 1, 1, 0], [-1, 4]])
+    def test_matches_a_scatter_add_reference(self, indices):
+        rng = np.random.default_rng(3)
+        a = ad.parameter(rng.normal(size=(3, 5)), "a")
+        upstream = rng.normal(size=(3, len(indices)))
+        ad.backward(ad.sum_all(ad.mul(ad.gather_cols(a, indices), ad.constant(upstream))))
+        expected = np.zeros((3, 5))
+        np.add.at(expected, (slice(None), np.asarray(indices)), upstream)
+        np.testing.assert_array_equal(a.grad, expected)
+
+
+def _op_chain_ce(logits, target, weights, rows, cols, scale, floor):
+    """The fused cross entropy spelled out in single ops."""
+    block = ad.transpose(ad.gather_cols(ad.transpose(logits), rows))
+    q = ad.softmax_cols(ad.mul(ad.gather_cols(block, cols), scale))
+    wt = ad.constant(np.asarray(weights)[:, None] * target)
+    return ad.mul(ad.sum_all(ad.mul(wt, ad.log(q, floor=floor))), -1.0 / len(cols))
+
+
+class TestSoftmaxCrossEntropy:
+    FLOOR = 1e-12
+    ROWS = [5, 0, 2, 3]
+
+    def setup_case(self, cols):
+        rng = np.random.default_rng(21)
+        data = rng.normal(size=(6, 9))
+        data[2, 4] = data[2, 0] = -30.0  # softmax of these falls below the floor
+        logits = ad.parameter(data, "logits")
+        target = rng.random((len(self.ROWS), len(cols)))
+        target /= target.sum(axis=0, keepdims=True)
+        weights = rng.uniform(0.5, 2.0, len(self.ROWS))
+        return logits, target, weights
+
+    def fused(self, logits, target, weights, cols):
+        return ad.softmax_cross_entropy(
+            logits, cols, target, weights, scale=1.5, floor=self.FLOOR, rows=self.ROWS
+        )
+
+    @pytest.mark.parametrize("cols", [[8, 1, 4, 6, 0], [1, 4, 1, 6, 4]])
+    def test_value_and_gradient_match_the_op_chain(self, cols):
+        logits, target, weights = self.setup_case(cols)
+        loss = self.fused(logits, target, weights, cols)
+        ad.backward(loss)
+        fused_grad = logits.grad.copy()
+        logits.zero_grad()
+        chain = _op_chain_ce(logits, target, weights, self.ROWS, cols, 1.5, self.FLOOR)
+        ad.backward(chain)
+        np.testing.assert_allclose(loss.data, chain.data, rtol=1e-13)
+        np.testing.assert_allclose(fused_grad, logits.grad, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("cols", [[8, 1, 4, 6, 0], [1, 4, 1, 6, 4]])
+    def test_central_differences_including_clamped_entries(self, cols):
+        logits, target, weights = self.setup_case(cols)
+        block = logits.data[np.ix_(self.ROWS, cols)] * 1.5
+        q = np.exp(block - block.max(axis=0)) / np.exp(block - block.max(axis=0)).sum(axis=0)
+        assert np.any(q < self.FLOOR)  # the clamp is exercised
+        ad.backward(self.fused(logits, target, weights, cols))
+        coords = [(logits, i) for i in range(logits.data.size)]
+        fd = finite_difference(
+            lambda: float(self.fused(logits, target, weights, cols).data[0, 0]),
+            {"logits": logits}, coords, step=1e-6,
+        )
+        np.testing.assert_allclose(logits.grad.reshape(-1), fd, rtol=1e-6, atol=1e-9)
+        assert np.all(logits.grad[[1, 4], :] == 0.0)  # rows never selected
+        assert np.all(logits.grad[:, [c for c in range(9) if c not in cols]] == 0.0)
+
+    def test_no_columns_is_zero(self):
+        logits, _, weights = self.setup_case([])
+        loss = self.fused(logits, np.zeros((4, 0)), weights, [])
+        assert float(loss.data[0, 0]) == 0.0
+
+    def test_target_shape_mismatch_names_node(self):
+        logits, target, weights = self.setup_case([0, 1])
+        with pytest.raises(ad.ShapeError, match="logits"):
+            self.fused(logits, target[:, :1], weights, [0, 1])
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

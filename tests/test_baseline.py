@@ -231,6 +231,53 @@ class TestPipeline:
         for _, slots in pseudo.values():
             assert np.all((slots >= 0) & (slots < 2))
 
+    def test_clustering_pool_is_full_scene_features_at_picked_points(self, monkeypatch):
+        import segdiscover.baseline as bl
+        from segdiscover.data import UNLABELLED, mask_novel
+
+        pools, pretrained = [], []
+        real_kmeans, real_pretrain = bl.kmeans, bl.pretrain_base
+
+        def capture_kmeans(features, k, seed, **kw):
+            pools.append(np.array(features))
+            return real_kmeans(features, k, seed, **kw)
+
+        def capture_pretrain(*args, **kw):
+            pretrained.append(real_pretrain(*args, **kw))
+            return pretrained[-1]
+
+        monkeypatch.setattr(bl, "kmeans", capture_kmeans)
+        monkeypatch.setattr(bl, "pretrain_base", capture_pretrain)
+        clouds, split = tiny_setup()
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+
+        rng = np.random.default_rng(TINY_TRAIN.seed + 2)
+        expected = []
+        for cloud in mask_novel(clouds, split):
+            novel_idx = np.flatnonzero(cloud.labels == UNLABELLED)
+            picked = novel_idx[subsample_psi(novel_idx.size, TINY_BASE.subsample, rng)]
+            if picked.size:
+                expected.append(pretrained[0].extract_features(cloud.coords).data[:, picked].T)
+        assert len(pools) == 1
+        np.testing.assert_allclose(pools[0], np.concatenate(expected), rtol=1e-12, atol=1e-15)
+
+    def test_one_knn_graph_per_training_scene(self, monkeypatch):
+        import segdiscover.baseline as bl
+        import segdiscover.model as model_module
+
+        calls = []
+        real_knn = model_module.knn_indices
+
+        def counted(coords, k):
+            calls.append(len(coords))
+            return real_knn(coords, k)
+
+        for module in (bl, model_module):
+            monkeypatch.setattr(module, "knn_indices", counted)
+        clouds, split = tiny_setup()
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        assert calls == [c.n_points for c in clouds]
+
     def test_pipeline_permutation_oracle(self, tmp_path):
         clouds, split = tiny_setup(scenes=4, points=32)
         rng = np.random.default_rng(8)

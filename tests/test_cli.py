@@ -104,6 +104,22 @@ class TestTrainEval:
         assert report[-1].startswith("All mIoU")
 
 
+    def test_eval_reads_only_the_split_it_evaluates(self, tmp_path):
+        import shutil
+
+        data = gen_tiny(tmp_path / "d")
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), "--seed", "0", *FAST]) == 0
+        shutil.rmtree(data / "train")
+        out = tmp_path / "eval"
+        code = main([
+            "eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.ckpt"),
+            "--out", str(out), *FAST,
+        ])
+        assert code == 0
+        assert (out / "report.tsv").read_text().strip().splitlines()[-1].startswith("All mIoU")
+
+
 class TestBaselineCommand:
     def test_baseline_writes_artifacts(self, tmp_path):
         data = gen_tiny(tmp_path / "d")

@@ -10,7 +10,7 @@ from segdiscover.losses import (
     TrainConfig,
     compute_loss_weights,
     lr_at,
-    swapped_loss,
+    one_hot,
     weighted_ce,
 )
 
@@ -52,36 +52,21 @@ class TestWeightedCE:
         np.testing.assert_allclose(logits.grad[:, 0], s - [1.0, 0.0], atol=1e-12)
 
 
-class TestSwappedLoss:
-    def test_degenerate_symmetric_case(self):
-        pred = np.array([[0.7, 0.1], [0.3, 0.9]])
-        target = np.array([[1.0, 0.0], [0.0, 1.0]])
-        w = np.ones(2)
-        swapped = swapped_loss(pred, pred, target, target, w)
-        single = weighted_ce(pred, target, w)
-        assert float(swapped.data[0, 0]) == pytest.approx(2 * float(single.data[0, 0]))
+class TestOneHot:
+    def test_matches_the_per_point_loop(self):
+        order = [9, 2, 5]
+        labels = np.random.default_rng(2).choice(order, size=40)
+        expected = np.zeros((4, labels.size))
+        for col, lab in enumerate(labels.tolist()):
+            expected[order.index(lab), col] = 1.0
+        np.testing.assert_array_equal(one_hot(labels, order, 4), expected)
 
-    def test_two_point_hand_expansion(self):
-        pa = np.array([[0.8, 0.4], [0.2, 0.6]])
-        pb = np.array([[0.5, 0.3], [0.5, 0.7]])
-        ta = np.array([[1.0, 0.0], [0.0, 1.0]])
-        tb = np.array([[0.6, 0.2], [0.4, 0.8]])
-        w = np.array([1.5, 0.5])
-        # term1 = l(pa, tb), term2 = l(pb, ta), each mean over 2 points
-        term1 = -(
-            1.5 * 0.6 * np.log(0.8) + 0.5 * 0.4 * np.log(0.2)
-            + 1.5 * 0.2 * np.log(0.4) + 0.5 * 0.8 * np.log(0.6)
-        ) / 2
-        term2 = -(
-            1.5 * 1.0 * np.log(0.5) + 0.5 * 1.0 * np.log(0.7)
-        ) / 2
-        loss = swapped_loss(pa, pb, ta, tb, w)
-        assert float(loss.data[0, 0]) == pytest.approx(term1 + term2, rel=1e-12)
+    def test_label_outside_the_class_order_is_named(self):
+        with pytest.raises(ValueError, match=r"labels \[7\]"):
+            one_hot(np.array([2, 7]), [2, 5], 2)
 
-    def test_view_size_mismatch_rejected(self):
-        with pytest.raises(ad.ShapeError):
-            swapped_loss(np.ones((2, 2)) / 2, np.ones((2, 3)) / 2,
-                         np.ones((2, 2)) / 2, np.ones((2, 3)) / 2, np.ones(2))
+    def test_no_labels_gives_zero_columns(self):
+        assert one_hot(np.array([], dtype=np.int64), [0, 1], 3).shape == (3, 0)
 
 
 class TestLossWeights:

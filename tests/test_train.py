@@ -8,7 +8,7 @@ import pytest
 
 from segdiscover import autodiff as ad
 from segdiscover.data import LabelledCloud, generate_synthetic, toy_discovery_config
-from segdiscover.losses import TrainConfig, compute_loss_weights
+from segdiscover.losses import TrainConfig, compute_loss_weights, sum_tensors, weighted_ce
 from segdiscover.model import ModelConfig, SegmentationModel
 from segdiscover.queueing import QueueConfig
 from segdiscover.train import (
@@ -124,7 +124,8 @@ class TestFullLossGradient:
         clouds, split = tiny_setup(scenes=2, points=16)
         from segdiscover.data import mask_novel
         from segdiscover.model import knn_indices
-        from segdiscover.train import _BatchView, _one_hot, _swapped_term, sum_tensors
+        from segdiscover.losses import one_hot
+        from segdiscover.train import _BatchView, _swapped_term
         from segdiscover.augment import AugmentConfig, make_views
         from segdiscover.sinkhorn import sinkhorn_assign, pseudo_labels_from
 
@@ -154,7 +155,7 @@ class TestFullLossGradient:
 
         def loss_value():
             vs = build_views()
-            base_onehot = [_one_hot(v.labels[v.base_idx], base_order, 3) for v in vs]
+            base_onehot = [one_hot(v.labels[v.base_idx], base_order, 3) for v in vs]
             logits = [
                 ad.concat_rows([model.base_logits(v.z), model.novel_logits(v.z, 0)])
                 for v in vs
@@ -182,6 +183,81 @@ class TestFullLossGradient:
                 rel = abs(an - fd) / max(abs(an), abs(fd), 1e-4)
                 worst = max(worst, rel)
         assert worst < 1e-3
+
+    def test_step_loss_and_gradients_match_a_single_op_reference(self):
+        # the stacked-head, fused-CE step against each head's logits and
+        # cross entropy built from the public single ops
+        from segdiscover.augment import AugmentConfig, make_views
+        from segdiscover.data import mask_novel
+        from segdiscover.model import knn_indices
+        from segdiscover.train import _BatchView, _pseudo_label, _step_loss
+
+        clouds, split = tiny_setup(scenes=3, points=48)
+        masked = mask_novel(clouds, split)
+        heads, temperature = 3, 0.2
+        model_cfg = ModelConfig(feature_dim=8, hidden=12, knn=4, heads=heads, overcluster_factor=2)
+        model = SegmentationModel(model_cfg, 3, 2, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
+        neigh = [knn_indices(c.coords, 4) for c in masked]
+        base_order = sorted(split.base_classes)
+        weights = compute_loss_weights(masked, split)
+        w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
+
+        def build_views():
+            return (
+                _BatchView(model, [p.view_a for p in pairs], neigh),
+                _BatchView(model, [p.view_b for p in pairs], neigh),
+            )
+
+        views = build_views()
+        targets, over_targets = [{}, {}], [{}, {}]
+        no_queue = np.zeros((0, 0))
+        for vi, view in enumerate(views):
+            z_novel = view.z.data[:, view.novel_idx]
+            for h in range(heads):
+                targets[vi][h] = _pseudo_label(
+                    model.novel_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
+                over_targets[vi][h] = _pseudo_label(
+                    model.over_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
+        assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
+        total, head_vals = _step_loss(
+            model, views, targets, over_targets, base_order, w_novel, w_over, temperature
+        )
+        params = model.parameters()
+        ad.backward(total)
+        got = {name: p.grad.copy() for name, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+
+        vs = build_views()
+        terms, ref_head_vals = [], np.zeros(heads)
+        for h in range(heads):
+            for head_logits, tg, w in ((model.novel_logits, targets, w_novel),
+                                       (model.over_logits, over_targets, w_over)):
+                for vi, other in ((0, 1), (1, 0)):
+                    v = vs[vi]
+                    kept, dist = tg[other][h]
+                    cols = np.concatenate([v.base_idx, vs[other].novel_idx[kept]])
+                    target = np.zeros((3 + dist.shape[0], cols.size))
+                    base_rows = [base_order.index(c) for c in v.labels[v.base_idx]]
+                    target[base_rows, np.arange(v.base_idx.size)] = 1.0
+                    target[3:, v.base_idx.size:] = dist[:, kept]
+                    logits = ad.concat_rows([model.base_logits(v.z), head_logits(v.z, h)])
+                    pred = ad.softmax_cols(ad.mul(ad.gather_cols(logits, cols), 1.0 / temperature))
+                    terms.append(weighted_ce(pred, target, w))
+                    if head_logits == model.novel_logits:
+                        ref_head_vals[h] += float(terms[-1].data[0, 0])
+        reference = ad.mul(sum_tensors(terms), 1.0 / heads)
+        ad.backward(reference)
+
+        np.testing.assert_allclose(total.data, reference.data, rtol=1e-10)
+        np.testing.assert_allclose(head_vals, ref_head_vals, rtol=1e-10)
+        for name, p in params.items():
+            assert np.abs(p.grad).max() > 0.0, name
+            np.testing.assert_allclose(
+                got[name], p.grad, rtol=1e-10, atol=1e-10 * np.abs(p.grad).max(), err_msg=name
+            )
 
     def test_loss_is_non_negative(self):
         clouds, split = tiny_setup()
