@@ -20,7 +20,7 @@ gradients only for operands that reach a tracked leaf.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -69,18 +69,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(name={self.name!r}, shape={self.data.shape})"
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
 
 def parameter(data, name):
@@ -444,8 +432,3 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: truncated checkpoint ({exc})") from exc
         out[name] = arr.reshape(dims).astype(np.float64)
     return out
-
-
-def zero_grads(params: Iterable[Tensor]):
-    for p in params:
-        p.zero_grad()

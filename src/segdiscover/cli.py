@@ -135,17 +135,18 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
+    exp = cfgmod.experiment_config(cfg)
+    head = cfgmod.eval_head(cfg, exp.model.heads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     split, names = _load_split(args.data, args.split)
     # the validation split, or the training split when there is none
     clouds = _load_val(args.data) or datamod.load_scan_dir(Path(args.data) / "train")
-    exp = cfgmod.experiment_config(cfg)
     rng = np.random.default_rng(exp.train.seed)
     model = SegmentationModel(exp.model, len(split.base_classes), split.n_novel, rng)
     model.load(args.checkpoint)
-    if cfg["model.eval_head"] != "auto":
-        model.selected_head = int(cfg["model.eval_head"])
+    if head is not None:
+        model.selected_head = head
     report = evaluate(model, clouds, split, class_names=names)
     (out / "report.tsv").write_text(report.to_tsv())
     (out / "report_wide.tsv").write_text(
@@ -173,15 +174,9 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _grid_discovery(cfg: dict, flags, percentile=None) -> DiscoveryConfig:
+def _grid_discovery(base: DiscoveryConfig, flags) -> DiscoveryConfig:
     _pre, oc, queue, phi_q, tau = flags
-    return DiscoveryConfig(
-        use_queue=queue,
-        phi_queue=phi_q,
-        tau_train=tau,
-        overcluster=oc,
-        percentile=float(cfg["unc.p"]) if percentile is None else percentile,
-    )
+    return replace(base, use_queue=queue, phi_queue=phi_q, tau_train=tau, overcluster=oc)
 
 
 def cmd_ablate(args) -> int:
@@ -202,7 +197,7 @@ def cmd_ablate(args) -> int:
             bl = cfgmod.baseline_config(cfg)
             pre = pretrain_base(train_clouds, split, exp.model, exp.train, bl, exp.augment)
             pretrained_state = pre.state()
-        run_cfg = replace(exp, discovery=_grid_discovery(cfg, flags))
+        run_cfg = replace(exp, discovery=_grid_discovery(exp.discovery, flags))
         result = train(
             train_clouds, split, run_cfg, val_clouds=val_clouds,
             init_state=pretrained_state if pretrain else None,
@@ -215,8 +210,9 @@ def cmd_ablate(args) -> int:
     (out / "ablation.tsv").write_text("\n".join(lines) + "\n")
 
     sweep_lines = ["p\tnovel_mIoU\tbase_mIoU\tall_mIoU"]
+    full = _grid_discovery(exp.discovery, ABLATION_GRID["Full"])
     for p in PERCENTILE_SWEEP:
-        run_cfg = replace(exp, discovery=_grid_discovery(cfg, ABLATION_GRID["Full"], percentile=p))
+        run_cfg = replace(exp, discovery=replace(full, percentile=p))
         result = train(train_clouds, split, run_cfg, val_clouds=val_clouds)
         report = evaluate(result.model, eval_set, split)
         sweep_lines.append(

@@ -4,56 +4,59 @@ Every tunable lives under a module prefix (``sk.iters``,
 ``queue.capacity``, ...). A run resolves defaults, then an optional
 config file, then command-line overrides, and writes the result to
 ``config.resolved`` so any run can be reproduced from that file alone.
+Defaults live on the config dataclasses: ``FIELDS`` maps each key to a
+field, whose default gives the key's default text and its value's type.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
-from .augment import AugmentConfig
-from .baseline import BaselineConfig, SubsampleSpec
-from .losses import TrainConfig
-from .model import ModelConfig
-from .queueing import QueueConfig
-from .train import DiscoveryConfig, ExperimentConfig, SinkhornConfig
+from .baseline import BaselineConfig
+from .train import ExperimentConfig
 
-DEFAULTS = {
-    "aug.rot": "on",
-    "aug.scale_lo": "0.95",
-    "aug.scale_hi": "1.05",
-    "aug.jitter_sigma": "0.01",
-    "model.D": "32",
-    "model.hidden": "64",
-    "model.k": "16",
-    "model.heads": "5",
-    "model.overcluster_factor": "3",
+# flat key -> (root config class, dotted field path under it)
+FIELDS = {
+    "aug.rot": (ExperimentConfig, "augment.rotate"),
+    "aug.scale_lo": (ExperimentConfig, "augment.scale_lo"),
+    "aug.scale_hi": (ExperimentConfig, "augment.scale_hi"),
+    "aug.jitter_sigma": (ExperimentConfig, "augment.jitter_sigma"),
+    "model.D": (ExperimentConfig, "model.feature_dim"),
+    "model.hidden": (ExperimentConfig, "model.hidden"),
+    "model.k": (ExperimentConfig, "model.knn"),
+    "model.heads": (ExperimentConfig, "model.heads"),
+    "model.overcluster_factor": (ExperimentConfig, "model.overcluster_factor"),
+    "sk.iters": (ExperimentConfig, "sinkhorn.iters"),
+    "sk.eps_start": (ExperimentConfig, "sinkhorn.eps_start"),
+    "sk.eps_end": (ExperimentConfig, "sinkhorn.eps_end"),
+    "queue.capacity": (ExperimentConfig, "queue.capacity"),
+    "queue.insert_fraction": (ExperimentConfig, "queue.insert_fraction"),
+    "queue.sample_per_class": (ExperimentConfig, "queue.sample_per_class"),
+    "unc.p": (ExperimentConfig, "discovery.percentile"),
+    "train.epochs": (ExperimentConfig, "train.epochs"),
+    "train.batch_size": (ExperimentConfig, "train.batch_size"),
+    "train.momentum": (ExperimentConfig, "train.momentum"),
+    "train.weight_decay": (ExperimentConfig, "train.weight_decay"),
+    "train.lr_max": (ExperimentConfig, "train.lr_max"),
+    "train.lr_min": (ExperimentConfig, "train.lr_min"),
+    "train.warmup_fraction": (ExperimentConfig, "train.warmup_fraction"),
+    "train.temperature": (ExperimentConfig, "train.temperature"),
+    "train.seed": (ExperimentConfig, "train.seed"),
+    "disc.use_queue": (ExperimentConfig, "discovery.use_queue"),
+    "disc.phi_queue": (ExperimentConfig, "discovery.phi_queue"),
+    "disc.tau_train": (ExperimentConfig, "discovery.tau_train"),
+    "disc.overcluster": (ExperimentConfig, "discovery.overcluster"),
+    "offline.pretrain_epochs": (BaselineConfig, "pretrain_epochs"),
+    "offline.finetune_epochs": (BaselineConfig, "finetune_epochs"),
+    "offline.ratio": (BaselineConfig, "subsample.ratio"),
+    "offline.cap": (BaselineConfig, "subsample.cap"),
+    "offline.overcluster": (BaselineConfig, "overcluster"),
+    "offline.overcluster_factor": (BaselineConfig, "overcluster_factor"),
+}
+
+LITERAL_DEFAULTS = {
     "model.eval_head": "auto",
-    "sk.iters": "3",
-    "sk.eps_start": "0.3",
-    "sk.eps_end": "0.05",
-    "queue.capacity": "1024",
-    "queue.insert_fraction": "0.1",
-    "queue.sample_per_class": "64",
-    "unc.p": "0.5",
-    "train.epochs": "10",
-    "train.batch_size": "4",
-    "train.momentum": "0.9",
-    "train.weight_decay": "0.0001",
-    "train.lr_max": "0.01",
-    "train.lr_min": "0.00001",
-    "train.warmup_fraction": "0.1",
-    "train.temperature": "0.2",
-    "train.seed": "0",
-    "disc.use_queue": "on",
-    "disc.phi_queue": "on",
-    "disc.tau_train": "on",
-    "disc.overcluster": "on",
-    "offline.pretrain_epochs": "20",
-    "offline.finetune_epochs": "10",
-    "offline.ratio": "0.3",
-    "offline.cap": "1000",
-    "offline.overcluster": "off",
-    "offline.overcluster_factor": "3",
     "data.scenes": "200",
     "data.val_scenes": "50",
     "data.points": "512",
@@ -62,6 +65,23 @@ DEFAULTS = {
     "data.dropout": "0.0",
     "data.archetypes": "toy",
 }
+
+
+def _field_default(root, path):
+    value = root()
+    for name in path.split("."):
+        value = getattr(value, name)
+    return value
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
+
+
+DEFAULTS = {key: _text(_field_default(root, path)) for key, (root, path) in FIELDS.items()}
+DEFAULTS.update(LITERAL_DEFAULTS)
 
 
 def parse_config_file(path) -> dict:
@@ -85,9 +105,11 @@ def resolve(file_path=None, overrides=()) -> dict:
                 raise ValueError(f"unknown config key {key!r}")
             cfg[key] = value
     for item in overrides:
-        key, _, value = item.partition("=")
+        key, eq, value = item.partition("=")
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r}")
+        if not eq:
+            raise ValueError(f"{key}: expected key=value, got {item!r}")
         cfg[key] = value.strip()
     return cfg
 
@@ -96,66 +118,59 @@ def write_resolved(path, cfg: dict):
     Path(path).write_text("".join(f"{k}={cfg[k]}\n" for k in sorted(cfg)))
 
 
-def _flag(cfg, key) -> bool:
-    value = cfg[key].lower()
+def _flag(key, text) -> bool:
+    value = text.lower()
     if value in ("on", "true", "1", "yes"):
         return True
     if value in ("off", "false", "0", "no"):
         return False
-    raise ValueError(f"{key}: expected on/off, got {cfg[key]!r}")
+    raise ValueError(f"{key}: expected on/off, got {text!r}")
+
+
+def _parse(key, text, default):
+    """``text`` as the type of the field's ``default``."""
+    if isinstance(default, bool):
+        return _flag(key, text)
+    try:
+        return type(default)(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {type(default).__name__}, got {text!r}") from None
+
+
+def _build(root, cfg: dict):
+    """``root()`` with every field in ``FIELDS`` set from ``cfg``."""
+    keys = {path: key for key, (r, path) in FIELDS.items() if r is root}
+
+    def fill(obj, prefix):
+        changes = {}
+        for f in fields(obj):
+            value, path = getattr(obj, f.name), prefix + f.name
+            if is_dataclass(value):
+                changes[f.name] = fill(value, path + ".")
+            elif path in keys:
+                changes[f.name] = _parse(keys[path], cfg[keys[path]], value)
+        return replace(obj, **changes)
+
+    return fill(root(), "")
 
 
 def experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=ModelConfig(
-            feature_dim=int(cfg["model.D"]),
-            hidden=int(cfg["model.hidden"]),
-            knn=int(cfg["model.k"]),
-            heads=int(cfg["model.heads"]),
-            overcluster_factor=int(cfg["model.overcluster_factor"]),
-        ),
-        augment=AugmentConfig(
-            rotate=_flag(cfg, "aug.rot"),
-            scale_lo=float(cfg["aug.scale_lo"]),
-            scale_hi=float(cfg["aug.scale_hi"]),
-            jitter_sigma=float(cfg["aug.jitter_sigma"]),
-        ),
-        sinkhorn=SinkhornConfig(
-            iters=int(cfg["sk.iters"]),
-            eps_start=float(cfg["sk.eps_start"]),
-            eps_end=float(cfg["sk.eps_end"]),
-        ),
-        queue=QueueConfig(
-            capacity=int(cfg["queue.capacity"]),
-            insert_fraction=float(cfg["queue.insert_fraction"]),
-            sample_per_class=int(cfg["queue.sample_per_class"]),
-        ),
-        train=TrainConfig(
-            epochs=int(cfg["train.epochs"]),
-            batch_size=int(cfg["train.batch_size"]),
-            momentum=float(cfg["train.momentum"]),
-            weight_decay=float(cfg["train.weight_decay"]),
-            lr_max=float(cfg["train.lr_max"]),
-            lr_min=float(cfg["train.lr_min"]),
-            warmup_fraction=float(cfg["train.warmup_fraction"]),
-            temperature=float(cfg["train.temperature"]),
-            seed=int(cfg["train.seed"]),
-        ),
-        discovery=DiscoveryConfig(
-            use_queue=_flag(cfg, "disc.use_queue"),
-            phi_queue=_flag(cfg, "disc.phi_queue"),
-            tau_train=_flag(cfg, "disc.tau_train"),
-            overcluster=_flag(cfg, "disc.overcluster"),
-            percentile=float(cfg["unc.p"]),
-        ),
-    )
+    return _build(ExperimentConfig, cfg)
 
 
 def baseline_config(cfg: dict) -> BaselineConfig:
-    return BaselineConfig(
-        pretrain_epochs=int(cfg["offline.pretrain_epochs"]),
-        finetune_epochs=int(cfg["offline.finetune_epochs"]),
-        subsample=SubsampleSpec(ratio=float(cfg["offline.ratio"]), cap=int(cfg["offline.cap"])),
-        overcluster=_flag(cfg, "offline.overcluster"),
-        overcluster_factor=int(cfg["offline.overcluster_factor"]),
-    )
+    return _build(BaselineConfig, cfg)
+
+
+def eval_head(cfg: dict, heads: int) -> int | None:
+    """``model.eval_head`` as a head index, or None for ``auto``."""
+    text = cfg["model.eval_head"]
+    if text == "auto":
+        return None
+    try:
+        head = int(text)
+    except ValueError:
+        head = -1
+    if not 0 <= head < heads:
+        raise ValueError(f"model.eval_head: expected auto or 0..{heads - 1}, got {text!r}")
+    return head

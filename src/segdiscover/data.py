@@ -64,10 +64,6 @@ class SplitSpec:
     def n_novel(self) -> int:
         return len(self.novel_classes)
 
-    @property
-    def all_classes(self) -> frozenset:
-        return self.base_classes | self.novel_classes
-
 
 @dataclass(frozen=True)
 class ClassArchetype:

@@ -40,15 +40,22 @@ class ConfusionMatrix:
         labels = np.asarray(labels)
         if preds.shape != labels.shape:
             raise ValueError("predictions and labels must have equal length")
-        for gt, pr in zip(labels.tolist(), preds.tolist()):
-            if ignore_label is not None and gt == ignore_label:
-                continue
-            if gt not in self._index:
-                raise ValueError(f"ground-truth label {gt} outside the evaluated set")
-            if pr not in self._index:
-                raise ValueError(f"prediction {pr} outside the evaluated set")
-            self.counts[self._index[gt], self._index[pr]] += 1
+        if ignore_label is not None:
+            keep = labels != ignore_label
+            preds, labels = preds[keep], labels[keep]
+        rows = self._positions(labels, "ground-truth label")
+        cols = self._positions(preds, "prediction")
+        n = len(self.classes)
+        self.counts += np.bincount(rows * n + cols, minlength=n * n).reshape(n, n)
         return self
+
+    def _positions(self, values, what):
+        """Each value's class position; names the first value outside the classes."""
+        uniq, inverse = np.unique(values, return_inverse=True)
+        pos = np.array([self._index.get(v, -1) for v in uniq.tolist()], dtype=np.int64)[inverse]
+        if np.any(pos < 0):
+            raise ValueError(f"{what} {values[np.argmax(pos < 0)]} outside the evaluated set")
+        return pos
 
     def iou(self, cls) -> float | None:
         """TP / (TP + FP + FN); None when the class never occurs."""
@@ -165,36 +172,25 @@ def evaluate(model, clouds, split: SplitSpec, head: int | None = None,
     """
     base_order = sorted(split.base_classes)
     novel_order = sorted(split.novel_classes)
-    n_slots = len(base_order) + len(novel_order)
     n_base = len(base_order)
 
-    cm_slots = np.zeros((n_slots, n_slots), dtype=np.int64)
-    gt_index = {c: i for i, c in enumerate(base_order)}
-    gt_index.update({c: n_base + j for j, c in enumerate(novel_order)})
+    classes = base_order + novel_order
+    # predicted slot j stands for classes[j] until the novel slots are matched
+    slot_classes = np.asarray(classes)
+    by_slot = ConfusionMatrix(classes)
     for i, cloud in enumerate(clouds):
         slots = model.predict_slots(
             cloud.coords, head, neighbours=None if neighbours is None else neighbours[i]
         )
-        labels = cloud.labels
-        if ignore_label is not None:
-            keep = labels != ignore_label
-            labels, slots = labels[keep], slots[keep]
-        outside = set(np.unique(labels)) - set(gt_index)
-        if outside:
-            raise ValueError(f"ground-truth labels {sorted(outside)} outside the evaluated set")
-        rows = np.array([gt_index[int(l)] for l in labels])
-        np.add.at(cm_slots, (rows, slots), 1)
+        by_slot.add(slot_classes[slots], cloud.labels, ignore_label=ignore_label)
 
-    mapping_rows = match_novel(cm_slots[n_base:, n_base:])
+    mapping_rows = match_novel(by_slot.counts[n_base:, n_base:])
     # permute novel prediction columns so each matched slot lands on its class
     inv_map = [0] * len(novel_order)
     for slot, row in enumerate(mapping_rows):
         inv_map[row] = slot
     perm = list(range(n_base)) + [n_base + inv_map[r] for r in range(len(novel_order))]
-    counts = cm_slots[:, perm]
-
-    classes = base_order + novel_order
-    cm = ConfusionMatrix(classes, counts)
+    cm = ConfusionMatrix(classes, by_slot.counts[:, perm])
     per_class = {c: cm.iou(c) for c in classes}
     report = EvalReport(
         per_class_iou=per_class,

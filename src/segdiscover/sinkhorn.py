@@ -22,9 +22,9 @@ _TINY = 1e-300
 class EpsilonSchedule:
     """Linear decay of the assignment smoothness over training."""
 
-    eps_start: float = 0.3
-    eps_end: float = 0.05
-    total_epochs: int = 10
+    eps_start: float
+    eps_end: float
+    total_epochs: int
 
     def __post_init__(self):
         if not (self.eps_start >= self.eps_end > 0.0):

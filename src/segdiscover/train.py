@@ -217,12 +217,15 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                         )
                         over_targets[vi][h] = (kept_o, dist_o)
                 if dc.use_queue:
-                    head0 = targets[vi][0][1]  # unfiltered head-0 distributions
-                    cand = (
-                        select_phi(head0, dc.percentile).kept_indices
-                        if dc.phi_queue
-                        else np.arange(head0.shape[1])
-                    )
+                    # head-0 inserts are filtered when phi_queue is on; with
+                    # tau_train on too, the training filter already chose them
+                    kept0, head0 = targets[vi][0]
+                    if not dc.phi_queue:
+                        cand = np.arange(head0.shape[1])
+                    elif dc.tau_train:
+                        cand = kept0
+                    else:
+                        cand = select_phi(head0, dc.percentile).kept_indices
                     if cand.size:
                         queue.insert(
                             z_novel[:, cand], head0[:, cand].argmax(axis=0),

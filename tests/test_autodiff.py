@@ -152,7 +152,8 @@ class TestFiniteDifferences:
         worst = 0.0
         for _ in range(100):
             params, forward = _random_three_layer(rng)
-            ad.zero_grads(params.values())
+            for p in params.values():
+                p.zero_grad()
             loss = forward()
             ad.backward(loss)
             p = params["w2"]

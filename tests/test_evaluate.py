@@ -38,6 +38,27 @@ class TestConfusion:
         with pytest.raises(ValueError, match="outside"):
             confusion([0], [7], [0, 1])
 
+    def test_first_out_of_set_point_is_named(self):
+        with pytest.raises(ValueError, match="ground-truth label 9 outside"):
+            confusion([0, 1, 5], [0, 9, 8], [0, 1])
+        with pytest.raises(ValueError, match="prediction 5 outside"):
+            confusion([0, 5, 6], [0, 1, 1], [0, 1])
+        # an ignored point is never checked
+        assert confusion([0, 5], [1, 255], [0, 1], ignore_label=255).counts[1, 0] == 1
+
+    def test_counts_match_a_per_point_loop(self):
+        rng = np.random.default_rng(6)
+        classes = [3, 7, 8, 11]
+        labels = rng.choice(classes + [255], size=500)
+        preds = rng.choice(classes, size=500)
+        want = np.zeros((4, 4), dtype=np.int64)
+        for gt, pr in zip(labels, preds):
+            if gt != 255:
+                want[classes.index(gt), classes.index(pr)] += 1
+        cm = ConfusionMatrix(classes).add(preds[:200], labels[:200], ignore_label=255)
+        cm.add(preds[200:], labels[200:], ignore_label=255)
+        assert np.array_equal(cm.counts, want)
+
 
 class TestMiou:
     def test_diagonal_is_one(self):
@@ -160,6 +181,15 @@ class TestEvaluate:
         assert [r[0] for r in rows[-3:]] == ["Novel mIoU", "Base mIoU", "All mIoU"]
         tsv = report.to_tsv()
         assert len(tsv.strip().splitlines()) == 7
+
+    def test_ground_truth_outside_the_split_rejected(self):
+        rng = np.random.default_rng(7)
+        split, clouds = _toy_eval_set(rng)
+        clouds[1].labels[5] = 9
+        with pytest.raises(ValueError, match=r"ground-truth label.*9.*outside"):
+            evaluate(_ConstantModel(0), clouds, split)
+        # unless it is the ignore label
+        evaluate(_ConstantModel(0), clouds, split, ignore_label=9)
 
     def test_miou_invariant_to_head_relabelling(self):
         rng = np.random.default_rng(5)
