@@ -10,7 +10,6 @@ at the same boundary the online trainer uses.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,14 +55,6 @@ class KMeansModel:
             raise ValueError("centroids must be a non-empty (k, D) matrix")
         if not np.all(np.isfinite(self.centroids)):
             raise ValueError("centroids must be finite")
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    def assign(self, features: np.ndarray) -> np.ndarray:
-        d2 = ((features[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1)
 
 
 def _kmeans_pp_init(features, k, rng):
@@ -141,21 +132,16 @@ def propagate_nn(coords: np.ndarray, selected: np.ndarray, labels: np.ndarray):
     mask = np.ones(n, dtype=bool)
     mask[selected] = False
     others = np.flatnonzero(mask)
-    out_idx = list(selected)
-    out_lab = list(labels)
+    out_idx, out_lab = selected, labels
     if others.size:
-        written = {}
         d2 = ((coords[selected][:, None, :] - coords[others][None, :, :]) ** 2).sum(axis=2)
         nearest = others[d2.argmin(axis=1)]  # argmin takes the lowest index on ties
-        for src_pos in range(selected.size):
-            tgt = int(nearest[src_pos])
-            if tgt not in written:
-                written[tgt] = labels[src_pos]
-        for tgt in sorted(written):
-            out_idx.append(tgt)
-            out_lab.append(written[tgt])
+        # np.unique reports each target's first occurrence: the first writer
+        targets, first = np.unique(nearest, return_index=True)
+        out_idx = np.concatenate([selected, targets])
+        out_lab = np.concatenate([labels, labels[first]])
     order = np.argsort(out_idx, kind="stable")
-    return np.asarray(out_idx, dtype=np.intp)[order], np.asarray(out_lab)[order]
+    return out_idx[order], out_lab[order]
 
 
 def _merge_overclusters(centroids, assignments, point_entropy, n_target):
@@ -186,15 +172,11 @@ def _merge_overclusters(centroids, assignments, point_entropy, n_target):
         cluster_entropy[dst] = min(cluster_entropy[dst], cluster_entropy[src])
         parent[src] = dst
         alive.remove(src)
-    # path-compress to the surviving representative, then densify ids
-    def root(j):
-        while parent[j] != j:
-            j = parent[j]
-        return j
-
-    dense = {j: i for i, j in enumerate(sorted(alive))}
-    merged = np.array([dense[root(j)] for j in assignments])
-    return cents[sorted(alive)], merged
+    # follow merges to the surviving representative, then densify ids
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    survivors = np.sort(alive)
+    return cents[survivors], np.searchsorted(survivors, parent[assignments])
 
 
 def _scene_neighbours(scenes, model_cfg: ModelConfig, neighbours=None):
@@ -287,7 +269,7 @@ def finetune(pretrained: SegmentationModel, clouds, pseudo, split: SplitSpec,
     n_base, n_novel = len(base_order), split.n_novel
     rng = np.random.default_rng(train_cfg.seed + 1)
     model = CombinedHeadModel(model_cfg, n_base, n_novel, rng)
-    model.backbone.load_state(pretrained.state(), strict=False)
+    model.load_state(pretrained.state(), strict=False)
     model.head_w.data[:n_base] = pretrained.base_w.data
     model.head_b.data[:n_base] = pretrained.base_b.data
 
@@ -335,18 +317,17 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
     )
 
     rng = np.random.default_rng(train_cfg.seed + 2)
-    feats, owners = [], []
-    novel_indices = []
+    # per scene: (scene index, its novel points, subsample positions among them)
+    feats, picks = [], []
     for i, cloud in enumerate(masked):
         novel_idx = np.flatnonzero(cloud.labels == UNLABELLED)
-        picked = novel_idx[subsample_psi(novel_idx.size, baseline_cfg.subsample, rng)]
-        novel_indices.append(novel_idx)
-        if picked.size == 0:
+        local = subsample_psi(novel_idx.size, baseline_cfg.subsample, rng)
+        if local.size == 0:
             continue
         # features of the whole scene, so k-NN pooling sees every point
         z = pretrained.extract_features(cloud.coords, neighbours[i]).data
-        feats.append(z[:, picked].T)
-        owners.extend((i, int(p)) for p in picked)
+        feats.append(z[:, novel_idx[local]].T)
+        picks.append((i, novel_idx, local))
     pseudo: dict = {}
     if feats:
         pool = np.concatenate(feats, axis=0)
@@ -362,21 +343,11 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
             _, assign = _merge_overclusters(km.centroids, assign, point_entropy, n_novel)
         else:
             _, assign = kmeans(pool, min(n_novel, pool.shape[0]), train_cfg.seed)
-        per_scene: dict = {}
-        for (scene, point), slot in zip(owners, assign):
-            per_scene.setdefault(scene, ([], []))
-            per_scene[scene][0].append(point)
-            per_scene[scene][1].append(int(slot))
-        for scene, (idx, slots) in per_scene.items():
-            idx = np.asarray(idx, dtype=np.intp)
-            slots = np.asarray(slots, dtype=np.int64)
-            novel_idx = novel_indices[scene]
+        bounds = np.cumsum([local.size for _, _, local in picks])[:-1]
+        for (i, novel_idx, local), slots in zip(picks, np.split(assign, bounds)):
             # propagate within the scene's novel points only
-            local = {int(p): j for j, p in enumerate(novel_idx)}
-            sel_local = np.array([local[int(p)] for p in idx], dtype=np.intp)
-            coords = masked[scene].coords[novel_idx]
-            ext_local, ext_lab = propagate_nn(coords, sel_local, slots)
-            pseudo[masked[scene].scene_id] = (novel_idx[ext_local], ext_lab)
+            ext_local, ext_lab = propagate_nn(masked[i].coords[novel_idx], local, slots)
+            pseudo[masked[i].scene_id] = (novel_idx[ext_local], ext_lab)
 
     model = finetune(
         pretrained, clouds, pseudo, split, model_cfg, train_cfg, baseline_cfg,
@@ -390,10 +361,8 @@ def write_pseudo_labels(path, pseudo: dict):
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     for scene_id, (idx, slots) in sorted(pseudo.items()):
-        buf = bytearray()
-        for i, s in zip(idx.tolist(), slots.tolist()):
-            buf += struct.pack("<II", i, s)
-        (root / f"{scene_id}.plabel").write_bytes(bytes(buf))
+        pairs = np.column_stack([idx, slots]).astype("<u4")
+        (root / f"{scene_id}.plabel").write_bytes(pairs.tobytes())
 
 
 def read_pseudo_labels(path):

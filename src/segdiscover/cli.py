@@ -52,15 +52,15 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def _synthetic_config(cfg: dict) -> datamod.SyntheticConfig:
-    seed = int(cfg["train.seed"])
-    scenes = int(cfg["data.scenes"])
-    points = int(cfg["data.points"])
-    if cfg["data.archetypes"] == "toy":
+def _synthetic_config(cfg: dict, seed: int) -> datamod.SyntheticConfig:
+    def data(key):
+        return cfgmod.literal(cfg, f"data.{key}")
+
+    scenes, points, dropout = data("scenes"), data("points"), data("dropout")
+    if data("archetypes") == "toy":
         base = datamod.toy_discovery_config(seed=seed, n_scenes=scenes, points_per_scene=points)
-        return replace(base, scene_dropout=float(cfg["data.dropout"]))
-    n_classes = int(cfg["data.classes"])
-    n_novel = int(cfg["data.novel"])
+        return replace(base, scene_dropout=dropout)
+    n_classes, n_novel = data("classes"), data("novel")
     if not (0 < n_novel < n_classes):
         raise ValueError("data.novel must be positive and below data.classes")
     return datamod.SyntheticConfig(
@@ -68,7 +68,7 @@ def _synthetic_config(cfg: dict) -> datamod.SyntheticConfig:
         n_scenes=scenes,
         points_per_scene=points,
         seed=seed,
-        scene_dropout=float(cfg["data.dropout"]),
+        scene_dropout=dropout,
         novel_classes=tuple(range(n_classes - n_novel, n_classes)),
     )
 
@@ -80,12 +80,12 @@ def cmd_gen_data(args) -> int:
     if args.points is not None:
         cfg["data.points"] = str(args.points)
     out = Path(args.out)
-    syn = _synthetic_config(cfg)
+    syn = _synthetic_config(cfg, cfgmod.check(cfg).train.seed)
     split = syn.split()
     names = syn.class_names()
 
     train_clouds = datamod.generate_synthetic(syn)
-    val_cfg = replace(syn, n_scenes=int(cfg["data.val_scenes"]), seed=syn.seed + 10_000)
+    val_cfg = replace(syn, n_scenes=cfgmod.literal(cfg, "data.val_scenes"), seed=syn.seed + 10_000)
     val_clouds = datamod.generate_synthetic(val_cfg)
     datamod.write_scan_dir(out / "train", train_clouds)
     datamod.write_scan_dir(out / "val", val_clouds)
@@ -189,8 +189,14 @@ def cmd_ablate(args) -> int:
     exp = cfgmod.experiment_config(cfg)
     eval_set = val_clouds or train_clouds
 
+    def scores(run_cfg, init_state=None):
+        # train has already scored its final model on the evaluation set
+        last = train(train_clouds, split, run_cfg, val_clouds=eval_set,
+                     init_state=init_state).metrics[-1]
+        return f"{last['novel_mIoU']:.4f}\t{last['base_mIoU']:.4f}\t{last['all_mIoU']:.4f}"
+
     pretrained_state = None
-    lines = ["config\tnovel_mIoU\tbase_mIoU\tall_mIoU"]
+    grid = {}
     for name, flags in ABLATION_GRID.items():
         pretrain = flags[0]
         if pretrain and pretrained_state is None:
@@ -198,26 +204,20 @@ def cmd_ablate(args) -> int:
             pre = pretrain_base(train_clouds, split, exp.model, exp.train, bl, exp.augment)
             pretrained_state = pre.state()
         run_cfg = replace(exp, discovery=_grid_discovery(exp.discovery, flags))
-        result = train(
-            train_clouds, split, run_cfg, val_clouds=val_clouds,
-            init_state=pretrained_state if pretrain else None,
-        )
-        report = evaluate(result.model, eval_set, split)
-        lines.append(
-            f"{name}\t{report.novel_miou:.4f}\t{report.base_miou:.4f}\t{report.all_miou:.4f}"
-        )
-        print(lines[-1])
+        grid[name] = scores(run_cfg, pretrained_state if pretrain else None)
+        print(f"{name}\t{grid[name]}")
+    lines = ["config\tnovel_mIoU\tbase_mIoU\tall_mIoU"] + [f"{n}\t{r}" for n, r in grid.items()]
     (out / "ablation.tsv").write_text("\n".join(lines) + "\n")
 
     sweep_lines = ["p\tnovel_mIoU\tbase_mIoU\tall_mIoU"]
     full = _grid_discovery(exp.discovery, ABLATION_GRID["Full"])
     for p in PERCENTILE_SWEEP:
-        run_cfg = replace(exp, discovery=replace(full, percentile=p))
-        result = train(train_clouds, split, run_cfg, val_clouds=val_clouds)
-        report = evaluate(result.model, eval_set, split)
-        sweep_lines.append(
-            f"{p}\t{report.novel_miou:.4f}\t{report.base_miou:.4f}\t{report.all_miou:.4f}"
-        )
+        # at Full's own percentile this is the grid's Full training again
+        if p == full.percentile:
+            cells = grid["Full"]
+        else:
+            cells = scores(replace(exp, discovery=replace(full, percentile=p)))
+        sweep_lines.append(f"{p}\t{cells}")
         print(sweep_lines[-1])
     (out / "sweep.tsv").write_text("\n".join(sweep_lines) + "\n")
     cfgmod.write_resolved(out / "config.resolved", cfg)

@@ -55,14 +55,15 @@ FIELDS = {
     "offline.overcluster_factor": (BaselineConfig, "overcluster_factor"),
 }
 
+# keys with no field; each value parses as the type of its default here
 LITERAL_DEFAULTS = {
     "model.eval_head": "auto",
-    "data.scenes": "200",
-    "data.val_scenes": "50",
-    "data.points": "512",
-    "data.classes": "5",
-    "data.novel": "2",
-    "data.dropout": "0.0",
+    "data.scenes": 200,
+    "data.val_scenes": 50,
+    "data.points": 512,
+    "data.classes": 5,
+    "data.novel": 2,
+    "data.dropout": 0.0,
     "data.archetypes": "toy",
 }
 
@@ -81,7 +82,7 @@ def _text(value) -> str:
 
 
 DEFAULTS = {key: _text(_field_default(root, path)) for key, (root, path) in FIELDS.items()}
-DEFAULTS.update(LITERAL_DEFAULTS)
+DEFAULTS.update((key, _text(value)) for key, value in LITERAL_DEFAULTS.items())
 
 
 def parse_config_file(path) -> dict:
@@ -154,12 +155,27 @@ def _build(root, cfg: dict):
     return fill(root(), "")
 
 
+def literal(cfg: dict, key: str):
+    """The value of a key in ``LITERAL_DEFAULTS``, as its default's type."""
+    return _parse(key, cfg[key], LITERAL_DEFAULTS[key])
+
+
 def experiment_config(cfg: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, cfg)
 
 
 def baseline_config(cfg: dict) -> BaselineConfig:
     return _build(BaselineConfig, cfg)
+
+
+def check(cfg: dict) -> ExperimentConfig:
+    """Parse every key, so a bad value fails before a run writes anything."""
+    exp = experiment_config(cfg)
+    baseline_config(cfg)
+    eval_head(cfg, exp.model.heads)
+    for key in LITERAL_DEFAULTS:
+        literal(cfg, key)
+    return exp
 
 
 def eval_head(cfg: dict, heads: int) -> int | None:

@@ -159,15 +159,15 @@ class EvalReport:
         return "\t".join(cells)
 
 
-def evaluate(model, clouds, split: SplitSpec, head: int | None = None,
-             class_names: dict | None = None, ignore_label: int | None = None,
-             zero_division: str = "exclude", neighbours=None) -> EvalReport:
+def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
+             ignore_label: int | None = None, neighbours=None) -> EvalReport:
     """Score a model on an evaluation set.
 
-    The model must expose ``predict_slots(coords, head)`` returning, per
-    point, an argmax over base slots (sorted base ids) followed by novel
-    slots. Novel slots are matched to class ids on this same set, then
-    the matrix columns are permuted accordingly before scoring.
+    The model must expose ``predict_slots(coords, neighbours=)``
+    returning, per point, an argmax over base slots (sorted base ids)
+    followed by its selected head's novel slots. Novel slots are matched
+    to class ids on this same set, then the matrix columns are permuted
+    accordingly before scoring.
     ``neighbours`` optionally carries precomputed k-NN indices per cloud.
     """
     base_order = sorted(split.base_classes)
@@ -180,7 +180,7 @@ def evaluate(model, clouds, split: SplitSpec, head: int | None = None,
     by_slot = ConfusionMatrix(classes)
     for i, cloud in enumerate(clouds):
         slots = model.predict_slots(
-            cloud.coords, head, neighbours=None if neighbours is None else neighbours[i]
+            cloud.coords, neighbours=None if neighbours is None else neighbours[i]
         )
         by_slot.add(slot_classes[slots], cloud.labels, ignore_label=ignore_label)
 
@@ -194,9 +194,9 @@ def evaluate(model, clouds, split: SplitSpec, head: int | None = None,
     per_class = {c: cm.iou(c) for c in classes}
     report = EvalReport(
         per_class_iou=per_class,
-        novel_miou=miou(cm, novel_order, zero_division),
-        base_miou=miou(cm, base_order, zero_division),
-        all_miou=miou(cm, classes, zero_division),
+        novel_miou=miou(cm, novel_order),
+        base_miou=miou(cm, base_order),
+        all_miou=miou(cm, classes),
         mapping={j: novel_order[mapping_rows[j]] for j in range(len(novel_order))},
         class_names=class_names,
     )

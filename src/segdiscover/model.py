@@ -59,12 +59,17 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
 def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = None) -> np.ndarray:
     """Column-stochastic (m, m) matrix averaging each point's k nearest
     neighbours; right-multiplying features (D, m) by it yields the
-    neighbourhood mean per point. A single-point cloud averages itself."""
+    neighbourhood mean per point. A single-point cloud averages itself.
+
+    Each row of ``neighbours`` must hold distinct point indices, as
+    ``knn_indices`` returns them."""
     if neighbours is None:
         neighbours = knn_indices(coords, k)
     m, kk = neighbours.shape
     mat = np.zeros((m, m))
-    np.add.at(mat, (neighbours.reshape(-1), np.repeat(np.arange(m), kk)), 1.0 / kk)
+    # distinct rows write each (neighbour, point) entry once, so a plain
+    # assignment equals an accumulating one
+    mat[neighbours.reshape(-1), np.repeat(np.arange(m), kk)] = 1.0 / kk
     return mat
 
 
@@ -206,38 +211,34 @@ class SegmentationModel:
     def save(self, path):
         ad.save_checkpoint(path, self.state())
 
-    def load(self, path, strict: bool = True):
-        self.load_state(ad.load_checkpoint(path), strict=strict)
+    def load(self, path):
+        self.load_state(ad.load_checkpoint(path))
 
 
-class CombinedHeadModel:
+class CombinedHeadModel(SegmentationModel):
     """Extractor plus a single head over base and novel slots jointly.
 
     Used by the offline baseline's fine-tuning stage; base slots can be
-    seeded from a pretrained base head.
+    seeded from a pretrained base head. The per-head parameters it
+    inherits are not trained or saved.
     """
 
     def __init__(self, cfg: ModelConfig, n_base: int, n_novel: int, rng: np.random.Generator):
-        self.backbone = SegmentationModel(cfg, n_base, n_novel, rng)
+        super().__init__(cfg, n_base, n_novel, rng)
         d = cfg.feature_dim
         n_all = n_base + n_novel
         self.head_w = ad.parameter(rng.normal(0.0, np.sqrt(2.0 / d), (n_all, d)), "joint.w")
         self.head_b = ad.parameter(np.zeros((n_all, 1)), "joint.b")
-        self.n_base = n_base
-        self.n_novel = n_novel
 
     def parameters(self) -> dict:
         params = {
             name: p
-            for name, p in self.backbone.parameters().items()
+            for name, p in super().parameters().items()
             if not (name.startswith("novel") or name.startswith("over") or name.startswith("base"))
         }
         params[self.head_w.name] = self.head_w
         params[self.head_b.name] = self.head_b
         return params
-
-    def extract_features(self, coords, neighbours=None):
-        return self.backbone.extract_features(coords, neighbours)
 
     def logits(self, z: ad.Tensor) -> ad.Tensor:
         return ad.add(ad.matmul(self.head_w, z), self.head_b)
@@ -249,16 +250,3 @@ class CombinedHeadModel:
 
     def state(self) -> dict:
         return {name: p.data for name, p in self.parameters().items()}
-
-    def load_state(self, state: dict, strict: bool = True):
-        for name, p in self.parameters().items():
-            if name in state:
-                p.data[...] = np.asarray(state[name], dtype=np.float64).reshape(p.data.shape)
-            elif strict:
-                raise KeyError(f"checkpoint missing parameter {name}")
-
-    def save(self, path):
-        ad.save_checkpoint(path, self.state())
-
-    def load(self, path, strict: bool = True):
-        self.load_state(ad.load_checkpoint(path), strict=strict)

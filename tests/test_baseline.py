@@ -1,13 +1,18 @@
 """Offline baseline: clustering, subsampling, propagation, both trainers."""
 
+import struct
+from itertools import combinations
+
 import numpy as np
 import pytest
-from itertools import combinations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdiscover.augment import AugmentConfig
 from segdiscover.baseline import (
     BaselineConfig,
     SubsampleSpec,
+    _merge_overclusters,
     finetune,
     kmeans,
     pretrain_base,
@@ -154,6 +159,110 @@ class TestPropagateNN:
             propagate_nn(np.zeros((3, 3)), np.array([], dtype=int), np.array([]))
 
 
+def loop_propagate_nn(coords, selected, labels):
+    """The per-point loop ``propagate_nn`` replaced, kept as its reference."""
+    selected = np.asarray(selected, dtype=np.intp)
+    labels = np.asarray(labels)
+    mask = np.ones(coords.shape[0], dtype=bool)
+    mask[selected] = False
+    others = np.flatnonzero(mask)
+    out_idx, out_lab = list(selected), list(labels)
+    if others.size:
+        written = {}
+        d2 = ((coords[selected][:, None, :] - coords[others][None, :, :]) ** 2).sum(axis=2)
+        nearest = others[d2.argmin(axis=1)]
+        for src_pos in range(selected.size):
+            tgt = int(nearest[src_pos])
+            if tgt not in written:
+                written[tgt] = labels[src_pos]
+        for tgt in sorted(written):
+            out_idx.append(tgt)
+            out_lab.append(written[tgt])
+    order = np.argsort(out_idx, kind="stable")
+    return np.asarray(out_idx, dtype=np.intp)[order], np.asarray(out_lab)[order]
+
+
+def loop_merge_overclusters(centroids, assignments, point_entropy, n_target):
+    """The dict-and-closure merge ``_merge_overclusters`` replaced."""
+    k = centroids.shape[0]
+    sizes = np.bincount(assignments, minlength=k).astype(np.float64)
+    cluster_entropy = np.zeros(k)
+    for j in range(k):
+        members = point_entropy[assignments == j]
+        cluster_entropy[j] = members.mean() if members.size else np.inf
+    alive = list(range(k))
+    parent = np.arange(k)
+    cents = centroids.copy()
+    while len(alive) > n_target:
+        src = sorted(alive, key=lambda j: (cluster_entropy[j], j))[0]
+        rest = [j for j in alive if j != src]
+        dst = rest[int(((cents[rest] - cents[src]) ** 2).sum(axis=1).argmin())]
+        w = sizes[src] + sizes[dst]
+        if w > 0:
+            cents[dst] = (cents[src] * sizes[src] + cents[dst] * sizes[dst]) / w
+        sizes[dst] = w
+        cluster_entropy[dst] = min(cluster_entropy[dst], cluster_entropy[src])
+        parent[src] = dst
+        alive.remove(src)
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    dense = {j: i for i, j in enumerate(sorted(alive))}
+    return cents[sorted(alive)], np.array([dense[root(j)] for j in assignments])
+
+
+@st.composite
+def propagation_cases(draw):
+    # coordinates on a coarse integer grid, so distances tie and selected
+    # points often share a nearest neighbour
+    n = draw(st.integers(1, 14))
+    coords = np.array(draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * 3), min_size=n, max_size=n,
+    )), dtype=np.float64)
+    selected = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    labels = draw(st.lists(st.integers(0, 4), min_size=len(selected), max_size=len(selected)))
+    return coords, np.array(selected, dtype=np.intp), np.array(labels, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(propagation_cases())
+def test_propagate_nn_matches_the_loop_reference(case):
+    coords, selected, labels = case
+    idx, lab = propagate_nn(coords, selected, labels)
+    ref_idx, ref_lab = loop_propagate_nn(coords, selected, labels)
+    assert idx.dtype == ref_idx.dtype and lab.dtype == ref_lab.dtype
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(lab, ref_lab)
+
+
+@st.composite
+def merge_cases(draw):
+    k = draw(st.integers(1, 8))
+    centroids = np.array(draw(st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=k, max_size=k,
+    )), dtype=np.float64)
+    # some clusters may stay empty; entropies tie often
+    assignments = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=30)))
+    entropy = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0]), min_size=assignments.size, max_size=assignments.size,
+    )))
+    return centroids, assignments, entropy, draw(st.integers(1, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_cases())
+def test_merge_overclusters_matches_the_loop_reference(case):
+    centroids, assignments, entropy, n_target = case
+    cents, merged = _merge_overclusters(centroids, assignments, entropy, n_target)
+    ref_cents, ref_merged = loop_merge_overclusters(centroids, assignments, entropy, n_target)
+    assert merged.dtype == ref_merged.dtype
+    np.testing.assert_array_equal(cents, ref_cents)
+    np.testing.assert_array_equal(merged, ref_merged)
+
+
 class TestPretrain:
     def test_smoke_base_miou_above_chance(self):
         clouds, split = tiny_setup(scenes=12, points=64)
@@ -261,6 +370,40 @@ class TestPipeline:
         assert len(pools) == 1
         np.testing.assert_allclose(pools[0], np.concatenate(expected), rtol=1e-12, atol=1e-15)
 
+    def test_picked_points_carry_their_kmeans_assignments(self, monkeypatch):
+        import segdiscover.baseline as bl
+        from segdiscover.data import UNLABELLED, mask_novel
+
+        assignments = []
+        real_kmeans = bl.kmeans
+
+        def capture_kmeans(features, k, seed, **kw):
+            km, assign = real_kmeans(features, k, seed, **kw)
+            assignments.append(assign)
+            return km, assign
+
+        monkeypatch.setattr(bl, "kmeans", capture_kmeans)
+        clouds, split = tiny_setup()
+        _, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+
+        rng = np.random.default_rng(TINY_TRAIN.seed + 2)
+        start = 0
+        for cloud in mask_novel(clouds, split):
+            novel_idx = np.flatnonzero(cloud.labels == UNLABELLED)
+            picked = novel_idx[subsample_psi(novel_idx.size, TINY_BASE.subsample, rng)]
+            if not picked.size:
+                assert cloud.scene_id not in pseudo
+                continue
+            idx, slots = pseudo[cloud.scene_id]
+            at = np.searchsorted(idx, picked)
+            np.testing.assert_array_equal(idx[at], picked)
+            np.testing.assert_array_equal(slots[at], assignments[0][start:start + picked.size])
+            start += picked.size
+            # the rest are propagated copies onto other novel points
+            assert np.all(np.isin(idx, novel_idx))
+            assert idx.size <= 2 * picked.size
+        assert start == assignments[0].size
+
     def test_one_knn_graph_per_training_scene(self, monkeypatch):
         import segdiscover.baseline as bl
         import segdiscover.model as model_module
@@ -307,3 +450,13 @@ class TestPipeline:
         raw = (tmp_path / "0000.plabel").read_bytes()
         assert len(raw) == 3 * 8  # u32 pairs, little endian
         assert raw[:4] == (3).to_bytes(4, "little")
+
+    def test_pseudo_label_bytes_are_u32_index_class_pairs(self, tmp_path):
+        pseudo = {
+            "0001": (np.array([0, 7, 70_000], dtype=np.intp), np.array([2, 0, 1], dtype=np.int64)),
+            "0003": (np.array([], dtype=np.intp), np.array([], dtype=np.int64)),
+        }
+        write_pseudo_labels(tmp_path, pseudo)
+        for scene_id, (idx, slots) in pseudo.items():
+            expected = b"".join(struct.pack("<II", i, s) for i, s in zip(idx, slots))
+            assert (tmp_path / f"{scene_id}.plabel").read_bytes() == expected

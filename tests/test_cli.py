@@ -161,3 +161,53 @@ class TestErrors:
     def test_missing_data_dir_reports_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "r")])
         assert code == 1
+
+
+class TestAblateReuse:
+    def _count(self, monkeypatch):
+        import segdiscover.cli as cli
+
+        runs, evals = [], []
+        real_train = cli.train
+
+        def counted_train(*args, **kw):
+            runs.append(real_train(*args, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "train", counted_train)
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **kw: evals.append(a))
+        return runs, evals
+
+    def _rows(self, path):
+        return [line.split("\t", 1)[1] for line in path.read_text().splitlines()[1:]]
+
+    def test_rows_are_the_final_evaluation_and_full_is_reused(self, tmp_path, monkeypatch):
+        from segdiscover import data as datamod
+        from segdiscover.evaluate import evaluate
+
+        data = gen_tiny(tmp_path / "d")
+        runs, evals = self._count(monkeypatch)
+        out = tmp_path / "ab"
+        fast = [*FAST, "train.epochs=2"]
+        assert main(["ablate", "--data", str(data), "--out", str(out), "--seed", "0", *fast]) == 0
+        assert len(runs) == len(ABLATION_GRID) + len(PERCENTILE_SWEEP) - 1
+        assert evals == []
+        val = datamod.load_scan_dir(data / "val")
+        split = datamod.read_split_file(
+            data / "split.txt", datamod.read_class_names(data / "classes.txt")
+        )
+        scored = []
+        for result in runs:
+            report = evaluate(result.model, val, split)
+            scored.append(f"{report.novel_miou:.4f}\t{report.base_miou:.4f}\t{report.all_miou:.4f}")
+        grid, sweep = self._rows(out / "ablation.tsv"), self._rows(out / "sweep.tsv")
+        assert grid == scored[:len(ABLATION_GRID)]
+        # the default unc.p=0.5 sweep row is the grid's Full run
+        assert sweep == scored[len(ABLATION_GRID):][:2] + [grid[-1]] + scored[-2:]
+
+    def test_a_percentile_outside_the_sweep_trains_every_row(self, tmp_path, monkeypatch):
+        data = gen_tiny(tmp_path / "d")
+        runs, _ = self._count(monkeypatch)
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(data), "--out", str(out), *FAST, "unc.p=0.25"]) == 0
+        assert len(runs) == len(ABLATION_GRID) + len(PERCENTILE_SWEEP)

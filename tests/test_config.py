@@ -1,6 +1,7 @@
 """Flat run settings: defaults, key-to-field mapping and boundary errors."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -182,3 +183,25 @@ class TestBoundaryErrors:
                      "--out", str(tmp_path / "eval"), *fast, "model.eval_head=9"])
         assert code == 1
         assert "model.eval_head" in capsys.readouterr().err
+
+
+class TestGenDataChecksEveryKey:
+    @pytest.mark.parametrize("override, message", [
+        ("data.scenes=abc", r"data\.scenes.*'abc'"),
+        ("data.dropout=x", r"data\.dropout.*'x'"),
+        ("data.val_scenes=1.5", r"data\.val_scenes.*'1\.5'"),
+        ("sk.iters=abc", r"sk\.iters.*'abc'"),
+        ("offline.cap=many", r"offline\.cap.*'many'"),
+    ])
+    def test_bad_value_named_and_nothing_written(self, tmp_path, capsys, override, message):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--points", "20", "--out", str(out), "data.scenes=2",
+                     "data.val_scenes=1", override]) == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_data_keys_parse_as_their_default_types(self):
+        cfg = config.resolve(overrides=["data.points=64", "data.dropout=0.25"])
+        assert config.literal(cfg, "data.points") == 64
+        assert config.literal(cfg, "data.dropout") == 0.25
+        assert config.literal(cfg, "data.archetypes") == "toy"

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from segdiscover import autodiff as ad
-from segdiscover.model import CombinedHeadModel, ModelConfig, SegmentationModel, knn_mean_matrix
+from segdiscover.model import (
+    CombinedHeadModel,
+    ModelConfig,
+    SegmentationModel,
+    knn_indices,
+    knn_mean_matrix,
+)
 
 
 def make_model(seed=0, **kw):
@@ -25,6 +31,18 @@ class TestKnnMatrix:
 
     def test_single_point_averages_itself(self):
         assert knn_mean_matrix(np.zeros((1, 3)), 16).tolist() == [[1.0]]
+
+    def test_equals_the_scatter_add_reference(self):
+        rng = np.random.default_rng(11)
+        for m, k in [(1, 4), (2, 4), (9, 3), (40, 16), (64, 5)]:
+            # integer coordinates, so neighbour distances tie
+            coords = rng.integers(0, 3, size=(m, 3)).astype(np.float64)
+            neighbours = knn_indices(coords, k)
+            ref = np.zeros((m, m))
+            kk = neighbours.shape[1]
+            np.add.at(ref, (neighbours.reshape(-1), np.repeat(np.arange(m), kk)), 1.0 / kk)
+            np.testing.assert_array_equal(knn_mean_matrix(coords, k), ref)
+            np.testing.assert_array_equal(knn_mean_matrix(coords, k, neighbours), ref)
 
     def test_small_cloud_caps_k(self):
         coords = np.random.default_rng(2).normal(size=(3, 3))
@@ -150,3 +168,45 @@ class TestStateRoundTrip:
         fresh = CombinedHeadModel(ModelConfig(), 3, 2, np.random.default_rng(10))
         fresh.load(tmp_path / "c.ckpt")
         np.testing.assert_array_equal(fresh.predict_slots(coords), expected)
+
+
+class TestCombinedHeadModel:
+    def test_checkpoint_holds_the_extractor_and_the_joint_head_only(self, tmp_path):
+        model = CombinedHeadModel(ModelConfig(), 3, 2, np.random.default_rng(0))
+        model.save(tmp_path / "c.ckpt")
+        names = ["enc1.w", "enc1.b", "enc2.w", "enc2.b", "proj.w", "proj.b", "joint.w", "joint.b"]
+        assert list(model.state()) == names
+        assert sorted(ad.load_checkpoint(tmp_path / "c.ckpt")) == sorted(names)
+        assert model.state()["joint.w"].shape == (5, ModelConfig().feature_dim)
+
+    def test_draws_the_extractor_then_the_joint_head(self):
+        cfg = ModelConfig(feature_dim=8, hidden=16)
+        rng = np.random.default_rng(4)
+        plain = SegmentationModel(cfg, 3, 2, rng)
+        joint_w = rng.normal(0.0, np.sqrt(2.0 / 8), (5, 8))
+        model = CombinedHeadModel(cfg, 3, 2, np.random.default_rng(4))
+        for name in ("enc1.w", "enc2.w", "proj.w"):
+            np.testing.assert_array_equal(model.state()[name], plain.state()[name])
+        np.testing.assert_array_equal(model.state()["joint.w"], joint_w)
+
+    def test_finetune_starts_from_the_pretrained_extractor_and_base_head(self):
+        from segdiscover.baseline import BaselineConfig, finetune
+        from segdiscover.data import generate_synthetic, toy_discovery_config
+        from segdiscover.losses import TrainConfig
+
+        syn = toy_discovery_config(seed=0, n_scenes=2, points_per_scene=24)
+        clouds, split = generate_synthetic(syn), syn.split()
+        cfg = ModelConfig(feature_dim=8, hidden=16, knn=4, heads=2)
+        train_cfg = TrainConfig(epochs=1, batch_size=2, seed=3)
+        pretrained = SegmentationModel(cfg, 3, 2, np.random.default_rng(1))
+        for p in pretrained.parameters().values():  # no zero biases left
+            p.data += np.random.default_rng(2).normal(size=p.data.shape)
+        model = finetune(pretrained, clouds, {}, split, cfg, train_cfg,
+                         BaselineConfig(finetune_epochs=0))
+        fresh = CombinedHeadModel(cfg, 3, 2, np.random.default_rng(train_cfg.seed + 1))
+        state, before = model.state(), pretrained.state()
+        for name in ("enc1.w", "enc1.b", "enc2.w", "enc2.b", "proj.w", "proj.b"):
+            np.testing.assert_array_equal(state[name], before[name])
+        np.testing.assert_array_equal(state["joint.w"][:3], before["base.w"])
+        np.testing.assert_array_equal(state["joint.b"][:3], before["base.b"])
+        np.testing.assert_array_equal(state["joint.w"][3:], fresh.state()["joint.w"][3:])
