@@ -10,7 +10,6 @@ Usage: python scripts/run_component_ablation.py --out runs/ablation
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 from segdiscover.cli import main as cli_main

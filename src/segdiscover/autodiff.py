@@ -19,6 +19,7 @@ gradients only for operands that reach a tracked leaf.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Mapping, Sequence
 
@@ -402,33 +403,39 @@ def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a ``save_checkpoint`` file; any malformed input raises a
+    ``ValueError`` that names the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    pos = 4
+
+    def take(size, what):
+        nonlocal pos
+        if len(blob) - pos < size:
+            raise ValueError(f"{path}: truncated checkpoint ({what} at byte {pos})")
+        pos += size
+        return blob[pos - size:pos]
+
+    def u32s(count, what):
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    (version,) = u32s(1, "format")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format {version}")
-    pos = 8
     out: dict[str, np.ndarray] = {}
     while pos < len(blob):
+        (nlen,) = u32s(1, "name length")
         try:
-            (nlen,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            name = blob[pos:pos + nlen].decode("utf-8")
-            if len(blob[pos:pos + nlen]) != nlen:
-                raise struct.error("truncated name")
-            pos += nlen
-            (ndim,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{ndim}I", blob, pos)
-            pos += 4 * ndim
-            count = int(np.prod(dims)) if ndim else 1
-            if len(blob) - pos < 8 * count:
-                raise struct.error("truncated values")
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-            pos += 8 * count
-        except struct.error as exc:
-            raise ValueError(f"{path}: truncated checkpoint ({exc})") from exc
-        out[name] = arr.reshape(dims).astype(np.float64)
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: name at byte {pos - nlen} is not UTF-8") from None
+        (ndim,) = u32s(1, f"{name} rank")
+        dims = u32s(ndim, f"{name} shape")
+        values = np.frombuffer(take(8 * math.prod(dims), f"{name} values"), dtype="<f8")
+        try:
+            out[name] = values.reshape(dims).astype(np.float64)
+        except ValueError:  # a zero-size shape past numpy's rank or size limits
+            raise ValueError(f"{path}: {name} has shape {dims}, which numpy cannot hold") from None
     return out

@@ -235,7 +235,7 @@ def pretrain_base(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: T
     rng = np.random.default_rng(train_cfg.seed)
     model = SegmentationModel(model_cfg, len(base_order), split.n_novel, rng)
     weights = compute_loss_weights(masked, split)
-    w_vec = np.array([weights.base_weights[c] for c in base_order])
+    w_vec = weights.vector(base_order, 0)
 
     targets = []
     for cloud in masked:

@@ -139,18 +139,25 @@ def _parse(key, text, default):
 
 
 def _build(root, cfg: dict):
-    """``root()`` with every field in ``FIELDS`` set from ``cfg``."""
+    """``root()`` with every field in ``FIELDS`` set from ``cfg``; a value
+    a dataclass rejects is reported with the keys set away from their
+    defaults under it."""
     keys = {path: key for key, (r, path) in FIELDS.items() if r is root}
 
     def fill(obj, prefix):
-        changes = {}
+        changes, moved = {}, []
         for f in fields(obj):
             value, path = getattr(obj, f.name), prefix + f.name
             if is_dataclass(value):
                 changes[f.name] = fill(value, path + ".")
             elif path in keys:
                 changes[f.name] = _parse(keys[path], cfg[keys[path]], value)
-        return replace(obj, **changes)
+                if changes[f.name] != value:
+                    moved.append(keys[path])
+        try:
+            return replace(obj, **changes)
+        except ValueError as exc:
+            raise ValueError(f"{', '.join(f'{k}={cfg[k]}' for k in moved)}: {exc}") from None
 
     return fill(root(), "")
 

@@ -382,7 +382,11 @@ def read_split_file(path, names: dict) -> SplitSpec:
         if key not in fields:
             raise ValueError(f"{path}: split file missing {key!r}")
     by_name = {v: k for k, v in names.items()}
-    novel = frozenset(by_name[n.strip()] for n in fields["novel"].split(",") if n.strip())
+    listed = [n.strip() for n in fields["novel"].split(",") if n.strip()]
+    unknown = [n for n in listed if n not in by_name]
+    if unknown:
+        raise ValueError(f"{path}: novel classes {unknown} are not in the class table")
+    novel = frozenset(by_name[n] for n in listed)
     base = frozenset(names) - novel
     return SplitSpec(fields["dataset"], fields["split_name"], base, novel)
 
@@ -403,8 +407,11 @@ def read_class_names(path) -> dict:
 
 def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[LabelledCloud]:
     """Hide novel ground truth: novel labels become UNLABELLED, ignore-labelled
-    points are dropped entirely. Training code only ever sees the result."""
+    points are dropped entirely. Training code only ever sees the result.
+
+    An id that is neither base, novel nor ``ignore_id`` is an error."""
     base = np.array(sorted(split.base_classes), dtype=np.int64)
+    known = np.array(sorted(split.base_classes | split.novel_classes), dtype=np.int64)
     masked = []
     for cloud in clouds:
         labels = cloud.labels
@@ -413,6 +420,12 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
             keep = labels != ignore_id
         coords = cloud.coords[keep]
         labels = labels[keep]
+        unknown = np.setdiff1d(labels, known)
+        if unknown.size:
+            raise ValueError(
+                f"scene {cloud.scene_id!r}: label ids {unknown.tolist()} are neither base "
+                f"nor novel in split {split.name!r}, nor ignored"
+            )
         if coords.shape[0] == 0:
             continue  # scene was entirely ignore-labelled
         out = np.where(np.isin(labels, base), labels, UNLABELLED)

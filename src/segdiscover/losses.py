@@ -48,10 +48,9 @@ class LossWeights:
     """Per-class weights over the combined base+novel label space."""
 
     base_weights: dict  # base class id -> weight, mean 1 over base classes
-    novel_weight: float = 1.0
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.base_weights.values()) or self.novel_weight <= 0:
+        if any(w <= 0 for w in self.base_weights.values()):
             raise ValueError("loss weights must be positive")
         if self.base_weights:
             mean = sum(self.base_weights.values()) / len(self.base_weights)
@@ -60,7 +59,7 @@ class LossWeights:
 
     def vector(self, base_order, n_novel_slots: int) -> np.ndarray:
         base = [self.base_weights[c] for c in base_order]
-        return np.array(base + [self.novel_weight] * n_novel_slots)
+        return np.array(base + [1.0] * n_novel_slots)
 
 
 def compute_loss_weights(clouds, split: SplitSpec) -> LossWeights:
@@ -165,6 +164,8 @@ class SGD:
             v *= self.momentum
             v += g
             p.data -= lr * v
+            if not np.isfinite(p.data).all():
+                raise ValueError(f"SGD step at lr {lr:g} left parameter {name} non-finite")
 
     def zero_grad(self):
         for p in self.params.values():

@@ -201,18 +201,32 @@ class SegmentationModel:
     def load_state(self, state: dict, strict: bool = True):
         for name, p in self.parameters().items():
             if name in state:
-                arr = np.asarray(state[name], dtype=np.float64).reshape(p.data.shape)
+                arr = np.asarray(state[name], dtype=np.float64)
+                if arr.shape != p.data.shape:
+                    raise ValueError(
+                        f"parameter {name} has shape {arr.shape}, the model expects {p.data.shape}"
+                    )
                 p.data[...] = arr
             elif strict:
                 raise KeyError(f"checkpoint missing parameter {name}")
         if "meta.selected_head" in state:
-            self.selected_head = int(np.asarray(state["meta.selected_head"]).reshape(-1)[0])
+            head = np.asarray(state["meta.selected_head"], dtype=np.float64).reshape(-1)
+            if head.size != 1 or head[0] not in range(self.cfg.heads):
+                raise ValueError(
+                    f"meta.selected_head {head.tolist()} is not a head index in "
+                    f"0..{self.cfg.heads - 1}"
+                )
+            self.selected_head = int(head[0])
 
     def save(self, path):
         ad.save_checkpoint(path, self.state())
 
     def load(self, path):
-        self.load_state(ad.load_checkpoint(path))
+        state = ad.load_checkpoint(path)
+        try:
+            self.load_state(state)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class CombinedHeadModel(SegmentationModel):

@@ -10,7 +10,6 @@ before the loop ever sees a point and the batch assembly asserts that.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +34,6 @@ class SinkhornConfig:
     iters: int = 3
     eps_start: float = 0.3
     eps_end: float = 0.05
-
-    def schedule(self, epochs: int) -> EpsilonSchedule:
-        return EpsilonSchedule(self.eps_start, self.eps_end, epochs)
 
 
 @dataclass(frozen=True)
@@ -152,12 +148,16 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     if init_state is not None:
         model.load_state(init_state, strict=False)
 
+    # the novel heads and, when on, the over-clustering heads; each family
+    # is (prototypes per head, class weights, over flag)
     weights = compute_loss_weights(masked, split)
-    w_novel = weights.vector(base_order, n_novel)
-    w_over = weights.vector(base_order, cfg.model.overcluster_factor * n_novel)
+    families = [(model.novel_p, weights.vector(base_order, n_novel), False)]
+    if dc.overcluster:
+        w_over = weights.vector(base_order, cfg.model.overcluster_factor * n_novel)
+        families.append((model.over_p, w_over, True))
     queue = FeatureQueue(tuple(range(n_novel)), cfg.queue.capacity, balanced=dc.phi_queue)
     opt = SGD(model.parameters(), tc.momentum, tc.weight_decay)
-    sched = cfg.sinkhorn.schedule(tc.epochs)
+    sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
 
     n_batches = (len(masked) + tc.batch_size - 1) // tc.batch_size
     total_steps = tc.epochs * n_batches
@@ -165,15 +165,12 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     step = 0
     lr = 0.0
     metrics = []
-    head_losses = np.zeros(heads)
 
     for epoch in range(tc.epochs):
         eps = epsilon_at(sched, epoch)
         order = rng.permutation(len(masked))
         epoch_loss = 0.0
-        epoch_terms = 0
         head_sums = np.zeros(heads)
-        head_counts = 0
 
         for b in range(n_batches):
             scene_ids = order[b * tc.batch_size:(b + 1) * tc.batch_size]
@@ -185,16 +182,14 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                 _BatchView(model, [p.view_b for p in pairs], mean_matrices=means),
             )
             va, vb = views
+            if not (np.isfinite(va.z.data).all() and np.isfinite(vb.z.data).all()):
+                raise ValueError(f"features went non-finite after the SGD step at lr {lr:g}")
             assert np.array_equal(va.labels, vb.labels)
             assert np.all(np.isin(va.labels[va.base_idx], base_order)), "unmasked label reached training"
-            if va.base_idx.size == 0 and va.novel_idx.size == 0:
-                print(f"warning: skipping batch {b} with no usable points", file=sys.stderr)
-                continue
 
-            # pseudo-labels per view and head; queue is sampled before the
-            # current batch is inserted, so it only carries past iterations
-            targets = [dict(), dict()]
-            over_targets = [dict(), dict()]
+            # pseudo-labels per family, view and head; queue is sampled before
+            # the current batch is inserted, so it only carries past iterations
+            targets = [[{}, {}] for _ in families]
             for vi, view in enumerate(views):
                 if view.novel_idx.size == 0:
                     continue
@@ -204,37 +199,29 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                     if dc.use_queue
                     else np.zeros((0, 0))
                 )
-                for h in range(heads):
-                    kept, dist = _pseudo_label(
-                        model.novel_p[h].data, z_novel, qcols, eps,
-                        cfg.sinkhorn.iters, dc.percentile, dc.tau_train,
-                    )
-                    targets[vi][h] = (kept, dist)
-                    if dc.overcluster:
-                        kept_o, dist_o = _pseudo_label(
-                            model.over_p[h].data, z_novel, qcols, eps,
+                for f, (protos, _, _) in enumerate(families):
+                    for h in range(heads):
+                        targets[f][vi][h] = _pseudo_label(
+                            protos[h].data, z_novel, qcols, eps,
                             cfg.sinkhorn.iters, dc.percentile, dc.tau_train,
                         )
-                        over_targets[vi][h] = (kept_o, dist_o)
                 if dc.use_queue:
-                    # head-0 inserts are filtered when phi_queue is on; with
-                    # tau_train on too, the training filter already chose them
-                    kept0, head0 = targets[vi][0]
+                    # novel head-0 inserts are filtered when phi_queue is on;
+                    # with tau_train on too, the training filter chose them
+                    kept0, head0 = targets[0][vi][0]
                     if not dc.phi_queue:
                         cand = np.arange(head0.shape[1])
                     elif dc.tau_train:
                         cand = kept0
                     else:
                         cand = select_phi(head0, dc.percentile).kept_indices
-                    if cand.size:
-                        queue.insert(
-                            z_novel[:, cand], head0[:, cand].argmax(axis=0),
-                            cfg.queue.insert_fraction, rng,
-                        )
+                    queue.insert(
+                        z_novel[:, cand], head0[:, cand].argmax(axis=0),
+                        cfg.queue.insert_fraction, rng,
+                    )
 
             total, batch_head_vals = _step_loss(
-                model, views, targets, over_targets if dc.overcluster else None,
-                base_order, w_novel, w_over, tc.temperature,
+                model, views, targets, families, base_order, tc.temperature
             )
             lr = lr_at(tc, step, total_steps)
             opt.zero_grad()
@@ -242,19 +229,17 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
             opt.step(lr)
             step += 1
             epoch_loss += float(total.data[0, 0])
-            epoch_terms += 1
             head_sums += batch_head_vals
-            head_counts += 1
 
-        if head_counts:
-            head_losses = head_sums / head_counts
+        # every batch holds at least one scene, so each one took a step
+        head_losses = head_sums / n_batches
         model.selected_head = int(np.argmin(head_losses))
         report = evaluate(
             model, eval_set, split, ignore_label=ignore_label, neighbours=eval_neigh
         )
         row = {
             "epoch": epoch,
-            "loss": epoch_loss / max(1, epoch_terms),
+            "loss": epoch_loss / n_batches,
             "lr": lr,
             "eps": eps,
             "novel_mIoU": report.novel_miou,
@@ -272,34 +257,30 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     return TrainResult(model, metrics, model.selected_head, head_losses)
 
 
-def _step_loss(model, views, targets, over_targets, base_order, w_novel, w_over, temperature):
+def _step_loss(model, views, targets, families, base_order, temperature):
     """The step's objective and each novel head's swapped term.
 
-    The objective is the mean over heads of the novel swapped term plus,
-    when ``over_targets`` is given, the over-clustering one. One logit
-    matrix per view holds every head; each term reads the base rows and
-    its own head's rows of it.
+    The objective is the mean over heads of one swapped term per head
+    family, in the order of ``families``, whose entry ``f`` reads its
+    pseudo-labels from ``targets[f]``. One logit matrix per view holds
+    every head; each term reads the base rows and its own head's rows.
     """
     n_base, heads = model.n_base, model.cfg.heads
-    over = over_targets is not None
     base_onehot = [one_hot(v.labels[v.base_idx], base_order, n_base) for v in views]
-    w_stack, b_stack = model.stacked_heads(over)
+    w_stack, b_stack = model.stacked_heads(any(over for _, _, over in families))
     logits = [ad.add(ad.matmul(w_stack, v.z), b_stack) for v in views]
     terms = []
     head_vals = np.zeros(heads)
     for h in range(heads):
-        term = _swapped_term(
-            views, logits, base_onehot, targets, h, n_base, model.n_novel,
-            w_novel, temperature, model.head_rows(h),
-        )
-        terms.append(term)
-        head_vals[h] = float(term.data[0, 0])
-        if over:
-            terms.append(_swapped_term(
-                views, logits, base_onehot, over_targets, h, n_base,
-                model.cfg.overcluster_factor * model.n_novel, w_over, temperature,
-                model.head_rows(h, over=True),
-            ))
+        head_terms = [
+            _swapped_term(
+                views, logits, base_onehot, targets[f], h, n_base, protos[h].shape[1],
+                w_vec, temperature, model.head_rows(h, over),
+            )
+            for f, (protos, w_vec, over) in enumerate(families)
+        ]
+        head_vals[h] = float(head_terms[0].data[0, 0])
+        terms += head_terms
     return ad.mul(sum_tensors(terms), 1.0 / heads), head_vals
 
 
@@ -312,19 +293,15 @@ def _swapped_term(views, logits, base_onehot, targets, h, n_base, n_slots, w_vec
     (every row when None)."""
     terms = []
     for vi, other in ((0, 1), (1, 0)):
-        view = views[vi]
-        cols = [view.base_idx]
-        blocks = [np.vstack([base_onehot[vi], np.zeros((n_slots, view.base_idx.size))])]
-        if targets[other].get(h) is not None:
-            kept, dist = targets[other][h]
-            if kept.size:
-                cols.append(views[other].novel_idx[kept])
-                blocks.append(np.vstack([np.zeros((n_base, kept.size)), dist[:, kept]]))
-        col_idx = np.concatenate(cols)
-        if col_idx.size == 0:
+        base_idx = views[vi].base_idx
+        kept, dist = targets[other].get(h) or (np.arange(0), np.zeros((n_slots, 0)))
+        cols = np.concatenate([base_idx, views[other].novel_idx[kept]])
+        if cols.size == 0:
             continue
-        target = np.concatenate(blocks, axis=1)
-        terms.append(tempered_ce(logits[vi], col_idx, target, w_vec, temperature, rows))
+        target = np.zeros((n_base + n_slots, cols.size))
+        target[:n_base, :base_idx.size] = base_onehot[vi]
+        target[n_base:, base_idx.size:] = dist[:, kept]
+        terms.append(tempered_ce(logits[vi], cols, target, w_vec, temperature, rows))
     if not terms:
         return ad.constant(0.0)
     return sum_tensors(terms)

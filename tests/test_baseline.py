@@ -330,6 +330,14 @@ class TestPipeline:
         report = evaluate(model, clouds, split)
         assert 0.0 <= report.all_miou <= 1.0
 
+    def test_a_diverging_run_stops_at_the_sgd_step(self):
+        clouds, split = tiny_setup()
+        train_cfg = TrainConfig(epochs=2, batch_size=2, seed=0, lr_max=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"SGD step at lr \S+ left parameter \S+ non-finite"
+        ):
+            run_baseline(clouds, split, TINY_MODEL, train_cfg, TINY_BASE)
+
     def test_overcluster_stage_smoke(self):
         clouds, split = tiny_setup()
         cfg = BaselineConfig(

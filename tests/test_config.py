@@ -161,6 +161,27 @@ class TestBoundaryErrors:
         with pytest.raises(ValueError, match=r"disc\.use_queue.*'maybe'"):
             config.experiment_config(cfg)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["model.D=0"], "model.D=0: model dimensions must be positive"),
+        (["train.epochs=0"], "train.epochs=0: epochs and batch_size must be positive"),
+        (["queue.capacity=0"], "queue.capacity=0: capacity must be positive"),
+        (["aug.scale_lo=1.2", "aug.scale_hi=1.1"],
+         "aug.scale_lo=1.2, aug.scale_hi=1.1: scale_lo must not exceed scale_hi"),
+        (["offline.ratio=2", "offline.cap=1000"], "offline.ratio=2: ratio must be in (0, 1]"),
+    ])
+    def test_a_rejected_value_names_the_keys_set_under_its_dataclass(self, overrides, message):
+        cfg = config.resolve(overrides=overrides)
+        offline = overrides[0].startswith("offline")
+        with pytest.raises(ValueError) as err:
+            (config.baseline_config if offline else config.experiment_config)(cfg)
+        assert str(err.value) == message
+
+    def test_gen_data_names_a_rejected_key(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "offline.ratio=2"]) == 1
+        assert capsys.readouterr().err == "error: offline.ratio=2: ratio must be in (0, 1]\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["5", "-1", "two"])
     def test_eval_head_outside_the_heads_rejected(self, text):
         cfg = config.resolve(overrides=[f"model.eval_head={text}"])

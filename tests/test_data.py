@@ -174,6 +174,14 @@ class TestSplits:
         assert back.novel_classes == split.novel_classes
         assert back.base_classes == split.base_classes
 
+    def test_unknown_novel_class_names_the_file_and_the_class(self, tmp_path):
+        cfg = small_config()
+        names = cfg.class_names()
+        path = tmp_path / "split.txt"
+        path.write_text("dataset=toy\nsplit_name=s\nnovel=banana\n")
+        with pytest.raises(ValueError, match=r"split\.txt: novel classes \['banana'\] are not in"):
+            D.read_split_file(path, names)
+
     def test_raw_label_remap(self):
         classes = D.load_class_table("semantickitti")
         raw = np.array([10, 252, 0, 81])
@@ -214,3 +222,11 @@ class TestMasking:
         (masked,) = D.mask_novel([cloud], split, ignore_id=0)
         assert masked.n_points == 2
         assert masked.labels.tolist() == [1, D.UNLABELLED]
+
+    def test_an_id_outside_the_split_is_named_not_relabelled(self):
+        cloud = D.LabelledCloud(np.zeros((4, 3)), np.array([1, 2, 40, 0]), scene_id="0007")
+        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}))
+        with pytest.raises(ValueError, match=r"scene '0007': label ids \[0, 40\] are neither"):
+            D.mask_novel([cloud], split)
+        with pytest.raises(ValueError, match=r"scene '0007': label ids \[40\] are neither"):
+            D.mask_novel([cloud], split, ignore_id=0)

@@ -6,6 +6,7 @@ import pytest
 from segdiscover import autodiff as ad
 from segdiscover.data import LabelledCloud, SplitSpec
 from segdiscover.losses import (
+    SGD,
     LossWeights,
     TrainConfig,
     compute_loss_weights,
@@ -79,7 +80,7 @@ class TestLossWeights:
         expected = inv / inv.mean()
         assert lw.base_weights[0] == pytest.approx(expected[0])
         assert lw.base_weights[1] == pytest.approx(expected[1])
-        assert lw.novel_weight == 1.0
+        assert lw.vector([0, 1], 2)[2:].tolist() == [1.0, 1.0]
 
     def test_vector_layout(self):
         lw = LossWeights({0: 0.5, 1: 1.5})
@@ -116,3 +117,16 @@ class TestLrSchedule:
     def test_out_of_range_step_rejected(self):
         with pytest.raises(ValueError):
             lr_at(self.cfg, 101, 100)
+
+
+class TestSGD:
+    def test_a_non_finite_update_names_the_parameter_and_the_lr(self):
+        w = ad.parameter(np.ones((2, 2)), "head.w")
+        opt = SGD({"head.w": w}, momentum=0.0, weight_decay=0.0)
+        w.grad[...] = 1e10
+        opt.step(1e-10)
+        np.testing.assert_array_equal(w.data, np.zeros((2, 2)))
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"SGD step at lr 1e\+300 left parameter head\.w non-finite"
+        ):
+            opt.step(1e300)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdiscover import autodiff as ad
 from segdiscover.model import (
@@ -210,3 +212,97 @@ class TestCombinedHeadModel:
         np.testing.assert_array_equal(state["joint.w"][:3], before["base.w"])
         np.testing.assert_array_equal(state["joint.b"][:3], before["base.b"])
         np.testing.assert_array_equal(state["joint.w"][3:], fresh.state()["joint.w"][3:])
+
+
+def _checkpoint_blob(tmp_dir):
+    """A small model's checkpoint bytes, the byte offset of every u32
+    header field and each name's first byte, and each record's end."""
+    path = tmp_dir / "real.ckpt"
+    make_model(feature_dim=4, hidden=4, heads=2).save(path)
+    blob = path.read_bytes()
+    fields, ends, pos = [4], [8], 8
+    while pos < len(blob):
+        nlen = int.from_bytes(blob[pos:pos + 4], "little")
+        ndim_at = pos + 4 + nlen
+        ndim = int.from_bytes(blob[ndim_at:ndim_at + 4], "little")
+        fields += [pos, pos + 4, ndim_at] + [ndim_at + 4 * (i + 1) for i in range(ndim)]
+        dims = np.frombuffer(blob, "<u4", ndim, ndim_at + 4)
+        pos = ndim_at + 4 + 4 * ndim + 8 * int(np.prod(dims))
+        ends.append(pos)
+    return blob, fields, ends
+
+
+def _load_or_value_error(path):
+    """The checkpoint's state, or None after a ValueError naming the file;
+    any other exception escapes."""
+    try:
+        return ad.load_checkpoint(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return None
+
+
+class TestCheckpointInput:
+    def test_truncation_at_every_offset_is_a_named_value_error(self, tmp_path):
+        blob, _, ends = _checkpoint_blob(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            state = _load_or_value_error(path)
+            # only a cut between whole records loads, as that prefix
+            assert (state is not None) == (cut in ends), cut
+        path.write_bytes(blob)
+        assert len(_load_or_value_error(path)) == len(ends) - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_header_fields_only_raise_value_errors(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        blob, fields, _ = _checkpoint_blob(tmp)
+        edits = data.draw(st.lists(
+            st.tuples(st.sampled_from(fields), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=3,
+        ))
+        raw = bytearray(blob)
+        for at, value in edits:
+            raw[at:at + 4] = value.to_bytes(4, "little")
+        cut = data.draw(st.integers(0, len(raw)))
+        (tmp / "edited.ckpt").write_bytes(bytes(raw[:cut]))
+        _load_or_value_error(tmp / "edited.ckpt")
+
+    def test_short_header_and_bad_name_name_the_file(self, tmp_path):
+        blob, _, _ = _checkpoint_blob(tmp_path)
+        path = tmp_path / "six.ckpt"
+        path.write_bytes(blob[:6])
+        with pytest.raises(ValueError, match=r"six\.ckpt: truncated checkpoint"):
+            ad.load_checkpoint(path)
+        raw = bytearray(blob)
+        raw[12] = 0xFF  # first byte of the first name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"six\.ckpt: name at byte 12 is not UTF-8"):
+            ad.load_checkpoint(path)
+
+    def test_a_shape_mismatch_names_the_parameter_and_both_shapes(self, tmp_path):
+        make_model(feature_dim=8).save(tmp_path / "d8.ckpt")
+        with pytest.raises(ValueError, match=r"d8\.ckpt: parameter proj\.w has shape "
+                                             r"\(8, 128\), the model expects \(4, 128\)"):
+            make_model(feature_dim=4).load(tmp_path / "d8.ckpt")
+
+    def test_a_flattened_array_is_not_reshaped(self):
+        model = make_model(seed=1)
+        state = model.state()
+        state["proj.b"] = state["proj.b"].reshape(-1)
+        with pytest.raises(ValueError, match=r"proj\.b has shape \(\d+,\)"):
+            make_model(seed=2).load_state(state)
+
+    @pytest.mark.parametrize("head", [99.0, -1.0, 0.5, float("nan")])
+    def test_selected_head_outside_the_heads_rejected(self, head):
+        model = make_model(heads=4)
+        state = model.state()
+        state["meta.selected_head"] = np.array([[head]])
+        with pytest.raises(ValueError, match=r"meta\.selected_head .* 0\.\.3"):
+            make_model(heads=4).load_state(state)
+        state["meta.selected_head"] = np.array([[3.0]])
+        fresh = make_model(heads=4)
+        fresh.load_state(state)
+        assert fresh.selected_head == 3

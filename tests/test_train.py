@@ -72,6 +72,19 @@ class TestSmoke:
         assert np.isfinite(result.metrics[0]["loss"])
 
 
+    @pytest.mark.parametrize("lr_max, message", [
+        # parameters stay finite at 1e300, but the next forward overflows
+        (1e300, r"features went non-finite after the SGD step at lr 1e\+300"),
+        (1e308, r"SGD step at lr 1e\+308 left parameter \S+ non-finite"),
+    ])
+    def test_a_diverging_run_stops_where_it_diverges(self, lr_max, message):
+        clouds, split = tiny_setup()
+        cfg = dataclasses.replace(tiny_exp(epochs=2), train=TrainConfig(
+            epochs=2, batch_size=2, lr_max=lr_max))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            train(clouds, split, cfg)
+
+
 class TestDeterminism:
     def test_fixed_seed_identical_metrics(self):
         clouds, split = tiny_setup()
@@ -185,6 +198,13 @@ class TestFullLossGradient:
         assert worst < 1e-3
 
     def test_step_loss_and_gradients_match_a_single_op_reference(self):
+        self._check_step_loss_against_single_ops(overcluster=True)
+
+    def test_step_loss_with_only_the_novel_family_matches_a_single_op_reference(self):
+        # overcluster off: no over-clustering rows, terms or gradients
+        self._check_step_loss_against_single_ops(overcluster=False)
+
+    def _check_step_loss_against_single_ops(self, overcluster):
         # the stacked-head, fused-CE step against each head's logits and
         # cross entropy built from the public single ops
         from segdiscover.augment import AugmentConfig, make_views
@@ -211,6 +231,9 @@ class TestFullLossGradient:
             )
 
         views = build_views()
+        families = [(model.novel_p, w_novel, False), (model.over_p, w_over, True)]
+        if not overcluster:
+            families = families[:1]
         targets, over_targets = [{}, {}], [{}, {}]
         no_queue = np.zeros((0, 0))
         for vi, view in enumerate(views):
@@ -222,7 +245,8 @@ class TestFullLossGradient:
                     model.over_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
         assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
         total, head_vals = _step_loss(
-            model, views, targets, over_targets, base_order, w_novel, w_over, temperature
+            model, views, [targets, over_targets][:len(families)], families, base_order,
+            temperature,
         )
         params = model.parameters()
         ad.backward(total)
@@ -232,9 +256,10 @@ class TestFullLossGradient:
 
         vs = build_views()
         terms, ref_head_vals = [], np.zeros(heads)
+        ref_families = [(model.novel_logits, targets, w_novel),
+                        (model.over_logits, over_targets, w_over)]
         for h in range(heads):
-            for head_logits, tg, w in ((model.novel_logits, targets, w_novel),
-                                       (model.over_logits, over_targets, w_over)):
+            for head_logits, tg, w in ref_families[:len(families)]:
                 for vi, other in ((0, 1), (1, 0)):
                     v = vs[vi]
                     kept, dist = tg[other][h]
@@ -254,6 +279,9 @@ class TestFullLossGradient:
         np.testing.assert_allclose(total.data, reference.data, rtol=1e-10)
         np.testing.assert_allclose(head_vals, ref_head_vals, rtol=1e-10)
         for name, p in params.items():
+            if name.startswith("over") and not overcluster:
+                assert not np.any(got[name]), name
+                continue
             assert np.abs(p.grad).max() > 0.0, name
             np.testing.assert_allclose(
                 got[name], p.grad, rtol=1e-10, atol=1e-10 * np.abs(p.grad).max(), err_msg=name
