@@ -12,9 +12,11 @@ Supported operations: matmul, transpose, add (with column-vector bias
 broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
 L2 normalization, column-wise softmax, clamped log, sum and mean
 reduction, row/column concatenation, a column gather used to slice
-batches, and a fused softmax cross entropy that scores a row/column
-block of a logit matrix as one tape node. Backward closures compute
-gradients only for operands that reach a tracked leaf.
+batches, a neighbour mean that averages each column's k-NN columns
+through an index gather, and a fused softmax cross entropy that
+scores a row/column block of a logit matrix as one tape node.
+Backward closures compute gradients only for operands that reach a
+tracked leaf.
 """
 
 from __future__ import annotations
@@ -276,6 +278,75 @@ def gather_cols(a, indices):
         acc(a, g)
 
     return _result(a.data[:, idx], (a,), backward)
+
+
+def _reverse_passes(neighbours, m):
+    """The transpose of a k-NN index as gather passes.
+
+    Returns ``order``, the points sorted by falling in-degree, and one
+    index array per pass s: the rows that name, for the s-th time, each
+    of the first ``len(passes[s])`` points of ``order`` (those named by
+    more than s rows). Sorts run on the narrowest unsigned key type, so
+    numpy takes its radix sort when the key fits 16 bits.
+    """
+    k = neighbours.shape[1]
+    flat = neighbours.reshape(-1)
+    degree = np.bincount(flat, minlength=m)
+    # each point's naming rows, grouped by point and in row order
+    by_point = np.argsort(flat.astype(np.min_scalar_type(m - 1)), kind="stable") // k
+    start = np.cumsum(degree) - degree
+    top = int(degree.max())
+    order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
+    named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
+    return order, [by_point[start[order[:c]] + s] for s, c in enumerate(named)]
+
+
+def neighbour_mean(a, neighbours):
+    """Column i of the result is the mean of ``a``'s columns ``neighbours[i]``.
+
+    ``a`` is (D, m) with one column per point and ``neighbours`` an
+    (m, k) integer index into those columns, e.g. ``knn_indices``.
+    Forward gathers rows of the points-major copy of ``a``; backward
+    gathers the output gradient through the reverse index, built only
+    when a backward pass runs.
+    """
+    a = _as_tensor(a)
+    nb = np.asarray(neighbours)
+    m = a.data.shape[1]
+    if nb.ndim != 2 or min(nb.shape) < 1 or not np.issubdtype(nb.dtype, np.integer):
+        raise ShapeError(
+            f"neighbour_mean {a.label()}: neighbours must be a non-empty 2-D integer array, "
+            f"got {nb.dtype} {nb.shape}"
+        )
+    if nb.shape[0] != m:
+        raise ShapeError(
+            f"neighbour_mean {a.label()}: {nb.shape[0]} neighbour rows for {m} points"
+        )
+    if nb.min() < 0 or nb.max() >= m:
+        raise ShapeError(
+            f"neighbour_mean {a.label()}: neighbour indices span "
+            f"[{nb.min()}, {nb.max()}], outside [0, {m})"
+        )
+    k = nb.shape[1]
+    # gathering rows of the transpose is twice as fast once it is contiguous
+    rows = np.ascontiguousarray(a.data.T)
+    total = rows[nb[:, 0]]
+    for j in range(1, k):
+        total += rows[nb[:, j]]
+
+    def backward(grad, acc):
+        order, passes = _reverse_passes(nb, m)
+        g = np.ascontiguousarray(grad.T) / k
+        summed = np.zeros_like(g)
+        # pass s adds each point's s-th naming row to the prefix of
+        # points named more than s times
+        for src in passes:
+            summed[:src.size] += g[src]
+        out = np.empty_like(summed)
+        out[order] = summed
+        acc(a, out.T)
+
+    return _result((total / k).T, (a,), backward)
 
 
 def softmax_cross_entropy(logits, cols, target, weights, *, scale, floor, rows=None):

@@ -117,10 +117,10 @@ def _load_dataset(data_dir, split_path=None):
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    exp = cfgmod.experiment_config(cfg)
+    train_clouds, val_clouds, split, _names = _load_dataset(args.data, args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_clouds, val_clouds, split, _names = _load_dataset(args.data, args.split)
-    exp = cfgmod.experiment_config(cfg)
     result = train(train_clouds, split, exp, val_clouds=val_clouds, log=sys.stderr)
     result.model.save(out / "checkpoint.ckpt")
     (out / "metrics.tsv").write_text(result.metrics_tsv())
@@ -137,8 +137,6 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     exp = cfgmod.experiment_config(cfg)
     head = cfgmod.eval_head(cfg, exp.model.heads)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     split, names = _load_split(args.data, args.split)
     # the validation split, or the training split when there is none
     clouds = _load_val(args.data) or datamod.load_scan_dir(Path(args.data) / "train")
@@ -147,6 +145,8 @@ def cmd_eval(args) -> int:
     model.load(args.checkpoint)
     if head is not None:
         model.selected_head = head
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report = evaluate(model, clouds, split, class_names=names)
     (out / "report.tsv").write_text(report.to_tsv())
     (out / "report_wide.tsv").write_text(
@@ -159,11 +159,11 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _resolve(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_clouds, val_clouds, split, names = _load_dataset(args.data, args.split)
     exp = cfgmod.experiment_config(cfg)
     bl = cfgmod.baseline_config(cfg)
+    train_clouds, val_clouds, split, names = _load_dataset(args.data, args.split)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     model, pseudo = run_baseline(train_clouds, split, exp.model, exp.train, bl, exp.augment)
     model.save(out / "baseline.ckpt")
     write_pseudo_labels(out / "pseudo", pseudo)
@@ -183,10 +183,11 @@ def cmd_ablate(args) -> int:
     from .baseline import pretrain_base
 
     cfg = _resolve(args)
+    exp = cfgmod.experiment_config(cfg)
+    bl = cfgmod.baseline_config(cfg)
+    train_clouds, val_clouds, split, _names = _load_dataset(args.data, args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_clouds, val_clouds, split, _names = _load_dataset(args.data, args.split)
-    exp = cfgmod.experiment_config(cfg)
     eval_set = val_clouds or train_clouds
 
     def scores(run_cfg, init_state=None):
@@ -200,7 +201,6 @@ def cmd_ablate(args) -> int:
     for name, flags in ABLATION_GRID.items():
         pretrain = flags[0]
         if pretrain and pretrained_state is None:
-            bl = cfgmod.baseline_config(cfg)
             pre = pretrain_base(train_clouds, split, exp.model, exp.train, bl, exp.augment)
             pretrained_state = pre.state()
         run_cfg = replace(exp, discovery=_grid_discovery(exp.discovery, flags))

@@ -33,9 +33,19 @@ class ModelConfig:
             raise ValueError("overcluster_factor must be >= 1")
 
 
+# Bytes of squared distances one block of rows may hold; a scene of m
+# points is scored KNN_BLOCK_BYTES // (8 m) rows at a time (at least one).
+KNN_BLOCK_BYTES = 1 << 21
+
+
 def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     """(m, min(k, m-1)) nearest-neighbour indices per point, self excluded,
     distance ties broken by lower point index.
+
+    Rows are scored in blocks of at most ``KNN_BLOCK_BYTES`` of
+    distances, so memory grows with m while time stays quadratic. Each
+    squared distance is summed from coordinate differences, so it does
+    not depend on the block a row falls in.
 
     The neighbour graph is invariant under the augmentation family
     (rotation about z and isotropic scale), so it can be computed once
@@ -45,15 +55,22 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     if m == 1:
         return np.zeros((1, 1), dtype=np.intp)
     k = min(k, m - 1)
-    sq = (coords ** 2).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T), 0.0)
-    np.fill_diagonal(d2, np.inf)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    strict = d2 < kth
-    deficit = k - strict.sum(axis=1)
-    ties = d2 == kth
-    chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
-    return np.nonzero(chosen)[1].reshape(m, k)
+    axes = np.ascontiguousarray(coords.T, dtype=np.float64)
+    step = max(1, KNN_BLOCK_BYTES // (8 * m))
+    out = np.empty((m, k), dtype=np.intp)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        d2 = np.square(axes[0, lo:hi, None] - axes[0])
+        d2 += np.square(axes[1, lo:hi, None] - axes[1])
+        d2 += np.square(axes[2, lo:hi, None] - axes[2])
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        strict = d2 < kth
+        deficit = k - strict.sum(axis=1)
+        ties = d2 == kth
+        chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
+        out[lo:hi] = np.nonzero(chosen)[1].reshape(hi - lo, k)
+    return out
 
 
 def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = None) -> np.ndarray:
@@ -62,7 +79,11 @@ def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = 
     neighbourhood mean per point. A single-point cloud averages itself.
 
     Each row of ``neighbours`` must hold distinct point indices, as
-    ``knn_indices`` returns them."""
+    ``knn_indices`` returns them.
+
+    The package pools with ``autodiff.neighbour_mean`` and no longer
+    calls this; it stays as the dense reference that the benchmark's
+    layer hooks and checks still name."""
     if neighbours is None:
         neighbours = knn_indices(coords, k)
     m, kk = neighbours.shape
@@ -113,13 +134,11 @@ class SegmentationModel:
             params[p.name] = p
         return params
 
-    def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None,
-                         mean_matrix: np.ndarray | None = None) -> ad.Tensor:
+    def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
 
-        ``neighbours`` may carry precomputed k-NN indices for the scene,
-        or ``mean_matrix`` its ``knn_mean_matrix``, which takes
-        precedence; by default both are derived from ``coords``.
+        ``neighbours`` may carry the scene's precomputed ``knn_indices``;
+        by default they are derived from ``coords``.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
@@ -127,9 +146,9 @@ class SegmentationModel:
         x = ad.constant(coords.T, name="xyz")
         h1 = ad.relu(ad.add(ad.matmul(self.w1, x), self.b1))
         h2 = ad.relu(ad.add(ad.matmul(self.w2, h1), self.b2))
-        if mean_matrix is None:
-            mean_matrix = knn_mean_matrix(coords, self.cfg.knn, neighbours)
-        agg = ad.matmul(h2, ad.constant(mean_matrix, name="knn"))
+        if neighbours is None:
+            neighbours = knn_indices(coords, self.cfg.knn)
+        agg = ad.neighbour_mean(h2, neighbours)
         cat = ad.concat_rows([h2, agg])
         z = ad.add(ad.matmul(self.w3, cat), self.b3)
         return ad.l2_normalize_cols(z)

@@ -19,7 +19,7 @@ from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
 from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, one_hot, sum_tensors, tempered_ce
-from .model import ModelConfig, SegmentationModel, knn_indices, knn_mean_matrix
+from .model import ModelConfig, SegmentationModel, knn_indices
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
 
@@ -86,16 +86,10 @@ class TrainResult:
 class _BatchView:
     """One view of a batch: stacked features, labels, and index sets.
 
-    Each cloud's features pool with its entry of ``mean_matrices`` when
-    given, otherwise with its entry of ``neighbours``."""
+    Each cloud's features pool over its entry of ``neighbours``."""
 
-    def __init__(self, model, clouds, neighbours=None, mean_matrices=None):
-        neighbours = neighbours or [None] * len(clouds)
-        mats = mean_matrices or [None] * len(clouds)
-        feats = [
-            model.extract_features(c.coords, neigh, mat)
-            for c, neigh, mat in zip(clouds, neighbours, mats)
-        ]
+    def __init__(self, model, clouds, neighbours):
+        feats = [model.extract_features(c.coords, nb) for c, nb in zip(clouds, neighbours)]
         self.z = ad.concat_cols(feats) if len(feats) > 1 else feats[0]
         self.labels = np.concatenate([c.labels for c in clouds])
         self.base_idx = np.flatnonzero(self.labels != UNLABELLED)
@@ -176,10 +170,10 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
             scene_ids = order[b * tc.batch_size:(b + 1) * tc.batch_size]
             pairs = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
             # both views of a scene share its neighbour graph
-            means = [knn_mean_matrix(masked[i].coords, k, scene_neigh[i]) for i in scene_ids]
+            neigh = [scene_neigh[i] for i in scene_ids]
             views = (
-                _BatchView(model, [p.view_a for p in pairs], mean_matrices=means),
-                _BatchView(model, [p.view_b for p in pairs], mean_matrices=means),
+                _BatchView(model, [p.view_a for p in pairs], neigh),
+                _BatchView(model, [p.view_b for p in pairs], neigh),
             )
             va, vb = views
             if not (np.isfinite(va.z.data).all() and np.isfinite(vb.z.data).all()):

@@ -293,3 +293,68 @@ class TestCheckpoint:
         path.write_bytes(good[:-5])
         with pytest.raises(ValueError, match="truncated"):
             ad.load_checkpoint(path)
+
+
+def _dense_mean(neighbours, m):
+    """The (m, m) averaging matrix of a neighbour index, built entry by entry."""
+    k = neighbours.shape[1]
+    mat = np.zeros((m, m))
+    for i in range(m):
+        for n in neighbours[i]:
+            mat[n, i] += 1.0 / k
+    return mat
+
+
+class TestNeighbourMean:
+    @pytest.mark.parametrize("neighbours", [
+        [[0]],  # one point averages itself
+        [[1, 2], [0, 2], [0, 1]],
+        [[1, 1], [0, 0], [1, 0], [0, 1]],  # points 2 and 3 are named by no row
+        [[3], [3], [3], [0]],  # point 3 named three times, 1 and 2 never
+    ])
+    def test_value_and_gradient_match_the_dense_matrix(self, neighbours):
+        nb = np.asarray(neighbours)
+        m = nb.shape[0]
+        rng = np.random.default_rng(5)
+        a = ad.parameter(rng.normal(size=(3, m)), "a")
+        upstream = rng.normal(size=(3, m))
+        mat = _dense_mean(nb, m)
+        out = ad.neighbour_mean(a, nb)
+        np.testing.assert_allclose(out.data, a.data @ mat, rtol=0, atol=1e-12)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        np.testing.assert_allclose(a.grad, upstream @ mat.T, rtol=0, atol=1e-12)
+
+    def test_knn_graph_matches_knn_mean_matrix(self):
+        from segdiscover.model import knn_indices, knn_mean_matrix
+
+        rng = np.random.default_rng(8)
+        # a far outlier, so no row names it
+        coords = np.concatenate([rng.normal(size=(62, 3)), np.full((1, 3), 50.0)])
+        nb = knn_indices(coords, 5)
+        assert np.bincount(nb.reshape(-1), minlength=63)[62] == 0
+        mat = knn_mean_matrix(coords, 5, nb)
+        a = ad.parameter(rng.normal(size=(7, 63)), "a")
+        upstream = rng.normal(size=(7, 63))
+        out = ad.neighbour_mean(a, nb)
+        np.testing.assert_allclose(out.data, a.data @ mat, rtol=0, atol=1e-12)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        np.testing.assert_allclose(a.grad, upstream @ mat.T, rtol=0, atol=1e-12)
+
+    def test_constant_input_records_no_tape(self):
+        out = ad.neighbour_mean(ad.constant(np.ones((2, 3))), np.array([[1], [2], [0]]))
+        assert out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("neighbours, match", [
+        (np.array([0, 1, 2]), "integer array"),
+        (np.zeros((3, 1, 1), dtype=np.intp), "integer array"),
+        (np.zeros((3, 0), dtype=np.intp), "integer array"),
+        (np.zeros((3, 1)), "integer array"),
+        (np.zeros((2, 1), dtype=np.intp), "2 neighbour rows for 3 points"),
+        (np.array([[1], [3], [0]]), r"outside \[0, 3\)"),
+        (np.array([[1], [-1], [0]]), r"outside \[0, 3\)"),
+    ])
+    def test_bad_neighbours_raise_a_shape_error_naming_the_node(self, neighbours, match):
+        h = ad.parameter(np.zeros((2, 3)), "enc2.out")
+        with pytest.raises(ad.ShapeError, match=match) as exc:
+            ad.neighbour_mean(h, neighbours)
+        assert "neighbour_mean enc2.out" in str(exc.value)

@@ -162,6 +162,30 @@ class TestErrors:
         code = main(["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "r")])
         assert code == 1
 
+    @pytest.mark.parametrize("command, bad", [
+        (command, bad)
+        for command in ("train", "eval", "baseline", "ablate")
+        for bad in ("model.D=0", "absent dataset")
+    ] + [("baseline", "offline.ratio=2"), ("ablate", "offline.ratio=2")])
+    def test_a_rejected_input_leaves_no_output_directory(self, tmp_path, command, bad):
+        data = gen_tiny(tmp_path / "d")
+        args = [command, "--out", str(tmp_path / "runs" / "x")]
+        if command == "eval":
+            args += ["--checkpoint", str(tmp_path / "absent.ckpt")]
+        if bad == "absent dataset":
+            args += ["--data", str(tmp_path / "absent")]
+        else:
+            args += ["--data", str(data), bad]
+        assert main(args) == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_eval_of_a_missing_checkpoint_leaves_no_output_directory(self, tmp_path):
+        data = gen_tiny(tmp_path / "d")
+        code = main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "absent.ckpt"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert not (tmp_path / "r").exists()
+
 
 class TestAblateReuse:
     def _count(self, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdiscover import autodiff as ad
+from segdiscover import model as model_module
 from segdiscover.model import (
     CombinedHeadModel,
     ModelConfig,
@@ -306,3 +307,93 @@ class TestCheckpointInput:
         fresh = make_model(heads=4)
         fresh.load_state(state)
         assert fresh.selected_head == 3
+
+
+def _knn_reference(coords, k):
+    """Nearest neighbours by sorting each row's (distance, index) pairs,
+    listed in index order as ``knn_indices`` lists them."""
+    m = len(coords)
+    if m == 1:
+        return np.zeros((1, 1), dtype=np.intp)
+    out = []
+    for i in range(m):
+        d2 = [
+            ((coords[i, 0] - coords[j, 0]) ** 2 + (coords[i, 1] - coords[j, 1]) ** 2)
+            + (coords[i, 2] - coords[j, 2]) ** 2
+            for j in range(m)
+        ]
+        out.append(sorted(sorted((j for j in range(m) if j != i), key=lambda j: (d2[j], j))[:k]))
+    return np.array(out, dtype=np.intp)
+
+
+class TestKnnIndices:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda m: st.tuples(
+                st.one_of(
+                    st.lists(st.integers(-2, 2), min_size=3 * m, max_size=3 * m),
+                    st.lists(
+                        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                        min_size=3 * m, max_size=3 * m,
+                    ),
+                ),
+                st.integers(1, m + 2),
+                st.integers(1, 3),
+            )
+        )
+    )
+    def test_row_blocks_equal_one_block_and_the_reference(self, case):
+        values, k, rows = case
+        coords = np.asarray(values, dtype=np.float64).reshape(-1, 3)
+        m = len(coords)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "KNN_BLOCK_BYTES", 1 << 40)
+            whole = knn_indices(coords, k)
+            mp.setattr(model_module, "KNN_BLOCK_BYTES", 8 * m * rows)
+            blocked = knn_indices(coords, k)
+        assert whole.shape == (m, max(1, min(k, m - 1)))
+        assert blocked.dtype == whole.dtype
+        np.testing.assert_array_equal(blocked, whole)
+        np.testing.assert_array_equal(whole, _knn_reference(coords, k))
+
+    def test_memory_grows_with_points_not_their_square(self):
+        import tracemalloc
+
+        coords = np.random.default_rng(9).normal(size=(4096, 3))
+        tracemalloc.start()
+        try:
+            knn_indices(coords, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense 4,096 x 4,096 distance matrix alone is 134 MB
+        assert peak < 64e6
+
+
+class TestExtractFeaturesGradient:
+    def test_pooling_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(12)
+        model = SegmentationModel(ModelConfig(feature_dim=4, hidden=5, knn=3), 2, 2, rng)
+        coords = rng.normal(size=(9, 3))
+        neighbours = knn_indices(coords, 3)
+        weight = ad.constant(rng.normal(size=(4, 9)))
+
+        def loss():
+            return ad.sum_all(ad.mul(model.extract_features(coords, neighbours), weight))
+
+        for p in model.parameters().values():
+            p.zero_grad()
+        ad.backward(loss())
+        # the encoder weights reach the loss through both the point and the
+        # pooled branch; proj.w columns past `hidden` read the pooled one only
+        for p in (model.w1, model.b1, model.w2, model.b2, model.w3):
+            for flat in range(p.data.size):
+                original = p.data.flat[flat]
+                p.data.flat[flat] = original + 1e-5
+                up = float(loss().data[0, 0])
+                p.data.flat[flat] = original - 1e-5
+                down = float(loss().data[0, 0])
+                p.data.flat[flat] = original
+                numeric = (up - down) / 2e-5
+                assert abs(p.grad.flat[flat] - numeric) <= 1e-6 * max(1.0, abs(numeric)), p.name
