@@ -47,7 +47,8 @@ def main(argv=None):
         f"mean novel mIoU over {len(scores)} seeds: {np.mean(scores):.3f} "
         f"in {time.monotonic() - start:.0f}s"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, one_hot, sum_tensors, tempered_ce
-from .model import CombinedHeadModel, ModelConfig, SegmentationModel, knn_indices
+from .model import KNN_BLOCK_BYTES, CombinedHeadModel, ModelConfig, SegmentationModel, knn_indices
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ def propagate_nn(coords: np.ndarray, selected: np.ndarray, labels: np.ndarray):
     Ties break to the lower point index; if two selected points share a
     nearest neighbour, the first (lowest selected index) writes and later
     ones are ignored. Returns (indices, labels) including the originals.
+    Selected points are scored in row blocks whose coordinate differences
+    hold at most ``KNN_BLOCK_BYTES``.
     """
     selected = np.asarray(selected, dtype=np.intp)
     labels = np.asarray(labels)
@@ -134,8 +136,13 @@ def propagate_nn(coords: np.ndarray, selected: np.ndarray, labels: np.ndarray):
     others = np.flatnonzero(mask)
     out_idx, out_lab = selected, labels
     if others.size:
-        d2 = ((coords[selected][:, None, :] - coords[others][None, :, :]) ** 2).sum(axis=2)
-        nearest = others[d2.argmin(axis=1)]  # argmin takes the lowest index on ties
+        picked, rest = coords[selected], coords[others]
+        step = max(1, KNN_BLOCK_BYTES // (24 * others.size))
+        nearest = np.empty(selected.size, dtype=np.intp)
+        for lo in range(0, selected.size, step):
+            d2 = ((picked[lo:lo + step, None, :] - rest[None, :, :]) ** 2).sum(axis=2)
+            nearest[lo:lo + step] = d2.argmin(axis=1)  # the lowest index on ties
+        nearest = others[nearest]
         # np.unique reports each target's first occurrence: the first writer
         targets, first = np.unique(nearest, return_index=True)
         out_idx = np.concatenate([selected, targets])

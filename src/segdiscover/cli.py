@@ -10,6 +10,7 @@ back via ``--config`` reproduces the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,13 +74,22 @@ def _synthetic_config(cfg: dict, seed: int) -> datamod.SyntheticConfig:
     )
 
 
+@contextlib.contextmanager
+def _output(args, cfg: dict):
+    """Create ``--out`` for the body to write into; ``config.resolved`` is
+    written last, once the body has finished."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    yield out
+    cfgmod.write_resolved(out / "config.resolved", cfg)
+
+
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
     if args.scenes is not None:
         cfg["data.scenes"] = str(args.scenes)
     if args.points is not None:
         cfg["data.points"] = str(args.points)
-    out = Path(args.out)
     syn = _synthetic_config(cfg, cfgmod.check(cfg).train.seed)
     split = syn.split()
     names = syn.class_names()
@@ -87,44 +97,40 @@ def cmd_gen_data(args) -> int:
     train_clouds = datamod.generate_synthetic(syn)
     val_cfg = replace(syn, n_scenes=cfgmod.literal(cfg, "data.val_scenes"), seed=syn.seed + 10_000)
     val_clouds = datamod.generate_synthetic(val_cfg)
-    datamod.write_scan_dir(out / "train", train_clouds)
-    datamod.write_scan_dir(out / "val", val_clouds)
-    datamod.write_class_names(out / "classes.txt", names)
-    datamod.write_split_file(out / "split.txt", split, names)
-    cfgmod.write_resolved(out / "config.resolved", cfg)
+    with _output(args, cfg) as out:
+        datamod.write_scan_dir(out / "train", train_clouds)
+        datamod.write_scan_dir(out / "val", val_clouds)
+        datamod.write_class_names(out / "classes.txt", names)
+        datamod.write_split_file(out / "split.txt", split, names)
     print(f"wrote {len(train_clouds)} train and {len(val_clouds)} val scenes under {out}")
     return 0
 
 
-def _load_split(data_dir, split_path=None):
-    data_dir = Path(data_dir)
-    names = datamod.read_class_names(data_dir / "classes.txt")
-    split_file = Path(split_path) if split_path else data_dir / "split.txt"
-    return datamod.read_split_file(split_file, names), names
+def _prologue(args, trains: bool):
+    """Check every config key, then read the dataset of a dataset command.
 
-
-def _load_val(data_dir):
-    """The validation scans, or None when the dataset has none."""
-    val_dir = Path(data_dir) / "val"
-    return datamod.load_scan_dir(val_dir) if (val_dir / "scans").exists() else None
-
-
-def _load_dataset(data_dir, split_path=None):
-    split, names = _load_split(data_dir, split_path)
-    train_clouds = datamod.load_scan_dir(Path(data_dir) / "train")
-    return train_clouds, _load_val(data_dir), split, names
+    Returns the resolved config, the experiment config, the split, the
+    class names, the training scans and the scored scans: the validation
+    split when the dataset has one, else the training split. Training
+    scans are read only when the command trains or has nothing else to
+    score, so ``eval`` reads just the split it scores.
+    """
+    cfg = _resolve(args)
+    exp = cfgmod.check(cfg)
+    root = Path(args.data)
+    names = datamod.read_class_names(root / "classes.txt")
+    split = datamod.read_split_file(Path(args.split or root / "split.txt"), names)
+    val = datamod.load_scan_dir(root / "val") if (root / "val" / "scans").exists() else None
+    train_clouds = datamod.load_scan_dir(root / "train") if trains or not val else None
+    return cfg, exp, split, names, train_clouds, val or train_clouds
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    exp = cfgmod.experiment_config(cfg)
-    train_clouds, val_clouds, split, _names = _load_dataset(args.data, args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = train(train_clouds, split, exp, val_clouds=val_clouds, log=sys.stderr)
-    result.model.save(out / "checkpoint.ckpt")
-    (out / "metrics.tsv").write_text(result.metrics_tsv())
-    cfgmod.write_resolved(out / "config.resolved", cfg)
+    cfg, exp, split, _names, train_clouds, scored = _prologue(args, trains=True)
+    with _output(args, cfg) as out:
+        result = train(train_clouds, split, exp, val_clouds=scored, log=sys.stderr)
+        result.model.save(out / "checkpoint.ckpt")
+        (out / "metrics.tsv").write_text(result.metrics_tsv())
     last = result.metrics[-1]
     print(
         f"trained {cfg['train.epochs']} epochs; novel mIoU {last['novel_mIoU']:.3f}, "
@@ -134,42 +140,32 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve(args)
-    exp = cfgmod.experiment_config(cfg)
-    head = cfgmod.eval_head(cfg, exp.model.heads)
-    split, names = _load_split(args.data, args.split)
-    # the validation split, or the training split when there is none
-    clouds = _load_val(args.data) or datamod.load_scan_dir(Path(args.data) / "train")
+    cfg, exp, split, names, _train, scored = _prologue(args, trains=False)
     rng = np.random.default_rng(exp.train.seed)
     model = SegmentationModel(exp.model, len(split.base_classes), split.n_novel, rng)
     model.load(args.checkpoint)
+    head = cfgmod.eval_head(cfg, exp.model.heads)
     if head is not None:
         model.selected_head = head
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = evaluate(model, clouds, split, class_names=names)
-    (out / "report.tsv").write_text(report.to_tsv())
-    (out / "report_wide.tsv").write_text(
-        report.wide_header() + "\n" + report.wide_row(Path(args.checkpoint).stem) + "\n"
-    )
-    cfgmod.write_resolved(out / "config.resolved", cfg)
+    with _output(args, cfg) as out:
+        report = evaluate(model, scored, split, class_names=names)
+        (out / "report.tsv").write_text(report.to_tsv())
+        (out / "report_wide.tsv").write_text(
+            report.wide_header() + "\n" + report.wide_row(Path(args.checkpoint).stem) + "\n"
+        )
     print(report.to_tsv(), end="")
     return 0
 
 
 def cmd_baseline(args) -> int:
-    cfg = _resolve(args)
-    exp = cfgmod.experiment_config(cfg)
+    cfg, exp, split, names, train_clouds, scored = _prologue(args, trains=True)
     bl = cfgmod.baseline_config(cfg)
-    train_clouds, val_clouds, split, names = _load_dataset(args.data, args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model, pseudo = run_baseline(train_clouds, split, exp.model, exp.train, bl, exp.augment)
-    model.save(out / "baseline.ckpt")
-    write_pseudo_labels(out / "pseudo", pseudo)
-    report = evaluate(model, val_clouds or train_clouds, split, class_names=names)
-    (out / "report.tsv").write_text(report.to_tsv())
-    cfgmod.write_resolved(out / "config.resolved", cfg)
+    with _output(args, cfg) as out:
+        model, pseudo = run_baseline(train_clouds, split, exp.model, exp.train, bl, exp.augment)
+        model.save(out / "baseline.ckpt")
+        write_pseudo_labels(out / "pseudo", pseudo)
+        report = evaluate(model, scored, split, class_names=names)
+        (out / "report.tsv").write_text(report.to_tsv())
     print(report.to_tsv(), end="")
     return 0
 
@@ -182,45 +178,40 @@ def _grid_discovery(base: DiscoveryConfig, flags) -> DiscoveryConfig:
 def cmd_ablate(args) -> int:
     from .baseline import pretrain_base
 
-    cfg = _resolve(args)
-    exp = cfgmod.experiment_config(cfg)
+    cfg, exp, split, _names, train_clouds, scored = _prologue(args, trains=True)
     bl = cfgmod.baseline_config(cfg)
-    train_clouds, val_clouds, split, _names = _load_dataset(args.data, args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    eval_set = val_clouds or train_clouds
 
     def scores(run_cfg, init_state=None):
         # train has already scored its final model on the evaluation set
-        last = train(train_clouds, split, run_cfg, val_clouds=eval_set,
+        last = train(train_clouds, split, run_cfg, val_clouds=scored,
                      init_state=init_state).metrics[-1]
         return f"{last['novel_mIoU']:.4f}\t{last['base_mIoU']:.4f}\t{last['all_mIoU']:.4f}"
 
-    pretrained_state = None
-    grid = {}
-    for name, flags in ABLATION_GRID.items():
-        pretrain = flags[0]
-        if pretrain and pretrained_state is None:
-            pre = pretrain_base(train_clouds, split, exp.model, exp.train, bl, exp.augment)
-            pretrained_state = pre.state()
-        run_cfg = replace(exp, discovery=_grid_discovery(exp.discovery, flags))
-        grid[name] = scores(run_cfg, pretrained_state if pretrain else None)
-        print(f"{name}\t{grid[name]}")
-    lines = ["config\tnovel_mIoU\tbase_mIoU\tall_mIoU"] + [f"{n}\t{r}" for n, r in grid.items()]
-    (out / "ablation.tsv").write_text("\n".join(lines) + "\n")
+    with _output(args, cfg) as out:
+        pretrained_state = None
+        grid = {}
+        for name, flags in ABLATION_GRID.items():
+            pretrain = flags[0]
+            if pretrain and pretrained_state is None:
+                pre = pretrain_base(train_clouds, split, exp.model, exp.train, bl, exp.augment)
+                pretrained_state = pre.state()
+            run_cfg = replace(exp, discovery=_grid_discovery(exp.discovery, flags))
+            grid[name] = scores(run_cfg, pretrained_state if pretrain else None)
+            print(f"{name}\t{grid[name]}")
+        lines = ["config\tnovel_mIoU\tbase_mIoU\tall_mIoU"] + [f"{n}\t{r}" for n, r in grid.items()]
+        (out / "ablation.tsv").write_text("\n".join(lines) + "\n")
 
-    sweep_lines = ["p\tnovel_mIoU\tbase_mIoU\tall_mIoU"]
-    full = _grid_discovery(exp.discovery, ABLATION_GRID["Full"])
-    for p in PERCENTILE_SWEEP:
-        # at Full's own percentile this is the grid's Full training again
-        if p == full.percentile:
-            cells = grid["Full"]
-        else:
-            cells = scores(replace(exp, discovery=replace(full, percentile=p)))
-        sweep_lines.append(f"{p}\t{cells}")
-        print(sweep_lines[-1])
-    (out / "sweep.tsv").write_text("\n".join(sweep_lines) + "\n")
-    cfgmod.write_resolved(out / "config.resolved", cfg)
+        sweep_lines = ["p\tnovel_mIoU\tbase_mIoU\tall_mIoU"]
+        full = _grid_discovery(exp.discovery, ABLATION_GRID["Full"])
+        for p in PERCENTILE_SWEEP:
+            # at Full's own percentile this is the grid's Full training again
+            if p == full.percentile:
+                cells = grid["Full"]
+            else:
+                cells = scores(replace(exp, discovery=replace(full, percentile=p)))
+            sweep_lines.append(f"{p}\t{cells}")
+            print(sweep_lines[-1])
+        (out / "sweep.tsv").write_text("\n".join(sweep_lines) + "\n")
     return 0
 
 
@@ -237,31 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train", help="run online discovery training")
-    p.add_argument("--dataset", "--data", dest="data", required=True,
-                   help="dataset directory from gen-data")
-    p.add_argument("--split", help="split file (defaults to <dataset>/split.txt)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--dataset", "--data", dest="data", required=True)
-    p.add_argument("--split")
-    p.add_argument("--checkpoint", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("baseline", help="run the offline clustering baseline")
-    p.add_argument("--dataset", "--data", dest="data", required=True)
-    p.add_argument("--split")
-    _add_common(p)
-    p.set_defaults(fn=cmd_baseline)
-
-    p = sub.add_parser("ablate", help="component grid and percentile sweep")
-    p.add_argument("--dataset", "--data", dest="data", required=True)
-    p.add_argument("--split")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ablate)
+    for name, fn, text in (
+        ("train", cmd_train, "run online discovery training"),
+        ("eval", cmd_eval, "evaluate a checkpoint"),
+        ("baseline", cmd_baseline, "run the offline clustering baseline"),
+        ("ablate", cmd_ablate, "component grid and percentile sweep"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--dataset", "--data", dest="data", required=True,
+                       help="dataset directory from gen-data")
+        p.add_argument("--split", help="split file (defaults to <dataset>/split.txt)")
+        if fn is cmd_eval:
+            p.add_argument("--checkpoint", required=True)
+        _add_common(p)
+        p.set_defaults(fn=fn)
 
     return parser
 

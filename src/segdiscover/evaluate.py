@@ -4,7 +4,7 @@ Novel head outputs are anonymous slots; before scoring they are aligned
 to ground-truth novel classes by a maximum-IoU assignment computed once
 over the full evaluation set, then frozen. Classes that never occur in
 either prediction or ground truth are excluded from means rather than
-scored zero (configurable).
+scored zero.
 """
 
 from __future__ import annotations
@@ -71,24 +71,12 @@ def confusion(preds, labels, eval_classes, ignore_label=None) -> ConfusionMatrix
     return ConfusionMatrix(list(eval_classes)).add(preds, labels, ignore_label=ignore_label)
 
 
-def miou(cm: ConfusionMatrix, class_subset, zero_division: str = "exclude") -> float:
-    """Mean IoU over a class subset.
-
-    ``zero_division='exclude'`` drops classes whose TP+FP+FN is zero from
-    the mean; ``'zero'`` scores them 0 instead.
-    """
+def miou(cm: ConfusionMatrix, class_subset) -> float:
+    """Mean IoU over a class subset; classes whose TP+FP+FN is zero are
+    dropped from the mean."""
     if not class_subset:
         raise ValueError("class subset must be non-empty")
-    values = []
-    for cls in class_subset:
-        v = cm.iou(cls)
-        if v is None:
-            if zero_division == "zero":
-                values.append(0.0)
-            elif zero_division != "exclude":
-                raise ValueError(f"unknown zero_division mode {zero_division!r}")
-            continue
-        values.append(v)
+    values = [v for v in map(cm.iou, class_subset) if v is not None]
     if not values:
         return 0.0
     return float(np.mean(values))
@@ -185,11 +173,9 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
         by_slot.add(slot_classes[slots], cloud.labels, ignore_label=ignore_label)
 
     mapping_rows = match_novel(by_slot.counts[n_base:, n_base:])
-    # permute novel prediction columns so each matched slot lands on its class
-    inv_map = [0] * len(novel_order)
-    for slot, row in enumerate(mapping_rows):
-        inv_map[row] = slot
-    perm = list(range(n_base)) + [n_base + inv_map[r] for r in range(len(novel_order))]
+    # permute novel prediction columns so each matched slot lands on its
+    # class: argsort inverts the slot -> row permutation
+    perm = np.concatenate([np.arange(n_base), n_base + np.argsort(mapping_rows)])
     cm = ConfusionMatrix(classes, by_slot.counts[:, perm])
     per_class = {c: cm.iou(c) for c in classes}
     report = EvalReport(

@@ -47,9 +47,10 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     squared distance is summed from coordinate differences, so it does
     not depend on the block a row falls in.
 
-    The neighbour graph is invariant under the augmentation family
-    (rotation about z and isotropic scale), so it can be computed once
-    per scene and reused across views.
+    Training computes the graph once per un-augmented scene and pools
+    both augmented views over it, by design: rotation about z and
+    isotropic scale keep the graph, but the default jitter moves points
+    enough to change some neighbour sets.
     """
     m = coords.shape[0]
     if m == 1:
@@ -192,10 +193,6 @@ class SegmentationModel:
         width = self.n_novel * (self.cfg.overcluster_factor if over else 1)
         start = self.n_base + (self.cfg.heads * self.n_novel if over else 0) + head * width
         return np.concatenate([np.arange(self.n_base), np.arange(start, start + width)])
-
-    def prototypes(self, head: int) -> np.ndarray:
-        """The prototype matrix P (D x n_novel) of one novel head."""
-        return self.novel_p[head].data
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
                       neighbours: np.ndarray | None = None) -> np.ndarray:

@@ -23,9 +23,6 @@ from .model import ModelConfig, SegmentationModel, knn_indices
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
 
-# acceptance criterion 3 builds the step's loss from the private names
-_one_hot = one_hot
-
 METRICS_HEADER = "epoch\tloss\tlr\teps\tnovel_mIoU\tbase_mIoU\tall_mIoU"
 
 
@@ -131,8 +128,8 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     tc = cfg.train
     dc = cfg.discovery
 
-    # the neighbour graph survives the augmentation family, so compute it
-    # once per scene instead of per view
+    # one neighbour graph per un-augmented scene, computed once; both views
+    # pool over it by design (jitter would change some neighbour sets)
     k = cfg.model.knn
     scene_neigh = [knn_indices(c.coords, k) for c in masked]
     eval_neigh = [knn_indices(c.coords, k) for c in eval_set]

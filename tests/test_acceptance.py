@@ -123,10 +123,10 @@ def test_criterion_02_sinkhorn_oracle_equivalence():
 def test_criterion_03_full_loss_gradient():
     from segdiscover.augment import AugmentConfig, make_views
     from segdiscover.data import mask_novel
-    from segdiscover.losses import compute_loss_weights
+    from segdiscover.losses import compute_loss_weights, one_hot
     from segdiscover.model import SegmentationModel, knn_indices
     from segdiscover.sinkhorn import pseudo_labels_from
-    from segdiscover.train import _BatchView, _one_hot, _swapped_term
+    from segdiscover.train import _BatchView, _swapped_term
 
     cfg = toy_discovery_config(seed=0, n_scenes=2, points_per_scene=16)
     clouds = generate_synthetic(cfg)
@@ -156,7 +156,7 @@ def test_criterion_03_full_loss_gradient():
 
     def loss_value():
         vs = build()
-        onehot = [_one_hot(v.labels[v.base_idx], base_order, 3) for v in vs]
+        onehot = [one_hot(v.labels[v.base_idx], base_order, 3) for v in vs]
         terms = []
         for h in range(2):
             logits = [ad.concat_rows([model.base_logits(v.z), model.novel_logits(v.z, h)])

@@ -158,6 +158,26 @@ class TestPropagateNN:
         with pytest.raises(ValueError):
             propagate_nn(np.zeros((3, 3)), np.array([], dtype=int), np.array([]))
 
+    def test_row_blocks_bound_memory_and_keep_the_result(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(11)
+        # a coarse integer grid, so nearest neighbours tie
+        coords = rng.integers(0, 24, size=(8192, 3)).astype(np.float64)
+        selected = np.sort(rng.choice(8192, size=1000, replace=False))
+        labels = rng.integers(0, 5, size=1000)
+        tracemalloc.start()
+        try:
+            idx, lab = propagate_nn(coords, selected, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the unblocked 1,000 x 7,192 x 3 difference array alone is 173 MB
+        assert peak < 64e6
+        ref_idx, ref_lab = loop_propagate_nn(coords, selected, labels)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(lab, ref_lab)
+
 
 def loop_propagate_nn(coords, selected, labels):
     """The per-point loop ``propagate_nn`` replaced, kept as its reference."""

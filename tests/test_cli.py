@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segdiscover import config as cfgmod
+from segdiscover import data as datamod
 from segdiscover.cli import ABLATION_GRID, PERCENTILE_SWEEP, main
 
 FAST = [
@@ -185,6 +187,50 @@ class TestErrors:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert not (tmp_path / "r").exists()
+
+
+class TestEveryKeyChecked:
+    """Each dataset command parses every config key, read by it or not,
+    before it reads a scan or creates its output directory."""
+
+    COMMANDS = ("train", "eval", "baseline", "ablate")
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("keys")
+        data = gen_tiny(root / "d")
+        assert main(["train", "--data", str(data), "--out", str(root / "run"), *FAST]) == 0
+        return data, root / "run" / "checkpoint.ckpt"
+
+    def args(self, command, dataset, out):
+        data, checkpoint = dataset
+        args = [command, "--data", str(data), "--out", str(out), "--seed", "0"]
+        if command == "eval":
+            args += ["--checkpoint", str(checkpoint)]
+        return args + FAST
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("bad", ["offline.ratio=abc", "data.points=zz", "model.eval_head=99"])
+    def test_a_bad_value_is_rejected_before_any_scan_is_read(
+        self, dataset, tmp_path, monkeypatch, capsys, command, bad
+    ):
+        reads = []
+        monkeypatch.setattr(datamod, "load_scan_dir", lambda root: reads.append(root))
+        out = tmp_path / "runs" / "x"
+        assert main(self.args(command, dataset, out) + [bad]) == 1
+        assert bad.split("=")[0] in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_resolved_passes_the_check(self, dataset, tmp_path, command):
+        good = ["offline.ratio=0.5", "data.points=64", "model.eval_head=1"]
+        out = tmp_path / "x"
+        assert main(self.args(command, dataset, out) + good) == 0
+        cfg = cfgmod.resolve(out / "config.resolved")
+        cfgmod.check(cfg)
+        assert [f"{key}={cfg[key]}" for key in ("offline.ratio", "data.points",
+                                                "model.eval_head")] == good
 
 
 class TestAblateReuse:

@@ -124,7 +124,7 @@ class TestHeads:
         model = make_model()
         z = ad.constant(np.eye(model.cfg.feature_dim)[:, :3])
         before = model.novel_logits(z, 0).data.copy()
-        model.prototypes(0)[...] *= 2.0
+        model.novel_p[0].data[...] *= 2.0
         after = model.novel_logits(z, 0).data
         np.testing.assert_allclose(after, 2.0 * before)
 

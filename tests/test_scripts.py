@@ -1,0 +1,44 @@
+"""Smoke runs of the experiment scripts at toy sizes."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_toy_discovery_reports_the_mean_over_seeds(capsys):
+    script = load_script("run_toy_discovery")
+    code = script.main(["--seeds", "0", "1", "--scenes", "6", "--points", "32", "--epochs", "1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["seed 0", "seed 1"]
+    assert "(chance bound " in lines[0]
+    assert lines[-1].startswith("mean novel mIoU over 2 seeds: ")
+
+
+def test_component_ablation_writes_the_grid_and_the_sweep(tmp_path, capsys):
+    from segdiscover.cli import ABLATION_GRID, PERCENTILE_SWEEP
+
+    script = load_script("run_component_ablation")
+    out = tmp_path / "ab"
+    code = script.main(["--out", str(out), "--scenes", "8", "--points", "32", "--epochs", "1"])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"wrote 8 train and 20 val scenes under {out / 'data'}"
+    grid = (out / "ablation.tsv").read_text().splitlines()
+    sweep = (out / "sweep.tsv").read_text().splitlines()
+    assert grid[0] == "config\tnovel_mIoU\tbase_mIoU\tall_mIoU"
+    assert [row.split("\t")[0] for row in grid[1:]] == list(ABLATION_GRID)
+    assert [float(row.split("\t")[0]) for row in sweep[1:]] == list(PERCENTILE_SWEEP)
+    for row in grid[1:] + sweep[1:]:
+        assert all(0.0 <= float(cell) <= 1.0 for cell in row.split("\t")[1:])
+    # the rows printed as they finish are the rows written
+    assert printed[1:] == grid[1:] + sweep[1:]
+
