@@ -87,11 +87,8 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(a: Tensor, b: Tensor | None = None) -> bool:
-    tracked = a.requires_grad or a._parents != () or a._backward is not None
-    if b is not None:
-        tracked = tracked or _tracked(b)
-    return tracked
+def _tracked(a: Tensor) -> bool:
+    return a.requires_grad or a._parents != () or a._backward is not None
 
 
 def _result(data, parents, backward):

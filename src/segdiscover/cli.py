@@ -62,8 +62,6 @@ def _synthetic_config(cfg: dict, seed: int) -> datamod.SyntheticConfig:
         base = datamod.toy_discovery_config(seed=seed, n_scenes=scenes, points_per_scene=points)
         return replace(base, scene_dropout=dropout)
     n_classes, n_novel = data("classes"), data("novel")
-    if not (0 < n_novel < n_classes):
-        raise ValueError("data.novel must be positive and below data.classes")
     return datamod.SyntheticConfig(
         archetypes=datamod.make_archetypes(n_classes, seed=seed),
         n_scenes=scenes,

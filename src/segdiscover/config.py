@@ -14,6 +14,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .baseline import BaselineConfig
+from .data import toy_discovery_config
 from .train import ExperimentConfig
 
 # flat key -> (root config class, dotted field path under it)
@@ -182,7 +183,24 @@ def check(cfg: dict) -> ExperimentConfig:
     eval_head(cfg, exp.model.heads)
     for key in LITERAL_DEFAULTS:
         literal(cfg, key)
+    _check_data(cfg)
     return exp
+
+
+def _check_data(cfg: dict):
+    """The synthetic-data keys against their allowed values and each other."""
+    archetypes = literal(cfg, "data.archetypes")
+    classes, novel = literal(cfg, "data.classes"), literal(cfg, "data.novel")
+    if archetypes not in ("toy", "generic"):
+        raise ValueError(f"data.archetypes: expected toy or generic, got {archetypes!r}")
+    if not 0 < novel < classes:
+        raise ValueError(f"data.novel: expected 1..data.classes-1 = {classes - 1}, got {novel}")
+    if archetypes == "toy":
+        toy = toy_discovery_config()
+        for key, value, fixed in (("data.classes", classes, len(toy.archetypes)),
+                                  ("data.novel", novel, len(toy.novel_classes))):
+            if value != fixed:
+                raise ValueError(f"{key}: the toy archetypes fix it at {fixed}, got {value}")
 
 
 def eval_head(cfg: dict, heads: int) -> int | None:

@@ -67,10 +67,6 @@ class ConfusionMatrix:
         return float(tp) / float(denom)
 
 
-def confusion(preds, labels, eval_classes, ignore_label=None) -> ConfusionMatrix:
-    return ConfusionMatrix(list(eval_classes)).add(preds, labels, ignore_label=ignore_label)
-
-
 def miou(cm: ConfusionMatrix, class_subset) -> float:
     """Mean IoU over a class subset; classes whose TP+FP+FN is zero are
     dropped from the mean."""

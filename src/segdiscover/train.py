@@ -23,7 +23,11 @@ from .model import ModelConfig, SegmentationModel, knn_indices
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
 
-METRICS_HEADER = "epoch\tloss\tlr\teps\tnovel_mIoU\tbase_mIoU\tall_mIoU"
+METRICS_COLUMNS = (
+    ("epoch", "d"), ("loss", ".6f"), ("lr", ".8f"), ("eps", ".6f"),
+    ("novel_mIoU", ".4f"), ("base_mIoU", ".4f"), ("all_mIoU", ".4f"),
+)
+METRICS_HEADER = "\t".join(name for name, _ in METRICS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -62,35 +66,15 @@ class TrainResult:
     head_losses: np.ndarray  # mean per-head novel loss, final epoch
 
     def metrics_tsv(self) -> str:
-        lines = [METRICS_HEADER]
-        for row in self.metrics:
-            lines.append(
-                "\t".join(
-                    [
-                        str(row["epoch"]),
-                        f"{row['loss']:.6f}",
-                        f"{row['lr']:.8f}",
-                        f"{row['eps']:.6f}",
-                        f"{row['novel_mIoU']:.4f}",
-                        f"{row['base_mIoU']:.4f}",
-                        f"{row['all_mIoU']:.4f}",
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = ["\t".join(format(row[k], f) for k, f in METRICS_COLUMNS) for row in self.metrics]
+        return "\n".join([METRICS_HEADER, *rows]) + "\n"
 
 
-class _BatchView:
-    """One view of a batch: stacked features, labels, and index sets.
-
-    Each cloud's features pool over its entry of ``neighbours``."""
-
-    def __init__(self, model, clouds, neighbours):
-        feats = [model.extract_features(c.coords, nb) for c, nb in zip(clouds, neighbours)]
-        self.z = ad.concat_cols(feats) if len(feats) > 1 else feats[0]
-        self.labels = np.concatenate([c.labels for c in clouds])
-        self.base_idx = np.flatnonzero(self.labels != UNLABELLED)
-        self.novel_idx = np.flatnonzero(self.labels == UNLABELLED)
+def _features(model, clouds, neighbours):
+    """One view's (D, n) features, the clouds side by side; each cloud
+    pools over its entry of ``neighbours``."""
+    feats = [model.extract_features(c.coords, nb) for c, nb in zip(clouds, neighbours)]
+    return ad.concat_cols(feats) if len(feats) > 1 else feats[0]
 
 
 def _pseudo_label(prototypes, z_novel, queue_cols, eps, iters, percentile, filter_on):
@@ -139,20 +123,26 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     if init_state is not None:
         model.load_state(init_state, strict=False)
 
-    # the novel heads and, when on, the over-clustering heads; each family
-    # is (prototypes per head, class weights, over flag)
+    # one entry per swapped term, in summing order: novel_0, over_0,
+    # novel_1, ... (over only when on); each is (prototypes, class
+    # weights, rows of the stacked logits)
+    heads = cfg.model.heads
     weights = compute_loss_weights(masked, split)
-    families = [(model.novel_p, weights.vector(base_order, n_novel), False)]
-    if dc.overcluster:
-        w_over = weights.vector(base_order, cfg.model.overcluster_factor * n_novel)
-        families.append((model.over_p, w_over, True))
+    w_novel = weights.vector(base_order, n_novel)
+    w_over = weights.vector(base_order, cfg.model.overcluster_factor * n_novel)
+    entries = []
+    for h in range(heads):
+        entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
+        if dc.overcluster:
+            entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+    # a batch without novel points trains every entry on base labels alone
+    no_targets = [(np.arange(0), np.zeros((p.shape[1], 0))) for p, _, _ in entries]
     queue = FeatureQueue(tuple(range(n_novel)), cfg.queue.capacity, balanced=dc.phi_queue)
     opt = SGD(model.parameters(), tc.momentum, tc.weight_decay)
     sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
 
     n_batches = (len(masked) + tc.batch_size - 1) // tc.batch_size
     total_steps = tc.epochs * n_batches
-    heads = cfg.model.heads
     step = 0
     lr = 0.0
     metrics = []
@@ -168,38 +158,38 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
             pairs = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
             # both views of a scene share its neighbour graph
             neigh = [scene_neigh[i] for i in scene_ids]
-            views = (
-                _BatchView(model, [p.view_a for p in pairs], neigh),
-                _BatchView(model, [p.view_b for p in pairs], neigh),
-            )
-            va, vb = views
-            if not (np.isfinite(va.z.data).all() and np.isfinite(vb.z.data).all()):
+            zs = [_features(model, [p.view_a for p in pairs], neigh),
+                  _features(model, [p.view_b for p in pairs], neigh)]
+            if not all(np.isfinite(z.data).all() for z in zs):
                 raise ValueError(f"features went non-finite after the SGD step at lr {lr:g}")
-            assert np.array_equal(va.labels, vb.labels)
-            assert np.all(np.isin(va.labels[va.base_idx], base_order)), "unmasked label reached training"
+            # views keep point order and labels, so one layout serves both
+            labels = np.concatenate([masked[i].labels for i in scene_ids])
+            base_idx = np.flatnonzero(labels != UNLABELLED)
+            novel_idx = np.flatnonzero(labels == UNLABELLED)
+            assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
+            base_onehot = one_hot(labels[base_idx], base_order, n_base)
 
-            # pseudo-labels per family, view and head; queue is sampled before
-            # the current batch is inserted, so it only carries past iterations
-            targets = [[{}, {}] for _ in families]
-            for vi, view in enumerate(views):
-                if view.novel_idx.size == 0:
-                    continue
-                z_novel = view.z.data[:, view.novel_idx]
+            # pseudo-labels per view and entry; queue is sampled before the
+            # current batch is inserted, so it only carries past iterations
+            targets = [no_targets, no_targets]
+            for vi, z in enumerate(zs):
+                if novel_idx.size == 0:
+                    break
+                z_novel = z.data[:, novel_idx]
                 qcols = (
                     queue.sample(cfg.queue.sample_per_class, rng)
                     if dc.use_queue
                     else np.zeros((0, 0))
                 )
-                for f, (protos, _, _) in enumerate(families):
-                    for h in range(heads):
-                        targets[f][vi][h] = _pseudo_label(
-                            protos[h].data, z_novel, qcols, eps,
-                            cfg.sinkhorn.iters, dc.percentile, dc.tau_train,
-                        )
+                targets[vi] = [
+                    _pseudo_label(p.data, z_novel, qcols, eps, cfg.sinkhorn.iters,
+                                  dc.percentile, dc.tau_train)
+                    for p, _, _ in entries
+                ]
                 if dc.use_queue:
                     # novel head-0 inserts are filtered when phi_queue is on;
                     # with tau_train on too, the training filter chose them
-                    kept0, head0 = targets[0][vi][0]
+                    kept0, head0 = targets[vi][0]
                     if not dc.phi_queue:
                         cand = np.arange(head0.shape[1])
                     elif dc.tau_train:
@@ -212,7 +202,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                     )
 
             total, batch_head_vals = _step_loss(
-                model, views, targets, families, base_order, tc.temperature
+                model, zs, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
             )
             lr = lr_at(tc, step, total_steps)
             opt.zero_grad()
@@ -248,51 +238,32 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     return TrainResult(model, metrics, model.selected_head, head_losses)
 
 
-def _step_loss(model, views, targets, families, base_order, temperature):
+def _step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot, temperature):
     """The step's objective and each novel head's swapped term.
 
-    The objective is the mean over heads of one swapped term per head
-    family, in the order of ``families``, whose entry ``f`` reads its
-    pseudo-labels from ``targets[f]``. One logit matrix per view holds
-    every head; each term reads the base rows and its own head's rows.
+    Entry ``e`` of ``entries`` (prototypes, class weights, logit rows)
+    scores view 0 against view 1's pseudo-labels ``targets[1][e]`` and
+    view 1 against ``targets[0][e]``, both on base ground truth too. The
+    objective is the sum of all entries' terms over the head count; the
+    novel heads are every ``len(entries) // heads``-th entry from the
+    first. One logit matrix per view holds every head; a term reads its
+    own rows.
     """
     n_base, heads = model.n_base, model.cfg.heads
-    base_onehot = [one_hot(v.labels[v.base_idx], base_order, n_base) for v in views]
-    w_stack, b_stack = model.stacked_heads(any(over for _, _, over in families))
-    logits = [ad.add(ad.matmul(w_stack, v.z), b_stack) for v in views]
+    w_stack, b_stack = model.stacked_heads(len(entries) > heads)
+    logits = [ad.add(ad.matmul(w_stack, z), b_stack) for z in zs]
     terms = []
-    head_vals = np.zeros(heads)
-    for h in range(heads):
-        head_terms = [
-            _swapped_term(
-                views, logits, base_onehot, targets[f], h, n_base, protos[h].shape[1],
-                w_vec, temperature, model.head_rows(h, over),
-            )
-            for f, (protos, w_vec, over) in enumerate(families)
-        ]
-        head_vals[h] = float(head_terms[0].data[0, 0])
-        terms += head_terms
+    for e, (_, w_vec, rows) in enumerate(entries):
+        pair = []
+        for vi, other in ((0, 1), (1, 0)):
+            kept, dist = targets[other][e]
+            cols = np.concatenate([base_idx, novel_idx[kept]])
+            if cols.size == 0:
+                continue
+            target = np.zeros((rows.size, cols.size))
+            target[:n_base, :base_idx.size] = base_onehot
+            target[n_base:, base_idx.size:] = dist[:, kept]
+            pair.append(tempered_ce(logits[vi], cols, target, w_vec, temperature, rows))
+        terms.append(sum_tensors(pair) if pair else ad.constant(0.0))
+    head_vals = np.array([float(t.data[0, 0]) for t in terms[::len(entries) // heads]])
     return ad.mul(sum_tensors(terms), 1.0 / heads), head_vals
-
-
-def _swapped_term(views, logits, base_onehot, targets, h, n_base, n_slots, w_vec, temperature,
-                  rows=None):
-    """One head's swapped loss: predictions of each view against base
-    ground truth plus the other view's filtered pseudo-labels.
-
-    ``logits[v]`` holds the view's base and head logits in ``rows``
-    (every row when None)."""
-    terms = []
-    for vi, other in ((0, 1), (1, 0)):
-        base_idx = views[vi].base_idx
-        kept, dist = targets[other].get(h) or (np.arange(0), np.zeros((n_slots, 0)))
-        cols = np.concatenate([base_idx, views[other].novel_idx[kept]])
-        if cols.size == 0:
-            continue
-        target = np.zeros((n_base + n_slots, cols.size))
-        target[:n_base, :base_idx.size] = base_onehot[vi]
-        target[n_base:, base_idx.size:] = dist[:, kept]
-        terms.append(tempered_ce(logits[vi], cols, target, w_vec, temperature, rows))
-    if not terms:
-        return ad.constant(0.0)
-    return sum_tensors(terms)

@@ -21,7 +21,7 @@ from segdiscover.data import (
     generate_synthetic,
     toy_discovery_config,
 )
-from segdiscover.evaluate import confusion, constant_predictor_bound, evaluate, miou
+from segdiscover.evaluate import ConfusionMatrix, constant_predictor_bound, evaluate, miou
 from segdiscover.losses import TrainConfig
 from segdiscover.model import ModelConfig
 from segdiscover.queueing import FeatureQueue, select_phi
@@ -122,11 +122,11 @@ def test_criterion_02_sinkhorn_oracle_equivalence():
 
 def test_criterion_03_full_loss_gradient():
     from segdiscover.augment import AugmentConfig, make_views
-    from segdiscover.data import mask_novel
+    from segdiscover.data import UNLABELLED, mask_novel
     from segdiscover.losses import compute_loss_weights, one_hot
     from segdiscover.model import SegmentationModel, knn_indices
     from segdiscover.sinkhorn import pseudo_labels_from
-    from segdiscover.train import _BatchView, _swapped_term
+    from segdiscover.train import _features, _step_loss
 
     cfg = toy_discovery_config(seed=0, n_scenes=2, points_per_scene=16)
     clouds = generate_synthetic(cfg)
@@ -139,33 +139,27 @@ def test_criterion_03_full_loss_gradient():
     neigh = [knn_indices(c.coords, 4) for c in masked]
     base_order = [0, 1, 2]
     weights = compute_loss_weights(masked, split).vector(base_order, 2)
+    entries = [(model.novel_p[h], weights, model.head_rows(h)) for h in range(2)]
+    labels = np.concatenate([c.labels for c in masked])
+    base_idx = np.flatnonzero(labels != UNLABELLED)
+    novel_idx = np.flatnonzero(labels == UNLABELLED)
+    onehot = one_hot(labels[base_idx], base_order, 3)
 
     def build():
-        return (
-            _BatchView(model, [p.view_a for p in pairs], neigh),
-            _BatchView(model, [p.view_b for p in pairs], neigh),
-        )
+        return [_features(model, [p.view_a for p in pairs], neigh),
+                _features(model, [p.view_b for p in pairs], neigh)]
 
-    views = build()
-    targets = [dict(), dict()]
-    for vi, view in enumerate(views):
+    targets = []
+    for z in build():
+        targets.append([])
         for h in range(2):
-            scores = model.novel_p[h].data.T @ view.z.data[:, view.novel_idx]
-            dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), view.novel_idx.size)
-            targets[vi][h] = (np.arange(dist.shape[1]), dist)
+            scores = model.novel_p[h].data.T @ z.data[:, novel_idx]
+            dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), novel_idx.size)
+            targets[-1].append((np.arange(dist.shape[1]), dist))
 
     def loss_value():
-        vs = build()
-        onehot = [one_hot(v.labels[v.base_idx], base_order, 3) for v in vs]
-        terms = []
-        for h in range(2):
-            logits = [ad.concat_rows([model.base_logits(v.z), model.novel_logits(v.z, h)])
-                      for v in vs]
-            terms.append(_swapped_term(vs, logits, onehot, targets, h, 3, 2, weights, 0.2))
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-        return ad.mul(total, 0.5)
+        # both heads' swapped terms, summed and halved
+        return _step_loss(model, build(), targets, entries, base_idx, novel_idx, onehot, 0.2)[0]
 
     loss = loss_value()
     ad.backward(loss)
@@ -255,7 +249,7 @@ def test_criterion_07_hungarian_equals_brute_force():
 
 
 def test_criterion_08_miou_hand_case():
-    cm = confusion(list("abbbcc"), list("aabbbc"), list("abc"))
+    cm = ConfusionMatrix(list("abc")).add(list("abbbcc"), list("aabbbc"))
     value = miou(cm, list("abc"))
     verdict(8, value == 0.5, f"six-point confusion case mIoU = {value}")
 

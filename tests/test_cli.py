@@ -210,7 +210,9 @@ class TestEveryKeyChecked:
         return args + FAST
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("bad", ["offline.ratio=abc", "data.points=zz", "model.eval_head=99"])
+    @pytest.mark.parametrize(
+        "bad", ["offline.ratio=abc", "data.points=zz", "model.eval_head=99", "data.archetypes=tyo"]
+    )
     def test_a_bad_value_is_rejected_before_any_scan_is_read(
         self, dataset, tmp_path, monkeypatch, capsys, command, bad
     ):

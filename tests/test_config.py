@@ -6,6 +6,7 @@ import re
 import pytest
 
 from segdiscover import config
+from segdiscover import data as datamod
 from segdiscover.baseline import BaselineConfig
 from segdiscover.cli import main
 from segdiscover.train import ExperimentConfig
@@ -213,13 +214,25 @@ class TestGenDataChecksEveryKey:
         ("data.val_scenes=1.5", r"data\.val_scenes.*'1\.5'"),
         ("sk.iters=abc", r"sk\.iters.*'abc'"),
         ("offline.cap=many", r"offline\.cap.*'many'"),
+        ("data.archetypes=tyo", r"data\.archetypes.*'tyo'"),
+        ("data.classes=9 data.novel=0", r"data\.novel.*got 0"),
+        ("data.classes=9", r"data\.classes.*toy.*got 9"),
     ])
     def test_bad_value_named_and_nothing_written(self, tmp_path, capsys, override, message):
         out = tmp_path / "data"
         assert main(["gen-data", "--points", "20", "--out", str(out), "data.scenes=2",
-                     "data.val_scenes=1", override]) == 1
+                     "data.val_scenes=1", *override.split()]) == 1
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
+
+    def test_generic_archetypes_write_their_classes_and_split(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--points", "20", "--out", str(out), "data.scenes=2",
+                     "data.val_scenes=1", "data.archetypes=generic", "data.classes=7",
+                     "data.novel=3"]) == 0
+        names = datamod.read_class_names(out / "classes.txt")
+        assert len(names) == 7
+        assert datamod.read_split_file(out / "split.txt", names).n_novel == 3
 
     def test_data_keys_parse_as_their_default_types(self):
         cfg = config.resolve(overrides=["data.points=64", "data.dropout=0.25"])

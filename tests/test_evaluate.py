@@ -6,7 +6,6 @@ import pytest
 from segdiscover.data import LabelledCloud, SplitSpec
 from segdiscover.evaluate import (
     ConfusionMatrix,
-    confusion,
     constant_predictor_bound,
     evaluate,
     match_novel,
@@ -16,35 +15,35 @@ from segdiscover.evaluate import (
 
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
-        cm = confusion([0, 1, 2, 1], [0, 1, 2, 1], [0, 1, 2])
+        cm = ConfusionMatrix([0, 1, 2]).add([0, 1, 2, 1], [0, 1, 2, 1])
         assert np.array_equal(cm.counts, np.diag([1, 2, 1]))
 
     def test_empty_input_zero_matrix(self):
-        cm = confusion([], [], [0, 1])
+        cm = ConfusionMatrix([0, 1]).add([], [])
         assert cm.counts.sum() == 0
 
     def test_six_point_hand_case(self):
         # gt: a a b b b c; pred: a b b b c c
-        cm = confusion(list("abbbcc"), list("aabbbc"), list("abc"))
+        cm = ConfusionMatrix(list("abc")).add(list("abbbcc"), list("aabbbc"))
         assert cm.counts[0].tolist() == [1, 1, 0]
         assert cm.counts[1].tolist() == [0, 2, 1]
         assert cm.counts[2].tolist() == [0, 0, 1]
 
     def test_ignore_label_skipped(self):
-        cm = confusion([0, 1, 0], [0, 1, 255], [0, 1], ignore_label=255)
+        cm = ConfusionMatrix([0, 1]).add([0, 1, 0], [0, 1, 255], ignore_label=255)
         assert cm.counts.sum() == 2
 
     def test_out_of_set_label_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            confusion([0], [7], [0, 1])
+            ConfusionMatrix([0, 1]).add([0], [7])
 
     def test_first_out_of_set_point_is_named(self):
         with pytest.raises(ValueError, match="ground-truth label 9 outside"):
-            confusion([0, 1, 5], [0, 9, 8], [0, 1])
+            ConfusionMatrix([0, 1]).add([0, 1, 5], [0, 9, 8])
         with pytest.raises(ValueError, match="prediction 5 outside"):
-            confusion([0, 5, 6], [0, 1, 1], [0, 1])
+            ConfusionMatrix([0, 1]).add([0, 5, 6], [0, 1, 1])
         # an ignored point is never checked
-        assert confusion([0, 5], [1, 255], [0, 1], ignore_label=255).counts[1, 0] == 1
+        assert ConfusionMatrix([0, 1]).add([0, 5], [1, 255], ignore_label=255).counts[1, 0] == 1
 
     def test_counts_match_a_per_point_loop(self):
         rng = np.random.default_rng(6)
@@ -66,7 +65,7 @@ class TestMiou:
         assert miou(cm, [0, 1]) == 1.0
 
     def test_six_point_hand_case_is_half(self):
-        cm = confusion(list("abbbcc"), list("aabbbc"), list("abc"))
+        cm = ConfusionMatrix(list("abc")).add(list("abbbcc"), list("aabbbc"))
         # IoU: a = 1/2, b = 2/4, c = 1/2
         assert miou(cm, list("abc")) == pytest.approx(0.5)
 

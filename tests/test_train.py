@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from segdiscover import autodiff as ad
-from segdiscover.data import LabelledCloud, generate_synthetic, toy_discovery_config
-from segdiscover.losses import TrainConfig, compute_loss_weights, sum_tensors, weighted_ce
+from segdiscover.data import UNLABELLED, LabelledCloud, generate_synthetic, toy_discovery_config
+from segdiscover.losses import TrainConfig, compute_loss_weights, one_hot, sum_tensors, weighted_ce
 from segdiscover.model import ModelConfig, SegmentationModel
 from segdiscover.queueing import QueueConfig
 from segdiscover.train import (
@@ -16,6 +16,9 @@ from segdiscover.train import (
     ExperimentConfig,
     METRICS_HEADER,
     SinkhornConfig,
+    TrainResult,
+    _features,
+    _step_loss,
     train,
 )
 
@@ -50,6 +53,20 @@ class TestSmoke:
         assert lines[0] == METRICS_HEADER
         assert len(lines) == 3
         assert all(len(line.split("\t")) == 7 for line in lines[1:])
+
+    def test_metrics_tsv_exact_text(self):
+        rows = [
+            {"epoch": 0, "loss": 1.23456789, "lr": 0.000123456789, "eps": 0.3,
+             "novel_mIoU": 0.56789, "base_mIoU": 1.0, "all_mIoU": 0.0},
+            {"epoch": 1, "loss": 0.5, "lr": 0.01, "eps": 0.05,
+             "novel_mIoU": 0.25, "base_mIoU": 0.123456, "all_mIoU": 0.99999},
+        ]
+        text = TrainResult(None, rows, 0, np.zeros(2)).metrics_tsv()
+        assert text == (
+            "epoch\tloss\tlr\teps\tnovel_mIoU\tbase_mIoU\tall_mIoU\n"
+            "0\t1.234568\t0.00012346\t0.300000\t0.5679\t1.0000\t0.0000\n"
+            "1\t0.500000\t0.01000000\t0.050000\t0.2500\t0.1235\t1.0000\n"
+        )
 
     def test_component_toggles_run(self):
         clouds, split = tiny_setup()
@@ -107,6 +124,61 @@ class TestDeterminism:
         assert a.metrics_tsv() != b.metrics_tsv()
 
 
+class TestHeadEntries:
+    def test_head_losses_are_the_final_epochs_mean_novel_terms(self, monkeypatch, tmp_path):
+        import segdiscover.train as train_mod
+
+        step_loss, steps = train_mod._step_loss, []
+
+        def recording(model, zs, targets, entries, *rest):
+            # summing order; the novel entries are every other one
+            names = [p.name for p, _, _ in entries]
+            assert names == ["novel0.p", "over0.p", "novel1.p", "over1.p"]
+            total, head_vals = step_loss(model, zs, targets, entries, *rest)
+            steps.append(head_vals.copy())
+            return total, head_vals
+
+        monkeypatch.setattr(train_mod, "_step_loss", recording)
+        clouds, split = tiny_setup(scenes=7)  # 4 batches of at most 2 scenes
+        result = train(clouds, split, tiny_exp(epochs=3))
+        assert len(steps) == 12 and all(v.shape == (2,) for v in steps)
+        final = np.mean(steps[-4:], axis=0)
+        np.testing.assert_allclose(result.head_losses, final, rtol=1e-12)
+        assert result.selected_head == int(np.argmin(final)) == result.model.selected_head
+        result.model.save(tmp_path / "c.ckpt")
+        meta = ad.load_checkpoint(tmp_path / "c.ckpt")["meta.selected_head"]
+        assert meta.reshape(-1).tolist() == [float(result.selected_head)]
+
+
+    def test_queue_takes_the_first_novel_heads_kept_points(self, monkeypatch):
+        import segdiscover.train as train_mod
+        from segdiscover.queueing import FeatureQueue
+
+        pseudo, inserts = train_mod._pseudo_label, []
+        labelled = []  # per call: (z_novel, (kept, dists))
+
+        def recording_label(prototypes, z_novel, *rest):
+            labelled.append((z_novel, pseudo(prototypes, z_novel, *rest)))
+            return labelled[-1][1]
+
+        insert = FeatureQueue.insert
+
+        def recording_insert(self, features, classes, *rest):
+            inserts.append((features.copy(), np.asarray(classes).copy(), len(labelled)))
+            return insert(self, features, classes, *rest)
+
+        monkeypatch.setattr(train_mod, "_pseudo_label", recording_label)
+        monkeypatch.setattr(FeatureQueue, "insert", recording_insert)
+        clouds, split = tiny_setup()
+        train(clouds, split, tiny_exp(epochs=1))  # 2 heads, over on: 4 entries
+        assert inserts
+        for features, classes, calls in inserts:
+            # the view's first labelling call is entry 0, novel head 0
+            z_novel, (kept, dists) = labelled[calls - 4]
+            np.testing.assert_array_equal(features, z_novel[:, kept])
+            np.testing.assert_array_equal(classes, dists[:, kept].argmax(axis=0))
+
+
 class TestSupervisionIsolation:
     def test_novel_label_permutation_leaves_checkpoint_unchanged(self, tmp_path):
         clouds, split = tiny_setup()
@@ -131,14 +203,27 @@ class TestSupervisionIsolation:
         assert result is not None  # assertion inside the loop did not fire
 
 
+def batch_layout(masked, base_order):
+    """One batch's labels, base and novel columns and base one-hot, the
+    layout both views share."""
+    labels = np.concatenate([c.labels for c in masked])
+    base_idx = np.flatnonzero(labels != UNLABELLED)
+    novel_idx = np.flatnonzero(labels == UNLABELLED)
+    return labels, base_idx, novel_idx, one_hot(labels[base_idx], base_order, len(base_order))
+
+
+def view_features(model, pairs, neigh):
+    return [_features(model, [p.view_a for p in pairs], neigh),
+            _features(model, [p.view_b for p in pairs], neigh)]
+
+
 class TestFullLossGradient:
     def test_swapped_loss_through_model_matches_finite_differences(self):
-        # 2 scenes x 16 points, targets held fixed while parameters move
+        # 2 scenes x 16 points, every novel and over-clustering entry of
+        # the step; targets held fixed while parameters move
         clouds, split = tiny_setup(scenes=2, points=16)
         from segdiscover.data import mask_novel
         from segdiscover.model import knn_indices
-        from segdiscover.losses import one_hot
-        from segdiscover.train import _BatchView, _swapped_term
         from segdiscover.augment import AugmentConfig, make_views
         from segdiscover.sinkhorn import sinkhorn_assign, pseudo_labels_from
 
@@ -150,30 +235,28 @@ class TestFullLossGradient:
         pairs = [make_views(c, rng, aug) for c in masked]
         neigh = [knn_indices(c.coords, 4) for c in masked]
         base_order = [0, 1, 2]
-        weights = compute_loss_weights(masked, split).vector(base_order, 2)
-
-        def build_views():
-            return (
-                _BatchView(model, [p.view_a for p in pairs], neigh),
-                _BatchView(model, [p.view_b for p in pairs], neigh),
-            )
+        weights = compute_loss_weights(masked, split)
+        w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
+        entries = []
+        for h in range(2):
+            entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
+            entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+        _, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
 
         # freeze pseudo-label targets once (constants for the gradient)
-        views = build_views()
-        targets = [dict(), dict()]
-        for vi, view in enumerate(views):
-            scores = model.novel_p[0].data.T @ view.z.data[:, view.novel_idx]
-            dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), view.novel_idx.size)
-            targets[vi][0] = (np.arange(dist.shape[1]), dist)
+        targets = []
+        for z in view_features(model, pairs, neigh):
+            targets.append([])
+            for p, _, _ in entries:
+                scores = p.data.T @ z.data[:, novel_idx]
+                dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), novel_idx.size)
+                targets[-1].append((np.arange(dist.shape[1]), dist))
 
         def loss_value():
-            vs = build_views()
-            base_onehot = [one_hot(v.labels[v.base_idx], base_order, 3) for v in vs]
-            logits = [
-                ad.concat_rows([model.base_logits(v.z), model.novel_logits(v.z, 0)])
-                for v in vs
-            ]
-            return _swapped_term(vs, logits, base_onehot, targets, 0, 3, 2, weights, 0.2)
+            zs = view_features(model, pairs, neigh)
+            return _step_loss(
+                model, zs, targets, entries, base_idx, novel_idx, base_onehot, 0.2
+            )[0]
 
         loss = loss_value()
         ad.backward(loss)
@@ -182,7 +265,7 @@ class TestFullLossGradient:
         worst = 0.0
         for name, p in params.items():
             if name.startswith("over"):
-                continue  # over heads unused in this single-head loss
+                continue  # checked against the single-op reference below
             for flat in grad_rng.choice(p.data.size, size=min(3, p.data.size), replace=False):
                 flat = int(flat)
                 orig = p.data.flat[flat]
@@ -205,12 +288,12 @@ class TestFullLossGradient:
         self._check_step_loss_against_single_ops(overcluster=False)
 
     def _check_step_loss_against_single_ops(self, overcluster):
-        # the stacked-head, fused-CE step against each head's logits and
-        # cross entropy built from the public single ops
+        # the stacked-head, fused-CE step over the flat entry list against
+        # each head's logits and cross entropy built from the public single ops
         from segdiscover.augment import AugmentConfig, make_views
         from segdiscover.data import mask_novel
         from segdiscover.model import knn_indices
-        from segdiscover.train import _BatchView, _pseudo_label, _step_loss
+        from segdiscover.train import _pseudo_label
 
         clouds, split = tiny_setup(scenes=3, points=48)
         masked = mask_novel(clouds, split)
@@ -223,30 +306,31 @@ class TestFullLossGradient:
         base_order = sorted(split.base_classes)
         weights = compute_loss_weights(masked, split)
         w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
+        labels, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
 
-        def build_views():
-            return (
-                _BatchView(model, [p.view_a for p in pairs], neigh),
-                _BatchView(model, [p.view_b for p in pairs], neigh),
-            )
-
-        views = build_views()
-        families = [(model.novel_p, w_novel, False), (model.over_p, w_over, True)]
-        if not overcluster:
-            families = families[:1]
+        zs = view_features(model, pairs, neigh)
         targets, over_targets = [{}, {}], [{}, {}]
         no_queue = np.zeros((0, 0))
-        for vi, view in enumerate(views):
-            z_novel = view.z.data[:, view.novel_idx]
+        for vi, z in enumerate(zs):
+            z_novel = z.data[:, novel_idx]
             for h in range(heads):
                 targets[vi][h] = _pseudo_label(
                     model.novel_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
                 over_targets[vi][h] = _pseudo_label(
                     model.over_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
         assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
+        # the flat entry list in summing order: novel_0, over_0, novel_1, ...
+        entries, flat_targets = [], [[], []]
+        for h in range(heads):
+            entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
+            for vi in range(2):
+                flat_targets[vi].append(targets[vi][h])
+            if overcluster:
+                entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+                for vi in range(2):
+                    flat_targets[vi].append(over_targets[vi][h])
         total, head_vals = _step_loss(
-            model, views, [targets, over_targets][:len(families)], families, base_order,
-            temperature,
+            model, zs, flat_targets, entries, base_idx, novel_idx, base_onehot, temperature
         )
         params = model.parameters()
         ad.backward(total)
@@ -254,21 +338,20 @@ class TestFullLossGradient:
         for p in params.values():
             p.zero_grad()
 
-        vs = build_views()
+        zs = view_features(model, pairs, neigh)
         terms, ref_head_vals = [], np.zeros(heads)
         ref_families = [(model.novel_logits, targets, w_novel),
                         (model.over_logits, over_targets, w_over)]
         for h in range(heads):
-            for head_logits, tg, w in ref_families[:len(families)]:
+            for head_logits, tg, w in ref_families[:2 if overcluster else 1]:
                 for vi, other in ((0, 1), (1, 0)):
-                    v = vs[vi]
                     kept, dist = tg[other][h]
-                    cols = np.concatenate([v.base_idx, vs[other].novel_idx[kept]])
+                    cols = np.concatenate([base_idx, novel_idx[kept]])
                     target = np.zeros((3 + dist.shape[0], cols.size))
-                    base_rows = [base_order.index(c) for c in v.labels[v.base_idx]]
-                    target[base_rows, np.arange(v.base_idx.size)] = 1.0
-                    target[3:, v.base_idx.size:] = dist[:, kept]
-                    logits = ad.concat_rows([model.base_logits(v.z), head_logits(v.z, h)])
+                    base_rows = [base_order.index(c) for c in labels[base_idx]]
+                    target[base_rows, np.arange(base_idx.size)] = 1.0
+                    target[3:, base_idx.size:] = dist[:, kept]
+                    logits = ad.concat_rows([model.base_logits(zs[vi]), head_logits(zs[vi], h)])
                     pred = ad.softmax_cols(ad.mul(ad.gather_cols(logits, cols), 1.0 / temperature))
                     terms.append(weighted_ce(pred, target, w))
                     if head_logits == model.novel_logits:
