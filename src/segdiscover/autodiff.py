@@ -8,19 +8,28 @@ treated as immutable once created; an optimizer may mutate parameter
 ``.data`` only between passes, which keeps any recorded tape valid for
 exactly one forward/backward round trip.
 
+A tape is spent by its ``backward``: each non-leaf node drops its
+closure, its parent links and its gradient as soon as it has passed
+its gradient on, so the graph's intermediates are freed during the
+pass and only ``.data`` stays readable. A second ``backward`` through a
+spent node raises a ``ValueError`` that names it. Inference records no
+tape: ops run inside ``no_tape()`` return untracked results.
+
 Supported operations: matmul, transpose, add (with column-vector bias
 broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
 L2 normalization, column-wise softmax, clamped log, sum and mean
 reduction, row/column concatenation, a column gather used to slice
 batches, a neighbour mean that averages each column's k-NN columns
-through an index gather, and a fused softmax cross entropy that
-scores a row/column block of a logit matrix as one tape node.
+through an index gather (the graphs ``model.knn_indices`` builds are
+int32), and a fused softmax cross entropy that scores a row/column
+block of a logit matrix as one tape node.
 Backward closures compute gradients only for operands that reach a
 tracked leaf.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from typing import Mapping, Sequence
@@ -87,12 +96,31 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside ``no_tape``: ops then record nothing
+_recording = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Run ops untracked, for inference: every result is a constant that
+    holds no parents and no closure, so each intermediate is freed as
+    soon as nothing else refers to it."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _tracked(a: Tensor) -> bool:
+    # a spent node (``_parents`` None) still counts, so a backward through
+    # it reaches it and fails
     return a.requires_grad or a._parents != () or a._backward is not None
 
 
 def _result(data, parents, backward):
-    if any(_tracked(p) for p in parents):
+    if _recording and any(_tracked(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
@@ -376,13 +404,13 @@ def softmax_cross_entropy(logits, cols, target, weights, *, scale, floor, rows=N
     s = logits.data[ri][:, ci] * scale
     e = np.exp(s - s.max(axis=0, keepdims=True))
     q = e / e.sum(axis=0, keepdims=True)
-    clamped = np.maximum(q, floor)
     wt = weights[:, None] * target
-    out = np.array([[(wt * np.log(clamped)).sum() * (-1.0 / m)]])
+    out = np.array([[(wt * np.log(np.maximum(q, floor))).sum() * (-1.0 / m)]])
     distinct = _distinct(ri, n_rows) and _distinct(ci, n_cols)
 
+    # the closure keeps q and wt alone; backward recomputes the clamp
     def backward(grad, acc):
-        dq = wt * ((-float(grad[0, 0]) / m) * (q >= floor)) / clamped
+        dq = wt * ((-float(grad[0, 0]) / m) * (q >= floor)) / np.maximum(q, floor)
         ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
         g = np.zeros_like(logits.data)
         # assignment suffices unless a row or column repeats
@@ -396,10 +424,13 @@ def softmax_cross_entropy(logits, cols, target, weights, *, scale, floor, rows=N
 
 
 def backward(output: Tensor):
-    """Accumulate d(output)/d(leaf) into every reachable gradient slot.
+    """Accumulate d(output)/d(leaf) into every reachable gradient slot,
+    spending the tape on the way.
 
     ``output`` must be scalar (a 1x1 tensor). Gradient slots are added
     to, not reset; call ``zero_grad`` on parameters between passes.
+    Each non-leaf node, ``output`` included, keeps its ``.data`` but
+    loses its parent links and closure once it has propagated.
     """
     if output.data.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.data.shape}")
@@ -414,6 +445,10 @@ def backward(output: Tensor):
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ValueError(
+                f"backward through {node.label()}, whose tape an earlier backward spent"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -438,14 +473,18 @@ def backward(output: Tensor):
             grads[key] = grads[key] + g
             owned.add(key)
 
-    for node in reversed(order):
-        g = grads.get(id(node))
+    # reverse topological order; popping lets each node's closure (and
+    # the node, once its consumers are spent) go as soon as it has run
+    while order:
+        node = order.pop()
+        g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.requires_grad:
             node.grad += g
         if node._backward is not None:
             node._backward(g, acc)
+            node._parents, node._backward = None, None
 
 
 def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"]):

@@ -204,29 +204,33 @@ def _train_supervised(model, scenes, neighbours, targets_per_scene, weight_vec, 
     k-NN graph.
     """
     opt = SGD(model.parameters(), cfg.momentum, cfg.weight_decay)
+
+    def sgd_step(ids, lr):
+        """One optimizer step on a batch, skipped when no scene in it has
+        targets; the step's graph lives only in this call."""
+        terms = []
+        for i in ids:
+            if targets_per_scene[i] is None:
+                continue
+            cols, onehot = targets_per_scene[i]
+            view = make_views(scenes[i], rng, aug).view_a
+            z = model.extract_features(view.coords, neighbours[i])
+            terms.append(tempered_ce(logits_fn(model, z), cols, onehot, weight_vec, cfg.temperature))
+        if terms:
+            loss = ad.mul(sum_tensors(terms), 1.0 / len(terms))
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step(lr)
+
     n_batches = (len(scenes) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = epochs * n_batches
     step = 0
     for _epoch in range(epochs):
         order = rng.permutation(len(scenes))
         for b in range(n_batches):
-            ids = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            terms = []
-            for i in ids:
-                if targets_per_scene[i] is None:
-                    continue
-                cols, onehot = targets_per_scene[i]
-                view = make_views(scenes[i], rng, aug).view_a
-                z = model.extract_features(view.coords, neighbours[i])
-                terms.append(tempered_ce(logits_fn(model, z), cols, onehot, weight_vec, cfg.temperature))
-            lr = lr_at(cfg, step, total_steps)
+            sgd_step(order[b * cfg.batch_size:(b + 1) * cfg.batch_size],
+                     lr_at(cfg, step, total_steps))
             step += 1
-            if not terms:
-                continue
-            loss = ad.mul(sum_tensors(terms), 1.0 / len(terms))
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step(lr)
     return model
 
 
@@ -332,7 +336,8 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
         if local.size == 0:
             continue
         # features of the whole scene, so k-NN pooling sees every point
-        z = pretrained.extract_features(cloud.coords, neighbours[i]).data
+        with ad.no_tape():
+            z = pretrained.extract_features(cloud.coords, neighbours[i]).data
         feats.append(z[:, novel_idx[local]].T)
         picks.append((i, novel_idx, local))
     pseudo: dict = {}

@@ -39,8 +39,9 @@ KNN_BLOCK_BYTES = 1 << 21
 
 
 def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
-    """(m, min(k, m-1)) nearest-neighbour indices per point, self excluded,
-    distance ties broken by lower point index.
+    """(m, min(k, m-1)) int32 nearest-neighbour indices per point, self
+    excluded, distance ties broken by lower point index. A scene with
+    more points than int32 can count is refused.
 
     Rows are scored in blocks of at most ``KNN_BLOCK_BYTES`` of
     distances, so memory grows with m while time stays quadratic. Each
@@ -53,12 +54,14 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     enough to change some neighbour sets.
     """
     m = coords.shape[0]
+    if m > np.iinfo(np.int32).max:
+        raise ValueError(f"knn_indices: a scene of {m} points is past the int32 index range")
     if m == 1:
-        return np.zeros((1, 1), dtype=np.intp)
+        return np.zeros((1, 1), dtype=np.int32)
     k = min(k, m - 1)
     axes = np.ascontiguousarray(coords.T, dtype=np.float64)
     step = max(1, KNN_BLOCK_BYTES // (8 * m))
-    out = np.empty((m, k), dtype=np.intp)
+    out = np.empty((m, k), dtype=np.int32)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         d2 = np.square(axes[0, lo:hi, None] - axes[0])
@@ -203,10 +206,11 @@ class SegmentationModel:
         class ids by the evaluation matching.
         """
         head = self.selected_head if head is None else head
-        z = self.extract_features(coords, neighbours)
-        logits = np.concatenate(
-            [self.base_logits(z).data, self.novel_logits(z, head).data], axis=0
-        )
+        with ad.no_tape():
+            z = self.extract_features(coords, neighbours)
+            logits = np.concatenate(
+                [self.base_logits(z).data, self.novel_logits(z, head).data], axis=0
+            )
         return logits.argmax(axis=0)
 
     def state(self) -> dict:
@@ -275,8 +279,8 @@ class CombinedHeadModel(SegmentationModel):
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
                       neighbours: np.ndarray | None = None) -> np.ndarray:
-        z = self.extract_features(coords, neighbours)
-        return self.logits(z).data.argmax(axis=0)
+        with ad.no_tape():
+            return self.logits(self.extract_features(coords, neighbours)).data.argmax(axis=0)
 
     def state(self) -> dict:
         return {name: p.data for name, p in self.parameters().items()}

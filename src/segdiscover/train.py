@@ -113,10 +113,15 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     dc = cfg.discovery
 
     # one neighbour graph per un-augmented scene, computed once; both views
-    # pool over it by design (jitter would change some neighbour sets)
+    # pool over it by design (jitter would change some neighbour sets).
+    # Scoring the training scenes reuses their graphs unless masking
+    # dropped ignore-labelled points.
     k = cfg.model.knn
     scene_neigh = [knn_indices(c.coords, k) for c in masked]
-    eval_neigh = [knn_indices(c.coords, k) for c in eval_set]
+    if eval_set is clouds and [c.n_points for c in masked] == [c.n_points for c in clouds]:
+        eval_neigh = scene_neigh
+    else:
+        eval_neigh = [knn_indices(c.coords, k) for c in eval_set]
 
     rng = np.random.default_rng(tc.seed)
     model = SegmentationModel(cfg.model, n_base, n_novel, rng)
@@ -141,6 +146,64 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     opt = SGD(model.parameters(), tc.momentum, tc.weight_decay)
     sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
 
+    def sgd_step(scene_ids, lr, last_lr):
+        """One optimizer step on a batch at rate ``lr``; returns its loss
+        and each novel head's swapped term. The step's graph lives only
+        in this call, so none of it outlives the step."""
+        pairs = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
+        # both views of a scene share its neighbour graph
+        neigh = [scene_neigh[i] for i in scene_ids]
+        zs = [_features(model, [p.view_a for p in pairs], neigh),
+              _features(model, [p.view_b for p in pairs], neigh)]
+        if not all(np.isfinite(z.data).all() for z in zs):
+            raise ValueError(f"features went non-finite after the SGD step at lr {last_lr:g}")
+        # views keep point order and labels, so one layout serves both
+        labels = np.concatenate([masked[i].labels for i in scene_ids])
+        base_idx = np.flatnonzero(labels != UNLABELLED)
+        novel_idx = np.flatnonzero(labels == UNLABELLED)
+        assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
+        base_onehot = one_hot(labels[base_idx], base_order, n_base)
+
+        # pseudo-labels per view and entry; queue is sampled before the
+        # current batch is inserted, so it only carries past iterations
+        targets = [no_targets, no_targets]
+        for vi, z in enumerate(zs):
+            if novel_idx.size == 0:
+                break
+            z_novel = z.data[:, novel_idx]
+            qcols = (
+                queue.sample(cfg.queue.sample_per_class, rng)
+                if dc.use_queue
+                else np.zeros((0, 0))
+            )
+            targets[vi] = [
+                _pseudo_label(p.data, z_novel, qcols, eps, cfg.sinkhorn.iters,
+                              dc.percentile, dc.tau_train)
+                for p, _, _ in entries
+            ]
+            if dc.use_queue:
+                # novel head-0 inserts are filtered when phi_queue is on;
+                # with tau_train on too, the training filter chose them
+                kept0, head0 = targets[vi][0]
+                if not dc.phi_queue:
+                    cand = np.arange(head0.shape[1])
+                elif dc.tau_train:
+                    cand = kept0
+                else:
+                    cand = select_phi(head0, dc.percentile).kept_indices
+                queue.insert(
+                    z_novel[:, cand], head0[:, cand].argmax(axis=0),
+                    cfg.queue.insert_fraction, rng,
+                )
+
+        total, head_vals = _step_loss(
+            model, zs, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
+        )
+        opt.zero_grad()
+        ad.backward(total)
+        opt.step(lr)
+        return float(total.data[0, 0]), head_vals
+
     n_batches = (len(masked) + tc.batch_size - 1) // tc.batch_size
     total_steps = tc.epochs * n_batches
     step = 0
@@ -155,62 +218,11 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
 
         for b in range(n_batches):
             scene_ids = order[b * tc.batch_size:(b + 1) * tc.batch_size]
-            pairs = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
-            # both views of a scene share its neighbour graph
-            neigh = [scene_neigh[i] for i in scene_ids]
-            zs = [_features(model, [p.view_a for p in pairs], neigh),
-                  _features(model, [p.view_b for p in pairs], neigh)]
-            if not all(np.isfinite(z.data).all() for z in zs):
-                raise ValueError(f"features went non-finite after the SGD step at lr {lr:g}")
-            # views keep point order and labels, so one layout serves both
-            labels = np.concatenate([masked[i].labels for i in scene_ids])
-            base_idx = np.flatnonzero(labels != UNLABELLED)
-            novel_idx = np.flatnonzero(labels == UNLABELLED)
-            assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
-            base_onehot = one_hot(labels[base_idx], base_order, n_base)
-
-            # pseudo-labels per view and entry; queue is sampled before the
-            # current batch is inserted, so it only carries past iterations
-            targets = [no_targets, no_targets]
-            for vi, z in enumerate(zs):
-                if novel_idx.size == 0:
-                    break
-                z_novel = z.data[:, novel_idx]
-                qcols = (
-                    queue.sample(cfg.queue.sample_per_class, rng)
-                    if dc.use_queue
-                    else np.zeros((0, 0))
-                )
-                targets[vi] = [
-                    _pseudo_label(p.data, z_novel, qcols, eps, cfg.sinkhorn.iters,
-                                  dc.percentile, dc.tau_train)
-                    for p, _, _ in entries
-                ]
-                if dc.use_queue:
-                    # novel head-0 inserts are filtered when phi_queue is on;
-                    # with tau_train on too, the training filter chose them
-                    kept0, head0 = targets[vi][0]
-                    if not dc.phi_queue:
-                        cand = np.arange(head0.shape[1])
-                    elif dc.tau_train:
-                        cand = kept0
-                    else:
-                        cand = select_phi(head0, dc.percentile).kept_indices
-                    queue.insert(
-                        z_novel[:, cand], head0[:, cand].argmax(axis=0),
-                        cfg.queue.insert_fraction, rng,
-                    )
-
-            total, batch_head_vals = _step_loss(
-                model, zs, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
-            )
-            lr = lr_at(tc, step, total_steps)
-            opt.zero_grad()
-            ad.backward(total)
-            opt.step(lr)
+            last_lr, lr = lr, lr_at(tc, step, total_steps)
+            loss, head_vals = sgd_step(scene_ids, lr, last_lr)
             step += 1
-            epoch_loss += float(total.data[0, 0])
-            head_sums += batch_head_vals
+            epoch_loss += loss
+            head_sums += head_vals
 
         # every batch holds at least one scene, so each one took a step
         head_losses = head_sums / n_batches

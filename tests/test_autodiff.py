@@ -109,6 +109,45 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, [[4.0]])
 
 
+class TestOneTape:
+    def test_backward_spends_every_intermediate_and_keeps_values_and_grads(self):
+        rng = np.random.default_rng(4)
+        w = ad.parameter(rng.normal(size=(3, 2)), "w")
+        x = rng.normal(size=(2, 5))
+        pre = ad.matmul(w, ad.constant(x))
+        hidden = ad.relu(pre)
+        loss = ad.sum_all(ad.mul(hidden, hidden))
+        value = loss.data.copy()
+        ad.backward(loss)
+        for node in (pre, hidden, loss):
+            assert not node._parents and node._backward is None
+        np.testing.assert_array_equal(loss.data, value)
+        h = np.maximum(w.data @ x, 0.0)
+        np.testing.assert_allclose(w.grad, (2.0 * h) @ x.T, rtol=1e-14)
+        assert w._parents == () and w.requires_grad
+
+    def test_a_second_backward_through_a_spent_node_names_it(self):
+        w = ad.parameter(np.ones((2, 2)), "w")
+        hidden = ad.matmul(w, ad.constant(np.ones((2, 1))))
+        hidden.name = "enc.hidden"
+        ad.backward(ad.sum_all(hidden))
+        grad = w.grad.copy()
+        with pytest.raises(ValueError, match=r"enc\.hidden"):
+            ad.backward(ad.sum_all(ad.mul(hidden, 2.0)))
+        np.testing.assert_array_equal(w.grad, grad)  # nothing was accumulated
+
+    def test_no_tape_records_nothing_and_recording_resumes(self):
+        w = ad.parameter(np.eye(2), "w")
+        x = ad.constant(np.ones((2, 3)))
+        with ad.no_tape():
+            y = ad.relu(ad.matmul(w, x))
+        np.testing.assert_array_equal(y.data, np.ones((2, 3)))
+        assert y._parents == () and y._backward is None
+        with pytest.raises(RuntimeError), ad.no_tape():
+            raise RuntimeError
+        assert ad.matmul(w, x)._backward is not None
+
+
 def _random_three_layer(rng):
     params = {
         "w1": ad.parameter(rng.normal(size=(6, 4)) * 0.7, "w1"),

@@ -449,6 +449,39 @@ class TestPipeline:
         run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
         assert calls == [c.n_points for c in clouds]
 
+    def test_no_loss_node_of_a_step_outlives_it(self, monkeypatch):
+        import weakref
+
+        import segdiscover.baseline as bl
+        from segdiscover.losses import SGD
+
+        ce, views, sgd_step = bl.tempered_ce, bl.make_views, SGD.step
+        current, done, alive = [], [], []
+
+        def tracked_ce(*args, **kwargs):
+            out = ce(*args, **kwargs)
+            # Tensor has no weakref slot; its .data dies with it
+            current.append(weakref.ref(out.data))
+            return out
+
+        def stepped(opt, lr):
+            sgd_step(opt, lr)
+            done.extend(current)
+            current.clear()
+
+        def checked_views(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in done))
+            return views(*args, **kwargs)
+
+        monkeypatch.setattr(bl, "tempered_ce", tracked_ce)
+        monkeypatch.setattr(bl, "make_views", checked_views)
+        monkeypatch.setattr(SGD, "step", stepped)
+        clouds, split = tiny_setup()
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        # 3 steps of 2 scenes per epoch, 2 epochs per stage, 2 stages
+        assert len(done) == 24 and len(alive) == 24
+        assert alive == [0] * len(alive)
+
     def test_pipeline_permutation_oracle(self, tmp_path):
         clouds, split = tiny_setup(scenes=4, points=32)
         rng = np.random.default_rng(8)

@@ -353,6 +353,7 @@ class TestKnnIndices:
             mp.setattr(model_module, "KNN_BLOCK_BYTES", 8 * m * rows)
             blocked = knn_indices(coords, k)
         assert whole.shape == (m, max(1, min(k, m - 1)))
+        assert whole.dtype == np.int32
         assert blocked.dtype == whole.dtype
         np.testing.assert_array_equal(blocked, whole)
         np.testing.assert_array_equal(whole, _knn_reference(coords, k))
@@ -369,6 +370,57 @@ class TestKnnIndices:
             tracemalloc.stop()
         # one dense 4,096 x 4,096 distance matrix alone is 134 MB
         assert peak < 64e6
+
+    def test_a_scene_past_the_int32_index_range_is_refused(self):
+        # a broadcast view: 2**31 points that allocate nothing
+        coords = np.broadcast_to(np.zeros(3), (2**31, 3))
+        with pytest.raises(ValueError, match="2147483648 points"):
+            knn_indices(coords, 16)
+
+
+class TestLeanInference:
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_predict_slots_records_no_tape_and_matches_a_tracked_forward(
+        self, combined, monkeypatch
+    ):
+        rng = np.random.default_rng(13)
+        model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 3, 2, rng)
+        model.selected_head = 2
+        coords = rng.normal(size=(200, 3))
+        nb = knn_indices(coords, 16)
+        z = model.extract_features(coords, nb)
+        if combined:
+            logits = model.logits(z)
+        else:
+            logits = ad.concat_rows([model.base_logits(z), model.novel_logits(z, 2)])
+        assert logits._backward is not None
+        init, taped = ad.Tensor.__init__, []
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self._backward is not None:
+                taped.append(self)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", spy)
+        slots = model.predict_slots(coords, neighbours=nb)
+        assert taped == []
+        np.testing.assert_array_equal(slots, logits.data.argmax(axis=0))
+
+    def test_predict_slots_memory_stays_near_the_features(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(14)
+        model = SegmentationModel(ModelConfig(), 3, 2, rng)
+        coords = rng.normal(size=(4096, 3))
+        nb = knn_indices(coords, 16)
+        tracemalloc.start()
+        try:
+            model.predict_slots(coords, neighbours=nb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a recorded tape holds every layer's output at once: ~23 MB here
+        assert peak < 16e6
 
 
 class TestExtractFeaturesGradient:

@@ -376,6 +376,55 @@ class TestFullLossGradient:
         assert result.metrics[0]["loss"] >= 0.0
 
 
+class TestOneTapePerStep:
+    def test_no_loss_node_of_a_step_outlives_it(self, monkeypatch):
+        import weakref
+
+        import segdiscover.train as train_mod
+
+        ce, features = train_mod.tempered_ce, train_mod._features
+        made, alive = [], []
+
+        def tracked_ce(*args, **kwargs):
+            out = ce(*args, **kwargs)
+            # Tensor has no weakref slot; its .data dies with it
+            made.append(weakref.ref(out.data))
+            return out
+
+        def checked_features(*args, **kwargs):
+            # no CE node of this step exists yet: every one made is old
+            alive.append(sum(ref() is not None for ref in made))
+            return features(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "tempered_ce", tracked_ce)
+        monkeypatch.setattr(train_mod, "_features", checked_features)
+        clouds, split = tiny_setup(scenes=7)  # 4 steps per epoch
+        train(clouds, split, tiny_exp(epochs=2))
+        assert len(made) == 8 * 8 and len(alive) == 2 * 8
+        assert alive == [0] * len(alive)
+
+    def test_scoring_the_training_scenes_reuses_their_graphs(self, monkeypatch):
+        import segdiscover.train as train_mod
+
+        real, calls = train_mod.knn_indices, []
+
+        def counted(coords, k):
+            calls.append(len(coords))
+            return real(coords, k)
+
+        monkeypatch.setattr(train_mod, "knn_indices", counted)
+        clouds, split = tiny_setup(scenes=7)
+        train(clouds, split, tiny_exp(epochs=1))
+        assert calls == [c.n_points for c in clouds]
+
+        # dropping ignore-labelled points changes the training graphs only
+        calls.clear()
+        ignored = [LabelledCloud(clouds[0].coords, np.where(np.arange(48) < 5, 9, clouds[0].labels),
+                                 clouds[0].scene_id)] + clouds[1:]
+        train(ignored, split, tiny_exp(epochs=1), ignore_label=9)
+        assert calls == [43] + [48] * 6 + [48] * 7
+
+
 class TestScheduleWiring:
     def test_eps_column_follows_schedule(self):
         clouds, split = tiny_setup()
