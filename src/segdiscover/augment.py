@@ -1,10 +1,11 @@
 """Paired random views for the swapped prediction task.
 
-Both views of a cloud keep point order, so point i in view A is point i
-in view B and pseudo-labels can be swapped across views directly. The
-augmentation family is rotation about the vertical axis, a global
-isotropic scale, and per-point Gaussian jitter; anything that drops or
-reorders points would break the correspondence.
+A view is a cloud's coordinates, augmented. Both views of a cloud keep
+point order, so point i in view A is point i in view B, and both share
+the cloud's labels and neighbour graph; pseudo-labels can be swapped
+across views directly. The augmentation family is rotation about the
+vertical axis, a global isotropic scale, and per-point Gaussian jitter;
+anything that drops or reorders points would break the correspondence.
 """
 
 from __future__ import annotations
@@ -28,24 +29,19 @@ class AugmentConfig:
             raise ValueError("scale_lo must not exceed scale_hi")
 
 
-@dataclass(frozen=True)
-class ViewPair:
-    view_a: LabelledCloud
-    view_b: LabelledCloud
-
-
-def _augment_once(cloud: LabelledCloud, cfg: AugmentConfig, rng: np.random.Generator) -> LabelledCloud:
+def _augment_once(coords: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
     theta = rng.uniform(0.0, 2.0 * np.pi) if cfg.rotate else 0.0
     scale = rng.uniform(cfg.scale_lo, cfg.scale_hi)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    coords = scale * (cloud.coords @ rot.T)
+    coords = scale * (coords @ rot.T)
     if cfg.jitter_sigma > 0.0:
         coords = coords + rng.normal(0.0, cfg.jitter_sigma, coords.shape)
-    return LabelledCloud(coords, cloud.labels.copy(), scene_id=cloud.scene_id)
+    return coords
 
 
-def make_views(cloud: LabelledCloud, rng: np.random.Generator, cfg: AugmentConfig | None = None) -> ViewPair:
-    """Two independently augmented views with identical labels."""
+def make_views(cloud: LabelledCloud, rng: np.random.Generator,
+               cfg: AugmentConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Two independently augmented (n, 3) coordinate arrays of ``cloud``."""
     cfg = cfg or AugmentConfig()
-    return ViewPair(_augment_once(cloud, cfg, rng), _augment_once(cloud, cfg, rng))
+    return _augment_once(cloud.coords, cfg, rng), _augment_once(cloud.coords, cfg, rng)

@@ -10,6 +10,7 @@ at the same boundary the online trainer uses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
-from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, one_hot, sum_tensors, tempered_ce
+from .losses import TrainConfig, compute_loss_weights, fit, one_hot, sum_tensors, tempered_ce
 from .model import KNN_BLOCK_BYTES, CombinedHeadModel, ModelConfig, SegmentationModel, knn_indices
 
 
@@ -195,137 +196,98 @@ def _scene_neighbours(scenes, model_cfg: ModelConfig, neighbours=None):
     return neighbours
 
 
-def _train_supervised(model, scenes, neighbours, targets_per_scene, weight_vec, cfg: TrainConfig,
-                      aug: AugmentConfig, rng, logits_fn, epochs):
-    """Plain supervised loop shared by pretraining and fine-tuning.
+def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots, neighbours,
+             temperature, aug: AugmentConfig | None, rng):
+    """The batch loss pretraining and fine-tuning step on: the mean
+    tempered CE of the batch's scenes that have targets, each on one
+    augmented view; None when no scene in the batch has any.
 
-    ``targets_per_scene[i]`` is (col indices, one-hot matrix) or None for
-    scenes with nothing to supervise; ``neighbours[i]`` is the scene's
-    k-NN graph.
+    Targets are base ground truth, plus ``pseudo[scene_id]`` = (point
+    indices, slots) in the rows after the base ones; ``logits_fn`` scores
+    the base classes and ``n_novel_slots`` more.
     """
-    opt = SGD(model.parameters(), cfg.momentum, cfg.weight_decay)
+    base_order = sorted(split.base_classes)
+    n_base = len(base_order)
+    width = n_base + n_novel_slots
+    w_vec = compute_loss_weights(scenes, split).vector(base_order, n_novel_slots)
+    neighbours = _scene_neighbours(scenes, model.cfg, neighbours)
+    no_pseudo = (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
+    targets = []
+    for cloud in scenes:
+        base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
+        idx, slots = pseudo.get(cloud.scene_id, no_pseudo)
+        novel = np.zeros((width, idx.size))
+        novel[n_base + slots, np.arange(idx.size)] = 1.0
+        cols = np.concatenate([base_idx, idx])
+        onehot = np.concatenate([one_hot(cloud.labels[base_idx], base_order, width), novel], axis=1)
+        targets.append((cols, onehot) if cols.size else None)
 
-    def sgd_step(ids, lr):
-        """One optimizer step on a batch, skipped when no scene in it has
-        targets; the step's graph lives only in this call."""
+    def batch_loss(ids, _last_lr):
         terms = []
         for i in ids:
-            if targets_per_scene[i] is None:
+            if targets[i] is None:
                 continue
-            cols, onehot = targets_per_scene[i]
-            view = make_views(scenes[i], rng, aug).view_a
-            z = model.extract_features(view.coords, neighbours[i])
-            terms.append(tempered_ce(logits_fn(model, z), cols, onehot, weight_vec, cfg.temperature))
-        if terms:
-            loss = ad.mul(sum_tensors(terms), 1.0 / len(terms))
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step(lr)
+            cols, onehot = targets[i]
+            coords = make_views(scenes[i], rng, aug)[0]
+            z = model.extract_features(coords, neighbours[i])
+            terms.append(tempered_ce(logits_fn(z), cols, onehot, w_vec, temperature))
+        return ad.mul(sum_tensors(terms), 1.0 / len(terms)) if terms else None
 
-    n_batches = (len(scenes) + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = epochs * n_batches
-    step = 0
-    for _epoch in range(epochs):
-        order = rng.permutation(len(scenes))
-        for b in range(n_batches):
-            sgd_step(order[b * cfg.batch_size:(b + 1) * cfg.batch_size],
-                     lr_at(cfg, step, total_steps))
-            step += 1
-    return model
+    return batch_loss
 
 
-def pretrain_base(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
+def pretrain_base(scenes, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
                   baseline_cfg: BaselineConfig, aug: AugmentConfig | None = None,
-                  ignore_label: int | None = None, neighbours=None) -> SegmentationModel:
+                  neighbours=None) -> SegmentationModel:
     """Supervised training of extractor plus base head on base points only.
 
-    ``neighbours`` may carry each masked scene's k-NN indices.
+    ``scenes`` are masked (``mask_novel`` output); ``neighbours`` may
+    carry each scene's k-NN indices.
     """
-    masked = mask_novel(clouds, split, ignore_id=ignore_label)
-    base_order = sorted(split.base_classes)
     rng = np.random.default_rng(train_cfg.seed)
-    model = SegmentationModel(model_cfg, len(base_order), split.n_novel, rng)
-    weights = compute_loss_weights(masked, split)
-    w_vec = weights.vector(base_order, 0)
-
-    targets = []
-    for cloud in masked:
-        base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
-        if base_idx.size == 0:
-            targets.append(None)
-            continue
-        onehot = one_hot(cloud.labels[base_idx], base_order, len(base_order))
-        targets.append((base_idx, onehot))
-
-    _train_supervised(
-        model, masked, _scene_neighbours(masked, model_cfg, neighbours), targets, w_vec,
-        train_cfg, aug or AugmentConfig(), rng,
-        lambda m, z: m.base_logits(z), baseline_cfg.pretrain_epochs,
-    )
+    model = SegmentationModel(model_cfg, len(split.base_classes), split.n_novel, rng)
+    batch_loss = _ce_loss(model, model.base_logits, scenes, split, {}, 0, neighbours,
+                          train_cfg.temperature, aug, rng)
+    fit(model, len(scenes), train_cfg, baseline_cfg.pretrain_epochs, rng, batch_loss)
     return model
 
 
-def finetune(pretrained: SegmentationModel, clouds, pseudo, split: SplitSpec,
+def finetune(pretrained: SegmentationModel, scenes, pseudo, split: SplitSpec,
              model_cfg: ModelConfig, train_cfg: TrainConfig, baseline_cfg: BaselineConfig,
-             aug: AugmentConfig | None = None, ignore_label: int | None = None,
-             neighbours=None) -> CombinedHeadModel:
+             aug: AugmentConfig | None = None, neighbours=None) -> CombinedHeadModel:
     """Joint training on base ground truth and hard novel pseudo-labels.
 
-    ``pseudo[scene_id]`` holds (point indices, cluster slots in
-    0..n_novel-1) produced by the clustering stage; ``neighbours`` may
-    carry each masked scene's k-NN indices.
+    ``scenes`` are masked (``mask_novel`` output). ``pseudo[scene_id]``
+    holds (point indices, cluster slots in 0..n_novel-1) produced by the
+    clustering stage; ``neighbours`` may carry each scene's k-NN indices.
     """
-    masked = mask_novel(clouds, split, ignore_id=ignore_label)
-    base_order = sorted(split.base_classes)
-    n_base, n_novel = len(base_order), split.n_novel
+    n_base, n_novel = len(split.base_classes), split.n_novel
     rng = np.random.default_rng(train_cfg.seed + 1)
     model = CombinedHeadModel(model_cfg, n_base, n_novel, rng)
     model.load_state(pretrained.state(), strict=False)
     model.head_w.data[:n_base] = pretrained.base_w.data
     model.head_b.data[:n_base] = pretrained.base_b.data
-
-    weights = compute_loss_weights(masked, split)
-    w_vec = weights.vector(base_order, n_novel)
-    width = n_base + n_novel
-
-    targets = []
-    for cloud in masked:
-        base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
-        cols = [base_idx]
-        blocks = []
-        if base_idx.size:
-            blocks.append(one_hot(cloud.labels[base_idx], base_order, width))
-        idx, slots = pseudo.get(
-            cloud.scene_id, (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
-        )
-        if idx.size:
-            onehot = np.zeros((width, idx.size))
-            onehot[n_base + slots, np.arange(idx.size)] = 1.0
-            cols.append(idx)
-            blocks.append(onehot)
-        if not blocks:
-            targets.append(None)
-            continue
-        targets.append((np.concatenate(cols), np.concatenate(blocks, axis=1)))
-
-    _train_supervised(
-        model, masked, _scene_neighbours(masked, model_cfg, neighbours), targets, w_vec,
-        train_cfg, aug or AugmentConfig(), rng,
-        lambda m, z: m.logits(z), baseline_cfg.finetune_epochs,
-    )
+    batch_loss = _ce_loss(model, model.logits, scenes, split, pseudo, n_novel, neighbours,
+                          train_cfg.temperature, aug, rng)
+    fit(model, len(scenes), train_cfg, baseline_cfg.finetune_epochs, rng, batch_loss)
     return model
 
 
 def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
                  baseline_cfg: BaselineConfig, aug: AugmentConfig | None = None,
                  ignore_label: int | None = None):
-    """Full offline pipeline; returns (model, per-scene pseudo-labels)."""
+    """Full offline pipeline; returns (model, per-scene pseudo-labels).
+
+    Pseudo-labels are keyed by scene id, so the ids must be distinct.
+    """
+    shared = sorted(s for s, n in Counter(c.scene_id for c in clouds).items() if n > 1)
+    if shared:
+        raise ValueError(f"scene ids {shared} each name more than one scene; "
+                         "pseudo-labels are keyed by scene id")
     masked = mask_novel(clouds, split, ignore_id=ignore_label)
     # one k-NN graph per scene serves pretraining, clustering and fine-tuning
     neighbours = _scene_neighbours(masked, model_cfg)
-    pretrained = pretrain_base(
-        clouds, split, model_cfg, train_cfg, baseline_cfg, aug, ignore_label, neighbours
-    )
+    pretrained = pretrain_base(masked, split, model_cfg, train_cfg, baseline_cfg, aug, neighbours)
 
     rng = np.random.default_rng(train_cfg.seed + 2)
     # per scene: (scene index, its novel points, subsample positions among them)
@@ -362,14 +324,15 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
             pseudo[masked[i].scene_id] = (novel_idx[ext_local], ext_lab)
 
     model = finetune(
-        pretrained, clouds, pseudo, split, model_cfg, train_cfg, baseline_cfg,
-        aug, ignore_label, neighbours,
+        pretrained, masked, pseudo, split, model_cfg, train_cfg, baseline_cfg, aug, neighbours
     )
     return model, pseudo
 
 
 def write_pseudo_labels(path, pseudo: dict):
-    """Binary dump: per scene a file of little-endian u32 (index, class) pairs."""
+    """Binary dump: per scene a file of little-endian u32 (point index, slot)
+    pairs. Slots are k-means clusters 0..n_novel-1, not class ids; they are
+    matched to classes only at evaluation."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     for scene_id, (idx, slots) in sorted(pseudo.items()):

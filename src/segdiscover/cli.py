@@ -191,7 +191,8 @@ def cmd_ablate(args) -> int:
         for name, flags in ABLATION_GRID.items():
             pretrain = flags[0]
             if pretrain and pretrained_state is None:
-                pre = pretrain_base(train_clouds, split, exp.model, exp.train, bl, exp.augment)
+                masked = datamod.mask_novel(train_clouds, split)
+                pre = pretrain_base(masked, split, exp.model, exp.train, bl, exp.augment)
                 pretrained_state = pre.state()
             run_cfg = replace(exp, discovery=_grid_discovery(exp.discovery, flags))
             grid[name] = scores(run_cfg, pretrained_state if pretrain else None)

@@ -1,4 +1,5 @@
-"""Weighted cross entropy, one-hot targets, LR schedule and optimizer.
+"""Weighted cross entropy, one-hot targets, LR schedule, optimizer and
+the epoch-and-batch driver both training methods step through.
 
 Base-class loss weights are inverse relative frequencies normalized to
 mean one; novel classes all share weight one because their frequency is
@@ -136,7 +137,11 @@ def sum_tensors(terms) -> "ad.Tensor":
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     """Linear warm-up to lr_max, then cosine annealing to lr_min.
 
-    The last step of training (total_steps - 1) lands exactly on lr_min.
+    The warm-up takes ``round(warmup_fraction * total_steps)`` steps. When
+    that is at most ``total_steps - 2``, the last step of training
+    (``total_steps - 1``) lands exactly on lr_min. Otherwise the last step
+    is still warming up, or is the first step after the warm-up, at
+    lr_max; a one-step run at the default settings takes its step at lr_max.
     """
     if not (0 <= step <= total_steps):
         raise ValueError(f"step {step} outside [0, {total_steps}]")
@@ -170,3 +175,33 @@ class SGD:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
+
+
+def fit(model, n_scenes: int, cfg: TrainConfig, epochs: int, rng: np.random.Generator,
+        batch_loss, end_epoch=None):
+    """Train ``model`` for ``epochs`` shuffled passes over ``n_scenes`` scenes.
+
+    Each epoch draws one permutation of the scene indices from ``rng`` and
+    cuts it into batches of ``cfg.batch_size``; the batches of all epochs
+    follow one ``lr_at`` schedule. ``batch_loss(scene_ids, last_lr)``
+    builds the batch's scalar loss, ``last_lr`` being the previous batch's
+    rate (0 before the first); the driver backpropagates it and takes one
+    SGD step. A None loss takes no step, but its batch still uses up its
+    rate. ``end_epoch(epoch, lr)``, when given, runs after each epoch's
+    last batch, ``lr`` being that batch's rate.
+    """
+    opt = SGD(model.parameters(), cfg.momentum, cfg.weight_decay)
+    n_batches = -(-n_scenes // cfg.batch_size)
+    total_steps = epochs * n_batches
+    lr = 0.0
+    for epoch in range(epochs):
+        order = rng.permutation(n_scenes)
+        for b in range(n_batches):
+            last_lr, lr = lr, lr_at(cfg, epoch * n_batches + b, total_steps)
+            loss = batch_loss(order[b * cfg.batch_size:(b + 1) * cfg.batch_size], last_lr)
+            if loss is not None:
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step(lr)
+        if end_epoch is not None:
+            end_epoch(epoch, lr)

@@ -1,4 +1,4 @@
-"""Online discovery training: the epoch loop over the full pipeline.
+"""Online discovery training: the batch objective ``losses.fit`` steps on.
 
 Per batch and view: extract features, score novel points against each
 head's prototypes (queue columns appended), solve the transport problem
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
-from .losses import SGD, TrainConfig, compute_loss_weights, lr_at, one_hot, sum_tensors, tempered_ce
+from .losses import TrainConfig, compute_loss_weights, fit, one_hot, sum_tensors, tempered_ce
 from .model import ModelConfig, SegmentationModel, knn_indices
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
@@ -70,10 +70,10 @@ class TrainResult:
         return "\n".join([METRICS_HEADER, *rows]) + "\n"
 
 
-def _features(model, clouds, neighbours):
-    """One view's (D, n) features, the clouds side by side; each cloud
-    pools over its entry of ``neighbours``."""
-    feats = [model.extract_features(c.coords, nb) for c, nb in zip(clouds, neighbours)]
+def _features(model, views, neighbours):
+    """One view's (D, n) features, the scenes' coordinate arrays side by
+    side; each scene pools over its entry of ``neighbours``."""
+    feats = [model.extract_features(coords, nb) for coords, nb in zip(views, neighbours)]
     return ad.concat_cols(feats) if len(feats) > 1 else feats[0]
 
 
@@ -143,21 +143,21 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     # a batch without novel points trains every entry on base labels alone
     no_targets = [(np.arange(0), np.zeros((p.shape[1], 0))) for p, _, _ in entries]
     queue = FeatureQueue(tuple(range(n_novel)), cfg.queue.capacity, balanced=dc.phi_queue)
-    opt = SGD(model.parameters(), tc.momentum, tc.weight_decay)
     sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
+    metrics = []
+    batches = []  # per batch of this epoch: its loss, then each novel head's term
+    head_losses = None
 
-    def sgd_step(scene_ids, lr, last_lr):
-        """One optimizer step on a batch at rate ``lr``; returns its loss
-        and each novel head's swapped term. The step's graph lives only
-        in this call, so none of it outlives the step."""
-        pairs = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
+    def batch_loss(scene_ids, last_lr):
+        """One batch's swapped objective; the driver steps on it."""
+        eps = epsilon_at(sched, len(metrics))  # one row per finished epoch
+        views = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
         # both views of a scene share its neighbour graph
         neigh = [scene_neigh[i] for i in scene_ids]
-        zs = [_features(model, [p.view_a for p in pairs], neigh),
-              _features(model, [p.view_b for p in pairs], neigh)]
+        zs = [_features(model, coords, neigh) for coords in zip(*views)]
         if not all(np.isfinite(z.data).all() for z in zs):
             raise ValueError(f"features went non-finite after the SGD step at lr {last_lr:g}")
-        # views keep point order and labels, so one layout serves both
+        # views keep point order, so one label layout serves both
         labels = np.concatenate([masked[i].labels for i in scene_ids])
         base_idx = np.flatnonzero(labels != UNLABELLED)
         novel_idx = np.flatnonzero(labels == UNLABELLED)
@@ -199,42 +199,24 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         total, head_vals = _step_loss(
             model, zs, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
         )
-        opt.zero_grad()
-        ad.backward(total)
-        opt.step(lr)
-        return float(total.data[0, 0]), head_vals
+        batches.append(np.concatenate([total.data[0], head_vals]))
+        return total
 
-    n_batches = (len(masked) + tc.batch_size - 1) // tc.batch_size
-    total_steps = tc.epochs * n_batches
-    step = 0
-    lr = 0.0
-    metrics = []
-
-    for epoch in range(tc.epochs):
-        eps = epsilon_at(sched, epoch)
-        order = rng.permutation(len(masked))
-        epoch_loss = 0.0
-        head_sums = np.zeros(heads)
-
-        for b in range(n_batches):
-            scene_ids = order[b * tc.batch_size:(b + 1) * tc.batch_size]
-            last_lr, lr = lr, lr_at(tc, step, total_steps)
-            loss, head_vals = sgd_step(scene_ids, lr, last_lr)
-            step += 1
-            epoch_loss += loss
-            head_sums += head_vals
-
-        # every batch holds at least one scene, so each one took a step
-        head_losses = head_sums / n_batches
+    def end_epoch(epoch, lr):
+        nonlocal head_losses
+        # every batch holds at least one scene, so each one returned a loss
+        means = sum(batches, np.zeros(1 + heads)) / len(batches)
+        batches.clear()
+        head_losses = means[1:]
         model.selected_head = int(np.argmin(head_losses))
         report = evaluate(
             model, eval_set, split, ignore_label=ignore_label, neighbours=eval_neigh
         )
         row = {
             "epoch": epoch,
-            "loss": epoch_loss / n_batches,
+            "loss": float(means[0]),
             "lr": lr,
-            "eps": eps,
+            "eps": epsilon_at(sched, epoch),
             "novel_mIoU": report.novel_miou,
             "base_mIoU": report.base_miou,
             "all_mIoU": report.all_miou,
@@ -247,6 +229,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                 file=log,
             )
 
+    fit(model, len(masked), tc, tc.epochs, rng, batch_loss, end_epoch)
     return TrainResult(model, metrics, model.selected_head, head_losses)
 
 

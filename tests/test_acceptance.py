@@ -146,8 +146,7 @@ def test_criterion_03_full_loss_gradient():
     onehot = one_hot(labels[base_idx], base_order, 3)
 
     def build():
-        return [_features(model, [p.view_a for p in pairs], neigh),
-                _features(model, [p.view_b for p in pairs], neigh)]
+        return [_features(model, views, neigh) for views in zip(*pairs)]
 
     targets = []
     for z in build():

@@ -22,7 +22,7 @@ from segdiscover.baseline import (
     subsample_psi,
     write_pseudo_labels,
 )
-from segdiscover.data import LabelledCloud, generate_synthetic, toy_discovery_config
+from segdiscover.data import LabelledCloud, generate_synthetic, mask_novel, toy_discovery_config
 from segdiscover.evaluate import evaluate
 from segdiscover.losses import TrainConfig
 from segdiscover.model import ModelConfig
@@ -288,7 +288,7 @@ class TestPretrain:
         clouds, split = tiny_setup(scenes=12, points=64)
         model_cfg = ModelConfig(feature_dim=16, hidden=32, knn=8, heads=2, overcluster_factor=2)
         model = pretrain_base(
-            clouds, split, model_cfg,
+            mask_novel(clouds, split), split, model_cfg,
             TrainConfig(epochs=6, batch_size=2, seed=0),
             BaselineConfig(pretrain_epochs=6, finetune_epochs=1),
         )
@@ -310,11 +310,25 @@ class TestPretrain:
             novel = np.flatnonzero(np.isin(labels, [3, 4]))
             labels[novel] = rng.permutation(labels[novel])
             shuffled.append(LabelledCloud(c.coords, labels, c.scene_id))
-        a = pretrain_base(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
-        b = pretrain_base(shuffled, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        a = pretrain_base(mask_novel(clouds, split), split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        b = pretrain_base(mask_novel(shuffled, split), split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
         a.save(tmp_path / "a.ckpt")
         b.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_both_stages_refuse_unmasked_scenes(self):
+        # masking is run_baseline's job; a stage handed raw ground truth
+        # fails on the first novel label instead of training on it
+        clouds, split = tiny_setup()
+        message = r"labels \[3, 4\] are not in the class order \[0, 1, 2\]"
+        with pytest.raises(ValueError, match=message):
+            pretrain_base(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        pretrained = pretrain_base(
+            mask_novel(clouds, split), split, TINY_MODEL, TINY_TRAIN,
+            BaselineConfig(pretrain_epochs=1, finetune_epochs=1),
+        )
+        with pytest.raises(ValueError, match=message):
+            finetune(pretrained, clouds, {}, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
 
     def test_loss_decreases_on_average(self):
         # non-strict check averaged over seeds: pretrain longer, compare
@@ -323,12 +337,12 @@ class TestPretrain:
         for seed in range(3):
             clouds, split = tiny_setup(seed=seed)
             short = pretrain_base(
-                clouds, split, TINY_MODEL,
+                mask_novel(clouds, split), split, TINY_MODEL,
                 TrainConfig(epochs=1, batch_size=2, seed=seed),
                 BaselineConfig(pretrain_epochs=1, finetune_epochs=1),
             )
             long = pretrain_base(
-                clouds, split, TINY_MODEL,
+                mask_novel(clouds, split), split, TINY_MODEL,
                 TrainConfig(epochs=5, batch_size=2, seed=seed),
                 BaselineConfig(pretrain_epochs=5, finetune_epochs=1),
             )
@@ -350,6 +364,17 @@ class TestPipeline:
         report = evaluate(model, clouds, split)
         assert 0.0 <= report.all_miou <= 1.0
 
+    def test_shared_scene_ids_are_refused(self):
+        # pseudo-labels are keyed by scene id: scenes sharing one would
+        # receive each other's point indices
+        clouds, split = tiny_setup(scenes=4)
+        unnamed = [LabelledCloud(c.coords, c.labels) for c in clouds]
+        with pytest.raises(ValueError, match=r"scene ids \[''\] each name more than one scene"):
+            run_baseline(unnamed, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        renamed = clouds[:3] + [LabelledCloud(clouds[3].coords, clouds[3].labels, "0001")]
+        with pytest.raises(ValueError, match=r"scene ids \['0001'\]"):
+            run_baseline(renamed, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+
     def test_a_diverging_run_stops_at_the_sgd_step(self):
         clouds, split = tiny_setup()
         train_cfg = TrainConfig(epochs=2, batch_size=2, seed=0, lr_max=1e300)
@@ -370,7 +395,7 @@ class TestPipeline:
 
     def test_clustering_pool_is_full_scene_features_at_picked_points(self, monkeypatch):
         import segdiscover.baseline as bl
-        from segdiscover.data import UNLABELLED, mask_novel
+        from segdiscover.data import UNLABELLED
 
         pools, pretrained = [], []
         real_kmeans, real_pretrain = bl.kmeans, bl.pretrain_base
@@ -400,7 +425,7 @@ class TestPipeline:
 
     def test_picked_points_carry_their_kmeans_assignments(self, monkeypatch):
         import segdiscover.baseline as bl
-        from segdiscover.data import UNLABELLED, mask_novel
+        from segdiscover.data import UNLABELLED
 
         assignments = []
         real_kmeans = bl.kmeans

@@ -1,4 +1,4 @@
-"""Loss formulas, class weighting, and the LR schedule."""
+"""Loss formulas, class weighting, the LR schedule and the training driver."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from segdiscover.losses import (
     LossWeights,
     TrainConfig,
     compute_loss_weights,
+    fit,
     lr_at,
     one_hot,
     weighted_ce,
@@ -114,6 +115,16 @@ class TestLrSchedule:
         cfg = TrainConfig(warmup_fraction=0.0)
         assert lr_at(cfg, 0, 50) == pytest.approx(cfg.lr_max)
 
+    def test_final_step_misses_lr_min_when_the_warmup_reaches_it(self):
+        # round(0.1 * 1) = 0 warm-up steps, yet the only step is the first
+        # one after the warm-up, at lr_max
+        assert lr_at(TrainConfig(), 0, 1) == pytest.approx(1e-2)
+        # round(0.5 * 3) = 2 = total_steps - 1 warm-up steps: the same
+        half = TrainConfig(warmup_fraction=0.5)
+        assert lr_at(half, 2, 3) == pytest.approx(half.lr_max)
+        # round(0.5 * 4) = 2 = total_steps - 2: the last step lands on lr_min
+        assert lr_at(half, 3, 4) == pytest.approx(half.lr_min, abs=0)
+
     def test_out_of_range_step_rejected(self):
         with pytest.raises(ValueError):
             lr_at(self.cfg, 101, 100)
@@ -130,3 +141,73 @@ class TestSGD:
             ValueError, match=r"SGD step at lr 1e\+300 left parameter head\.w non-finite"
         ):
             opt.step(1e300)
+
+
+class _OneWeight:
+    """A model of one parameter; every batch's loss is that parameter."""
+
+    def __init__(self):
+        self.w = ad.parameter(np.ones((1, 1)), "w")
+
+    def parameters(self):
+        return {"w": self.w}
+
+
+class _RecordingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.permutations = []
+
+    def permutation(self, n):
+        self.permutations.append(self.rng.permutation(n))
+        return self.permutations[-1]
+
+
+class TestFit:
+    cfg = TrainConfig(batch_size=3)
+
+    def run(self, monkeypatch, n_scenes, epochs, skip=()):
+        """Fit on 0-based batch numbers; a number in ``skip`` gets a None
+        loss. Returns the rng, the batches, the last_lr each batch saw,
+        each SGD.step's rate, and the end_epoch calls."""
+        step = SGD.step
+        rates, batches, last_lrs, ends = [], [], [], []
+
+        def stepped(opt, lr):
+            rates.append(lr)
+            step(opt, lr)
+
+        monkeypatch.setattr(SGD, "step", stepped)
+        model, rng = _OneWeight(), _RecordingRng(0)
+
+        def batch_loss(ids, last_lr):
+            batches.append(ids.tolist())
+            last_lrs.append(last_lr)
+            return None if len(batches) - 1 in skip else ad.mul(model.w, 1.0)
+
+        fit(model, n_scenes, self.cfg, epochs, rng, batch_loss,
+            lambda epoch, lr: ends.append((epoch, lr)))
+        return rng, batches, last_lrs, rates, ends
+
+    def test_one_step_per_batch_at_the_scheduled_rate(self, monkeypatch):
+        # 7 scenes in batches of 3: ceil(7 / 3) = 3 steps per epoch
+        _, batches, last_lrs, rates, ends = self.run(monkeypatch, 7, 2)
+        schedule = [lr_at(self.cfg, s, 6) for s in range(6)]
+        assert [len(b) for b in batches] == [3, 3, 1] * 2
+        assert rates == schedule
+        assert last_lrs == [0.0] + schedule[:-1]
+        assert ends == [(0, schedule[2]), (1, schedule[5])]
+
+    def test_one_permutation_per_epoch_cut_into_the_batches(self, monkeypatch):
+        rng, batches, _, _, _ = self.run(monkeypatch, 7, 3)
+        assert len(rng.permutations) == 3
+        for epoch, order in enumerate(rng.permutations):
+            assert sorted(order.tolist()) == list(range(7))
+            assert sum(batches[3 * epoch:3 * epoch + 3], []) == order.tolist()
+
+    def test_a_none_loss_takes_no_step_but_uses_up_its_rate(self, monkeypatch):
+        _, batches, last_lrs, rates, _ = self.run(monkeypatch, 7, 2, skip=(0, 4))
+        schedule = [lr_at(self.cfg, s, 6) for s in range(6)]
+        assert len(batches) == 6
+        assert rates == [schedule[s] for s in (1, 2, 3, 5)]
+        assert last_lrs == [0.0] + schedule[:-1]

@@ -194,7 +194,7 @@ class TestCombinedHeadModel:
 
     def test_finetune_starts_from_the_pretrained_extractor_and_base_head(self):
         from segdiscover.baseline import BaselineConfig, finetune
-        from segdiscover.data import generate_synthetic, toy_discovery_config
+        from segdiscover.data import generate_synthetic, mask_novel, toy_discovery_config
         from segdiscover.losses import TrainConfig
 
         syn = toy_discovery_config(seed=0, n_scenes=2, points_per_scene=24)
@@ -204,7 +204,7 @@ class TestCombinedHeadModel:
         pretrained = SegmentationModel(cfg, 3, 2, np.random.default_rng(1))
         for p in pretrained.parameters().values():  # no zero biases left
             p.data += np.random.default_rng(2).normal(size=p.data.shape)
-        model = finetune(pretrained, clouds, {}, split, cfg, train_cfg,
+        model = finetune(pretrained, mask_novel(clouds, split), {}, split, cfg, train_cfg,
                          BaselineConfig(finetune_epochs=0))
         fresh = CombinedHeadModel(cfg, 3, 2, np.random.default_rng(train_cfg.seed + 1))
         state, before = model.state(), pretrained.state()

@@ -213,8 +213,7 @@ def batch_layout(masked, base_order):
 
 
 def view_features(model, pairs, neigh):
-    return [_features(model, [p.view_a for p in pairs], neigh),
-            _features(model, [p.view_b for p in pairs], neigh)]
+    return [_features(model, views, neigh) for views in zip(*pairs)]
 
 
 class TestFullLossGradient:
