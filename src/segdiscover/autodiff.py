@@ -15,14 +15,17 @@ pass and only ``.data`` stays readable. A second ``backward`` through a
 spent node raises a ``ValueError`` that names it. Inference records no
 tape: ops run inside ``no_tape()`` return untracked results.
 
-Supported operations: matmul, transpose, add (with column-vector bias
+Supported operations: matmul, optionally with a column-vector bias and
+a ReLU folded in (one node per linear layer, holding only its output
+and the ReLU mask), transpose, add (with column-vector bias
 broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
 L2 normalization, column-wise softmax, clamped log, sum and mean
-reduction, row/column concatenation, a column gather used to slice
-batches, a neighbour mean that averages each column's k-NN columns
-through an index gather (the graphs ``model.knn_indices`` builds are
-int32), and a fused softmax cross entropy that scores a row/column
-block of a logit matrix as one tape node.
+reduction, a sum in row-major order, row/column concatenation, a
+column gather used to slice batches, a neighbour mean that averages
+each column's k-NN columns through an index gather (the graphs
+``model.knn_indices`` builds are int32), and a fused softmax cross
+entropy that scores a list of row/column blocks of one logit matrix as
+one tape node, one value per block.
 Backward closures compute gradients only for operands that reach a
 tracked leaf.
 """
@@ -125,21 +128,46 @@ def _result(data, parents, backward):
     return Tensor(data)
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None, relu=False):
+    """``a @ b``, plus a column-vector ``bias`` and a ReLU when asked, as
+    one node.
+
+    The bias is added in place and the ReLU masks in place, so the node
+    holds its output and the ReLU mask only; the values equal those of
+    matmul, add and relu chained.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul {a.label()} @ {b.label()}: inner dims {a.data.shape} vs {b.data.shape}"
         )
     out = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.shape != (out.shape[0], 1):
+            raise ShapeError(
+                f"matmul {a.label()} @ {b.label()} + {bias.label()}: bias {bias.data.shape} "
+                f"vs output {out.shape}"
+            )
+        out += bias.data
+        parents = (a, b, bias)
+    mask = None
+    if relu:
+        mask = out > 0.0
+        out *= mask
 
     def backward(grad, acc):
+        if mask is not None:
+            grad = grad * mask
         if _tracked(a):
             acc(a, grad @ b.data.T)
         if _tracked(b):
             acc(b, a.data.T @ grad)
+        if bias is not None:
+            acc(bias, grad.sum(axis=1, keepdims=True))
 
-    return _result(out, (a, b), backward)
+    return _result(out, parents, backward)
 
 
 def transpose(a):
@@ -374,53 +402,85 @@ def neighbour_mean(a, neighbours):
     return _result((total / k).T, (a,), backward)
 
 
-def softmax_cross_entropy(logits, cols, target, weights, *, scale, floor, rows=None):
-    """Weighted softmax cross entropy of a block of ``logits``, one node.
+def softmax_cross_entropy(logits, blocks, *, scale, floor):
+    """Weighted softmax cross entropy of blocks of one ``logits`` matrix,
+    as one node.
 
-    Selects ``rows`` (all when None) and ``cols``, multiplies by
-    ``scale``, takes the column softmax q and returns the 1x1 mean over
-    the m selected columns of -sum_c w_c t_cj log max(q_cj, floor). The
-    value is that of gather, mul, softmax_cols, log, mul and sum_all
-    chained; ``target`` and ``weights`` are constants.
+    Each block is ``(rows, cols, target, weights)``: it selects ``rows``
+    (all when None) and ``cols``, multiplies by ``scale``, takes the
+    column softmax q and scores the mean over its m columns of
+    -sum_c w_c t_cj log max(q_cj, floor). The result is a (B, 1) column,
+    one value per block; a block without columns scores 0 and passes no
+    gradient. Each value is that of gather, mul, softmax_cols, log, mul
+    and sum_all chained; ``target`` and ``weights`` are constants.
+    Blocks may share entries: backward adds each block's gradient into
+    one array in list order, as a tape of one node per block would.
     """
     logits = _as_tensor(logits)
     if floor <= 0.0:
         raise ValueError(f"softmax_cross_entropy needs a positive log floor, got {floor}")
     n_rows, n_cols = logits.data.shape
-    ri = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-    ci = np.asarray(cols, dtype=np.intp)
-    target = np.asarray(target, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if target.shape != (ri.size, ci.size):
-        raise ShapeError(
-            f"softmax_cross_entropy {logits.label()}: block {(ri.size, ci.size)} "
-            f"vs target {target.shape}"
-        )
-    if weights.size != ri.size:
-        raise ShapeError(f"softmax_cross_entropy {logits.label()}: one weight per row required")
-    m = ci.size
-    if m == 0:
-        return constant(0.0)
-    s = logits.data[ri][:, ci] * scale
-    e = np.exp(s - s.max(axis=0, keepdims=True))
-    q = e / e.sum(axis=0, keepdims=True)
-    wt = weights[:, None] * target
-    out = np.array([[(wt * np.log(np.maximum(q, floor))).sum() * (-1.0 / m)]])
-    distinct = _distinct(ri, n_rows) and _distinct(ci, n_cols)
+    out = np.zeros((len(blocks), 1))
+    # per block with columns: its position, its (rows, cols) index, q,
+    # the weighted target and whether a row or column repeats; backward
+    # recomputes the clamp
+    kept = []
+    for b, (rows, cols, target, weights) in enumerate(blocks):
+        ri = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+        ci = np.asarray(cols, dtype=np.intp)
+        target = np.asarray(target, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if target.shape != (ri.size, ci.size):
+            raise ShapeError(
+                f"softmax_cross_entropy {logits.label()}: block {b} is {(ri.size, ci.size)} "
+                f"vs target {target.shape}"
+            )
+        if weights.size != ri.size:
+            raise ShapeError(
+                f"softmax_cross_entropy {logits.label()}: block {b} needs one weight per row"
+            )
+        if ci.size == 0:
+            continue
+        s = logits.data[ri][:, ci] * scale
+        e = np.exp(s - s.max(axis=0, keepdims=True))
+        q = e / e.sum(axis=0, keepdims=True)
+        wt = weights[:, None] * target
+        out[b, 0] = (wt * np.log(np.maximum(q, floor))).sum() * (-1.0 / ci.size)
+        repeats = not (_distinct(ri, n_rows) and _distinct(ci, n_cols))
+        kept.append((b, np.ix_(ri, ci), q, wt, repeats))
+    if not kept:
+        return Tensor(out)
 
-    # the closure keeps q and wt alone; backward recomputes the clamp
     def backward(grad, acc):
-        dq = wt * ((-float(grad[0, 0]) / m) * (q >= floor)) / np.maximum(q, floor)
-        ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
         g = np.zeros_like(logits.data)
-        # assignment suffices unless a row or column repeats
-        if distinct:
-            g[np.ix_(ri, ci)] = ds * scale
-        else:
-            np.add.at(g, np.ix_(ri, ci), ds * scale)
+        for b, index, q, wt, repeats in kept:
+            m = q.shape[1]
+            dq = wt * ((-float(grad[b, 0]) / m) * (q >= floor)) / np.maximum(q, floor)
+            ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
+            if repeats:
+                # np.add.at sums the repeats; the block is summed on its own
+                # first, as a node of its own would be
+                part = np.zeros_like(g)
+                np.add.at(part, index, ds * scale)
+                g += part
+            else:
+                g[index] += ds * scale
         acc(logits, g)
 
     return _result(out, (logits,), backward)
+
+
+def sum_in_order(a, scale=1.0):
+    """1x1 sum of ``a``'s entries added one at a time in row-major order,
+    times ``scale``: the value of a chain of adds and one scalar mul,
+    which a pairwise ``sum_all`` does not reproduce bit for bit."""
+    a = _as_tensor(a)
+
+    def backward(grad, acc):
+        acc(a, np.full_like(a.data, float(grad[0, 0]) * scale))
+
+    total = np.cumsum(a.data.reshape(-1))[-1]
+    return _result(np.array([[total * scale]]), (a,), backward)
 
 
 def backward(output: Tensor):

@@ -230,7 +230,7 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots, 
             cols, onehot = targets[i]
             coords = make_views(scenes[i], rng, aug)[0]
             z = model.extract_features(coords, neighbours[i])
-            terms.append(tempered_ce(logits_fn(z), cols, onehot, w_vec, temperature))
+            terms.append(tempered_ce(logits_fn(z), [(None, cols, onehot, w_vec)], temperature))
         return ad.mul(sum_tensors(terms), 1.0 / len(terms)) if terms else None
 
     return batch_loss

@@ -11,6 +11,7 @@ exists for.
 from __future__ import annotations
 
 import importlib.resources
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -269,6 +270,19 @@ def load_scan_dir(root) -> list[LabelledCloud]:
 
 
 def write_scan_dir(root, clouds):
+    """Write each cloud as ``scans/<scene_id>.bin`` plus
+    ``labels/<scene_id>.label`` under ``root``.
+
+    File names come from the scene ids, so an empty or repeated id is
+    refused, naming the ids, before any file is written.
+    """
+    counts = Counter(c.scene_id for c in clouds)
+    repeated = sorted(i for i, n in counts.items() if n > 1 and i)
+    if counts[""] or repeated:
+        raise ValueError(
+            f"scene ids name the scan files, so they must be non-empty and distinct: "
+            f"{counts['']} empty, repeated {repeated}"
+        )
     root = Path(root)
     (root / "scans").mkdir(parents=True, exist_ok=True)
     (root / "labels").mkdir(parents=True, exist_ok=True)

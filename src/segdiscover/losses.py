@@ -106,11 +106,13 @@ def weighted_ce(pred, target, weights) -> "ad.Tensor":
     return ad.mul(ad.sum_all(ad.mul(wt, ad.log(pred_t, floor=LOG_FLOOR))), -1.0 / m)
 
 
-def tempered_ce(logits, cols, target, weights, temperature, rows=None) -> "ad.Tensor":
+def tempered_ce(logits, blocks, temperature) -> "ad.Tensor":
     """``weighted_ce`` of the column softmax of ``logits / temperature``
-    at ``cols`` (and ``rows``, all when None), as one fused tape node."""
+    for each ``(rows, cols, target, weights)`` block (rows all when None),
+    as one fused tape node: a (B, 1) column with one value per block,
+    whose gradients backward adds in block order."""
     return ad.softmax_cross_entropy(
-        logits, cols, target, weights, scale=1.0 / temperature, floor=LOG_FLOOR, rows=rows
+        logits, blocks, scale=1.0 / temperature, floor=LOG_FLOOR
     )
 
 

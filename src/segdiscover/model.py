@@ -148,17 +148,17 @@ class SegmentationModel:
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
             raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
         x = ad.constant(coords.T, name="xyz")
-        h1 = ad.relu(ad.add(ad.matmul(self.w1, x), self.b1))
-        h2 = ad.relu(ad.add(ad.matmul(self.w2, h1), self.b2))
+        h1 = ad.matmul(self.w1, x, bias=self.b1, relu=True)
+        h2 = ad.matmul(self.w2, h1, bias=self.b2, relu=True)
         if neighbours is None:
             neighbours = knn_indices(coords, self.cfg.knn)
         agg = ad.neighbour_mean(h2, neighbours)
         cat = ad.concat_rows([h2, agg])
-        z = ad.add(ad.matmul(self.w3, cat), self.b3)
+        z = ad.matmul(self.w3, cat, bias=self.b3)
         return ad.l2_normalize_cols(z)
 
     def base_logits(self, z: ad.Tensor) -> ad.Tensor:
-        return ad.add(ad.matmul(self.base_w, z), self.base_b)
+        return ad.matmul(self.base_w, z, bias=self.base_b)
 
     def novel_logits(self, z: ad.Tensor, head: int) -> ad.Tensor:
         if not (0 <= head < self.cfg.heads):
@@ -275,7 +275,7 @@ class CombinedHeadModel(SegmentationModel):
         return params
 
     def logits(self, z: ad.Tensor) -> ad.Tensor:
-        return ad.add(ad.matmul(self.head_w, z), self.head_b)
+        return ad.matmul(self.head_w, z, bias=self.head_b)
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
                       neighbours: np.ndarray | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
-from .losses import TrainConfig, compute_loss_weights, fit, one_hot, sum_tensors, tempered_ce
+from .losses import TrainConfig, compute_loss_weights, fit, one_hot, tempered_ce
 from .model import ModelConfig, SegmentationModel, knn_indices
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
@@ -241,24 +241,23 @@ def _step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot, te
     view 1 against ``targets[0][e]``, both on base ground truth too. The
     objective is the sum of all entries' terms over the head count; the
     novel heads are every ``len(entries) // heads``-th entry from the
-    first. One logit matrix per view holds every head; a term reads its
-    own rows.
+    first. One logit matrix per view holds every head, and one cross
+    entropy node per view scores every entry as a block of its rows.
     """
     n_base, heads = model.n_base, model.cfg.heads
     w_stack, b_stack = model.stacked_heads(len(entries) > heads)
-    logits = [ad.add(ad.matmul(w_stack, z), b_stack) for z in zs]
-    terms = []
-    for e, (_, w_vec, rows) in enumerate(entries):
-        pair = []
-        for vi, other in ((0, 1), (1, 0)):
+    values = []
+    for z, other in zip(zs, (1, 0)):
+        blocks = []
+        for e, (_, w_vec, rows) in enumerate(entries):
             kept, dist = targets[other][e]
             cols = np.concatenate([base_idx, novel_idx[kept]])
-            if cols.size == 0:
-                continue
             target = np.zeros((rows.size, cols.size))
             target[:n_base, :base_idx.size] = base_onehot
             target[n_base:, base_idx.size:] = dist[:, kept]
-            pair.append(tempered_ce(logits[vi], cols, target, w_vec, temperature, rows))
-        terms.append(sum_tensors(pair) if pair else ad.constant(0.0))
-    head_vals = np.array([float(t.data[0, 0]) for t in terms[::len(entries) // heads]])
-    return ad.mul(sum_tensors(terms), 1.0 / heads), head_vals
+            blocks.append((rows, cols, target, w_vec))
+        values.append(tempered_ce(ad.matmul(w_stack, z, bias=b_stack), blocks, temperature))
+    # entry e's term is its two views' values added; summed in entry order
+    terms = ad.add(values[0], values[1])
+    head_vals = terms.data[::len(entries) // heads, 0]
+    return ad.sum_in_order(terms, 1.0 / heads), head_vals

@@ -255,13 +255,14 @@ class TestSoftmaxCrossEntropy:
 
     def fused(self, logits, target, weights, cols):
         return ad.softmax_cross_entropy(
-            logits, cols, target, weights, scale=1.5, floor=self.FLOOR, rows=self.ROWS
+            logits, [(self.ROWS, cols, target, weights)], scale=1.5, floor=self.FLOOR
         )
 
     @pytest.mark.parametrize("cols", [[8, 1, 4, 6, 0], [1, 4, 1, 6, 4]])
     def test_value_and_gradient_match_the_op_chain(self, cols):
         logits, target, weights = self.setup_case(cols)
         loss = self.fused(logits, target, weights, cols)
+        assert loss.data.shape == (1, 1)
         ad.backward(loss)
         fused_grad = logits.grad.copy()
         logits.zero_grad()
@@ -290,11 +291,189 @@ class TestSoftmaxCrossEntropy:
         logits, _, weights = self.setup_case([])
         loss = self.fused(logits, np.zeros((4, 0)), weights, [])
         assert float(loss.data[0, 0]) == 0.0
+        assert loss._backward is None  # nothing to differentiate
 
     def test_target_shape_mismatch_names_node(self):
         logits, target, weights = self.setup_case([0, 1])
-        with pytest.raises(ad.ShapeError, match="logits"):
+        with pytest.raises(ad.ShapeError, match="logits: block 0"):
             self.fused(logits, target[:, :1], weights, [0, 1])
+
+
+class TestBlockCrossEntropy:
+    """Several blocks of one logit matrix that share rows and columns, the
+    way every head's block holds the base rows and the base points."""
+
+    FLOOR = 1e-12
+    BLOCKS = [  # (rows, cols)
+        ([0, 1, 2, 3], [0, 2, 3, 5, 7]),
+        ([0, 1, 4, 5, 6], [0, 2, 3, 8]),
+        ([0, 1, 6, 6], [1, 2, 2, 9]),  # a repeated row and column: indexed add
+        ([0, 1, 2, 3], []),  # no columns: value 0, no gradient
+        (None, [4, 0, 7]),  # every row
+    ]
+    COEFS = [0.5, -1.25, 2.0, 3.0, 0.75]
+
+    def setup_case(self):
+        rng = np.random.default_rng(31)
+        data = rng.normal(size=(7, 10))
+        data[6, 1] = -40.0  # below the floor after the softmax
+        logits = ad.parameter(data, "logits")
+        blocks = []
+        for rows, cols in self.BLOCKS:
+            n = 7 if rows is None else len(rows)
+            target = rng.random((n, len(cols)))
+            blocks.append((rows, cols, target / target.sum(axis=0), rng.uniform(0.5, 2.0, n)))
+        return logits, blocks
+
+    def fused(self, logits, blocks):
+        return ad.softmax_cross_entropy(logits, blocks, scale=1.5, floor=self.FLOOR)
+
+    def weighted(self, values):
+        return ad.sum_all(ad.mul(values, ad.constant(np.array(self.COEFS)[:, None])))
+
+    def test_each_value_and_the_gradient_match_the_op_chains(self):
+        logits, blocks = self.setup_case()
+        values = self.fused(logits, blocks)
+        assert values.data.shape == (len(blocks), 1)
+        ad.backward(self.weighted(values))
+        fused_grad = logits.grad.copy()
+        logits.zero_grad()
+        chains = []
+        for b, (rows, cols, target, weights) in enumerate(blocks):
+            if not cols:
+                assert values.data[b, 0] == 0.0
+                continue
+            rows = range(7) if rows is None else rows
+            chain = _op_chain_ce(logits, target, weights, rows, cols, 1.5, self.FLOOR)
+            np.testing.assert_allclose(values.data[b, 0], chain.data[0, 0], rtol=1e-13)
+            chains.append(ad.mul(chain, self.COEFS[b]))
+        ad.backward(ad.sum_all(ad.concat_rows(chains)))
+        np.testing.assert_allclose(fused_grad, logits.grad, rtol=1e-12, atol=1e-15)
+
+    def test_central_differences(self):
+        logits, blocks = self.setup_case()
+        ad.backward(self.weighted(self.fused(logits, blocks)))
+        coords = [(logits, i) for i in range(logits.data.size)]
+        fd = finite_difference(
+            lambda: float(self.weighted(self.fused(logits, blocks)).data[0, 0]),
+            {"logits": logits}, coords, step=1e-6,
+        )
+        np.testing.assert_allclose(logits.grad.reshape(-1), fd, rtol=1e-6, atol=1e-9)
+
+    def test_gradients_are_added_in_list_order_bit_for_bit(self):
+        # what a tape of one node per block accumulates: ((g0 + g1) + g2) ...
+        logits, blocks = self.setup_case()
+        ad.backward(ad.sum_in_order(self.fused(logits, blocks)))
+        fused_grad = logits.grad.copy()
+        total = None
+        for block in blocks:
+            logits.zero_grad()
+            ad.backward(self.fused(logits, [block]))
+            total = logits.grad.copy() if total is None else total + logits.grad
+        assert np.array_equal(fused_grad, total)
+
+    def test_an_empty_block_passes_no_gradient(self):
+        logits, blocks = self.setup_case()
+        ad.backward(ad.sum_all(self.fused(logits, blocks)))
+        with_empty = logits.grad.copy()
+        logits.zero_grad()
+        ad.backward(ad.sum_all(self.fused(logits, blocks[:3] + blocks[4:])))
+        assert np.array_equal(with_empty, logits.grad)
+
+    def test_only_empty_blocks_record_no_tape(self):
+        logits, blocks = self.setup_case()
+        values = self.fused(logits, [blocks[3], blocks[3]])
+        assert np.array_equal(values.data, np.zeros((2, 1)))
+        assert values._backward is None
+
+
+class TestSumInOrder:
+    def test_value_is_a_chain_of_adds_then_a_scale(self):
+        # in order 1 + 1e16 rounds to 1e16 and the total is 0; numpy's
+        # pairwise sum of the same entries gives -1
+        data = np.array([[1.0], [1e16], [-1e16], [1.0], [0.5], [0.0], [2.0], [-7.5], [3.0], [1.0]])
+        a = ad.parameter(data, "a")
+        chain = ad.mul(_chain_sum([ad.constant(v) for v in data.reshape(-1)]), 0.2)
+        out = ad.sum_in_order(a, 0.2)
+        assert out.data.shape == (1, 1)
+        assert out.data[0, 0] == chain.data[0, 0] == 0.0
+        ad.backward(out)
+        assert np.array_equal(a.grad, np.full_like(data, 0.2))
+
+
+def _chain_sum(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = ad.add(acc, t)
+    return acc
+
+
+class TestFusedLinear:
+    """``matmul`` with ``bias`` and ``relu`` against the op chain."""
+
+    def setup_case(self, rng):
+        w = ad.parameter(rng.normal(size=(4, 3)), "w")
+        x = ad.parameter(rng.normal(size=(3, 6)), "x")
+        b = ad.parameter(rng.normal(size=(4, 1)), "b")
+        return w, x, b
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_value_and_gradients_equal_the_op_chain_bit_for_bit(self, relu):
+        rng = np.random.default_rng(41)
+        w, x, b = self.setup_case(rng)
+        upstream = ad.constant(rng.normal(size=(4, 6)))
+        fused = ad.matmul(w, x, bias=b, relu=relu)
+        ad.backward(ad.sum_all(ad.mul(fused, upstream)))
+        grads = [p.grad.copy() for p in (w, x, b)]
+        for p in (w, x, b):
+            p.zero_grad()
+        chain = ad.add(ad.matmul(w, x), b)
+        chain = ad.relu(chain) if relu else chain
+        ad.backward(ad.sum_all(ad.mul(chain, upstream)))
+        assert np.array_equal(fused.data, chain.data)
+        for got, p in zip(grads, (w, x, b)):
+            assert np.array_equal(got, p.grad), p.name
+        assert fused._parents is None  # one node, spent
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("untracked", [None, "w", "x", "b"])
+    def test_central_differences(self, relu, untracked):
+        rng = np.random.default_rng(43)
+        w, x, b = self.setup_case(rng)
+        pre = w.data @ x.data + b.data
+        # both signs occur, and no entry sits within a step of the kink
+        assert 0 < np.count_nonzero(pre > 0) < pre.size and np.abs(pre).min() > 1e-2
+        operands = {"w": w, "x": x, "b": b}
+        if untracked is not None:
+            operands[untracked] = ad.constant(operands[untracked].data)
+        upstream = ad.constant(rng.normal(size=(4, 6)))
+
+        def forward():
+            y = ad.matmul(operands["w"], operands["x"], bias=operands["b"], relu=relu)
+            return ad.sum_all(ad.mul(ad.mul(y, y), upstream))
+
+        ad.backward(forward())
+        tracked = {n: p for n, p in operands.items() if n != untracked}
+        coords = [(p, i) for p in tracked.values() for i in range(p.data.size)]
+        fd = finite_difference(lambda: float(forward().data[0, 0]), tracked, coords, step=1e-6)
+        analytic = np.array([p.grad.flat[i] for p, i in coords])
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
+        if untracked is not None:
+            assert operands[untracked].grad is None
+
+    def test_relu_zeroes_the_gradient_of_inactive_outputs(self):
+        w = ad.parameter(np.array([[1.0], [-1.0]]), "w")
+        x = ad.constant(np.array([[2.0, -3.0]]))
+        y = ad.matmul(w, x, bias=ad.constant(np.array([[0.5], [0.5]])), relu=True)
+        np.testing.assert_array_equal(y.data, [[2.5, 0.0], [0.0, 3.5]])
+        ad.backward(ad.sum_all(y))
+        np.testing.assert_array_equal(w.grad, [[2.0], [-3.0]])
+
+    def test_bias_shape_mismatch_names_the_nodes(self):
+        w = ad.parameter(np.zeros((2, 3)), "enc.w")
+        x = ad.constant(np.zeros((3, 4)), name="x")
+        with pytest.raises(ad.ShapeError, match=r"enc\.w @ x \+ enc\.b"):
+            ad.matmul(w, x, bias=ad.parameter(np.zeros((3, 1)), "enc.b"))
 
 
 class TestCheckpoint:

@@ -131,6 +131,19 @@ class TestScanIO:
             np.testing.assert_allclose(a.coords, b.coords, atol=1e-6)  # f32 storage
 
 
+    @pytest.mark.parametrize("ids, match", [
+        (["", "", ""], "3 empty"),
+        (["0000", "0001", "0000", "0002", "0001"], r"repeated \['0000', '0001'\]"),
+        (["0000", ""], "1 empty"),
+    ], ids=["all-empty", "repeated", "one-empty"])
+    def test_scan_dir_refuses_ids_that_cannot_name_distinct_files(self, tmp_path, ids, match):
+        clouds = [D.LabelledCloud(np.full((5, 3), float(i)), np.zeros(5, dtype=int), scene_id=s)
+                  for i, s in enumerate(ids)]
+        with pytest.raises(ValueError, match=match):
+            D.write_scan_dir(tmp_path / "tree", clouds)
+        assert not (tmp_path / "tree").exists()  # nothing was written
+
+
 class TestSplits:
     def test_kitti_4_3_novel_set(self):
         splits = {s.name: s for s in D.builtin_splits("semantickitti")}

@@ -42,3 +42,23 @@ def test_component_ablation_writes_the_grid_and_the_sweep(tmp_path, capsys):
     # the rows printed as they finish are the rows written
     assert printed[1:] == grid[1:] + sweep[1:]
 
+
+
+def test_output_digest_lists_every_output_and_repeats_itself(capsys):
+    script = load_script("output_digest")
+    argv = ["--seeds", "3", "--scenes", "6", "--points", "32", "--val-scenes", "2",
+            "--epochs", "1", "--baseline-epochs", "1", "1"]
+    assert script.main(argv) == 0
+    first = capsys.readouterr().out.splitlines()
+    digests = dict(reversed(line.split("  ", 1)) for line in first)
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    for path in (
+        "data/split.txt", "data/train/scans/0000.bin", "train/checkpoint.ckpt",
+        "train/metrics.tsv", "train-no-overcluster/metrics.tsv", "baseline/baseline.ckpt",
+        "eval/report.tsv", "ablate/ablation.tsv", "ablate/sweep.tsv", "logs/train.stderr",
+    ):
+        assert f"seed3/{path}" in digests, path
+    assert digests["seed3/train/checkpoint.ckpt"] != digests["seed3/train-no-use_queue/checkpoint.ckpt"]
+    # a second run in another temporary directory prints the same lines
+    assert script.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == first

@@ -8,7 +8,14 @@ import pytest
 
 from segdiscover import autodiff as ad
 from segdiscover.data import UNLABELLED, LabelledCloud, generate_synthetic, toy_discovery_config
-from segdiscover.losses import TrainConfig, compute_loss_weights, one_hot, sum_tensors, weighted_ce
+from segdiscover.losses import (
+    LOG_FLOOR,
+    TrainConfig,
+    compute_loss_weights,
+    one_hot,
+    sum_tensors,
+    weighted_ce,
+)
 from segdiscover.model import ModelConfig, SegmentationModel
 from segdiscover.queueing import QueueConfig
 from segdiscover.train import (
@@ -216,6 +223,58 @@ def view_features(model, pairs, neigh):
     return [_features(model, views, neigh) for views in zip(*pairs)]
 
 
+def step_case(heads, overcluster):
+    """A 3-scene batch as ``train`` hands it to ``_step_loss``: views,
+    graphs, label layout, each view's features, pseudo-labels per head
+    and family, and the flat entry list with its targets."""
+    from types import SimpleNamespace
+
+    from segdiscover.augment import AugmentConfig, make_views
+    from segdiscover.data import mask_novel
+    from segdiscover.model import knn_indices
+    from segdiscover.train import _pseudo_label
+
+    clouds, split = tiny_setup(scenes=3, points=48)
+    masked = mask_novel(clouds, split)
+    model_cfg = ModelConfig(feature_dim=8, hidden=12, knn=4, heads=heads, overcluster_factor=2)
+    model = SegmentationModel(model_cfg, 3, 2, np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
+    neigh = [knn_indices(c.coords, 4) for c in masked]
+    base_order = sorted(split.base_classes)
+    weights = compute_loss_weights(masked, split)
+    w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
+    labels, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
+
+    zs = view_features(model, pairs, neigh)
+    targets, over_targets = [{}, {}], [{}, {}]
+    no_queue = np.zeros((0, 0))
+    for vi, z in enumerate(zs):
+        z_novel = z.data[:, novel_idx]
+        for h in range(heads):
+            targets[vi][h] = _pseudo_label(
+                model.novel_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
+            over_targets[vi][h] = _pseudo_label(
+                model.over_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
+    assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
+    # the flat entry list in summing order: novel_0, over_0, novel_1, ...
+    entries, flat_targets = [], [[], []]
+    for h in range(heads):
+        entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
+        for vi in range(2):
+            flat_targets[vi].append(targets[vi][h])
+        if overcluster:
+            entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+            for vi in range(2):
+                flat_targets[vi].append(over_targets[vi][h])
+    return SimpleNamespace(
+        model=model, pairs=pairs, neigh=neigh, zs=zs, labels=labels, base_idx=base_idx,
+        novel_idx=novel_idx, base_onehot=base_onehot, base_order=base_order, targets=targets,
+        over_targets=over_targets, entries=entries, flat_targets=flat_targets,
+        w_novel=w_novel, w_over=w_over,
+    )
+
+
 class TestFullLossGradient:
     def test_swapped_loss_through_model_matches_finite_differences(self):
         # 2 scenes x 16 points, every novel and over-clustering entry of
@@ -289,45 +348,12 @@ class TestFullLossGradient:
     def _check_step_loss_against_single_ops(self, overcluster):
         # the stacked-head, fused-CE step over the flat entry list against
         # each head's logits and cross entropy built from the public single ops
-        from segdiscover.augment import AugmentConfig, make_views
-        from segdiscover.data import mask_novel
-        from segdiscover.model import knn_indices
-        from segdiscover.train import _pseudo_label
-
-        clouds, split = tiny_setup(scenes=3, points=48)
-        masked = mask_novel(clouds, split)
         heads, temperature = 3, 0.2
-        model_cfg = ModelConfig(feature_dim=8, hidden=12, knn=4, heads=heads, overcluster_factor=2)
-        model = SegmentationModel(model_cfg, 3, 2, np.random.default_rng(4))
-        rng = np.random.default_rng(5)
-        pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
-        neigh = [knn_indices(c.coords, 4) for c in masked]
-        base_order = sorted(split.base_classes)
-        weights = compute_loss_weights(masked, split)
-        w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
-        labels, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
-
-        zs = view_features(model, pairs, neigh)
-        targets, over_targets = [{}, {}], [{}, {}]
-        no_queue = np.zeros((0, 0))
-        for vi, z in enumerate(zs):
-            z_novel = z.data[:, novel_idx]
-            for h in range(heads):
-                targets[vi][h] = _pseudo_label(
-                    model.novel_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
-                over_targets[vi][h] = _pseudo_label(
-                    model.over_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
-        assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
-        # the flat entry list in summing order: novel_0, over_0, novel_1, ...
-        entries, flat_targets = [], [[], []]
-        for h in range(heads):
-            entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
-            for vi in range(2):
-                flat_targets[vi].append(targets[vi][h])
-            if overcluster:
-                entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
-                for vi in range(2):
-                    flat_targets[vi].append(over_targets[vi][h])
+        c = step_case(heads, overcluster)
+        model, pairs, neigh, zs = c.model, c.pairs, c.neigh, c.zs
+        labels, base_idx, novel_idx, base_onehot = c.labels, c.base_idx, c.novel_idx, c.base_onehot
+        targets, over_targets, base_order = c.targets, c.over_targets, c.base_order
+        entries, flat_targets, w_novel, w_over = c.entries, c.flat_targets, c.w_novel, c.w_over
         total, head_vals = _step_loss(
             model, zs, flat_targets, entries, base_idx, novel_idx, base_onehot, temperature
         )
@@ -375,6 +401,79 @@ class TestFullLossGradient:
         assert result.metrics[0]["loss"] >= 0.0
 
 
+def chain_features(model, coords, neighbours):
+    """The extractor as it was composed before matmul took a bias and a
+    ReLU: one node each for the product, the bias sum and the ReLU."""
+    x = ad.constant(coords.T)
+    h1 = ad.relu(ad.add(ad.matmul(model.w1, x), model.b1))
+    h2 = ad.relu(ad.add(ad.matmul(model.w2, h1), model.b2))
+    cat = ad.concat_rows([h2, ad.neighbour_mean(h2, neighbours)])
+    return ad.l2_normalize_cols(ad.add(ad.matmul(model.w3, cat), model.b3))
+
+
+def per_entry_step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot,
+                        temperature):
+    """``_step_loss`` composed one cross entropy node per entry and view,
+    the pairs and then the entries added by a chain of ``add`` nodes."""
+    n_base, heads = model.n_base, model.cfg.heads
+    w_stack, b_stack = model.stacked_heads(len(entries) > heads)
+    logits = [ad.add(ad.matmul(w_stack, z), b_stack) for z in zs]
+    terms = []
+    for e, (_, w_vec, rows) in enumerate(entries):
+        pair = []
+        for vi, other in ((0, 1), (1, 0)):
+            kept, dist = targets[other][e]
+            cols = np.concatenate([base_idx, novel_idx[kept]])
+            if cols.size == 0:
+                continue
+            target = np.zeros((rows.size, cols.size))
+            target[:n_base, :base_idx.size] = base_onehot
+            target[n_base:, base_idx.size:] = dist[:, kept]
+            pair.append(ad.softmax_cross_entropy(
+                logits[vi], [(rows, cols, target, w_vec)], scale=1.0 / temperature,
+                floor=LOG_FLOOR,
+            ))
+        terms.append(sum_tensors(pair) if pair else ad.constant(0.0))
+    head_vals = np.array([float(t.data[0, 0]) for t in terms[::len(entries) // heads]])
+    return ad.mul(sum_tensors(terms), 1.0 / heads), head_vals
+
+
+class TestStepLossBits:
+    @pytest.mark.parametrize("heads, overcluster", [(3, True), (3, False), (1, True)])
+    def test_gradients_equal_the_per_entry_composition_bit_for_bit(self, heads, overcluster):
+        c = step_case(heads, overcluster)
+        model, params = c.model, c.model.parameters()
+        layout = (c.entries, c.base_idx, c.novel_idx, c.base_onehot, 0.2)
+        total, head_vals = _step_loss(model, c.zs, c.flat_targets, *layout)
+        ad.backward(total)
+        got = {name: p.grad.copy() for name, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+
+        zs = [ad.concat_cols([chain_features(model, coords, nb)
+                              for coords, nb in zip(views, c.neigh)])
+              for views in zip(*c.pairs)]
+        reference, ref_head_vals = per_entry_step_loss(model, zs, c.flat_targets, *layout)
+        ad.backward(reference)
+        assert np.array_equal(total.data, reference.data)
+        assert np.array_equal(head_vals, ref_head_vals)
+        for name, p in params.items():
+            assert np.array_equal(got[name], p.grad), name
+
+
+def tape_size(output):
+    """The number of recorded (non-leaf) nodes a backward from ``output``
+    would visit."""
+    seen, stack = set(), [output]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
 class TestOneTapePerStep:
     def test_no_loss_node_of_a_step_outlives_it(self, monkeypatch):
         import weakref
@@ -399,8 +498,60 @@ class TestOneTapePerStep:
         monkeypatch.setattr(train_mod, "_features", checked_features)
         clouds, split = tiny_setup(scenes=7)  # 4 steps per epoch
         train(clouds, split, tiny_exp(epochs=2))
-        assert len(made) == 8 * 8 and len(alive) == 2 * 8
+        # one CE node per view: 8 steps x 2
+        assert len(made) == 8 * 2 and len(alive) == 2 * 8
         assert alive == [0] * len(alive)
+
+    @pytest.mark.parametrize("heads, overcluster", [(1, False), (1, True), (5, True)])
+    def test_a_step_makes_two_ce_nodes_whatever_the_head_count(self, monkeypatch, heads,
+                                                                overcluster):
+        counts = {"ce": 0, "nodes": [], "steps": 0}
+        real_ce, real_backward = ad.softmax_cross_entropy, ad.backward
+
+        def counted_ce(*args, **kwargs):
+            out = real_ce(*args, **kwargs)
+            counts["ce"] += out._backward is not None
+            return out
+
+        def counted_backward(loss):
+            counts["steps"] += 1
+            counts["nodes"].append(tape_size(loss))
+            return real_backward(loss)
+
+        monkeypatch.setattr(ad, "softmax_cross_entropy", counted_ce)
+        monkeypatch.setattr(ad, "backward", counted_backward)
+        clouds, split = tiny_setup(scenes=4)
+        exp = ExperimentConfig(
+            model=ModelConfig(heads=heads),
+            train=TrainConfig(epochs=2, batch_size=4),
+            discovery=DiscoveryConfig(overcluster=overcluster),
+        )
+        train(clouds, split, exp)
+        assert counts["steps"] == 2 and counts["ce"] == 2 * 2
+        if heads == 5 and overcluster:
+            # the default step: 8 extractor passes of 6 nodes, 2 batch
+            # concatenations, 12 for the stacked heads, 2 logit matmuls,
+            # 2 CE nodes, their sum and the ordered total
+            assert counts["nodes"] == [68, 68]
+
+    def test_a_step_of_four_512_point_scenes_stays_under_29_mb(self):
+        # one step plus the epoch's evaluation at the default model. The
+        # bound sits between the tracemalloc peaks of a tape with a node
+        # each for every layer's product, bias sum and ReLU and a CE node
+        # per entry and view (34.0 MB) and of one node per layer and one
+        # CE node per view (23.6 MB)
+        import tracemalloc
+
+        cfg = toy_discovery_config(seed=0, n_scenes=4, points_per_scene=512)
+        clouds = generate_synthetic(cfg)
+        exp = ExperimentConfig(train=TrainConfig(epochs=1, batch_size=4))
+        tracemalloc.start()
+        try:
+            train(clouds, cfg.split(), exp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 29e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_scoring_the_training_scenes_reuses_their_graphs(self, monkeypatch):
         import segdiscover.train as train_mod
