@@ -15,11 +15,10 @@ identity check is
     PYTHONPATH=new/src python scripts/output_digest.py > new.txt
     diff old.txt new.txt
 
-The package the digests come from is named on stderr.
+The run sizes are the module constant ``SIZES``. The package the
+digests come from is named on stderr.
 
-Usage: python scripts/output_digest.py [--seeds 0 1] [--scenes 24]
-    [--points 64] [--val-scenes 6] [--epochs 3] [--baseline-epochs 3 2]
-    [--ablate-epochs 1]
+Usage: python scripts/output_digest.py [--seeds 0 1]
 """
 
 import argparse
@@ -41,16 +40,24 @@ from segdiscover import cli  # noqa: E402
 
 TOGGLES = ("use_queue", "phi_queue", "tau_train", "overcluster")
 
+# scenes and points per training scene, validation scenes, training
+# epochs, baseline pretrain and finetune epochs, and the epochs of each
+# ablation run (online training and baseline pretraining alike)
+SIZES = {
+    "scenes": 24, "points": 64, "val_scenes": 6, "epochs": 3,
+    "baseline_epochs": (3, 2), "ablate_epochs": 1,
+}
 
-def runs(args, seed):
+
+def runs(seed):
     """(run name, cli arguments) in order; ``{root}`` stands for the
     seed's directory."""
     data = ["--data", "{root}/data", "--seed", str(seed)]
-    epochs = f"train.epochs={args.epochs}"
+    epochs = f"train.epochs={SIZES['epochs']}"
     out = [
         ("data", ["gen-data", "--out", "{root}/data", "--seed", str(seed),
-                  "--scenes", str(args.scenes), "--points", str(args.points),
-                  f"data.val_scenes={args.val_scenes}"]),
+                  "--scenes", str(SIZES["scenes"]), "--points", str(SIZES["points"]),
+                  f"data.val_scenes={SIZES['val_scenes']}"]),
         ("train", ["train", *data, "--out", "{root}/train", epochs]),
     ]
     out += [
@@ -58,15 +65,15 @@ def runs(args, seed):
                              f"disc.{key}=false"])
         for key in TOGGLES
     ]
-    pre, fine = args.baseline_epochs
+    pre, fine = SIZES["baseline_epochs"]
     out += [
         ("baseline", ["baseline", *data, "--out", "{root}/baseline",
                       f"offline.pretrain_epochs={pre}", f"offline.finetune_epochs={fine}"]),
         ("eval", ["eval", *data, "--out", "{root}/eval",
                   "--checkpoint", "{root}/train/checkpoint.ckpt"]),
         ("ablate", ["ablate", *data, "--out", "{root}/ablate",
-                    f"train.epochs={args.ablate_epochs}",
-                    f"offline.pretrain_epochs={args.ablate_epochs}"]),
+                    f"train.epochs={SIZES['ablate_epochs']}",
+                    f"offline.pretrain_epochs={SIZES['ablate_epochs']}"]),
     ]
     return out
 
@@ -92,13 +99,6 @@ def digests(top: Path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--scenes", type=int, default=24)
-    parser.add_argument("--points", type=int, default=64)
-    parser.add_argument("--val-scenes", type=int, default=6)
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--baseline-epochs", type=int, nargs=2, default=[3, 2],
-                        metavar=("PRETRAIN", "FINETUNE"))
-    parser.add_argument("--ablate-epochs", type=int, default=1)
     args = parser.parse_args(argv)
 
     print(f"segdiscover from {Path(segdiscover.__file__).parent}", file=sys.stderr)
@@ -107,7 +107,7 @@ def main(argv=None):
         top = Path(tmp)
         for seed in args.seeds:
             root = top / f"seed{seed}"
-            for name, template in runs(args, seed):
+            for name, template in runs(seed):
                 argv = [a.replace("{root}", str(root)) for a in template]
                 if run_and_capture(argv, root, name) != 0:
                     failed.append(f"seed {seed} {name}")

@@ -44,10 +44,13 @@ def test_component_ablation_writes_the_grid_and_the_sweep(tmp_path, capsys):
 
 
 
-def test_output_digest_lists_every_output_and_repeats_itself(capsys):
+def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys):
     script = load_script("output_digest")
-    argv = ["--seeds", "3", "--scenes", "6", "--points", "32", "--val-scenes", "2",
-            "--epochs", "1", "--baseline-epochs", "1", "1"]
+    monkeypatch.setattr(script, "SIZES", {
+        "scenes": 6, "points": 32, "val_scenes": 2, "epochs": 1,
+        "baseline_epochs": (1, 1), "ablate_epochs": 1,
+    })
+    argv = ["--seeds", "3"]
     assert script.main(argv) == 0
     first = capsys.readouterr().out.splitlines()
     digests = dict(reversed(line.split("  ", 1)) for line in first)
