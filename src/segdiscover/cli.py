@@ -162,7 +162,9 @@ def cmd_baseline(args) -> int:
         model, pseudo = run_baseline(train_clouds, split, exp.model, exp.train, bl, exp.augment)
         model.save(out / "baseline.ckpt")
         write_pseudo_labels(out / "pseudo", pseudo)
-        report = evaluate(model, scored, split, class_names=names)
+        # with no validation split the scored scenes are the training scenes
+        report = evaluate(model, scored, split, class_names=names,
+                          neighbours=[c.neighbours(exp.model.knn) for c in scored])
         (out / "report.tsv").write_text(report.to_tsv())
     print(report.to_tsv(), end="")
     return 0

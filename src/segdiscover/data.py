@@ -17,17 +17,23 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model
+
 # Label value a point carries once its (novel) ground truth is hidden.
 UNLABELLED = -1
 
 
 @dataclass
 class LabelledCloud:
-    """One scene: point coordinates in meters with per-point class ids."""
+    """One scene: point coordinates in meters with per-point class ids.
+
+    Coordinates are not changed after construction: the scene keeps the
+    k-NN graphs built over them, and a masked copy may share both."""
 
     coords: np.ndarray  # (m, 3) float64
     labels: np.ndarray  # (m,) int64
     scene_id: str = ""
+    _graphs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
@@ -44,6 +50,13 @@ class LabelledCloud:
     @property
     def n_points(self) -> int:
         return self.coords.shape[0]
+
+    def neighbours(self, k: int) -> np.ndarray:
+        """The scene's ``model.knn_indices`` graph for ``k``, built on first use and kept."""
+        if k not in self._graphs:
+            # looked up on the module, so a wrapped knn_indices is the one called
+            self._graphs[k] = model.knn_indices(self.coords, k)
+        return self._graphs[k]
 
 
 @dataclass(frozen=True)
@@ -232,6 +245,9 @@ def read_kitti_scan(bin_path, label_path) -> LabelledCloud:
     if len(raw) % 16 != 0:
         raise ValueError(f"{bin_path}: truncated scan, {len(raw)} bytes is not a multiple of 16")
     pts = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    finite = np.isfinite(pts[:, :3]).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{bin_path}: record {np.argmin(finite)} has a non-finite coordinate")
     lab_raw = Path(label_path).read_bytes()
     if len(lab_raw) % 4 != 0:
         raise ValueError(f"{label_path}: truncated label file")
@@ -247,13 +263,18 @@ def read_kitti_scan(bin_path, label_path) -> LabelledCloud:
     )
 
 
+def _check_writable_labels(cloud: LabelledCloud):
+    bad = np.unique(cloud.labels[(cloud.labels < 0) | (cloud.labels > 0xFFFF)])
+    if bad.size:
+        raise ValueError(f"scene {cloud.scene_id!r}: labels {bad.tolist()} do not fit in 16 bits")
+
+
 def write_kitti_scan(bin_path, label_path, cloud: LabelledCloud):
     """Inverse of ``read_kitti_scan``; remission written as zero."""
+    _check_writable_labels(cloud)
     pts = np.zeros((cloud.n_points, 4), dtype="<f4")
     pts[:, :3] = cloud.coords
     Path(bin_path).write_bytes(pts.tobytes())
-    if np.any(cloud.labels < 0) or np.any(cloud.labels > 0xFFFF):
-        raise ValueError("labels must fit in 16 bits to be written")
     Path(label_path).write_bytes(cloud.labels.astype("<u4").tobytes())
 
 
@@ -274,7 +295,8 @@ def write_scan_dir(root, clouds):
     ``labels/<scene_id>.label`` under ``root``.
 
     File names come from the scene ids, so an empty or repeated id is
-    refused, naming the ids, before any file is written.
+    refused, naming the ids, before any file is written; so is a label
+    outside 16 bits.
     """
     counts = Counter(c.scene_id for c in clouds)
     repeated = sorted(i for i, n in counts.items() if n > 1 and i)
@@ -283,6 +305,8 @@ def write_scan_dir(root, clouds):
             f"scene ids name the scan files, so they must be non-empty and distinct: "
             f"{counts['']} empty, repeated {repeated}"
         )
+    for cloud in clouds:
+        _check_writable_labels(cloud)
     root = Path(root)
     (root / "scans").mkdir(parents=True, exist_ok=True)
     (root / "labels").mkdir(parents=True, exist_ok=True)
@@ -423,17 +447,16 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
     """Hide novel ground truth: novel labels become UNLABELLED, ignore-labelled
     points are dropped entirely. Training code only ever sees the result.
 
+    A scene that keeps every point shares its coordinates and k-NN graphs.
     An id that is neither base, novel nor ``ignore_id`` is an error."""
     base = np.array(sorted(split.base_classes), dtype=np.int64)
     known = np.array(sorted(split.base_classes | split.novel_classes), dtype=np.int64)
     masked = []
     for cloud in clouds:
-        labels = cloud.labels
-        keep = np.ones(labels.shape[0], dtype=bool)
-        if ignore_id is not None:
+        coords, labels = cloud.coords, cloud.labels
+        if ignore_id is not None and np.any(labels == ignore_id):
             keep = labels != ignore_id
-        coords = cloud.coords[keep]
-        labels = labels[keep]
+            coords, labels = coords[keep], labels[keep]
         unknown = np.setdiff1d(labels, known)
         if unknown.size:
             raise ValueError(
@@ -442,6 +465,9 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
             )
         if coords.shape[0] == 0:
             continue  # scene was entirely ignore-labelled
-        out = np.where(np.isin(labels, base), labels, UNLABELLED)
-        masked.append(LabelledCloud(coords, out, scene_id=cloud.scene_id))
+        out = LabelledCloud(coords, np.where(np.isin(labels, base), labels, UNLABELLED),
+                            scene_id=cloud.scene_id)
+        if coords is cloud.coords:
+            out._graphs = cloud._graphs
+        masked.append(out)
     return masked

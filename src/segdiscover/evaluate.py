@@ -152,7 +152,7 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
     followed by its selected head's novel slots. Novel slots are matched
     to class ids on this same set, then the matrix columns are permuted
     accordingly before scoring.
-    ``neighbours`` optionally carries precomputed k-NN indices per cloud.
+    ``neighbours`` optionally carries each cloud's k-NN graph.
     """
     base_order = sorted(split.base_classes)
     novel_order = sorted(split.novel_classes)

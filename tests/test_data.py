@@ -1,5 +1,7 @@
 """Synthetic generation, scan-format IO, splits, and masking."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,13 @@ class TestScanIO:
         with pytest.raises(ValueError, match="labels for"):
             D.read_kitti_scan(tmp_path / "m.bin", tmp_path / "m.label")
 
+    def test_non_finite_coordinate_names_the_file(self, tmp_path):
+        pts = np.array([[1.0, 2.0, 3.0, 0.0], [np.nan, 0.0, 0.0, 0.0]], dtype="<f4")
+        (tmp_path / "n.bin").write_bytes(pts.tobytes())
+        (tmp_path / "n.label").write_bytes(np.zeros(2, dtype="<u4").tobytes())
+        with pytest.raises(ValueError, match=r"n\.bin: record 1 has a non-finite coordinate"):
+            D.read_kitti_scan(tmp_path / "n.bin", tmp_path / "n.label")
+
     def test_write_read_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(3, 3)).astype("<f4").astype(np.float64)
@@ -142,6 +151,18 @@ class TestScanIO:
         with pytest.raises(ValueError, match=match):
             D.write_scan_dir(tmp_path / "tree", clouds)
         assert not (tmp_path / "tree").exists()  # nothing was written
+
+    def test_labels_past_16_bits_are_refused_before_any_file_is_written(self, tmp_path):
+        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}))
+        good = D.LabelledCloud(np.zeros((3, 3)), np.array([1, 1, 2]), scene_id="a")
+        (masked,) = D.mask_novel([D.LabelledCloud(good.coords, good.labels, "b")], split)
+        wide = D.LabelledCloud(np.zeros((2, 3)), np.array([1, 0x10000]), scene_id="c")
+        with pytest.raises(ValueError, match=r"scene 'b': labels \[-1\] do not fit in 16 bits"):
+            D.write_scan_dir(tmp_path / "tree", [good, masked])
+        assert not (tmp_path / "tree").exists()
+        with pytest.raises(ValueError, match=r"scene 'c': labels \[65536\]"):
+            D.write_kitti_scan(tmp_path / "c.bin", tmp_path / "c.label", wide)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSplits:
@@ -243,3 +264,53 @@ class TestMasking:
             D.mask_novel([cloud], split)
         with pytest.raises(ValueError, match=r"scene '0007': label ids \[40\] are neither"):
             D.mask_novel([cloud], split, ignore_id=0)
+
+
+class TestSceneGraph:
+    def _count(self, monkeypatch):
+        from segdiscover import model
+
+        real, calls = model.knn_indices, []
+
+        def counted(coords, k):
+            calls.append((len(coords), k))
+            return real(coords, k)
+
+        monkeypatch.setattr(model, "knn_indices", counted)
+        return calls
+
+    def test_a_graph_is_built_once_per_k(self, monkeypatch):
+        from segdiscover.model import knn_indices
+
+        calls = self._count(monkeypatch)
+        cloud = D.generate_synthetic(small_config(n_scenes=1, points_per_scene=40))[0]
+        first = cloud.neighbours(4)
+        assert cloud.neighbours(4) is first
+        np.testing.assert_array_equal(first, knn_indices(cloud.coords, 4))
+        assert cloud.neighbours(6).shape == (40, 6)
+        assert calls == [(40, 4), (40, 6)]
+        # a replaced copy starts with no graphs, and graphs take no part in equality
+        copy = dataclasses.replace(cloud)
+        assert copy == cloud
+        copy.neighbours(4)
+        assert calls == [(40, 4), (40, 6), (40, 4)]
+
+    def test_a_masked_scene_shares_its_graph_unless_it_lost_points(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}))
+        rng = np.random.default_rng(0)
+        whole = D.LabelledCloud(rng.normal(size=(12, 3)), np.tile([1, 2], 6), scene_id="w")
+        holed = D.LabelledCloud(rng.normal(size=(12, 3)), np.tile([1, 2, 0], 4), scene_id="h")
+        graphs = [whole.neighbours(3), holed.neighbours(3)]
+        kept, dropped = D.mask_novel([whole, holed], split, ignore_id=0)
+        assert kept.coords is whole.coords
+        assert kept.neighbours(3) is graphs[0]
+        assert dropped.n_points == 8
+        assert dropped.neighbours(3) is not graphs[1]
+        assert holed.neighbours(3) is graphs[1]
+        assert calls == [(12, 3), (12, 3), (8, 3)]
+        # without an ignore id every scene keeps its points and its graph
+        with_zero = D.SplitSpec("x", "s", frozenset({0, 1}), frozenset({2}))
+        for m, graph in zip(D.mask_novel([whole, holed], with_zero), graphs):
+            assert m.neighbours(3) is graph
+        assert len(calls) == 3

@@ -554,25 +554,27 @@ class TestOneTapePerStep:
         assert peak < 29e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_scoring_the_training_scenes_reuses_their_graphs(self, monkeypatch):
-        import segdiscover.train as train_mod
+        import segdiscover.model as model_mod
 
-        real, calls = train_mod.knn_indices, []
+        real, calls = model_mod.knn_indices, []
 
         def counted(coords, k):
             calls.append(len(coords))
             return real(coords, k)
 
-        monkeypatch.setattr(train_mod, "knn_indices", counted)
+        monkeypatch.setattr(model_mod, "knn_indices", counted)
         clouds, split = tiny_setup(scenes=7)
         train(clouds, split, tiny_exp(epochs=1))
         assert calls == [c.n_points for c in clouds]
 
-        # dropping ignore-labelled points changes the training graphs only
+        # dropping ignore-labelled points gives that one scene a training
+        # graph of its own; every other scene keeps its one graph
         calls.clear()
+        clouds, split = tiny_setup(scenes=7)
         ignored = [LabelledCloud(clouds[0].coords, np.where(np.arange(48) < 5, 9, clouds[0].labels),
                                  clouds[0].scene_id)] + clouds[1:]
         train(ignored, split, tiny_exp(epochs=1), ignore_label=9)
-        assert calls == [43] + [48] * 6 + [48] * 7
+        assert calls == [43] + [48] * 6 + [48]
 
 
 class TestScheduleWiring:
