@@ -2,9 +2,10 @@
 """SHA-256 digests of every file a fixed set of CLI runs writes.
 
 Per seed, runs in-process through ``segdiscover.cli.main`` and into a
-temporary directory: ``gen-data``; ``train`` at the defaults and with
-each ``disc.*`` toggle off; ``baseline``; ``eval`` of the default
-training's checkpoint; and ``ablate``. Prints ``sha256  relative/path``
+temporary directory: ``gen-data`` with the toy and with the generic
+archetypes; ``train`` at the defaults and with each ``disc.*`` toggle
+off; ``baseline`` with over-clustering off and on; ``eval`` of the
+default training's checkpoint; and ``ablate``. Prints ``sha256  relative/path``
 for every file written, each run's exit code, stdout and stderr
 included (as ``logs/<run>.stdout`` and ``logs/<run>.stderr``, the
 temporary root replaced by ``<root>``). Two source trees print the
@@ -54,10 +55,12 @@ def runs(seed):
     seed's directory."""
     data = ["--data", "{root}/data", "--seed", str(seed)]
     epochs = f"train.epochs={SIZES['epochs']}"
+    gen = ["--seed", str(seed), "--scenes", str(SIZES["scenes"]), "--points", str(SIZES["points"]),
+           f"data.val_scenes={SIZES['val_scenes']}"]
     out = [
-        ("data", ["gen-data", "--out", "{root}/data", "--seed", str(seed),
-                  "--scenes", str(SIZES["scenes"]), "--points", str(SIZES["points"]),
-                  f"data.val_scenes={SIZES['val_scenes']}"]),
+        ("data", ["gen-data", "--out", "{root}/data", *gen]),
+        ("data-generic", ["gen-data", "--out", "{root}/data-generic", *gen,
+                          "data.archetypes=generic"]),
         ("train", ["train", *data, "--out", "{root}/train", epochs]),
     ]
     out += [
@@ -66,9 +69,11 @@ def runs(seed):
         for key in TOGGLES
     ]
     pre, fine = SIZES["baseline_epochs"]
+    offline = [f"offline.pretrain_epochs={pre}", f"offline.finetune_epochs={fine}"]
     out += [
-        ("baseline", ["baseline", *data, "--out", "{root}/baseline",
-                      f"offline.pretrain_epochs={pre}", f"offline.finetune_epochs={fine}"]),
+        ("baseline", ["baseline", *data, "--out", "{root}/baseline", *offline]),
+        ("baseline-overcluster", ["baseline", *data, "--out", "{root}/baseline-overcluster",
+                                  *offline, "offline.overcluster=on"]),
         ("eval", ["eval", *data, "--out", "{root}/eval",
                   "--checkpoint", "{root}/train/checkpoint.ckpt"]),
         ("ablate", ["ablate", *data, "--out", "{root}/ablate",

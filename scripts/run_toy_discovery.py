@@ -7,24 +7,24 @@ Usage: python scripts/run_toy_discovery.py [--seeds 0 1 2] [--epochs 10]
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 
 import numpy as np
 
-from segdiscover.data import generate_synthetic, toy_discovery_config
+from segdiscover.data import VAL_SCENES, generate_synthetic, toy_discovery_config, validation_scenes
 from segdiscover.evaluate import constant_predictor_bound
 from segdiscover.losses import TrainConfig
 from segdiscover.train import ExperimentConfig, train
 
 
 def main(argv=None):
+    toy = toy_discovery_config()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--epochs", type=int, default=10)
-    parser.add_argument("--scenes", type=int, default=200)
-    parser.add_argument("--points", type=int, default=512)
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--scenes", type=int, default=toy.n_scenes)
+    parser.add_argument("--points", type=int, default=toy.points_per_scene)
     args = parser.parse_args(argv)
 
     scores = []
@@ -32,7 +32,7 @@ def main(argv=None):
     for seed in args.seeds:
         cfg = toy_discovery_config(seed=seed, n_scenes=args.scenes, points_per_scene=args.points)
         clouds = generate_synthetic(cfg)
-        val = generate_synthetic(dataclasses.replace(cfg, n_scenes=50, seed=seed + 10_000))
+        val = validation_scenes(cfg, VAL_SCENES)
         exp = ExperimentConfig(train=TrainConfig(epochs=args.epochs, seed=seed))
         result = train(clouds, cfg.split(), exp, val_clouds=val, log=sys.stderr)
         last = result.metrics[-1]

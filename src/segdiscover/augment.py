@@ -41,7 +41,6 @@ def _augment_once(coords: np.ndarray, cfg: AugmentConfig, rng: np.random.Generat
 
 
 def make_views(cloud: LabelledCloud, rng: np.random.Generator,
-               cfg: AugmentConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+               cfg: AugmentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Two independently augmented (n, 3) coordinate arrays of ``cloud``."""
-    cfg = cfg or AugmentConfig()
     return _augment_once(cloud.coords, cfg, rng), _augment_once(cloud.coords, cfg, rng)

@@ -41,6 +41,7 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"NOPS"
 CHECKPOINT_VERSION = 1
+NORM_FLOOR = 1e-12  # l2_normalize_cols' lower bound on a column norm
 
 
 class ShapeError(ValueError):
@@ -256,10 +257,10 @@ def softmax_cols(a):
     return _result(s, (a,), backward)
 
 
-def l2_normalize_cols(a, eps=1e-12):
+def l2_normalize_cols(a):
     """Scale every column to unit L2 norm."""
     a = _as_tensor(a)
-    norms = np.maximum(np.sqrt((a.data ** 2).sum(axis=0, keepdims=True)), eps)
+    norms = np.maximum(np.sqrt((a.data ** 2).sum(axis=0, keepdims=True)), NORM_FLOOR)
     y = a.data / norms
 
     def backward(grad, acc):
@@ -283,34 +284,27 @@ def mean_all(a):
     return mul(sum_all(a), 1.0 / a.data.size)
 
 
-def concat_cols(tensors: Sequence):
+def _concat(tensors: Sequence, axis: int, op: str):
+    """``tensors`` side by side along ``axis`` (1: columns, 0: rows)."""
     tensors = [_as_tensor(t) for t in tensors]
-    rows = {t.data.shape[0] for t in tensors}
-    if len(rows) != 1:
-        raise ShapeError(f"concat_cols: row counts differ: {[t.label() for t in tensors]}")
-    widths = [t.data.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+    if len({t.data.shape[1 - axis] for t in tensors}) != 1:
+        across = "row" if axis else "column"
+        raise ShapeError(f"{op}: {across} counts differ: {[t.label() for t in tensors]}")
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(grad, acc):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            acc(t, grad[:, lo:hi])
+            acc(t, grad[:, lo:hi] if axis else grad[lo:hi])
 
-    return _result(np.concatenate([t.data for t in tensors], axis=1), tensors, backward)
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+def concat_cols(tensors: Sequence):
+    return _concat(tensors, 1, "concat_cols")
 
 
 def concat_rows(tensors: Sequence):
-    tensors = [_as_tensor(t) for t in tensors]
-    cols = {t.data.shape[1] for t in tensors}
-    if len(cols) != 1:
-        raise ShapeError(f"concat_rows: column counts differ: {[t.label() for t in tensors]}")
-    heights = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + heights)
-
-    def backward(grad, acc):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            acc(t, grad[lo:hi, :])
-
-    return _result(np.concatenate([t.data for t in tensors], axis=0), tensors, backward)
+    return _concat(tensors, 0, "concat_rows")
 
 
 def _distinct(indices, n) -> bool:
@@ -470,7 +464,7 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
     return _result(out, (logits,), backward)
 
 
-def sum_in_order(a, scale=1.0):
+def sum_in_order(a, scale):
     """1x1 sum of ``a``'s entries added one at a time in row-major order,
     times ``scale``: the value of a chain of adds and one scalar mul,
     which a pairwise ``sum_all`` does not reproduce bit for bit."""

@@ -57,19 +57,19 @@ def _synthetic_config(cfg: dict, seed: int) -> datamod.SyntheticConfig:
     def data(key):
         return cfgmod.literal(cfg, f"data.{key}")
 
-    scenes, points, dropout = data("scenes"), data("points"), data("dropout")
+    scenes, points = data("scenes"), data("points")
     if data("archetypes") == "toy":
-        base = datamod.toy_discovery_config(seed=seed, n_scenes=scenes, points_per_scene=points)
-        return replace(base, scene_dropout=dropout)
-    n_classes, n_novel = data("classes"), data("novel")
-    return datamod.SyntheticConfig(
-        archetypes=datamod.make_archetypes(n_classes, seed=seed),
-        n_scenes=scenes,
-        points_per_scene=points,
-        seed=seed,
-        scene_dropout=dropout,
-        novel_classes=tuple(range(n_classes - n_novel, n_classes)),
-    )
+        syn = datamod.toy_discovery_config(seed=seed, n_scenes=scenes, points_per_scene=points)
+    else:
+        n_classes, n_novel = data("classes"), data("novel")
+        syn = datamod.SyntheticConfig(
+            archetypes=datamod.make_archetypes(n_classes, seed=seed),
+            n_scenes=scenes,
+            points_per_scene=points,
+            seed=seed,
+            novel_classes=tuple(range(n_classes - n_novel, n_classes)),
+        )
+    return replace(syn, scene_dropout=data("dropout"))
 
 
 @contextlib.contextmanager
@@ -93,8 +93,7 @@ def cmd_gen_data(args) -> int:
     names = syn.class_names()
 
     train_clouds = datamod.generate_synthetic(syn)
-    val_cfg = replace(syn, n_scenes=cfgmod.literal(cfg, "data.val_scenes"), seed=syn.seed + 10_000)
-    val_clouds = datamod.generate_synthetic(val_cfg)
+    val_clouds = datamod.validation_scenes(syn, cfgmod.literal(cfg, "data.val_scenes"))
     with _output(args, cfg) as out:
         datamod.write_scan_dir(out / "train", train_clouds)
         datamod.write_scan_dir(out / "val", val_clouds)
@@ -111,7 +110,8 @@ def _prologue(args, trains: bool):
     class names, the training scans and the scored scans: the validation
     split when the dataset has one, else the training split. Training
     scans are read only when the command trains or has nothing else to
-    score, so ``eval`` reads just the split it scores.
+    score, so ``eval`` reads just the split it scores. Every scan read
+    has its labels checked against the split before anything runs.
     """
     cfg = _resolve(args)
     exp = cfgmod.check(cfg)
@@ -120,6 +120,7 @@ def _prologue(args, trains: bool):
     split = datamod.read_split_file(Path(args.split or root / "split.txt"), names)
     val = datamod.load_scan_dir(root / "val") if (root / "val" / "scans").exists() else None
     train_clouds = datamod.load_scan_dir(root / "train") if trains or not val else None
+    datamod.check_labels((val or []) + (train_clouds or []), split, None)
     return cfg, exp, split, names, train_clouds, val or train_clouds
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .baseline import BaselineConfig
-from .data import toy_discovery_config
+from .data import VAL_SCENES, read_key_values, toy_discovery_config
 from .train import ExperimentConfig
 
 # flat key -> (root config class, dotted field path under it)
@@ -56,15 +56,16 @@ FIELDS = {
     "offline.overcluster_factor": (BaselineConfig, "overcluster_factor"),
 }
 
+_TOY = toy_discovery_config()  # the synthetic generator, whose sizes are the data.* defaults
 # keys with no field; each value parses as the type of its default here
 LITERAL_DEFAULTS = {
     "model.eval_head": "auto",
-    "data.scenes": 200,
-    "data.val_scenes": 50,
-    "data.points": 512,
-    "data.classes": 5,
-    "data.novel": 2,
-    "data.dropout": 0.0,
+    "data.scenes": _TOY.n_scenes,
+    "data.val_scenes": VAL_SCENES,
+    "data.points": _TOY.points_per_scene,
+    "data.classes": _TOY.n_classes,
+    "data.novel": len(_TOY.novel_classes),
+    "data.dropout": _TOY.scene_dropout,
     "data.archetypes": "toy",
 }
 
@@ -86,26 +87,10 @@ DEFAULTS = {key: _text(_field_default(root, path)) for key, (root, path) in FIEL
 DEFAULTS.update((key, _text(value)) for key, value in LITERAL_DEFAULTS.items())
 
 
-def parse_config_file(path) -> dict:
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def resolve(file_path=None, overrides=()) -> dict:
     cfg = dict(DEFAULTS)
     if file_path is not None:
-        for key, value in parse_config_file(file_path).items():
-            if key not in cfg:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = value
+        cfg.update(read_key_values(file_path, DEFAULTS))
     for item in overrides:
         key, eq, value = item.partition("=")
         if key not in cfg:
@@ -196,9 +181,8 @@ def _check_data(cfg: dict):
     if not 0 < novel < classes:
         raise ValueError(f"data.novel: expected 1..data.classes-1 = {classes - 1}, got {novel}")
     if archetypes == "toy":
-        toy = toy_discovery_config()
-        for key, value, fixed in (("data.classes", classes, len(toy.archetypes)),
-                                  ("data.novel", novel, len(toy.novel_classes))):
+        for key, value, fixed in (("data.classes", classes, _TOY.n_classes),
+                                  ("data.novel", novel, len(_TOY.novel_classes))):
             if value != fixed:
                 raise ValueError(f"{key}: the toy archetypes fix it at {fixed}, got {value}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,8 @@ from . import model
 
 # Label value a point carries once its (novel) ground truth is hidden.
 UNLABELLED = -1
+
+VAL_SCENES = 50  # default size of a synthetic validation set (``validation_scenes``)
 
 
 @dataclass
@@ -182,6 +184,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[LabelledCloud]:
     return clouds
 
 
+def validation_scenes(train_cfg: SyntheticConfig, n_scenes: int) -> list[LabelledCloud]:
+    """``n_scenes`` scenes drawn like ``train_cfg``'s, seeded 10,000 past it."""
+    return generate_synthetic(replace(train_cfg, n_scenes=n_scenes, seed=train_cfg.seed + 10_000))
+
+
 def toy_discovery_config(seed: int = 0, n_scenes: int = 200, points_per_scene: int = 512) -> SyntheticConfig:
     """Five classes, three base plus two novel, separable by radius/height."""
     archetypes = (
@@ -222,10 +229,7 @@ def make_archetypes(n_classes: int, seed: int = 0) -> tuple:
     # Unequal shares, ground heaviest, mimicking LiDAR class imbalance.
     weights = np.array([2.5] + [1.0 + 0.5 * ((i * 7) % 3) for i in range(1, n_classes)])
     shares = weights / weights.sum()
-    return tuple(
-        ClassArchetype(a.name, float(s), a.spread, a.radius, a.height, a.n_blobs, a.planar)
-        for a, s in zip(archetypes, shares)
-    )
+    return tuple(replace(a, share=float(s)) for a, s in zip(archetypes, shares))
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +411,30 @@ def write_split_file(path, split: SplitSpec, names: dict):
     )
 
 
-def read_split_file(path, names: dict) -> SplitSpec:
-    """Parse the plain-text split format against a known class table."""
-    fields = {}
-    for line in Path(path).read_text().splitlines():
+def read_key_values(path, keys) -> dict:
+    """A text file's ``key=value`` lines, ``#`` comments skipped; a line without
+    ``=``, a key not in ``keys`` or a repeat is refused by file and line."""
+    out = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    for key in ("dataset", "split_name", "novel"):
+        key, eq, value = map(str.strip, line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: key {key!r} set again")
+        out[key] = value
+    return out
+
+
+def read_split_file(path, names: dict) -> SplitSpec:
+    """Parse the plain-text split format against a known class table."""
+    keys = ("dataset", "split_name", "novel")
+    fields = read_key_values(path, keys)
+    for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: split file missing {key!r}")
     by_name = {v: k for k, v in names.items()}
@@ -434,11 +452,18 @@ def write_class_names(path, names: dict):
 
 
 def read_class_names(path) -> dict:
+    """Inverse of ``write_class_names``; a malformed or repeated line is refused by line."""
     names = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        cid, name = line.split("\t")
+        cid, tab, name = line.partition("\t")
+        if not (tab and cid.isdecimal() and name and "\t" not in name):
+            raise ValueError(f"{path}:{lineno}: expected <id><tab><name>, got {line!r}")
+        if int(cid) in names:
+            raise ValueError(f"{path}:{lineno}: class id {cid} already named {names[int(cid)]!r}")
+        if name in names.values():
+            raise ValueError(f"{path}:{lineno}: class name {name!r} already used")
         names[int(cid)] = name
     return names
 
@@ -450,19 +475,13 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
     A scene that keeps every point shares its coordinates and k-NN graphs.
     An id that is neither base, novel nor ``ignore_id`` is an error."""
     base = np.array(sorted(split.base_classes), dtype=np.int64)
-    known = np.array(sorted(split.base_classes | split.novel_classes), dtype=np.int64)
+    check_labels(clouds, split, ignore_id)
     masked = []
     for cloud in clouds:
         coords, labels = cloud.coords, cloud.labels
         if ignore_id is not None and np.any(labels == ignore_id):
             keep = labels != ignore_id
             coords, labels = coords[keep], labels[keep]
-        unknown = np.setdiff1d(labels, known)
-        if unknown.size:
-            raise ValueError(
-                f"scene {cloud.scene_id!r}: label ids {unknown.tolist()} are neither base "
-                f"nor novel in split {split.name!r}, nor ignored"
-            )
         if coords.shape[0] == 0:
             continue  # scene was entirely ignore-labelled
         out = LabelledCloud(coords, np.where(np.isin(labels, base), labels, UNLABELLED),
@@ -471,3 +490,24 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
             out._graphs = cloud._graphs
         masked.append(out)
     return masked
+
+
+def check_labels(clouds, split: SplitSpec, ignore_id: int | None):
+    """Refuse, by name, the first scene with an id neither base, novel nor ``ignore_id``."""
+    known = split.base_classes | split.novel_classes
+    for cloud in clouds:
+        unknown = [v for v in np.unique(cloud.labels).tolist() if v not in known and v != ignore_id]
+        if unknown:
+            raise ValueError(f"scene {cloud.scene_id!r}: label ids {unknown} are neither base "
+                             f"nor novel in split {split.name!r}, nor ignored")
+
+
+def class_counts(clouds, classes) -> dict:
+    """Points per class id in ``classes`` (in that order) over ``clouds``, as ints."""
+    counts = {c: 0 for c in classes}
+    for cloud in clouds:
+        ids, n = np.unique(cloud.labels, return_counts=True)
+        for cid, cnt in zip(ids.tolist(), n.tolist()):
+            if cid in counts:
+                counts[cid] += cnt
+    return counts

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import hungarian_max
-from .data import SplitSpec
+from .data import SplitSpec, check_labels, class_counts
 
 
 @dataclass
@@ -109,12 +109,12 @@ class EvalReport:
     mapping: dict  # novel head slot -> class id
     class_names: dict | None = None
 
+    def _name(self, cls) -> str:
+        return self.class_names.get(cls, str(cls)) if self.class_names else str(cls)
+
     def rows(self) -> list[tuple[str, float | None]]:
         """Per-class rows followed by the three aggregate rows."""
-        out = []
-        for cls in sorted(self.per_class_iou):
-            name = self.class_names.get(cls, str(cls)) if self.class_names else str(cls)
-            out.append((name, self.per_class_iou[cls]))
+        out = [(self._name(c), self.per_class_iou[c]) for c in sorted(self.per_class_iou)]
         out.append(("Novel mIoU", self.novel_miou))
         out.append(("Base mIoU", self.base_miou))
         out.append(("All mIoU", self.all_miou))
@@ -128,10 +128,7 @@ class EvalReport:
 
     def wide_header(self) -> str:
         """Benchmark-table layout: one column per class plus aggregates."""
-        names = [
-            self.class_names.get(c, str(c)) if self.class_names else str(c)
-            for c in sorted(self.per_class_iou)
-        ]
+        names = [self._name(c) for c in sorted(self.per_class_iou)]
         return "\t".join(["model"] + names + ["Novel", "Base", "All"])
 
     def wide_row(self, label: str) -> str:
@@ -151,7 +148,8 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
     returning, per point, an argmax over base slots (sorted base ids)
     followed by its selected head's novel slots. Novel slots are matched
     to class ids on this same set, then the matrix columns are permuted
-    accordingly before scoring.
+    accordingly before scoring. A ground-truth label outside the split
+    (and not ``ignore_label``) is refused, naming its scene.
     ``neighbours`` optionally carries each cloud's k-NN graph.
     """
     base_order = sorted(split.base_classes)
@@ -162,6 +160,7 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
     # predicted slot j stands for classes[j] until the novel slots are matched
     slot_classes = np.asarray(classes)
     by_slot = ConfusionMatrix(classes)
+    check_labels(clouds, split, ignore_label)
     for i, cloud in enumerate(clouds):
         slots = model.predict_slots(
             cloud.coords, neighbours=None if neighbours is None else neighbours[i]
@@ -173,16 +172,14 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
     # class: argsort inverts the slot -> row permutation
     perm = np.concatenate([np.arange(n_base), n_base + np.argsort(mapping_rows)])
     cm = ConfusionMatrix(classes, by_slot.counts[:, perm])
-    per_class = {c: cm.iou(c) for c in classes}
-    report = EvalReport(
-        per_class_iou=per_class,
+    return EvalReport(
+        per_class_iou={c: cm.iou(c) for c in classes},
         novel_miou=miou(cm, novel_order),
         base_miou=miou(cm, base_order),
         all_miou=miou(cm, classes),
         mapping={j: novel_order[mapping_rows[j]] for j in range(len(novel_order))},
         class_names=class_names,
     )
-    return report
 
 
 def constant_predictor_bound(clouds, split: SplitSpec) -> float:
@@ -192,14 +189,8 @@ def constant_predictor_bound(clouds, split: SplitSpec) -> float:
     zero elsewhere, so the bound is max_c freq(c) / |C_n|.
     """
     novel = sorted(split.novel_classes)
-    total = 0
-    counts = {c: 0 for c in novel}
-    for cloud in clouds:
-        total += cloud.n_points
-        ids, n = np.unique(cloud.labels, return_counts=True)
-        for cid, cnt in zip(ids, n):
-            if int(cid) in counts:
-                counts[int(cid)] += int(cnt)
+    counts = class_counts(clouds, novel)
+    total = sum(cloud.n_points for cloud in clouds)
     if total == 0:
         return 0.0
     return max(counts.values()) / total / len(novel)

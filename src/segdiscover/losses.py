@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import SplitSpec
+from .data import SplitSpec, class_counts
 
 LOG_FLOOR = 1e-12
 
@@ -65,20 +65,14 @@ class LossWeights:
 
 def compute_loss_weights(clouds, split: SplitSpec) -> LossWeights:
     """Inverse relative-frequency base weights from training occurrences."""
-    base_order = sorted(split.base_classes)
-    counts = {c: 0 for c in base_order}
-    for cloud in clouds:
-        ids, n = np.unique(cloud.labels, return_counts=True)
-        for cid, cnt in zip(ids, n):
-            if cid in counts:
-                counts[int(cid)] += int(cnt)
+    counts = class_counts(clouds, sorted(split.base_classes))
     total = sum(counts.values())
     if total == 0:
-        return LossWeights({c: 1.0 for c in base_order})
+        return LossWeights(dict.fromkeys(counts, 1.0))
     # absent base classes fall back to the strongest reweighting present
-    inv = {c: (total / cnt) if cnt > 0 else 0.0 for c, cnt in counts.items()}
-    fallback = max(inv.values()) if any(v > 0 for v in inv.values()) else 1.0
-    inv = {c: (v if v > 0 else fallback) for c, v in inv.items()}
+    inv = {c: total / cnt for c, cnt in counts.items() if cnt > 0}
+    fallback = max(inv.values())
+    inv = {c: inv.get(c, fallback) for c in counts}
     mean = sum(inv.values()) / len(inv)
     return LossWeights({c: v / mean for c, v in inv.items()})
 
@@ -127,13 +121,6 @@ def one_hot(labels, class_order, width) -> np.ndarray:
     out = np.zeros((width, rows.size))
     out[rows, np.arange(rows.size)] = 1.0
     return out
-
-
-def sum_tensors(terms) -> "ad.Tensor":
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:

@@ -42,7 +42,7 @@ def epsilon_at(schedule: EpsilonSchedule, epoch: int) -> float:
     return float(min(schedule.eps_start, max(schedule.eps_end, eps)))
 
 
-def sinkhorn_assign(scores, eps: float, n_iters: int = 3) -> np.ndarray:
+def sinkhorn_assign(scores, eps: float, n_iters: int) -> np.ndarray:
     """Soft assignment of points (columns) to prototypes (rows).
 
     ``scores`` is rho x m (queue columns, if any, already appended). The

@@ -222,7 +222,7 @@ def test_criterion_06_supervision_isolation(tmp_path):
 
     bl_cfg = BaselineConfig(pretrain_epochs=1, finetune_epochs=1, subsample=SubsampleSpec(0.5, 16))
     for tag, data in (("a", clouds), ("b", shuffled)):
-        model, _ = run_baseline(data, split, exp.model, exp.train, bl_cfg)
+        model, _ = run_baseline(data, split, exp.model, exp.train, bl_cfg, exp.augment)
         model.save(tmp_path / f"offline_{tag}.ckpt")
     offline_ok = (tmp_path / "offline_a.ckpt").read_bytes() == (tmp_path / "offline_b.ckpt").read_bytes()
     verdict(6, online_ok and offline_ok,

@@ -363,7 +363,7 @@ class TestBlockCrossEntropy:
     def test_gradients_are_added_in_list_order_bit_for_bit(self):
         # what a tape of one node per block accumulates: ((g0 + g1) + g2) ...
         logits, blocks = self.setup_case()
-        ad.backward(ad.sum_in_order(self.fused(logits, blocks)))
+        ad.backward(ad.sum_in_order(self.fused(logits, blocks), 1.0))
         fused_grad = logits.grad.copy()
         total = None
         for block in blocks:

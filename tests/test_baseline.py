@@ -36,6 +36,7 @@ def tiny_setup(seed=0, scenes=6, points=48):
 TINY_MODEL = ModelConfig(feature_dim=8, hidden=16, knn=4, heads=2, overcluster_factor=2)
 TINY_TRAIN = TrainConfig(epochs=2, batch_size=2, seed=0)
 TINY_BASE = BaselineConfig(pretrain_epochs=2, finetune_epochs=2, subsample=SubsampleSpec(0.5, 20))
+AUG = AugmentConfig()
 
 
 class TestSubsample:
@@ -290,7 +291,7 @@ class TestPretrain:
         model = pretrain_base(
             mask_novel(clouds, split), split, model_cfg,
             TrainConfig(epochs=6, batch_size=2, seed=0),
-            BaselineConfig(pretrain_epochs=6, finetune_epochs=1),
+            BaselineConfig(pretrain_epochs=6, finetune_epochs=1), AUG,
         )
         report = evaluate(model, clouds, split)
         # chance level: closed form for a uniform predictor over 5 slots
@@ -310,8 +311,8 @@ class TestPretrain:
             novel = np.flatnonzero(np.isin(labels, [3, 4]))
             labels[novel] = rng.permutation(labels[novel])
             shuffled.append(LabelledCloud(c.coords, labels, c.scene_id))
-        a = pretrain_base(mask_novel(clouds, split), split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
-        b = pretrain_base(mask_novel(shuffled, split), split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        a, b = (pretrain_base(mask_novel(c, split), split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
+                for c in (clouds, shuffled))
         a.save(tmp_path / "a.ckpt")
         b.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -322,13 +323,13 @@ class TestPretrain:
         clouds, split = tiny_setup()
         message = r"labels \[3, 4\] are not in the class order \[0, 1, 2\]"
         with pytest.raises(ValueError, match=message):
-            pretrain_base(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+            pretrain_base(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
         pretrained = pretrain_base(
             mask_novel(clouds, split), split, TINY_MODEL, TINY_TRAIN,
-            BaselineConfig(pretrain_epochs=1, finetune_epochs=1),
+            BaselineConfig(pretrain_epochs=1, finetune_epochs=1), AUG,
         )
         with pytest.raises(ValueError, match=message):
-            finetune(pretrained, clouds, {}, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+            finetune(pretrained, clouds, {}, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
 
     def test_loss_decreases_on_average(self):
         # non-strict check averaged over seeds: pretrain longer, compare
@@ -339,12 +340,12 @@ class TestPretrain:
             short = pretrain_base(
                 mask_novel(clouds, split), split, TINY_MODEL,
                 TrainConfig(epochs=1, batch_size=2, seed=seed),
-                BaselineConfig(pretrain_epochs=1, finetune_epochs=1),
+                BaselineConfig(pretrain_epochs=1, finetune_epochs=1), AUG,
             )
             long = pretrain_base(
                 mask_novel(clouds, split), split, TINY_MODEL,
                 TrainConfig(epochs=5, batch_size=2, seed=seed),
-                BaselineConfig(pretrain_epochs=5, finetune_epochs=1),
+                BaselineConfig(pretrain_epochs=5, finetune_epochs=1), AUG,
             )
             gains.append(
                 evaluate(long, clouds, split).base_miou
@@ -356,7 +357,7 @@ class TestPretrain:
 class TestPipeline:
     def test_run_baseline_smoke(self):
         clouds, split = tiny_setup()
-        model, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        model, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
         assert pseudo, "clustering produced no pseudo-labels"
         for idx, slots in pseudo.values():
             assert np.all((slots >= 0) & (slots < 2))
@@ -370,10 +371,10 @@ class TestPipeline:
         clouds, split = tiny_setup(scenes=4)
         unnamed = [LabelledCloud(c.coords, c.labels) for c in clouds]
         with pytest.raises(ValueError, match=r"scene ids \[''\] each name more than one scene"):
-            run_baseline(unnamed, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+            run_baseline(unnamed, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
         renamed = clouds[:3] + [LabelledCloud(clouds[3].coords, clouds[3].labels, "0001")]
         with pytest.raises(ValueError, match=r"scene ids \['0001'\]"):
-            run_baseline(renamed, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+            run_baseline(renamed, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
 
     def test_a_diverging_run_stops_at_the_sgd_step(self):
         clouds, split = tiny_setup()
@@ -381,7 +382,7 @@ class TestPipeline:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ValueError, match=r"SGD step at lr \S+ left parameter \S+ non-finite"
         ):
-            run_baseline(clouds, split, TINY_MODEL, train_cfg, TINY_BASE)
+            run_baseline(clouds, split, TINY_MODEL, train_cfg, TINY_BASE, AUG)
 
     def test_overcluster_stage_smoke(self):
         clouds, split = tiny_setup()
@@ -389,7 +390,7 @@ class TestPipeline:
             pretrain_epochs=1, finetune_epochs=1,
             subsample=SubsampleSpec(0.7, 30), overcluster=True, overcluster_factor=2,
         )
-        model, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, cfg)
+        model, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, cfg, AUG)
         for _, slots in pseudo.values():
             assert np.all((slots >= 0) & (slots < 2))
 
@@ -411,7 +412,7 @@ class TestPipeline:
         monkeypatch.setattr(bl, "kmeans", capture_kmeans)
         monkeypatch.setattr(bl, "pretrain_base", capture_pretrain)
         clouds, split = tiny_setup()
-        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
 
         rng = np.random.default_rng(TINY_TRAIN.seed + 2)
         expected = []
@@ -437,7 +438,7 @@ class TestPipeline:
 
         monkeypatch.setattr(bl, "kmeans", capture_kmeans)
         clouds, split = tiny_setup()
-        _, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        _, pseudo = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
 
         rng = np.random.default_rng(TINY_TRAIN.seed + 2)
         start = 0
@@ -471,7 +472,7 @@ class TestPipeline:
         for module in (bl, model_module):
             monkeypatch.setattr(module, "knn_indices", counted)
         clouds, split = tiny_setup()
-        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
         assert calls == [c.n_points for c in clouds]
 
     def test_no_loss_node_of_a_step_outlives_it(self, monkeypatch):
@@ -502,7 +503,7 @@ class TestPipeline:
         monkeypatch.setattr(bl, "make_views", checked_views)
         monkeypatch.setattr(SGD, "step", stepped)
         clouds, split = tiny_setup()
-        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE)
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
         # 3 steps of 2 scenes per epoch, 2 epochs per stage, 2 stages
         assert len(done) == 24 and len(alive) == 24
         assert alive == [0] * len(alive)
@@ -517,8 +518,8 @@ class TestPipeline:
             labels[novel] = rng.permutation(labels[novel])
             shuffled.append(LabelledCloud(c.coords, labels, c.scene_id))
         cfg = BaselineConfig(pretrain_epochs=1, finetune_epochs=1, subsample=SubsampleSpec(0.5, 10))
-        ma, _ = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, cfg)
-        mb, _ = run_baseline(shuffled, split, TINY_MODEL, TINY_TRAIN, cfg)
+        ma, _ = run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, cfg, AUG)
+        mb, _ = run_baseline(shuffled, split, TINY_MODEL, TINY_TRAIN, cfg, AUG)
         ma.save(tmp_path / "a.ckpt")
         mb.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

@@ -202,6 +202,24 @@ class TestErrors:
         assert main(args) == 1
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, part", [
+        ("train", "val"), ("train", "train"), ("baseline", "val"), ("eval", "val"),
+    ])
+    def test_a_label_outside_the_split_names_its_scene_before_any_output(
+            self, tmp_path, capsys, command, part):
+        data = gen_tiny(tmp_path / "d")
+        label_path = sorted((data / part / "labels").glob("*.label"))[-1]
+        labels = np.fromfile(label_path, dtype="<u4")
+        labels[3] = 9
+        labels.tofile(label_path)
+        args = [command, "--data", str(data), "--out", str(tmp_path / "runs" / "x"), *FAST]
+        if command == "eval":
+            args += ["--checkpoint", str(tmp_path / "absent.ckpt")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"scene '{label_path.stem}': label ids [9] are neither base nor novel" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_eval_of_a_missing_checkpoint_leaves_no_output_directory(self, tmp_path):
         data = gen_tiny(tmp_path / "d")
         code = main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "absent.ckpt"),

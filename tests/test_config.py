@@ -147,6 +147,17 @@ def test_legacy_defaults_file_loads_to_the_same_settings(tmp_path):
 
 
 class TestBoundaryErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("sk.iters=3\n# again\nsk.iters=7\n", r"run\.cfg:3: key 'sk\.iters' set again"),
+        ("train.epochs=2\nsk.itres=3\n", r"run\.cfg:2: unknown key 'sk\.itres'"),
+        ("train.epochs 2\n", r"run\.cfg:1: expected key=value, got 'train\.epochs 2'"),
+    ])
+    def test_a_config_file_line_is_refused_by_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            config.resolve(path)
+
     def test_override_without_equals_names_the_key(self):
         with pytest.raises(ValueError, match="train.epochs"):
             config.experiment_config(config.resolve(overrides=["train.epochs"]))

@@ -216,6 +216,39 @@ class TestSplits:
         with pytest.raises(ValueError, match=r"split\.txt: novel classes \['banana'\] are not in"):
             D.read_split_file(path, names)
 
+    @pytest.mark.parametrize("text, message", [
+        ("dataset=toy\nsplit_name=s\nnovel=mast\nnovel=crown\n",
+         r"split\.txt:4: key 'novel' set again"),
+        ("dataset=toy\nsplit_name=s\nnovel=crown\nnovle=hub\n",
+         r"split\.txt:4: unknown key 'novle'"),
+        ("dataset=toy\n# comment\nsplit_name s\nnovel=crown\n",
+         r"split\.txt:3: expected key=value, got 'split_name s'"),
+    ])
+    def test_a_repeated_unknown_or_malformed_line_names_the_file_and_line(
+            self, tmp_path, text, message):
+        path = tmp_path / "split.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            D.read_split_file(path, dict(enumerate(["ground", "hub", "ring", "mast", "crown"])))
+
+    def test_class_names_round_trip(self, tmp_path):
+        names = {0: "ground", 1: "hub", 7: "ring"}
+        D.write_class_names(tmp_path / "classes.txt", names)
+        assert D.read_class_names(tmp_path / "classes.txt") == names
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\tground\n1\thub\n1\tring\n", r"classes\.txt:3: class id 1 already named 'hub'"),
+        ("0\tground\n\n1\thub\n2\thub\n", r"classes\.txt:4: class name 'hub' already used"),
+        ("0\tground\n1 hub\n", r"classes\.txt:2: expected <id><tab><name>, got '1 hub'"),
+        ("x\tground\n", r"classes\.txt:1: expected <id><tab><name>"),
+        ("0\tground\tplane\n", r"classes\.txt:1: expected <id><tab><name>"),
+    ])
+    def test_class_names_refuse_a_repeat_or_a_malformed_line(self, tmp_path, text, message):
+        path = tmp_path / "classes.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            D.read_class_names(path)
+
     def test_raw_label_remap(self):
         classes = D.load_class_table("semantickitti")
         raw = np.array([10, 252, 0, 81])

@@ -184,7 +184,7 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         split, clouds = _toy_eval_set(rng)
         clouds[1].labels[5] = 9
-        with pytest.raises(ValueError, match=r"ground-truth label.*9.*outside"):
+        with pytest.raises(ValueError, match=r"scene '1': label ids \[9\] are neither base"):
             evaluate(_ConstantModel(0), clouds, split)
         # unless it is the ignore label
         evaluate(_ConstantModel(0), clouds, split, ignore_label=9)

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from segdiscover import autodiff as ad
-from segdiscover.data import LabelledCloud, SplitSpec
+from segdiscover.data import (
+    UNLABELLED,
+    LabelledCloud,
+    SplitSpec,
+    SyntheticConfig,
+    class_counts,
+    generate_synthetic,
+    make_archetypes,
+)
+from segdiscover.evaluate import constant_predictor_bound
 from segdiscover.losses import (
     SGD,
     LossWeights,
@@ -83,6 +92,34 @@ class TestLossWeights:
         assert lw.base_weights[1] == pytest.approx(expected[1])
         assert lw.vector([0, 1], 2)[2:].tolist() == [1.0, 1.0]
 
+    def test_an_absent_base_class_takes_the_strongest_weight_present(self):
+        clouds = [LabelledCloud(np.zeros((6, 3)), np.array([0, 0, 0, 0, 1, UNLABELLED]))]
+        split = SplitSpec("s", "t", frozenset({0, 1, 2}), frozenset({3}))
+        # 5 base points: inverse frequencies 5/4 and 5, and class 2 falls back to 5
+        inv = [5 / 4, 5.0, 5.0]
+        mean = sum(inv) / 3
+        expected = {0: inv[0] / mean, 1: inv[1] / mean, 2: inv[2] / mean}
+        assert compute_loss_weights(clouds, split).base_weights == expected
+
+    def test_no_base_points_weigh_every_base_class_one(self):
+        clouds = [LabelledCloud(np.zeros((3, 3)), np.full(3, UNLABELLED))]
+        split = SplitSpec("s", "t", frozenset({0, 1, 2}), frozenset({3}))
+        assert compute_loss_weights(clouds, split).base_weights == {0: 1.0, 1: 1.0, 2: 1.0}
+
+    def test_the_shared_counter_reproduces_the_per_caller_loops_bit_for_bit(self):
+        # ten base classes: numpy's pairwise mean of these inverse
+        # frequencies differs from the Python left-to-right sum in the last bit
+        syn = SyntheticConfig(archetypes=make_archetypes(12, seed=2), n_scenes=5,
+                              points_per_scene=90, seed=2, scene_dropout=0.3,
+                              novel_classes=(10, 11))
+        clouds, split = generate_synthetic(syn), syn.split()
+        weights = compute_loss_weights(clouds, split).base_weights
+        assert weights == _loss_weights_loop(clouds, split)
+        counts = class_counts(clouds, sorted(split.base_classes))
+        inv = np.array([sum(counts.values()) / n for n in counts.values()])
+        assert (inv / inv.mean()).tolist() != list(weights.values())
+        assert constant_predictor_bound(clouds, split) == _bound_loop(clouds, split)
+
     def test_vector_layout(self):
         lw = LossWeights({0: 0.5, 1: 1.5})
         vec = lw.vector([0, 1], 3)
@@ -93,6 +130,41 @@ class TestLossWeights:
             LossWeights({0: 2.0, 1: 1.0})  # mean != 1
         with pytest.raises(ValueError):
             LossWeights({0: -1.0, 1: 3.0})
+
+
+def _loss_weights_loop(clouds, split):
+    """``compute_loss_weights``' base weights, counted by its own loop."""
+    base_order = sorted(split.base_classes)
+    counts = {c: 0 for c in base_order}
+    for cloud in clouds:
+        ids, n = np.unique(cloud.labels, return_counts=True)
+        for cid, cnt in zip(ids, n):
+            if cid in counts:
+                counts[int(cid)] += int(cnt)
+    total = sum(counts.values())
+    if total == 0:
+        return {c: 1.0 for c in base_order}
+    inv = {c: (total / cnt) if cnt > 0 else 0.0 for c, cnt in counts.items()}
+    fallback = max(inv.values()) if any(v > 0 for v in inv.values()) else 1.0
+    inv = {c: (v if v > 0 else fallback) for c, v in inv.items()}
+    mean = sum(inv.values()) / len(inv)
+    return {c: v / mean for c, v in inv.items()}
+
+
+def _bound_loop(clouds, split):
+    """``constant_predictor_bound``, counted by its own loop."""
+    novel = sorted(split.novel_classes)
+    total = 0
+    counts = {c: 0 for c in novel}
+    for cloud in clouds:
+        total += cloud.n_points
+        ids, n = np.unique(cloud.labels, return_counts=True)
+        for cid, cnt in zip(ids, n):
+            if int(cid) in counts:
+                counts[int(cid)] += int(cnt)
+    if total == 0:
+        return 0.0
+    return max(counts.values()) / total / len(novel)
 
 
 class TestLrSchedule:

@@ -194,6 +194,7 @@ class TestCombinedHeadModel:
         np.testing.assert_array_equal(model.state()["joint.w"], joint_w)
 
     def test_finetune_starts_from_the_pretrained_extractor_and_base_head(self):
+        from segdiscover.augment import AugmentConfig
         from segdiscover.baseline import BaselineConfig, finetune
         from segdiscover.data import generate_synthetic, mask_novel, toy_discovery_config
         from segdiscover.losses import TrainConfig
@@ -206,7 +207,7 @@ class TestCombinedHeadModel:
         for p in pretrained.parameters().values():  # no zero biases left
             p.data += np.random.default_rng(2).normal(size=p.data.shape)
         model = finetune(pretrained, mask_novel(clouds, split), {}, split, cfg, train_cfg,
-                         BaselineConfig(finetune_epochs=0))
+                         BaselineConfig(finetune_epochs=0), AugmentConfig())
         fresh = CombinedHeadModel(cfg, 3, 2, np.random.default_rng(train_cfg.seed + 1))
         state, before = model.state(), pretrained.state()
         for name in ("enc1.w", "enc1.b", "enc2.w", "enc2.b", "proj.w", "proj.b"):

@@ -59,9 +59,14 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
         "data/split.txt", "data/train/scans/0000.bin", "train/checkpoint.ckpt",
         "train/metrics.tsv", "train-no-overcluster/metrics.tsv", "baseline/baseline.ckpt",
         "eval/report.tsv", "ablate/ablation.tsv", "ablate/sweep.tsv", "logs/train.stderr",
+        "data-generic/split.txt", "baseline-overcluster/baseline.ckpt",
+        "baseline-overcluster/pseudo/0000.plabel",
     ):
         assert f"seed3/{path}" in digests, path
     assert digests["seed3/train/checkpoint.ckpt"] != digests["seed3/train-no-use_queue/checkpoint.ckpt"]
+    assert digests["seed3/data/classes.txt"] != digests["seed3/data-generic/classes.txt"]
+    assert digests["seed3/baseline/baseline.ckpt"] != digests[
+        "seed3/baseline-overcluster/baseline.ckpt"]
     # a second run in another temporary directory prints the same lines
     assert script.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == first

@@ -127,9 +127,9 @@ class TestSinkhornAssign:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="eps"):
-            sinkhorn_assign(np.zeros((2, 2)), eps=0.0)
+            sinkhorn_assign(np.zeros((2, 2)), eps=0.0, n_iters=3)
         with pytest.raises(ValueError, match="NaN"):
-            sinkhorn_assign(np.array([[np.nan, 0.0]]), eps=0.1)
+            sinkhorn_assign(np.array([[np.nan, 0.0]]), eps=0.1, n_iters=3)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -13,7 +13,6 @@ from segdiscover.losses import (
     TrainConfig,
     compute_loss_weights,
     one_hot,
-    sum_tensors,
     weighted_ce,
 )
 from segdiscover.model import ModelConfig, SegmentationModel
@@ -28,6 +27,14 @@ from segdiscover.train import (
     _step_loss,
     train,
 )
+
+
+def sum_tensors(terms):
+    """A chain of adds, left to right: the reference composition's sum."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = ad.add(acc, t)
+    return acc
 
 
 def tiny_setup(seed=0, scenes=6, points=48):
