@@ -22,10 +22,18 @@ broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
 L2 normalization, column-wise softmax, clamped log, sum and mean
 reduction, a sum in row-major order, row/column concatenation, a
 column gather used to slice batches, a neighbour mean that averages
-each column's k-NN columns through an index gather (the graphs
-``model.knn_indices`` builds are int32), and a fused softmax cross
-entropy that scores a list of row/column blocks of one logit matrix as
-one tape node, one value per block.
+each column's k-NN columns through an index gather, a linear map of
+an input stacked over its neighbour mean that pools the map's output
+instead (``pooled_matmul``: the extractor's projection and pooling as
+one node), and a fused softmax cross entropy that scores a list of
+row/column blocks of one logit matrix as one tape node, one value per
+block, each block gathered row-major.
+
+The pooling ops take a ``NeighbourGraph`` (or a bare ``int32`` index
+from ``model.knn_indices``). A graph keeps the transpose its first
+backward pass builds, at 2 bytes per entry up to 65,536 points, so a
+scene's later passes gather through it without rebuilding it;
+inference never builds it.
 Backward closures compute gradients only for operands that reach a
 tracked leaf.
 """
@@ -327,14 +335,23 @@ def gather_cols(a, indices):
     return _result(a.data[:, idx], (a,), backward)
 
 
+def _index_type(m):
+    """The narrowest index type a kept transpose uses for m points:
+    uint16 up to 65,536 points, int32 past that."""
+    return np.uint16 if m <= 1 << 16 else np.int32
+
+
 def _reverse_passes(neighbours, m):
     """The transpose of a k-NN index as gather passes.
 
-    Returns ``order``, the points sorted by falling in-degree, and one
-    index array per pass s: the rows that name, for the s-th time, each
-    of the first ``len(passes[s])`` points of ``order`` (those named by
-    more than s rows). Sorts run on the narrowest unsigned key type, so
-    numpy takes its radix sort when the key fits 16 bits.
+    Returns ``order``, the points sorted by falling in-degree; ``flat``,
+    the passes one after another; and ``offsets``, where pass s is
+    ``flat[offsets[s]:offsets[s + 1]]``: the rows that name, for the
+    s-th time, each of the first ``offsets[s + 1] - offsets[s]`` points
+    of ``order`` (those named by more than s rows). ``order`` and
+    ``flat`` are of ``_index_type(m)``. Sorts run on the narrowest
+    unsigned key type, so numpy takes its radix sort when the key fits
+    16 bits.
     """
     k = neighbours.shape[1]
     flat = neighbours.reshape(-1)
@@ -345,55 +362,144 @@ def _reverse_passes(neighbours, m):
     top = int(degree.max())
     order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
     named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
-    return order, [by_point[start[order[:c]] + s] for s, c in enumerate(named)]
+    dtype = _index_type(m)
+    passes = np.concatenate([by_point[start[order[:c]] + s] for s, c in enumerate(named)])
+    offsets = (0, *np.cumsum(named).tolist())
+    return order.astype(dtype), passes.astype(dtype), offsets
+
+
+class NeighbourGraph:
+    """A k-NN graph as the averaging operator P: column i of P(a) is the
+    mean of ``a``'s columns ``index[i]``.
+
+    ``index`` is an (m, k) integer array, e.g. ``model.knn_indices``,
+    checked here and not changed afterwards. P's transpose, which every
+    backward pass through the pooling gathers with, is built by the
+    first ``mean_transpose`` and kept in ``reverse`` (None until then):
+    ``_reverse_passes``' order, flat passes and pass offsets, at most
+    2 bytes per graph entry up to 65,536 points. Inference never builds
+    it; it goes with the graph.
+    """
+
+    __slots__ = ("index", "reverse", "__weakref__")
+
+    def __init__(self, index):
+        nb = np.asarray(index)
+        if nb.ndim != 2 or min(nb.shape) < 1 or not np.issubdtype(nb.dtype, np.integer):
+            raise ShapeError(
+                f"neighbours must be a non-empty 2-D integer array, got {nb.dtype} {nb.shape}"
+            )
+        if nb.min() < 0 or nb.max() >= nb.shape[0]:
+            raise ShapeError(
+                f"neighbour indices span [{nb.min()}, {nb.max()}], outside [0, {nb.shape[0]})"
+            )
+        self.index = nb
+        self.reverse = None
+
+    @property
+    def n_points(self) -> int:
+        return self.index.shape[0]
+
+    def mean(self, a):
+        """P(a) for a (D, m) array: gathers rows of its points-major copy."""
+        nb = self.index
+        # gathering rows of the transpose is twice as fast once it is contiguous
+        rows = np.ascontiguousarray(a.T)
+        total = rows.take(nb[:, 0], axis=0)
+        for j in range(1, nb.shape[1]):
+            total += rows.take(nb[:, j], axis=0)
+        return (total / nb.shape[1]).T
+
+    def mean_transpose(self, grad):
+        """P's transpose applied to a (D, m) array, through the kept
+        reverse passes."""
+        if self.reverse is None:
+            self.reverse = _reverse_passes(self.index, self.n_points)
+        order, flat, offsets = self.reverse
+        g = np.ascontiguousarray(grad.T) / self.index.shape[1]
+        summed = np.zeros_like(g)
+        # pass s adds each point's s-th naming row to the prefix of
+        # points named more than s times
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            summed[:hi - lo] += g.take(flat[lo:hi], axis=0)
+        out = np.empty_like(summed)
+        out[order] = summed
+        return out.T
+
+
+def _graph(neighbours, m, where) -> NeighbourGraph:
+    """``neighbours`` as a graph over m points: a ``NeighbourGraph`` as
+    given, so its kept transpose serves every pass, or a bare index
+    array checked and wrapped for this node alone."""
+    graph = neighbours
+    if not isinstance(graph, NeighbourGraph):
+        try:
+            graph = NeighbourGraph(neighbours)
+        except ShapeError as exc:
+            raise ShapeError(f"{where}: {exc}") from None
+    if graph.n_points != m:
+        raise ShapeError(f"{where}: {graph.n_points} neighbour rows for {m} points")
+    return graph
 
 
 def neighbour_mean(a, neighbours):
     """Column i of the result is the mean of ``a``'s columns ``neighbours[i]``.
 
-    ``a`` is (D, m) with one column per point and ``neighbours`` an
-    (m, k) integer index into those columns, e.g. ``knn_indices``.
-    Forward gathers rows of the points-major copy of ``a``; backward
-    gathers the output gradient through the reverse index, built only
-    when a backward pass runs.
+    ``a`` is (D, m) with one column per point and ``neighbours`` a
+    ``NeighbourGraph`` over its m points or an (m, k) integer index into
+    its columns, e.g. ``knn_indices``. Backward applies the graph's
+    transpose, built at the first backward pass and kept by a
+    ``NeighbourGraph``.
     """
     a = _as_tensor(a)
-    nb = np.asarray(neighbours)
-    m = a.data.shape[1]
-    if nb.ndim != 2 or min(nb.shape) < 1 or not np.issubdtype(nb.dtype, np.integer):
-        raise ShapeError(
-            f"neighbour_mean {a.label()}: neighbours must be a non-empty 2-D integer array, "
-            f"got {nb.dtype} {nb.shape}"
-        )
-    if nb.shape[0] != m:
-        raise ShapeError(
-            f"neighbour_mean {a.label()}: {nb.shape[0]} neighbour rows for {m} points"
-        )
-    if nb.min() < 0 or nb.max() >= m:
-        raise ShapeError(
-            f"neighbour_mean {a.label()}: neighbour indices span "
-            f"[{nb.min()}, {nb.max()}], outside [0, {m})"
-        )
-    k = nb.shape[1]
-    # gathering rows of the transpose is twice as fast once it is contiguous
-    rows = np.ascontiguousarray(a.data.T)
-    total = rows[nb[:, 0]]
-    for j in range(1, k):
-        total += rows[nb[:, j]]
+    graph = _graph(neighbours, a.data.shape[1], f"neighbour_mean {a.label()}")
 
     def backward(grad, acc):
-        order, passes = _reverse_passes(nb, m)
-        g = np.ascontiguousarray(grad.T) / k
-        summed = np.zeros_like(g)
-        # pass s adds each point's s-th naming row to the prefix of
-        # points named more than s times
-        for src in passes:
-            summed[:src.size] += g[src]
-        out = np.empty_like(summed)
-        out[order] = summed
-        acc(a, out.T)
+        acc(a, graph.mean_transpose(grad))
 
-    return _result((total / k).T, (a,), backward)
+    return _result(graph.mean(a.data), (a,), backward)
+
+
+def pooled_matmul(w, a, neighbours, bias):
+    """``w @ [a; P(a)] + bias`` as one node, P the neighbour mean of
+    ``neighbour_mean``, with the pooling moved past the product:
+    ``w[:, :n] @ a + P(w[:, n:] @ a) + bias`` for an (n, m) ``a``.
+
+    P is linear, so the value equals pooling ``a`` and concatenating
+    it under ``a`` up to rounding, while the pooling runs over the
+    output's rows rather than twice as many of the input's. Each half
+    of ``w`` is copied out, so values and gradients equal those of
+    ``gather_cols`` halves, ``matmul``, ``neighbour_mean`` and two
+    ``add`` nodes chained bit for bit.
+    """
+    w, a, bias = _as_tensor(w), _as_tensor(a), _as_tensor(bias)
+    n, m = a.data.shape
+    if w.data.shape[1] != 2 * n:
+        raise ShapeError(
+            f"pooled_matmul {w.label()} @ {a.label()}: {w.data.shape[1]} weight columns "
+            f"for 2 x {n} input rows"
+        )
+    if bias.data.shape != (w.data.shape[0], 1):
+        raise ShapeError(
+            f"pooled_matmul {w.label()} @ {a.label()} + {bias.label()}: bias {bias.data.shape} "
+            f"vs {w.data.shape[0]} output rows"
+        )
+    graph = _graph(neighbours, m, f"pooled_matmul {a.label()}")
+    w_own = np.ascontiguousarray(w.data[:, :n])
+    w_pool = np.ascontiguousarray(w.data[:, n:])
+    out = w_own @ a.data
+    out += graph.mean(w_pool @ a.data)
+    out += bias.data
+
+    def backward(grad, acc):
+        pooled = graph.mean_transpose(grad)
+        if _tracked(a):
+            acc(a, w_own.T @ grad + w_pool.T @ pooled)
+        if _tracked(w):
+            acc(w, np.concatenate([grad @ a.data.T, pooled @ a.data.T], axis=1))
+        acc(bias, grad.sum(axis=1, keepdims=True))
+
+    return _result(out, (w, a, bias), backward)
 
 
 def softmax_cross_entropy(logits, blocks, *, scale, floor):
@@ -415,9 +521,9 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
         raise ValueError(f"softmax_cross_entropy needs a positive log floor, got {floor}")
     n_rows, n_cols = logits.data.shape
     out = np.zeros((len(blocks), 1))
-    # per block with columns: its position, its (rows, cols) index, q,
-    # the weighted target and whether a row or column repeats; backward
-    # recomputes the clamp
+    # per block with columns: its position, rows and columns, q, the
+    # weighted target and whether a row or column repeats; backward
+    # recomputes the clamp and the flat positions
     kept = []
     for b, (rows, cols, target, weights) in enumerate(blocks):
         ri = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -435,19 +541,26 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
             )
         if ci.size == 0:
             continue
-        s = logits.data[ri][:, ci] * scale
-        e = np.exp(s - s.max(axis=0, keepdims=True))
-        q = e / e.sum(axis=0, keepdims=True)
+        # gathered through flat positions, the block is row-major: the
+        # column-major ``logits[ri][:, ci]`` runs the axis-0 max and sums
+        # below ~10x slower, and the flat gather and scatter are ~2-4x
+        # faster than ``logits[ri[:, None], ci]``
+        index = ri[:, None] * n_cols + ci
+        q = np.take(logits.data, index) * scale
+        q -= q.max(axis=0, keepdims=True)
+        np.exp(q, out=q)
+        q /= q.sum(axis=0, keepdims=True)
         wt = weights[:, None] * target
         out[b, 0] = (wt * np.log(np.maximum(q, floor))).sum() * (-1.0 / ci.size)
         repeats = not (_distinct(ri, n_rows) and _distinct(ci, n_cols))
-        kept.append((b, np.ix_(ri, ci), q, wt, repeats))
+        kept.append((b, ri, ci, q, wt, repeats))
     if not kept:
         return Tensor(out)
 
     def backward(grad, acc):
-        g = np.zeros_like(logits.data)
-        for b, index, q, wt, repeats in kept:
+        g = np.zeros(logits.data.size)
+        for b, ri, ci, q, wt, repeats in kept:
+            index = ri[:, None] * n_cols + ci
             m = q.shape[1]
             dq = wt * ((-float(grad[b, 0]) / m) * (q >= floor)) / np.maximum(q, floor)
             ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
@@ -459,7 +572,7 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
                 g += part
             else:
                 g[index] += ds * scale
-        acc(logits, g)
+        acc(logits, g.reshape(logits.data.shape))
 
     return _result(out, (logits,), backward)
 

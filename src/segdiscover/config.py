@@ -4,6 +4,8 @@ Every tunable lives under a module prefix (``sk.iters``,
 ``queue.capacity``, ...). A run resolves defaults, then an optional
 config file, then command-line overrides, and writes the result to
 ``config.resolved`` so any run can be reproduced from that file alone.
+Both the file and the overrides go through ``data.parse_key_values``,
+which strips keys and values and refuses an unknown or repeated key.
 Defaults live on the config dataclasses: ``FIELDS`` maps each key to a
 field, whose default gives the key's default text and its value's type.
 """
@@ -14,7 +16,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .baseline import BaselineConfig
-from .data import VAL_SCENES, read_key_values, toy_discovery_config
+from .data import VAL_SCENES, parse_key_values, read_key_values, toy_discovery_config
 from .train import ExperimentConfig
 
 # flat key -> (root config class, dotted field path under it)
@@ -91,13 +93,8 @@ def resolve(file_path=None, overrides=()) -> dict:
     cfg = dict(DEFAULTS)
     if file_path is not None:
         cfg.update(read_key_values(file_path, DEFAULTS))
-    for item in overrides:
-        key, eq, value = item.partition("=")
-        if key not in cfg:
-            raise ValueError(f"unknown config key {key!r}")
-        if not eq:
-            raise ValueError(f"{key}: expected key=value, got {item!r}")
-        cfg[key] = value.strip()
+    # an override replaces a file's or a default value, but is given once
+    cfg.update(parse_key_values((("override", item) for item in overrides), DEFAULTS))
     return cfg
 
 

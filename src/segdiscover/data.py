@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model
+from .autodiff import NeighbourGraph
 
 # Label value a point carries once its (novel) ground truth is hidden.
 UNLABELLED = -1
@@ -53,11 +54,12 @@ class LabelledCloud:
     def n_points(self) -> int:
         return self.coords.shape[0]
 
-    def neighbours(self, k: int) -> np.ndarray:
-        """The scene's ``model.knn_indices`` graph for ``k``, built on first use and kept."""
+    def neighbours(self, k: int) -> NeighbourGraph:
+        """The scene's ``model.knn_indices`` graph for ``k``, built on first
+        use and kept, with the transpose the first backward pass builds."""
         if k not in self._graphs:
             # looked up on the module, so a wrapped knn_indices is the one called
-            self._graphs[k] = model.knn_indices(self.coords, k)
+            self._graphs[k] = NeighbourGraph(model.knn_indices(self.coords, k))
         return self._graphs[k]
 
 
@@ -411,23 +413,30 @@ def write_split_file(path, split: SplitSpec, names: dict):
     )
 
 
+def parse_key_values(items, keys) -> dict:
+    """``key=value`` texts as a dict, key and value stripped. ``items`` are
+    ``(where, text)`` pairs; a text without ``=``, a key not in ``keys`` or
+    a repeated key is refused, named by its ``where``."""
+    out = {}
+    for where, text in items:
+        key, eq, value = map(str.strip, text.partition("="))
+        if not eq:
+            raise ValueError(f"{where}: expected key=value, got {text!r}")
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{where}: key {key!r} set again")
+        out[key] = value
+    return out
+
+
 def read_key_values(path, keys) -> dict:
     """A text file's ``key=value`` lines, ``#`` comments skipped; a line without
     ``=``, a key not in ``keys`` or a repeat is refused by file and line."""
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = map(str.strip, line.partition("="))
-        if not eq:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key not in keys:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in out:
-            raise ValueError(f"{path}:{lineno}: key {key!r} set again")
-        out[key] = value
-    return out
+    lines = [(f"{path}:{lineno}", line.strip())
+             for lineno, line in enumerate(Path(path).read_text().splitlines(), 1)]
+    return parse_key_values([(where, line) for where, line in lines
+                             if line and not line.startswith("#")], keys)
 
 
 def read_split_file(path, names: dict) -> SplitSpec:

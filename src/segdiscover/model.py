@@ -2,7 +2,11 @@
 
 The extractor is a small dense per-point network: an MLP encodes xyz,
 a k-nearest-neighbour mean pools local context, and a final linear map
-projects the concatenation to D dimensions, L2-normalized per point.
+projects the hidden features and their pooled context, stacked, to D
+dimensions, L2-normalized per point. The pooling is linear, so it runs
+after the projection, on D rows rather than twice the hidden width:
+``W [h; P h] = W_a h + P (W_b h)``, one tape node
+(``autodiff.pooled_matmul``).
 Novel heads are bias-free linear maps whose weight columns double as the
 class prototypes read by the transport solver; the base head carries a
 bias. Over-clustering heads are extra bias-free heads with o times the
@@ -86,7 +90,7 @@ def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = 
     Each row of ``neighbours`` must hold distinct point indices, as
     ``knn_indices`` returns them.
 
-    The package pools with ``autodiff.neighbour_mean`` and no longer
+    The package pools through ``autodiff.NeighbourGraph`` and no longer
     calls this; it stays as the dense reference that the benchmark's
     layer hooks and checks still name."""
     if neighbours is None:
@@ -142,8 +146,10 @@ class SegmentationModel:
     def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
 
-        ``neighbours`` is the scene's ``LabelledCloud.neighbours`` graph;
-        bare coordinates get a graph built here and then dropped.
+        ``neighbours`` is the scene's ``LabelledCloud.neighbours`` graph,
+        which keeps the transpose a backward pass builds, or a bare
+        ``knn_indices`` array; bare coordinates get a graph built here
+        and then dropped.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
@@ -153,9 +159,8 @@ class SegmentationModel:
         h2 = ad.matmul(self.w2, h1, bias=self.b2, relu=True)
         if neighbours is None:
             neighbours = knn_indices(coords, self.cfg.knn)
-        agg = ad.neighbour_mean(h2, neighbours)
-        cat = ad.concat_rows([h2, agg])
-        z = ad.matmul(self.w3, cat, bias=self.b3)
+        # proj.w @ [h2; P(h2)] + proj.b, pooling the projection instead
+        z = ad.pooled_matmul(self.w3, h2, neighbours, self.b3)
         return ad.l2_normalize_cols(z)
 
     def base_logits(self, z: ad.Tensor) -> ad.Tensor:

@@ -576,3 +576,106 @@ class TestNeighbourMean:
         with pytest.raises(ad.ShapeError, match=match) as exc:
             ad.neighbour_mean(h, neighbours)
         assert "neighbour_mean enc2.out" in str(exc.value)
+
+
+POOLING_GRAPHS = [
+    [[0]],  # one point averages itself
+    [[1, 2], [0, 2], [0, 1]],
+    [[1, 1], [0, 0], [1, 0], [0, 1]],  # points 2 and 3 are named by no row
+    [[3], [3], [3], [0]],  # point 3 named three times, 1 and 2 never
+]
+
+
+def _pooled_case(neighbours, seed=6):
+    """An (n, m) input, a (d, 2n) weight and a (d, 1) bias, all tracked,
+    and an upstream weighting, for a graph of m points."""
+    m = len(neighbours)
+    rng = np.random.default_rng(seed)
+    w = ad.parameter(rng.normal(size=(2, 6)), "proj.w")
+    a = ad.parameter(rng.normal(size=(3, m)), "h2")
+    bias = ad.parameter(rng.normal(size=(2, 1)), "proj.b")
+    return w, a, bias, ad.constant(rng.normal(size=(2, m)))
+
+
+class TestPooledMatmul:
+    @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
+    @pytest.mark.parametrize("as_graph", [False, True])
+    def test_value_and_gradients_match_pooling_the_stacked_input(self, neighbours, as_graph):
+        w, a, bias, upstream = _pooled_case(neighbours)
+        nb = ad.NeighbourGraph(np.asarray(neighbours)) if as_graph else np.asarray(neighbours)
+        params = (w, a, bias)
+        results = []
+        for compose in (
+            lambda: ad.pooled_matmul(w, a, nb, bias),
+            lambda: ad.matmul(w, ad.concat_rows([a, ad.neighbour_mean(a, nb)]), bias=bias),
+        ):
+            for p in params:
+                p.zero_grad()
+            out = compose()
+            ad.backward(ad.sum_all(ad.mul(out, upstream)))
+            results.append((out.data, [p.grad.copy() for p in params]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        for p, g, ref in zip(params, got_grads, want_grads):
+            assert np.abs(ref).max() > 0.0, p.name
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-14, err_msg=p.name)
+
+    @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
+    def test_gradients_match_central_differences(self, neighbours):
+        w, a, bias, upstream = _pooled_case(neighbours, seed=7)
+        graph = ad.NeighbourGraph(np.asarray(neighbours))
+
+        def loss():
+            return ad.sum_all(ad.mul(ad.pooled_matmul(w, a, graph, bias), upstream))
+
+        ad.backward(loss())
+        for p in (w, a, bias):
+            coords = [(p, i) for i in range(p.data.size)]
+            numeric = finite_difference(lambda: float(loss().data[0, 0]), None, coords)
+            assert relative_error(p.grad.reshape(-1), numeric).max() < 1e-6, p.name
+
+    def test_a_graph_keeps_the_transpose_its_first_backward_builds(self):
+        from segdiscover.model import knn_indices
+
+        rng = np.random.default_rng(9)
+        nb = knn_indices(rng.normal(size=(300, 3)), 7)
+        graph = ad.NeighbourGraph(nb)
+        w, a, bias = (ad.parameter(rng.normal(size=s), n)
+                      for s, n in (((4, 10), "w"), ((5, 300), "a"), ((4, 1), "b")))
+        out = ad.pooled_matmul(w, a, graph, bias)
+        assert graph.reverse is None  # a forward pass builds none
+        ad.backward(ad.sum_all(out))
+        kept = graph.reverse
+        fresh = ad._reverse_passes(nb, 300)
+        assert kept[0].dtype == kept[1].dtype == np.uint16
+        assert kept[1].nbytes == 2 * nb.size
+        for got, want in zip(kept[:2], fresh[:2]):
+            assert np.array_equal(got, want)
+        assert kept[2] == fresh[2]
+        ad.backward(ad.sum_all(ad.neighbour_mean(a, graph)))
+        assert graph.reverse is kept  # every later pass reuses it
+
+    @pytest.mark.parametrize("m, dtype", [(2, np.uint16), (1 << 16, np.uint16),
+                                          ((1 << 16) + 1, np.int32)])
+    def test_the_transpose_takes_the_narrowest_type_that_indexes_m_points(self, m, dtype):
+        # a ring: point i names point i + 1
+        nb = ((np.arange(m) + 1) % m).reshape(-1, 1)
+        order, flat, offsets = ad._reverse_passes(nb, m)
+        assert order.dtype == flat.dtype == dtype
+        assert offsets == (0, m)
+        assert np.array_equal(flat[np.argsort(order)], (np.arange(m) - 1) % m)
+
+    @pytest.mark.parametrize("w_shape, b_shape, match", [
+        ((2, 5), (2, 1), "5 weight columns for 2 x 3 input rows"),
+        ((2, 6), (3, 1), r"bias \(3, 1\) vs 2 output rows"),
+    ])
+    def test_bad_shapes_raise_a_shape_error_naming_the_node(self, w_shape, b_shape, match):
+        with pytest.raises(ad.ShapeError, match=match):
+            ad.pooled_matmul(np.zeros(w_shape), ad.parameter(np.zeros((3, 2)), "h2"),
+                             np.array([[1], [0]]), np.zeros(b_shape))
+
+    def test_a_graph_over_other_points_is_refused(self):
+        graph = ad.NeighbourGraph(np.array([[1], [0]]))
+        with pytest.raises(ad.ShapeError, match=r"pooled_matmul h2: 2 neighbour rows for 3"):
+            ad.pooled_matmul(np.zeros((2, 6)), ad.parameter(np.zeros((3, 3)), "h2"), graph,
+                             np.zeros((2, 1)))

@@ -299,7 +299,7 @@ class TestAblateReuse:
         data = gen_tiny(tmp_path / "d")
         runs, evals = self._count(monkeypatch)
         out = tmp_path / "ab"
-        fast = [*FAST, "train.epochs=2"]
+        fast = [kv for kv in FAST if not kv.startswith("train.epochs=")] + ["train.epochs=2"]
         assert main(["ablate", "--data", str(data), "--out", str(out), "--seed", "0", *fast]) == 0
         assert len(runs) == len(ABLATION_GRID) + len(PERCENTILE_SWEEP) - 1
         assert evals == []

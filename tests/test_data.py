@@ -319,14 +319,31 @@ class TestSceneGraph:
         cloud = D.generate_synthetic(small_config(n_scenes=1, points_per_scene=40))[0]
         first = cloud.neighbours(4)
         assert cloud.neighbours(4) is first
-        np.testing.assert_array_equal(first, knn_indices(cloud.coords, 4))
-        assert cloud.neighbours(6).shape == (40, 6)
+        np.testing.assert_array_equal(first.index, knn_indices(cloud.coords, 4))
+        assert cloud.neighbours(6).index.shape == (40, 6)
         assert calls == [(40, 4), (40, 6)]
         # a replaced copy starts with no graphs, and graphs take no part in equality
         copy = dataclasses.replace(cloud)
         assert copy == cloud
         copy.neighbours(4)
         assert calls == [(40, 4), (40, 6), (40, 4)]
+
+    def test_a_scene_that_goes_frees_its_graph_and_its_kept_transpose(self):
+        import gc
+        import weakref
+
+        from segdiscover import autodiff as ad
+        from segdiscover.model import ModelConfig, SegmentationModel
+
+        cloud = D.generate_synthetic(small_config(n_scenes=1, points_per_scene=40))[0]
+        model = SegmentationModel(ModelConfig(knn=4), 3, 2, np.random.default_rng(0))
+        graph = cloud.neighbours(4)
+        ad.backward(ad.sum_all(model.extract_features(cloud.coords, graph)))
+        order, flat, _ = graph.reverse
+        refs = [weakref.ref(x) for x in (graph, graph.index, order, flat)]
+        del cloud, graph, order, flat
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
 
     def test_a_masked_scene_shares_its_graph_unless_it_lost_points(self, monkeypatch):
         calls = self._count(monkeypatch)

@@ -408,6 +408,19 @@ class TestLeanInference:
         assert taped == []
         np.testing.assert_array_equal(slots, logits.data.argmax(axis=0))
 
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_inference_builds_no_transpose_and_training_keeps_one(self, combined):
+        rng = np.random.default_rng(15)
+        model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 3, 2, rng)
+        coords = rng.normal(size=(100, 3))
+        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        model.predict_slots(coords, neighbours=graph)
+        with ad.no_tape():
+            model.extract_features(coords, graph)
+        assert graph.reverse is None
+        ad.backward(ad.sum_all(model.extract_features(coords, graph)))
+        assert graph.reverse is not None
+
     def test_predict_slots_memory_stays_near_the_features(self):
         import tracemalloc
 

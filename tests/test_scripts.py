@@ -70,3 +70,28 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
     # a second run in another temporary directory prints the same lines
     assert script.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == first
+
+
+def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, capsys):
+    import json
+
+    script = load_script("run_toy_discovery")
+    out = tmp_path / "quality.json"
+    argv = ["--seeds", "0", "1", "--scenes", "6", "--points", "32", "--epochs", "1",
+            "--baseline", "--baseline-epochs", "1", "1", "--json", str(out)]
+    assert script.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" novel")[0] for line in lines[:4]] == [
+        "seed 0:", "seed 0: baseline", "seed 1:", "seed 1: baseline"]
+    assert lines[-2].startswith("baseline mean novel mIoU over 2 seeds: ")
+    (record,) = json.loads(out.read_text())["runs"]
+    assert record["seeds"] == [0, 1] and len(record["chance_bound"]) == 2
+    for method in ("online", "baseline"):
+        for score in ("novel", "base", "all"):
+            values = record["per_seed"][method][score]
+            assert len(values) == 2 and all(0.0 <= v <= 1.0 for v in values)
+            assert record["medians"][method][score] == sum(values) / 2
+    assert set(record["host"]) == {"nproc", "machine", "python", "numpy"}
+    # a second run adds its record after the first
+    assert script.main(argv[:-2] + ["--json", str(out)]) == 0
+    assert len(json.loads(out.read_text())["runs"]) == 2

@@ -409,13 +409,28 @@ class TestFullLossGradient:
 
 
 def chain_features(model, coords, neighbours):
-    """The extractor as it was composed before matmul took a bias and a
-    ReLU: one node each for the product, the bias sum and the ReLU."""
+    """The extractor composed from single ops: one node each for every
+    layer's product, bias sum and ReLU, and the projection as products
+    with ``gather_cols`` halves of ``proj.w``, the second one pooled."""
     x = ad.constant(coords.T)
     h1 = ad.relu(ad.add(ad.matmul(model.w1, x), model.b1))
     h2 = ad.relu(ad.add(ad.matmul(model.w2, h1), model.b2))
+    n = h2.shape[0]
+    own = ad.matmul(ad.gather_cols(model.w3, np.arange(n)), h2)
+    pooled = ad.neighbour_mean(
+        ad.matmul(ad.gather_cols(model.w3, np.arange(n, 2 * n)), h2), neighbours)
+    return ad.l2_normalize_cols(ad.add(ad.add(own, pooled), model.b3))
+
+
+def concat_features(model, coords, neighbours):
+    """The extractor as composed before the projection took the pooling:
+    ``proj.w`` times the hidden features with their neighbour mean
+    stacked under them."""
+    x = ad.constant(coords.T)
+    h1 = ad.matmul(model.w1, x, bias=model.b1, relu=True)
+    h2 = ad.matmul(model.w2, h1, bias=model.b2, relu=True)
     cat = ad.concat_rows([h2, ad.neighbour_mean(h2, neighbours)])
-    return ad.l2_normalize_cols(ad.add(ad.matmul(model.w3, cat), model.b3))
+    return ad.l2_normalize_cols(ad.matmul(model.w3, cat, bias=model.b3))
 
 
 def per_entry_step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot,
@@ -457,15 +472,28 @@ class TestStepLossBits:
         for p in params.values():
             p.zero_grad()
 
-        zs = [ad.concat_cols([chain_features(model, coords, nb)
-                              for coords, nb in zip(views, c.neigh)])
-              for views in zip(*c.pairs)]
-        reference, ref_head_vals = per_entry_step_loss(model, zs, c.flat_targets, *layout)
-        ad.backward(reference)
-        assert np.array_equal(total.data, reference.data)
-        assert np.array_equal(head_vals, ref_head_vals)
-        for name, p in params.items():
-            assert np.array_equal(got[name], p.grad), name
+        for features in (chain_features, concat_features):
+            zs = [ad.concat_cols([features(model, coords, nb)
+                                  for coords, nb in zip(views, c.neigh)])
+                  for views in zip(*c.pairs)]
+            reference, ref_head_vals = per_entry_step_loss(model, zs, c.flat_targets, *layout)
+            ad.backward(reference)
+            ref_grads = {name: p.grad.copy() for name, p in params.items()}
+            for p in params.values():
+                p.zero_grad()
+            if features is chain_features:
+                assert np.array_equal(total.data, reference.data)
+                assert np.array_equal(head_vals, ref_head_vals)
+                for name in params:
+                    assert np.array_equal(got[name], ref_grads[name]), name
+            else:
+                # pooling the projection, not the hidden layer, reorders
+                # the sums: equal up to rounding
+                np.testing.assert_allclose(total.data, reference.data, rtol=1e-10)
+                np.testing.assert_allclose(head_vals, ref_head_vals, rtol=1e-10)
+                for name, g in ref_grads.items():
+                    np.testing.assert_allclose(got[name], g, rtol=1e-10,
+                                               atol=1e-10 * np.abs(g).max(), err_msg=name)
 
 
 def tape_size(output):
@@ -536,10 +564,11 @@ class TestOneTapePerStep:
         train(clouds, split, exp)
         assert counts["steps"] == 2 and counts["ce"] == 2 * 2
         if heads == 5 and overcluster:
-            # the default step: 8 extractor passes of 6 nodes, 2 batch
+            # the default step: 8 extractor passes of 4 nodes (two hidden
+            # layers, the pooled projection, the normalization), 2 batch
             # concatenations, 12 for the stacked heads, 2 logit matmuls,
             # 2 CE nodes, their sum and the ordered total
-            assert counts["nodes"] == [68, 68]
+            assert counts["nodes"] == [52, 52]
 
     def test_a_step_of_four_512_point_scenes_stays_under_29_mb(self):
         # one step plus the epoch's evaluation at the default model. The
