@@ -335,12 +335,6 @@ def gather_cols(a, indices):
     return _result(a.data[:, idx], (a,), backward)
 
 
-def _index_type(m):
-    """The narrowest index type a kept transpose uses for m points:
-    uint16 up to 65,536 points, int32 past that."""
-    return np.uint16 if m <= 1 << 16 else np.int32
-
-
 def _reverse_passes(neighbours, m):
     """The transpose of a k-NN index as gather passes.
 
@@ -349,7 +343,8 @@ def _reverse_passes(neighbours, m):
     ``flat[offsets[s]:offsets[s + 1]]``: the rows that name, for the
     s-th time, each of the first ``offsets[s + 1] - offsets[s]`` points
     of ``order`` (those named by more than s rows). ``order`` and
-    ``flat`` are of ``_index_type(m)``. Sorts run on the narrowest
+    ``flat`` take the narrowest type that indexes m points: uint16 up
+    to 65,536 points, int32 past that. Sorts run on the narrowest
     unsigned key type, so numpy takes its radix sort when the key fits
     16 bits.
     """
@@ -362,7 +357,7 @@ def _reverse_passes(neighbours, m):
     top = int(degree.max())
     order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
     named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
-    dtype = _index_type(m)
+    dtype = np.uint16 if m <= 1 << 16 else np.int32
     passes = np.concatenate([by_point[start[order[:c]] + s] for s, c in enumerate(named)])
     offsets = (0, *np.cumsum(named).tolist())
     return order.astype(dtype), passes.astype(dtype), offsets
