@@ -359,7 +359,7 @@ def _reverse_passes(neighbours, m):
     named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
     dtype = np.uint16 if m <= 1 << 16 else np.int32
     passes = np.concatenate([by_point[start[order[:c]] + s] for s, c in enumerate(named)])
-    offsets = (0, *np.cumsum(named).tolist())
+    offsets = np.concatenate([[0], np.cumsum(named)])
     return order.astype(dtype), passes.astype(dtype), offsets
 
 
@@ -415,7 +415,8 @@ class NeighbourGraph:
         summed = np.zeros_like(g)
         # pass s adds each point's s-th naming row to the prefix of
         # points named more than s times
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
+        bounds = offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             summed[:hi - lo] += g.take(flat[lo:hi], axis=0)
         out = np.empty_like(summed)
         out[order] = summed
