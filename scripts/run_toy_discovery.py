@@ -69,6 +69,7 @@ def main(argv=None):
     parser.add_argument("--json", type=Path, help="append this run's record to this file")
     args = parser.parse_args(argv)
 
+    sha = source_sha()  # of the source as imported, before the runs
     methods = {"online": {s: [] for s in SCORES}}
     if args.baseline:
         methods["baseline"] = {s: [] for s in SCORES}
@@ -108,7 +109,7 @@ def main(argv=None):
           f"in {wall:.0f}s")
     if args.json is not None:
         record = {
-            "sha": source_sha(), "host": host(), "seeds": args.seeds,
+            "sha": sha, "host": host(), "seeds": args.seeds,
             "sizes": {"scenes": args.scenes, "points": args.points, "epochs": args.epochs,
                       "baseline_epochs": args.baseline_epochs if args.baseline else None},
             "chance_bound": bounds,

@@ -143,7 +143,8 @@ class SegmentationModel:
             params[p.name] = p
         return params
 
-    def extract_features(self, coords: np.ndarray, neighbours: np.ndarray | None = None) -> ad.Tensor:
+    def extract_features(self, coords: np.ndarray,
+                         neighbours: ad.NeighbourGraph | np.ndarray | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
 
         ``neighbours`` is the scene's ``LabelledCloud.neighbours`` graph,
@@ -204,7 +205,7 @@ class SegmentationModel:
         return np.concatenate([np.arange(self.n_base), np.arange(start, start + width)])
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
-                      neighbours: np.ndarray | None = None) -> np.ndarray:
+                      neighbours: ad.NeighbourGraph | np.ndarray | None = None) -> np.ndarray:
         """Per-point argmax over concatenated base+novel logits.
 
         Slots 0..n_base-1 are base classes in sorted-id order; slots
@@ -284,7 +285,7 @@ class CombinedHeadModel(SegmentationModel):
         return ad.matmul(self.head_w, z, bias=self.head_b)
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
-                      neighbours: np.ndarray | None = None) -> np.ndarray:
+                      neighbours: ad.NeighbourGraph | np.ndarray | None = None) -> np.ndarray:
         with ad.no_tape():
             return self.logits(self.extract_features(coords, neighbours)).data.argmax(axis=0)
 
