@@ -64,8 +64,6 @@ def main(argv=None):
     parser.add_argument("--points", type=int, default=toy.points_per_scene)
     parser.add_argument("--baseline", action="store_true",
                         help="also run the offline baseline on every seed")
-    parser.add_argument("--baseline-epochs", type=int, nargs=2, metavar=("PRETRAIN", "FINETUNE"),
-                        default=[BaselineConfig.pretrain_epochs, BaselineConfig.finetune_epochs])
     parser.add_argument("--json", type=Path, help="append this run's record to this file")
     args = parser.parse_args(argv)
 
@@ -84,10 +82,8 @@ def main(argv=None):
         last = result.metrics[-1]
         reports = {"online": (last["novel_mIoU"], last["base_mIoU"], last["all_mIoU"])}
         if args.baseline:
-            pretrain, finetune = args.baseline_epochs
-            bl = BaselineConfig(pretrain_epochs=pretrain, finetune_epochs=finetune)
-            model, _ = run_baseline(clouds, cfg.split(), ModelConfig(), exp.train, bl,
-                                    AugmentConfig())
+            model, _ = run_baseline(clouds, cfg.split(), ModelConfig(), exp.train,
+                                    BaselineConfig(), AugmentConfig())
             report = evaluate(model, val, cfg.split(),
                               neighbours=[c.neighbours(model.cfg.knn) for c in val])
             reports["baseline"] = (report.novel_miou, report.base_miou, report.all_miou)
@@ -110,8 +106,7 @@ def main(argv=None):
     if args.json is not None:
         record = {
             "sha": sha, "host": host(), "seeds": args.seeds,
-            "sizes": {"scenes": args.scenes, "points": args.points, "epochs": args.epochs,
-                      "baseline_epochs": args.baseline_epochs if args.baseline else None},
+            "sizes": {"scenes": args.scenes, "points": args.points, "epochs": args.epochs},
             "chance_bound": bounds,
             "per_seed": methods,
             "medians": {method: {s: statistics.median(v) for s, v in scores.items()}

@@ -29,8 +29,8 @@ one node), and a fused softmax cross entropy that scores a list of
 row/column blocks of one logit matrix as one tape node, one value per
 block, each block gathered row-major.
 
-The pooling ops take a ``NeighbourGraph`` (or a bare ``int32`` index
-from ``model.knn_indices``). A graph keeps the transpose its first
+The pooling ops take a ``NeighbourGraph`` around a
+``model.knn_indices`` index. A graph keeps the transpose its first
 backward pass builds, at 2 bytes per entry up to 65,536 points, so a
 scene's later passes gather through it without rebuilding it;
 inference never builds it.
@@ -423,32 +423,20 @@ class NeighbourGraph:
         return out.T
 
 
-def _graph(neighbours, m, where) -> NeighbourGraph:
-    """``neighbours`` as a graph over m points: a ``NeighbourGraph`` as
-    given, so its kept transpose serves every pass, or a bare index
-    array checked and wrapped for this node alone."""
-    graph = neighbours
-    if not isinstance(graph, NeighbourGraph):
-        try:
-            graph = NeighbourGraph(neighbours)
-        except ShapeError as exc:
-            raise ShapeError(f"{where}: {exc}") from None
+def _check_points(graph, m, where):
     if graph.n_points != m:
         raise ShapeError(f"{where}: {graph.n_points} neighbour rows for {m} points")
-    return graph
 
 
-def neighbour_mean(a, neighbours):
-    """Column i of the result is the mean of ``a``'s columns ``neighbours[i]``.
+def neighbour_mean(a, graph: NeighbourGraph):
+    """Column i of the result is the mean of ``a``'s columns ``graph.index[i]``.
 
-    ``a`` is (D, m) with one column per point and ``neighbours`` a
-    ``NeighbourGraph`` over its m points or an (m, k) integer index into
-    its columns, e.g. ``knn_indices``. Backward applies the graph's
-    transpose, built at the first backward pass and kept by a
-    ``NeighbourGraph``.
+    ``a`` is (D, m) with one column per point and ``graph`` a
+    ``NeighbourGraph`` over its m points. Backward applies the graph's
+    transpose, built at the first backward pass and kept by the graph.
     """
     a = _as_tensor(a)
-    graph = _graph(neighbours, a.data.shape[1], f"neighbour_mean {a.label()}")
+    _check_points(graph, a.data.shape[1], f"neighbour_mean {a.label()}")
 
     def backward(grad, acc):
         acc(a, graph.mean_transpose(grad))
@@ -456,7 +444,7 @@ def neighbour_mean(a, neighbours):
     return _result(graph.mean(a.data), (a,), backward)
 
 
-def pooled_matmul(w, a, neighbours, bias):
+def pooled_matmul(w, a, graph: NeighbourGraph, bias):
     """``w @ [a; P(a)] + bias`` as one node, P the neighbour mean of
     ``neighbour_mean``, with the pooling moved past the product:
     ``w[:, :n] @ a + P(w[:, n:] @ a) + bias`` for an (n, m) ``a``.
@@ -480,7 +468,7 @@ def pooled_matmul(w, a, neighbours, bias):
             f"pooled_matmul {w.label()} @ {a.label()} + {bias.label()}: bias {bias.data.shape} "
             f"vs {w.data.shape[0]} output rows"
         )
-    graph = _graph(neighbours, m, f"pooled_matmul {a.label()}")
+    _check_points(graph, m, f"pooled_matmul {a.label()}")
     w_own = np.ascontiguousarray(w.data[:, :n])
     w_pool = np.ascontiguousarray(w.data[:, n:])
     out = w_own @ a.data

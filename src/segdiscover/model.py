@@ -144,13 +144,12 @@ class SegmentationModel:
         return params
 
     def extract_features(self, coords: np.ndarray,
-                         neighbours: ad.NeighbourGraph | np.ndarray | None = None) -> ad.Tensor:
+                         neighbours: ad.NeighbourGraph | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
 
         ``neighbours`` is the scene's ``LabelledCloud.neighbours`` graph,
-        which keeps the transpose a backward pass builds, or a bare
-        ``knn_indices`` array; bare coordinates get a graph built here
-        and then dropped.
+        which keeps the transpose a backward pass builds; bare
+        coordinates get a graph built here and then dropped.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
@@ -159,7 +158,7 @@ class SegmentationModel:
         h1 = ad.matmul(self.w1, x, bias=self.b1, relu=True)
         h2 = ad.matmul(self.w2, h1, bias=self.b2, relu=True)
         if neighbours is None:
-            neighbours = knn_indices(coords, self.cfg.knn)
+            neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
         # proj.w @ [h2; P(h2)] + proj.b, pooling the projection instead
         z = ad.pooled_matmul(self.w3, h2, neighbours, self.b3)
         return ad.l2_normalize_cols(z)
@@ -205,7 +204,7 @@ class SegmentationModel:
         return np.concatenate([np.arange(self.n_base), np.arange(start, start + width)])
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
-                      neighbours: ad.NeighbourGraph | np.ndarray | None = None) -> np.ndarray:
+                      neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
         """Per-point argmax over concatenated base+novel logits.
 
         Slots 0..n_base-1 are base classes in sorted-id order; slots
@@ -285,7 +284,7 @@ class CombinedHeadModel(SegmentationModel):
         return ad.matmul(self.head_w, z, bias=self.head_b)
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
-                      neighbours: ad.NeighbourGraph | np.ndarray | None = None) -> np.ndarray:
+                      neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
         with ad.no_tape():
             return self.logits(self.extract_features(coords, neighbours)).data.argmax(axis=0)
 

@@ -124,7 +124,7 @@ def test_criterion_03_full_loss_gradient():
     from segdiscover.augment import AugmentConfig, make_views
     from segdiscover.data import UNLABELLED, mask_novel
     from segdiscover.losses import compute_loss_weights, one_hot
-    from segdiscover.model import SegmentationModel, knn_indices
+    from segdiscover.model import SegmentationModel
     from segdiscover.sinkhorn import pseudo_labels_from
     from segdiscover.train import _features, _step_loss
 
@@ -136,7 +136,7 @@ def test_criterion_03_full_loss_gradient():
     model = SegmentationModel(ModelConfig(feature_dim=8, hidden=12, knn=4, heads=2,
                                           overcluster_factor=2), 3, 2, rng)
     pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
-    neigh = [knn_indices(c.coords, 4) for c in masked]
+    neigh = [c.neighbours(4) for c in masked]
     base_order = [0, 1, 2]
     weights = compute_loss_weights(masked, split).vector(base_order, 2)
     entries = [(model.novel_p[h], weights, model.head_rows(h)) for h in range(2)]

@@ -537,7 +537,7 @@ class TestNeighbourMean:
         a = ad.parameter(rng.normal(size=(3, m)), "a")
         upstream = rng.normal(size=(3, m))
         mat = _dense_mean(nb, m)
-        out = ad.neighbour_mean(a, nb)
+        out = ad.neighbour_mean(a, ad.NeighbourGraph(nb))
         np.testing.assert_allclose(out.data, a.data @ mat, rtol=0, atol=1e-12)
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
         np.testing.assert_allclose(a.grad, upstream @ mat.T, rtol=0, atol=1e-12)
@@ -553,13 +553,14 @@ class TestNeighbourMean:
         mat = knn_mean_matrix(coords, 5, nb)
         a = ad.parameter(rng.normal(size=(7, 63)), "a")
         upstream = rng.normal(size=(7, 63))
-        out = ad.neighbour_mean(a, nb)
+        out = ad.neighbour_mean(a, ad.NeighbourGraph(nb))
         np.testing.assert_allclose(out.data, a.data @ mat, rtol=0, atol=1e-12)
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
         np.testing.assert_allclose(a.grad, upstream @ mat.T, rtol=0, atol=1e-12)
 
     def test_constant_input_records_no_tape(self):
-        out = ad.neighbour_mean(ad.constant(np.ones((2, 3))), np.array([[1], [2], [0]]))
+        graph = ad.NeighbourGraph(np.array([[1], [2], [0]]))
+        out = ad.neighbour_mean(ad.constant(np.ones((2, 3))), graph)
         assert out._parents == () and out._backward is None
 
     @pytest.mark.parametrize("neighbours, match", [
@@ -567,15 +568,19 @@ class TestNeighbourMean:
         (np.zeros((3, 1, 1), dtype=np.intp), "integer array"),
         (np.zeros((3, 0), dtype=np.intp), "integer array"),
         (np.zeros((3, 1)), "integer array"),
-        (np.zeros((2, 1), dtype=np.intp), "2 neighbour rows for 3 points"),
         (np.array([[1], [3], [0]]), r"outside \[0, 3\)"),
         (np.array([[1], [-1], [0]]), r"outside \[0, 3\)"),
     ])
-    def test_bad_neighbours_raise_a_shape_error_naming_the_node(self, neighbours, match):
+    def test_a_bad_index_is_refused_by_the_graph(self, neighbours, match):
+        with pytest.raises(ad.ShapeError, match=match):
+            ad.NeighbourGraph(neighbours)
+
+    def test_a_graph_over_other_points_raises_a_shape_error_naming_the_node(self):
         h = ad.parameter(np.zeros((2, 3)), "enc2.out")
-        with pytest.raises(ad.ShapeError, match=match) as exc:
-            ad.neighbour_mean(h, neighbours)
-        assert "neighbour_mean enc2.out" in str(exc.value)
+        graph = ad.NeighbourGraph(np.zeros((2, 1), dtype=np.intp))
+        with pytest.raises(ad.ShapeError, match="neighbour_mean enc2.out: 2 neighbour rows "
+                                                "for 3 points"):
+            ad.neighbour_mean(h, graph)
 
 
 POOLING_GRAPHS = [
@@ -599,10 +604,9 @@ def _pooled_case(neighbours, seed=6):
 
 class TestPooledMatmul:
     @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
-    @pytest.mark.parametrize("as_graph", [False, True])
-    def test_value_and_gradients_match_pooling_the_stacked_input(self, neighbours, as_graph):
+    def test_value_and_gradients_match_pooling_the_stacked_input(self, neighbours):
         w, a, bias, upstream = _pooled_case(neighbours)
-        nb = ad.NeighbourGraph(np.asarray(neighbours)) if as_graph else np.asarray(neighbours)
+        nb = ad.NeighbourGraph(np.asarray(neighbours))
         params = (w, a, bias)
         results = []
         for compose in (
@@ -672,7 +676,7 @@ class TestPooledMatmul:
     def test_bad_shapes_raise_a_shape_error_naming_the_node(self, w_shape, b_shape, match):
         with pytest.raises(ad.ShapeError, match=match):
             ad.pooled_matmul(np.zeros(w_shape), ad.parameter(np.zeros((3, 2)), "h2"),
-                             np.array([[1], [0]]), np.zeros(b_shape))
+                             ad.NeighbourGraph(np.array([[1], [0]])), np.zeros(b_shape))
 
     def test_a_graph_over_other_points_is_refused(self):
         graph = ad.NeighbourGraph(np.array([[1], [0]]))

@@ -389,7 +389,7 @@ class TestLeanInference:
         model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 3, 2, rng)
         model.selected_head = 2
         coords = rng.normal(size=(200, 3))
-        nb = knn_indices(coords, 16)
+        nb = ad.NeighbourGraph(knn_indices(coords, 16))
         z = model.extract_features(coords, nb)
         if combined:
             logits = model.logits(z)
@@ -427,7 +427,7 @@ class TestLeanInference:
         rng = np.random.default_rng(14)
         model = SegmentationModel(ModelConfig(), 3, 2, rng)
         coords = rng.normal(size=(4096, 3))
-        nb = knn_indices(coords, 16)
+        nb = ad.NeighbourGraph(knn_indices(coords, 16))
         tracemalloc.start()
         try:
             model.predict_slots(coords, neighbours=nb)
@@ -443,7 +443,7 @@ class TestExtractFeaturesGradient:
         rng = np.random.default_rng(12)
         model = SegmentationModel(ModelConfig(feature_dim=4, hidden=5, knn=3), 2, 2, rng)
         coords = rng.normal(size=(9, 3))
-        neighbours = knn_indices(coords, 3)
+        neighbours = ad.NeighbourGraph(knn_indices(coords, 3))
         weight = ad.constant(rng.normal(size=(4, 9)))
 
         def loss():

@@ -72,13 +72,17 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
     assert capsys.readouterr().out.splitlines() == first
 
 
-def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, capsys):
+def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, capsys, monkeypatch):
+    import functools
     import json
 
     script = load_script("run_toy_discovery")
+    # one epoch of each baseline stage keeps the smoke run short
+    monkeypatch.setattr(script, "BaselineConfig", functools.partial(
+        script.BaselineConfig, pretrain_epochs=1, finetune_epochs=1))
     out = tmp_path / "quality.json"
     argv = ["--seeds", "0", "1", "--scenes", "6", "--points", "32", "--epochs", "1",
-            "--baseline", "--baseline-epochs", "1", "1", "--json", str(out)]
+            "--baseline", "--json", str(out)]
     assert script.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" novel")[0] for line in lines[:4]] == [

@@ -238,7 +238,6 @@ def step_case(heads, overcluster):
 
     from segdiscover.augment import AugmentConfig, make_views
     from segdiscover.data import mask_novel
-    from segdiscover.model import knn_indices
     from segdiscover.train import _pseudo_label
 
     clouds, split = tiny_setup(scenes=3, points=48)
@@ -247,7 +246,7 @@ def step_case(heads, overcluster):
     model = SegmentationModel(model_cfg, 3, 2, np.random.default_rng(4))
     rng = np.random.default_rng(5)
     pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
-    neigh = [knn_indices(c.coords, 4) for c in masked]
+    neigh = [c.neighbours(4) for c in masked]
     base_order = sorted(split.base_classes)
     weights = compute_loss_weights(masked, split)
     w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
@@ -288,7 +287,6 @@ class TestFullLossGradient:
         # the step; targets held fixed while parameters move
         clouds, split = tiny_setup(scenes=2, points=16)
         from segdiscover.data import mask_novel
-        from segdiscover.model import knn_indices
         from segdiscover.augment import AugmentConfig, make_views
         from segdiscover.sinkhorn import sinkhorn_assign, pseudo_labels_from
 
@@ -298,7 +296,7 @@ class TestFullLossGradient:
         model = SegmentationModel(model_cfg, 3, 2, rng)
         aug = AugmentConfig()
         pairs = [make_views(c, rng, aug) for c in masked]
-        neigh = [knn_indices(c.coords, 4) for c in masked]
+        neigh = [c.neighbours(4) for c in masked]
         base_order = [0, 1, 2]
         weights = compute_loss_weights(masked, split)
         w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
