@@ -6,8 +6,11 @@ the offline baseline on the same data, so one run holds the paper's
 comparison; ``--json`` appends the run's record (per-seed values,
 medians, the source's git sha and the host) to a file.
 
-Usage: python scripts/run_toy_discovery.py [--seeds 0 1 2] [--epochs 10]
-           [--baseline] [--json QUALITY.json]
+Each seed runs at the toy generator's and ``TrainConfig``'s defaults
+(200 scenes of 512 points, 10 epochs).
+
+Usage: python scripts/run_toy_discovery.py [--seeds 0 1 2] [--baseline]
+           [--json QUALITY.json]
 """
 
 import argparse
@@ -56,12 +59,8 @@ def host():
 
 
 def main(argv=None):
-    toy = toy_discovery_config()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    parser.add_argument("--scenes", type=int, default=toy.n_scenes)
-    parser.add_argument("--points", type=int, default=toy.points_per_scene)
     parser.add_argument("--baseline", action="store_true",
                         help="also run the offline baseline on every seed")
     parser.add_argument("--json", type=Path, help="append this run's record to this file")
@@ -74,10 +73,10 @@ def main(argv=None):
     bounds = []
     start = time.monotonic()
     for seed in args.seeds:
-        cfg = toy_discovery_config(seed=seed, n_scenes=args.scenes, points_per_scene=args.points)
+        cfg = toy_discovery_config(seed=seed)
         clouds = generate_synthetic(cfg)
         val = validation_scenes(cfg, VAL_SCENES)
-        exp = ExperimentConfig(train=TrainConfig(epochs=args.epochs, seed=seed))
+        exp = ExperimentConfig(train=TrainConfig(seed=seed))
         result = train(clouds, cfg.split(), exp, val_clouds=val, log=sys.stderr)
         last = result.metrics[-1]
         reports = {"online": (last["novel_mIoU"], last["base_mIoU"], last["all_mIoU"])}
@@ -106,7 +105,8 @@ def main(argv=None):
     if args.json is not None:
         record = {
             "sha": sha, "host": host(), "seeds": args.seeds,
-            "sizes": {"scenes": args.scenes, "points": args.points, "epochs": args.epochs},
+            "sizes": {"scenes": cfg.n_scenes, "points": cfg.points_per_scene,
+                      "epochs": exp.train.epochs},
             "chance_bound": bounds,
             "per_seed": methods,
             "medians": {method: {s: statistics.median(v) for s, v in scores.items()}

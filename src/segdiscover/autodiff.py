@@ -27,7 +27,8 @@ an input stacked over its neighbour mean that pools the map's output
 instead (``pooled_matmul``: the extractor's projection and pooling as
 one node), and a fused softmax cross entropy that scores a list of
 row/column blocks of one logit matrix as one tape node, one value per
-block, each block gathered row-major.
+block, each block gathered row-major and its gradient scattered back
+by one ``np.bincount``.
 
 The pooling ops take a ``NeighbourGraph`` around a
 ``model.knn_indices`` index. A graph keeps the transpose its first
@@ -315,13 +316,6 @@ def concat_rows(tensors: Sequence):
     return _concat(tensors, 0, "concat_rows")
 
 
-def _distinct(indices, n) -> bool:
-    """Whether ``indices`` into a length-``n`` axis name no slot twice."""
-    mark = np.zeros(n, dtype=bool)
-    mark[indices] = True
-    return int(np.count_nonzero(mark)) == indices.size
-
-
 def gather_cols(a, indices):
     """Select columns by index; backward scatter-adds into the source."""
     a = _as_tensor(a)
@@ -497,17 +491,19 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
     one value per block; a block without columns scores 0 and passes no
     gradient. Each value is that of gather, mul, softmax_cols, log, mul
     and sum_all chained; ``target`` and ``weights`` are constants.
-    Blocks may share entries: backward adds each block's gradient into
-    one array in list order, as a tape of one node per block would.
+    Blocks may share entries, and a block may repeat a row or column:
+    backward sums each block's gradient on its own with one
+    ``np.bincount`` over its flat positions, repeats in order, and adds
+    the blocks into one array in list order, as a tape of one node per
+    block would.
     """
     logits = _as_tensor(logits)
     if floor <= 0.0:
         raise ValueError(f"softmax_cross_entropy needs a positive log floor, got {floor}")
     n_rows, n_cols = logits.data.shape
     out = np.zeros((len(blocks), 1))
-    # per block with columns: its position, rows and columns, q, the
-    # weighted target and whether a row or column repeats; backward
-    # recomputes the clamp and the flat positions
+    # per block with columns: its position, rows and columns, q and the
+    # weighted target; backward recomputes the clamp and the flat positions
     kept = []
     for b, (rows, cols, target, weights) in enumerate(blocks):
         ri = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -527,8 +523,8 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
             continue
         # gathered through flat positions, the block is row-major: the
         # column-major ``logits[ri][:, ci]`` runs the axis-0 max and sums
-        # below ~10x slower, and the flat gather and scatter are ~2-4x
-        # faster than ``logits[ri[:, None], ci]``
+        # below ~10x slower, and the flat gather is ~2-4x faster than
+        # ``logits[ri[:, None], ci]``
         index = ri[:, None] * n_cols + ci
         q = np.take(logits.data, index) * scale
         q -= q.max(axis=0, keepdims=True)
@@ -536,26 +532,22 @@ def softmax_cross_entropy(logits, blocks, *, scale, floor):
         q /= q.sum(axis=0, keepdims=True)
         wt = weights[:, None] * target
         out[b, 0] = (wt * np.log(np.maximum(q, floor))).sum() * (-1.0 / ci.size)
-        repeats = not (_distinct(ri, n_rows) and _distinct(ci, n_cols))
-        kept.append((b, ri, ci, q, wt, repeats))
+        kept.append((b, ri, ci, q, wt))
     if not kept:
         return Tensor(out)
 
     def backward(grad, acc):
         g = np.zeros(logits.data.size)
-        for b, ri, ci, q, wt, repeats in kept:
+        for b, ri, ci, q, wt in kept:
             index = ri[:, None] * n_cols + ci
             m = q.shape[1]
             dq = wt * ((-float(grad[b, 0]) / m) * (q >= floor)) / np.maximum(q, floor)
             ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
-            if repeats:
-                # np.add.at sums the repeats; the block is summed on its own
-                # first, as a node of its own would be
-                part = np.zeros_like(g)
-                np.add.at(part, index, ds * scale)
-                g += part
-            else:
-                g[index] += ds * scale
+            # the block is summed on its own first, repeated positions in
+            # order, as a node of its own would be; its sum stops at its
+            # last position, which spares most of g for the early heads
+            part = np.bincount(index.reshape(-1), weights=(ds * scale).reshape(-1))
+            g[:part.size] += part
         acc(logits, g.reshape(logits.data.shape))
 
     return _result(out, (logits,), backward)

@@ -38,19 +38,24 @@ ABLATION_GRID = {
 PERCENTILE_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+# flags that set a config key, passed on as inline overrides of that key
+FLAG_KEYS = {"seed": "train.seed", "scenes": "data.scenes", "points": "data.points"}
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="key=value config file overriding defaults")
-    sub.add_argument("--seed", type=int, help="overrides train.seed")
+    sub.add_argument("--seed", type=int, help="sets train.seed")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("overrides", nargs="*", metavar="key=value",
                      help="inline config overrides")
 
 
 def _resolve(args) -> dict:
-    cfg = cfgmod.resolve(args.config, args.overrides)
-    if getattr(args, "seed", None) is not None:
-        cfg["train.seed"] = str(args.seed)
-    return cfg
+    """Defaults, then ``--config``, then the inline overrides and the flags
+    in ``FLAG_KEYS``: a key given both inline and by its flag is refused."""
+    flags = [f"{key}={getattr(args, flag)}" for flag, key in FLAG_KEYS.items()
+             if getattr(args, flag, None) is not None]
+    return cfgmod.resolve(args.config, [*args.overrides, *flags])
 
 
 def _synthetic_config(cfg: dict, seed: int) -> datamod.SyntheticConfig:
@@ -84,10 +89,6 @@ def _output(args, cfg: dict):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    if args.scenes is not None:
-        cfg["data.scenes"] = str(args.scenes)
-    if args.points is not None:
-        cfg["data.points"] = str(args.points)
     syn = _synthetic_config(cfg, cfgmod.check(cfg).train.seed)
     split = syn.split()
     names = syn.class_names()
@@ -133,7 +134,7 @@ def cmd_train(args) -> int:
     last = result.metrics[-1]
     print(
         f"trained {cfg['train.epochs']} epochs; novel mIoU {last['novel_mIoU']:.3f}, "
-        f"base mIoU {last['base_mIoU']:.3f} (head {result.selected_head})"
+        f"base mIoU {last['base_mIoU']:.3f} (head {result.model.selected_head})"
     )
     return 0
 
@@ -225,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic scan tree")
-    p.add_argument("--scenes", type=int, help="training scene count")
-    p.add_argument("--points", type=int, help="points per scene")
+    p.add_argument("--scenes", type=int, help="sets data.scenes, the training scene count")
+    p.add_argument("--points", type=int, help="sets data.points, the points per scene")
     _add_common(p)
     p.set_defaults(fn=cmd_gen_data)
 

@@ -133,15 +133,12 @@ class SegmentationModel:
             for i in range(cfg.heads)
         ]
         self.selected_head = 0
+        # the extractor's tensors, which both model classes train and save
+        self.extractor = [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def parameters(self) -> dict:
-        params = {
-            p.name: p
-            for p in [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.base_w, self.base_b]
-        }
-        for p in self.novel_p + self.over_p:
-            params[p.name] = p
-        return params
+        heads = [self.base_w, self.base_b] + self.novel_p + self.over_p
+        return {p.name: p for p in self.extractor + heads}
 
     def extract_features(self, coords: np.ndarray,
                          neighbours: ad.NeighbourGraph | None = None) -> ad.Tensor:
@@ -186,11 +183,11 @@ class SegmentationModel:
 
         Built from the per-head parameters, so gradients reach them and
         checkpoint names do not change; ``head_rows`` picks one head.
+        The prototypes are set side by side and transposed once, so the
+        map takes four tape nodes whatever the head count.
         """
-        blocks = [self.base_w] + [ad.transpose(p) for p in self.novel_p]
-        if overcluster:
-            blocks += [ad.transpose(p) for p in self.over_p]
-        w = ad.concat_rows(blocks)
+        prototypes = self.novel_p + (self.over_p if overcluster else [])
+        w = ad.concat_rows([self.base_w, ad.transpose(ad.concat_cols(prototypes))])
         zeros = ad.constant(np.zeros((w.shape[0] - self.n_base, 1)))
         return w, ad.concat_rows([self.base_b, zeros])
 
@@ -271,14 +268,7 @@ class CombinedHeadModel(SegmentationModel):
         self.head_b = ad.parameter(np.zeros((n_all, 1)), "joint.b")
 
     def parameters(self) -> dict:
-        params = {
-            name: p
-            for name, p in super().parameters().items()
-            if not (name.startswith("novel") or name.startswith("over") or name.startswith("base"))
-        }
-        params[self.head_w.name] = self.head_w
-        params[self.head_b.name] = self.head_b
-        return params
+        return {p.name: p for p in self.extractor + [self.head_w, self.head_b]}
 
     def logits(self, z: ad.Tensor) -> ad.Tensor:
         return ad.matmul(self.head_w, z, bias=self.head_b)

@@ -63,7 +63,6 @@ class ExperimentConfig:
 class TrainResult:
     model: SegmentationModel
     metrics: list  # one dict per epoch
-    selected_head: int
     head_losses: np.ndarray  # mean per-head novel loss, final epoch
 
     def metrics_tsv(self) -> str:
@@ -225,7 +224,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
             )
 
     fit(model, len(masked), tc, tc.epochs, rng, batch_loss, end_epoch)
-    return TrainResult(model, metrics, model.selected_head, head_losses)
+    return TrainResult(model, metrics, head_losses)
 
 
 def _step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot, temperature):

@@ -43,8 +43,9 @@ def tree_bytes(root):
 
 
 class TestGenData:
-    def test_writes_expected_tree(self, tmp_path):
+    def test_writes_expected_tree(self, tmp_path, capsys):
         out = gen_tiny(tmp_path / "d")
+        assert capsys.readouterr().out == f"wrote 4 train and 2 val scenes under {out}\n"
         assert (out / "train" / "scans").is_dir()
         assert (out / "val" / "labels").is_dir()
         assert (out / "classes.txt").exists()
@@ -149,12 +150,13 @@ class TestBaselineCommand:
 
 
 class TestAblate:
-    def test_grid_names_and_sweep_values(self, tmp_path, monkeypatch):
+    def test_grid_names_and_sweep_values(self, tmp_path, monkeypatch, capsys):
         from segdiscover import baseline, model, train
 
         assert list(ABLATION_GRID) == ["P", "OC", "Q", "NP", "NP+", "NP++", "Full"]
         assert PERCENTILE_SWEEP == (0.1, 0.3, 0.5, 0.7, 0.9)
         data = gen_tiny(tmp_path / "d")
+        capsys.readouterr()
         out = tmp_path / "ab"
         real, graphs = model.knn_indices, []
         for module in (baseline, model, train):
@@ -168,6 +170,12 @@ class TestAblate:
         assert [line.split("\t")[0] for line in grid[1:]] == list(ABLATION_GRID)
         sweep = (out / "sweep.tsv").read_text().strip().splitlines()
         assert [line.split("\t")[0] for line in sweep[1:]] == ["0.1", "0.3", "0.5", "0.7", "0.9"]
+        assert grid[0] == "config\tnovel_mIoU\tbase_mIoU\tall_mIoU"
+        assert sweep[0] == "p\tnovel_mIoU\tbase_mIoU\tall_mIoU"
+        for row in grid[1:] + sweep[1:]:
+            assert all(0.0 <= float(cell) <= 1.0 for cell in row.split("\t")[1:])
+        # the rows printed as they finish are the rows written
+        assert capsys.readouterr().out.splitlines() == grid[1:] + sweep[1:]
 
 
 class TestErrors:
@@ -226,6 +234,32 @@ class TestErrors:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert not (tmp_path / "r").exists()
+
+
+class TestFlagsAreOverrides:
+    """``--seed``, ``--scenes`` and ``--points`` set their config keys as
+    inline overrides do, so a key given both ways is refused by name."""
+
+    @pytest.mark.parametrize("flag, override", [
+        (["--seed", "1"], "train.seed=5"),
+        (["--scenes", "3"], "data.scenes=7"),
+        (["--points", "40"], "data.points=30"),
+    ])
+    def test_gen_data_refuses_a_key_set_by_flag_and_inline(self, tmp_path, capsys, flag,
+                                                           override):
+        out = tmp_path / "d"
+        assert main(["gen-data", *flag, "--out", str(out), "data.val_scenes=1", override]) == 1
+        key = override.split("=")[0]
+        assert capsys.readouterr().err == f"error: override: key '{key}' set again\n"
+        assert not out.exists()
+
+    def test_seed_overrides_a_config_file(self, tmp_path):
+        settings = tmp_path / "settings.cfg"
+        settings.write_text("train.seed=5\ndata.scenes=2\ndata.val_scenes=1\n")
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(settings), "--seed", "1", "--points", "20",
+                     "--out", str(out)]) == 0
+        assert cfgmod.resolve(out / "config.resolved")["train.seed"] == "1"
 
 
 class TestEveryKeyChecked:

@@ -13,35 +13,25 @@ def load_script(name):
     return module
 
 
-def test_toy_discovery_reports_the_mean_over_seeds(capsys):
+def small_toy_script(monkeypatch):
+    """The toy discovery script at 6 scenes of 32 points and one epoch."""
+    import functools
+
     script = load_script("run_toy_discovery")
-    code = script.main(["--seeds", "0", "1", "--scenes", "6", "--points", "32", "--epochs", "1"])
+    monkeypatch.setattr(script, "toy_discovery_config", functools.partial(
+        script.toy_discovery_config, n_scenes=6, points_per_scene=32))
+    monkeypatch.setattr(script, "TrainConfig", functools.partial(script.TrainConfig, epochs=1))
+    return script
+
+
+def test_toy_discovery_reports_the_mean_over_seeds(capsys, monkeypatch):
+    script = small_toy_script(monkeypatch)
+    code = script.main(["--seeds", "0", "1"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == ["seed 0", "seed 1"]
     assert "(chance bound " in lines[0]
     assert lines[-1].startswith("mean novel mIoU over 2 seeds: ")
-
-
-def test_component_ablation_writes_the_grid_and_the_sweep(tmp_path, capsys):
-    from segdiscover.cli import ABLATION_GRID, PERCENTILE_SWEEP
-
-    script = load_script("run_component_ablation")
-    out = tmp_path / "ab"
-    code = script.main(["--out", str(out), "--scenes", "8", "--points", "32", "--epochs", "1"])
-    assert code == 0
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[0] == f"wrote 8 train and 20 val scenes under {out / 'data'}"
-    grid = (out / "ablation.tsv").read_text().splitlines()
-    sweep = (out / "sweep.tsv").read_text().splitlines()
-    assert grid[0] == "config\tnovel_mIoU\tbase_mIoU\tall_mIoU"
-    assert [row.split("\t")[0] for row in grid[1:]] == list(ABLATION_GRID)
-    assert [float(row.split("\t")[0]) for row in sweep[1:]] == list(PERCENTILE_SWEEP)
-    for row in grid[1:] + sweep[1:]:
-        assert all(0.0 <= float(cell) <= 1.0 for cell in row.split("\t")[1:])
-    # the rows printed as they finish are the rows written
-    assert printed[1:] == grid[1:] + sweep[1:]
-
 
 
 def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys):
@@ -76,13 +66,12 @@ def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, caps
     import functools
     import json
 
-    script = load_script("run_toy_discovery")
+    script = small_toy_script(monkeypatch)
     # one epoch of each baseline stage keeps the smoke run short
     monkeypatch.setattr(script, "BaselineConfig", functools.partial(
         script.BaselineConfig, pretrain_epochs=1, finetune_epochs=1))
     out = tmp_path / "quality.json"
-    argv = ["--seeds", "0", "1", "--scenes", "6", "--points", "32", "--epochs", "1",
-            "--baseline", "--json", str(out)]
+    argv = ["--seeds", "0", "1", "--baseline", "--json", str(out)]
     assert script.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" novel")[0] for line in lines[:4]] == [
@@ -90,6 +79,8 @@ def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, caps
     assert lines[-2].startswith("baseline mean novel mIoU over 2 seeds: ")
     (record,) = json.loads(out.read_text())["runs"]
     assert record["seeds"] == [0, 1] and len(record["chance_bound"]) == 2
+    # the sizes the runs had
+    assert record["sizes"] == {"scenes": 6, "points": 32, "epochs": 1}
     for method in ("online", "baseline"):
         for score in ("novel", "base", "all"):
             values = record["per_seed"][method][score]

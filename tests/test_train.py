@@ -58,7 +58,7 @@ class TestSmoke:
         result = train(clouds, split, tiny_exp(epochs=1))
         assert len(result.metrics) == 1
         assert np.isfinite(result.metrics[0]["loss"])
-        assert 0 <= result.selected_head < 2
+        assert 0 <= result.model.selected_head < 2
 
     def test_metrics_tsv_format(self):
         clouds, split = tiny_setup()
@@ -75,7 +75,7 @@ class TestSmoke:
             {"epoch": 1, "loss": 0.5, "lr": 0.01, "eps": 0.05,
              "novel_mIoU": 0.25, "base_mIoU": 0.123456, "all_mIoU": 0.99999},
         ]
-        text = TrainResult(None, rows, 0, np.zeros(2)).metrics_tsv()
+        text = TrainResult(None, rows, np.zeros(2)).metrics_tsv()
         assert text == (
             "epoch\tloss\tlr\teps\tnovel_mIoU\tbase_mIoU\tall_mIoU\n"
             "0\t1.234568\t0.00012346\t0.300000\t0.5679\t1.0000\t0.0000\n"
@@ -158,10 +158,10 @@ class TestHeadEntries:
         assert len(steps) == 12 and all(v.shape == (2,) for v in steps)
         final = np.mean(steps[-4:], axis=0)
         np.testing.assert_allclose(result.head_losses, final, rtol=1e-12)
-        assert result.selected_head == int(np.argmin(final)) == result.model.selected_head
+        assert result.model.selected_head == int(np.argmin(final))
         result.model.save(tmp_path / "c.ckpt")
         meta = ad.load_checkpoint(tmp_path / "c.ckpt")["meta.selected_head"]
-        assert meta.reshape(-1).tolist() == [float(result.selected_head)]
+        assert meta.reshape(-1).tolist() == [float(result.model.selected_head)]
 
 
     def test_queue_takes_the_first_novel_heads_kept_points(self, monkeypatch):
@@ -535,7 +535,9 @@ class TestOneTapePerStep:
         assert len(made) == 8 * 2 and len(alive) == 2 * 8
         assert alive == [0] * len(alive)
 
-    @pytest.mark.parametrize("heads, overcluster", [(1, False), (1, True), (5, True)])
+    @pytest.mark.parametrize("heads, overcluster", [
+        (1, False), (1, True), (5, False), (5, True), (10, False), (10, True),
+    ])
     def test_a_step_makes_two_ce_nodes_whatever_the_head_count(self, monkeypatch, heads,
                                                                 overcluster):
         counts = {"ce": 0, "nodes": [], "steps": 0}
@@ -561,12 +563,12 @@ class TestOneTapePerStep:
         )
         train(clouds, split, exp)
         assert counts["steps"] == 2 and counts["ce"] == 2 * 2
-        if heads == 5 and overcluster:
-            # the default step: 8 extractor passes of 4 nodes (two hidden
-            # layers, the pooled projection, the normalization), 2 batch
-            # concatenations, 12 for the stacked heads, 2 logit matmuls,
-            # 2 CE nodes, their sum and the ordered total
-            assert counts["nodes"] == [52, 52]
+        # 8 extractor passes of 4 nodes (two hidden layers, the pooled
+        # projection, the normalization), 2 batch concatenations, 4 for
+        # the stacked heads: one column concatenation, one transpose, two
+        # row concatenations; 2 logit matmuls, 2 CE nodes, their sum and
+        # the ordered total
+        assert counts["nodes"] == [44, 44]
 
     def test_a_step_of_four_512_point_scenes_stays_under_29_mb(self):
         # one step plus the epoch's evaluation at the default model. The
