@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import TrainConfig, compute_loss_weights, fit, one_hot, tempered_ce
-from .model import KNN_BLOCK_BYTES, CombinedHeadModel, ModelConfig, SegmentationModel
+from .model import CombinedHeadModel, ModelConfig, SegmentationModel, distance_blocks
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
 KMEANS_RESTARTS = 20  # k-means++ seedings per kmeans call; the lowest SSE wins
@@ -128,8 +128,7 @@ def propagate_nn(coords: np.ndarray, selected: np.ndarray, labels: np.ndarray):
     Ties break to the lower point index; if two selected points share a
     nearest neighbour, the first (lowest selected index) writes and later
     ones are ignored. Returns (indices, labels) including the originals.
-    Selected points are scored in row blocks whose coordinate differences
-    hold at most ``KNN_BLOCK_BYTES``.
+    Selected points are scored in ``model.distance_blocks``.
     """
     selected = np.asarray(selected, dtype=np.intp)
     labels = np.asarray(labels)
@@ -141,12 +140,9 @@ def propagate_nn(coords: np.ndarray, selected: np.ndarray, labels: np.ndarray):
     others = np.flatnonzero(mask)
     out_idx, out_lab = selected, labels
     if others.size:
-        picked, rest = coords[selected], coords[others]
-        step = max(1, KNN_BLOCK_BYTES // (24 * others.size))
         nearest = np.empty(selected.size, dtype=np.intp)
-        for lo in range(0, selected.size, step):
-            d2 = ((picked[lo:lo + step, None, :] - rest[None, :, :]) ** 2).sum(axis=2)
-            nearest[lo:lo + step] = d2.argmin(axis=1)  # the lowest index on ties
+        for lo, hi, d2 in distance_blocks(coords[selected], coords[others]):
+            nearest[lo:hi] = d2.argmin(axis=1)  # the lowest index on ties
         nearest = others[nearest]
         # np.unique reports each target's first occurrence: the first writer
         targets, first = np.unique(nearest, return_index=True)

@@ -77,6 +77,8 @@ class SplitSpec:
             raise ValueError(f"{self.name}: base and novel classes overlap")
         if not self.novel_classes:
             raise ValueError(f"{self.name}: need at least one novel class")
+        if not self.base_classes:
+            raise ValueError(f"{self.name}: need at least one base class")
 
     @property
     def n_novel(self) -> int:
@@ -452,8 +454,10 @@ def read_split_file(path, names: dict) -> SplitSpec:
     if unknown:
         raise ValueError(f"{path}: novel classes {unknown} are not in the class table")
     novel = frozenset(by_name[n] for n in listed)
-    base = frozenset(names) - novel
-    return SplitSpec(fields["dataset"], fields["split_name"], base, novel)
+    try:
+        return SplitSpec(fields["dataset"], fields["split_name"], frozenset(names) - novel, novel)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_class_names(path, names: dict):

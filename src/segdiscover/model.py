@@ -37,9 +37,23 @@ class ModelConfig:
             raise ValueError("overcluster_factor must be >= 1")
 
 
-# Bytes of squared distances one block of rows may hold; a scene of m
-# points is scored KNN_BLOCK_BYTES // (8 m) rows at a time (at least one).
-KNN_BLOCK_BYTES = 1 << 21
+KNN_BLOCK_BYTES = 1 << 21  # squared distances one ``distance_blocks`` block may hold
+
+
+def distance_blocks(points: np.ndarray, others: np.ndarray):
+    """Yield ``(lo, hi, d2)``: squared distances from ``points[lo:hi]`` to all
+    ``others``, ``KNN_BLOCK_BYTES // (8 len(others))`` rows (at least one) at
+    a time; each is summed from coordinate differences, so it does not
+    depend on its block."""
+    axes = np.ascontiguousarray(points.T, dtype=np.float64)
+    rest = np.ascontiguousarray(others.T, dtype=np.float64)
+    step = max(1, KNN_BLOCK_BYTES // (8 * rest.shape[1]))
+    for lo in range(0, axes.shape[1], step):
+        hi = min(lo + step, axes.shape[1])
+        d2 = np.square(axes[0, lo:hi, None] - rest[0])
+        d2 += np.square(axes[1, lo:hi, None] - rest[1])
+        d2 += np.square(axes[2, lo:hi, None] - rest[2])
+        yield lo, hi, d2
 
 
 def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
@@ -47,10 +61,8 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     excluded, distance ties broken by lower point index. A scene with
     more points than int32 can count is refused.
 
-    Rows are scored in blocks of at most ``KNN_BLOCK_BYTES`` of
-    distances, so memory grows with m while time stays quadratic. Each
-    squared distance is summed from coordinate differences, so it does
-    not depend on the block a row falls in.
+    Rows are scored in ``distance_blocks``, so memory grows with m while
+    time stays quadratic.
 
     A scene keeps its graph per k (``LabelledCloud.neighbours``), and
     training pools both augmented views over the un-augmented scene's
@@ -64,14 +76,8 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     if m == 1:
         return np.zeros((1, 1), dtype=np.int32)
     k = min(k, m - 1)
-    axes = np.ascontiguousarray(coords.T, dtype=np.float64)
-    step = max(1, KNN_BLOCK_BYTES // (8 * m))
     out = np.empty((m, k), dtype=np.int32)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        d2 = np.square(axes[0, lo:hi, None] - axes[0])
-        d2 += np.square(axes[1, lo:hi, None] - axes[1])
-        d2 += np.square(axes[2, lo:hi, None] - axes[2])
+    for lo, hi, d2 in distance_blocks(coords, coords):
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         strict = d2 < kth
@@ -222,7 +228,11 @@ class SegmentationModel:
         return st
 
     def load_state(self, state: dict, strict: bool = True):
-        for name, p in self.parameters().items():
+        params = self.parameters()
+        unknown = sorted(set(state) - set(params) - {"meta.selected_head"})
+        if strict and unknown:
+            raise ValueError(f"checkpoint holds parameters the model lacks: {', '.join(unknown)}")
+        for name, p in params.items():
             if name in state:
                 arr = np.asarray(state[name], dtype=np.float64)
                 if arr.shape != p.data.shape:

@@ -1,11 +1,12 @@
 """Online discovery training: the batch objective ``losses.fit`` steps on.
 
-Per batch and view: extract features, score novel points against each
-head's prototypes (queue columns appended), solve the transport problem
-at the current epoch's smoothness, filter the resulting pseudo-labels,
-refresh the queue, and take an SGD step on the swapped objective over
-base ground truth plus novel pseudo-labels. Novel ground truth is hidden
-before the loop ever sees a point and the batch assembly asserts that.
+Per batch and view: extract features, score them against every head at
+once, solve each head's transport problem on its rows of those logits
+(queue columns, scored by the same map, appended) at the current epoch's
+smoothness, filter the resulting pseudo-labels, refresh the queue, and
+take an SGD step on the swapped objective over base ground truth plus
+novel pseudo-labels. Novel ground truth is hidden before the loop ever
+sees a point and the batch assembly asserts that.
 """
 
 from __future__ import annotations
@@ -77,17 +78,12 @@ def _features(model, views, neighbours):
     return ad.concat_cols(feats) if len(feats) > 1 else feats[0]
 
 
-def _pseudo_label(prototypes, z_novel, queue_cols, eps, iters, percentile, filter_on):
-    """Transport-based soft labels for one head; returns (kept, dists)."""
-    scores = prototypes.T @ z_novel
-    if queue_cols.size:
-        scores = np.concatenate([scores, prototypes.T @ queue_cols], axis=1)
+def _pseudo_label(scores, m, eps, iters, percentile, filter_on):
+    """Transport-based soft labels for one head from its prototype scores
+    (m novel points, then queue columns); returns (kept, dists)."""
     q = sinkhorn_assign(scores, eps, iters)
-    labels = pseudo_labels_from(q, z_novel.shape[1])
-    if filter_on:
-        kept = select_phi(labels, percentile).kept_indices
-    else:
-        kept = np.arange(labels.shape[1])
+    labels = pseudo_labels_from(q, m)
+    kept = select_phi(labels, percentile).kept_indices if filter_on else np.arange(labels.shape[1])
     return kept, labels
 
 
@@ -124,19 +120,19 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         model.load_state(init_state, strict=False)
 
     # one entry per swapped term, in summing order: novel_0, over_0,
-    # novel_1, ... (over only when on); each is (prototypes, class
-    # weights, rows of the stacked logits)
+    # novel_1, ... (over only when on); each is (class weights, rows of
+    # the stacked logits)
     heads = cfg.model.heads
     weights = compute_loss_weights(masked, split)
     w_novel = weights.vector(base_order, n_novel)
     w_over = weights.vector(base_order, cfg.model.overcluster_factor * n_novel)
     entries = []
     for h in range(heads):
-        entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
+        entries.append((w_novel, model.head_rows(h)))
         if dc.overcluster:
-            entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+            entries.append((w_over, model.head_rows(h, over=True)))
     # a batch without novel points trains every entry on base labels alone
-    no_targets = [(np.arange(0), np.zeros((p.shape[1], 0))) for p, _, _ in entries]
+    no_targets = [(np.arange(0), np.zeros((rows.size - n_base, 0))) for _, rows in entries]
     queue = FeatureQueue(tuple(range(n_novel)), cfg.queue.capacity, balanced=dc.phi_queue)
     sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
     metrics = []
@@ -158,6 +154,10 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         novel_idx = np.flatnonzero(labels == UNLABELLED)
         assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
         base_onehot = one_hot(labels[base_idx], base_order, n_base)
+        # every head scores each view once, for the transport and the loss;
+        # the bias is zero past the base rows, so those rows are prototype scores
+        w_stack, b_stack = model.stacked_heads(dc.overcluster)
+        logits = [ad.matmul(w_stack, z, bias=b_stack) for z in zs]
 
         # pseudo-labels per view and entry; queue is sampled before the
         # current batch is inserted, so it only carries past iterations
@@ -165,16 +165,15 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         for vi, z in enumerate(zs):
             if novel_idx.size == 0:
                 break
-            z_novel = z.data[:, novel_idx]
-            qcols = (
-                queue.sample(cfg.queue.sample_per_class, rng)
-                if dc.use_queue
-                else np.zeros((0, 0))
-            )
+            scores = logits[vi].data[:, novel_idx]
+            if dc.use_queue:
+                qcols = queue.sample(cfg.queue.sample_per_class, rng)
+                if qcols.size:
+                    scores = np.concatenate([scores, w_stack.data @ qcols], axis=1)
             targets[vi] = [
-                _pseudo_label(p.data, z_novel, qcols, eps, cfg.sinkhorn.iters,
+                _pseudo_label(scores[rows[n_base:]], novel_idx.size, eps, cfg.sinkhorn.iters,
                               dc.percentile, dc.tau_train)
-                for p, _, _ in entries
+                for _, rows in entries
             ]
             if dc.use_queue:
                 # novel head-0 inserts are filtered when phi_queue is on;
@@ -186,13 +185,11 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                     cand = kept0
                 else:
                     cand = select_phi(head0, dc.percentile).kept_indices
-                queue.insert(
-                    z_novel[:, cand], head0[:, cand].argmax(axis=0),
-                    cfg.queue.insert_fraction, rng,
-                )
+                queue.insert(z.data[:, novel_idx[cand]], head0[:, cand].argmax(axis=0),
+                             cfg.queue.insert_fraction, rng)
 
         total, head_vals = _step_loss(
-            model, zs, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
+            model, logits, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
         )
         batches.append(np.concatenate([total.data[0], head_vals]))
         return total
@@ -227,30 +224,29 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     return TrainResult(model, metrics, head_losses)
 
 
-def _step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot, temperature):
+def _step_loss(model, logits, targets, entries, base_idx, novel_idx, base_onehot, temperature):
     """The step's objective and each novel head's swapped term.
 
-    Entry ``e`` of ``entries`` (prototypes, class weights, logit rows)
-    scores view 0 against view 1's pseudo-labels ``targets[1][e]`` and
-    view 1 against ``targets[0][e]``, both on base ground truth too. The
-    objective is the sum of all entries' terms over the head count; the
-    novel heads are every ``len(entries) // heads``-th entry from the
-    first. One logit matrix per view holds every head, and one cross
-    entropy node per view scores every entry as a block of its rows.
+    Entry ``e`` of ``entries`` (class weights, logit rows) scores view
+    0's ``stacked_heads`` logits against view 1's pseudo-labels
+    ``targets[1][e]`` and view 1's against ``targets[0][e]``, both on
+    base ground truth too. The objective is the sum of all entries'
+    terms over the head count; the novel heads are every
+    ``len(entries) // heads``-th entry from the first. One cross entropy
+    node per view scores every entry as a block of its rows.
     """
     n_base, heads = model.n_base, model.cfg.heads
-    w_stack, b_stack = model.stacked_heads(len(entries) > heads)
     values = []
-    for z, other in zip(zs, (1, 0)):
+    for view_logits, other in zip(logits, (1, 0)):
         blocks = []
-        for e, (_, w_vec, rows) in enumerate(entries):
+        for e, (w_vec, rows) in enumerate(entries):
             kept, dist = targets[other][e]
             cols = np.concatenate([base_idx, novel_idx[kept]])
             target = np.zeros((rows.size, cols.size))
             target[:n_base, :base_idx.size] = base_onehot
             target[n_base:, base_idx.size:] = dist[:, kept]
             blocks.append((rows, cols, target, w_vec))
-        values.append(tempered_ce(ad.matmul(w_stack, z, bias=b_stack), blocks, temperature))
+        values.append(tempered_ce(view_logits, blocks, temperature))
     # entry e's term is its two views' values added; summed in entry order
     terms = ad.add(values[0], values[1])
     head_vals = terms.data[::len(entries) // heads, 0]

@@ -139,7 +139,7 @@ def test_criterion_03_full_loss_gradient():
     neigh = [c.neighbours(4) for c in masked]
     base_order = [0, 1, 2]
     weights = compute_loss_weights(masked, split).vector(base_order, 2)
-    entries = [(model.novel_p[h], weights, model.head_rows(h)) for h in range(2)]
+    entries = [(weights, model.head_rows(h)) for h in range(2)]
     labels = np.concatenate([c.labels for c in masked])
     base_idx = np.flatnonzero(labels != UNLABELLED)
     novel_idx = np.flatnonzero(labels == UNLABELLED)
@@ -147,6 +147,10 @@ def test_criterion_03_full_loss_gradient():
 
     def build():
         return [_features(model, views, neigh) for views in zip(*pairs)]
+
+    def logits():
+        w_stack, b_stack = model.stacked_heads(False)
+        return [ad.matmul(w_stack, z, bias=b_stack) for z in build()]
 
     targets = []
     for z in build():
@@ -158,7 +162,7 @@ def test_criterion_03_full_loss_gradient():
 
     def loss_value():
         # both heads' swapped terms, summed and halved
-        return _step_loss(model, build(), targets, entries, base_idx, novel_idx, onehot, 0.2)[0]
+        return _step_loss(model, logits(), targets, entries, base_idx, novel_idx, onehot, 0.2)[0]
 
     loss = loss_value()
     ad.backward(loss)

@@ -228,6 +228,34 @@ class TestErrors:
         assert f"scene '{label_path.stem}': label ids [9] are neither base nor novel" in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline", "ablate"])
+    def test_a_split_with_no_base_class_names_its_file_before_any_output(
+            self, tmp_path, capsys, command):
+        data = gen_tiny(tmp_path / "d")
+        names = datamod.read_class_names(data / "classes.txt")
+        split = data / "split.txt"
+        split.write_text(split.read_text().replace(
+            "novel=mast,crown", "novel=" + ",".join(names[c] for c in sorted(names))))
+        args = [command, "--data", str(data), "--out", str(tmp_path / "runs" / "x"), *FAST]
+        if command == "eval":
+            args += ["--checkpoint", str(tmp_path / "absent.ckpt")]
+        assert main(args) == 1
+        assert f"error: {split}: synthetic: need at least one base class" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_eval_refuses_a_checkpoint_with_heads_the_model_lacks(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path / "d")
+        fast = [a for a in FAST if not a.startswith("model.heads=")]
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *fast,
+                     "model.heads=5"]) == 0
+        code = main(["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--out", str(tmp_path / "runs" / "x"), *fast, "model.heads=4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint holds parameters the model lacks: novel4.p, over4.p" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_eval_of_a_missing_checkpoint_leaves_no_output_directory(self, tmp_path):
         data = gen_tiny(tmp_path / "d")
         code = main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "absent.ckpt"),

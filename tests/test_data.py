@@ -208,6 +208,10 @@ class TestSplits:
         assert back.novel_classes == split.novel_classes
         assert back.base_classes == split.base_classes
 
+    def test_a_split_with_no_base_class_is_refused(self):
+        with pytest.raises(ValueError, match="s: need at least one base class"):
+            D.SplitSpec("x", "s", frozenset(), frozenset({1, 2}))
+
     def test_unknown_novel_class_names_the_file_and_the_class(self, tmp_path):
         cfg = small_config()
         names = cfg.class_names()

@@ -298,6 +298,15 @@ class TestCheckpointInput:
         with pytest.raises(ValueError, match=r"proj\.b has shape \(\d+,\)"):
             make_model(seed=2).load_state(state)
 
+    def test_a_strict_load_names_every_parameter_the_model_lacks(self):
+        state = make_model(heads=5).state()
+        state["meta.selected_head"] = np.array([[0.0]])
+        with pytest.raises(ValueError, match=r"the model lacks: novel4\.p, over4\.p$"):
+            make_model(heads=4).load_state(state)
+        loose = make_model(heads=4)
+        loose.load_state(state, strict=False)  # finetune and init_state skip them
+        np.testing.assert_array_equal(loose.novel_p[3].data, state["novel3.p"])
+
     @pytest.mark.parametrize("head", [99.0, -1.0, 0.5, float("nan")])
     def test_selected_head_outside_the_heads_rejected(self, head):
         model = make_model(heads=4)

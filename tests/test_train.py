@@ -144,11 +144,12 @@ class TestHeadEntries:
 
         step_loss, steps = train_mod._step_loss, []
 
-        def recording(model, zs, targets, entries, *rest):
+        def recording(model, logits, targets, entries, *rest):
             # summing order; the novel entries are every other one
-            names = [p.name for p, _, _ in entries]
-            assert names == ["novel0.p", "over0.p", "novel1.p", "over1.p"]
-            total, head_vals = step_loss(model, zs, targets, entries, *rest)
+            rows = [r.tolist() for _, r in entries]
+            assert rows == [model.head_rows(h, over=over).tolist()
+                            for h in (0, 1) for over in (False, True)]
+            total, head_vals = step_loss(model, logits, targets, entries, *rest)
             steps.append(head_vals.copy())
             return total, head_vals
 
@@ -165,32 +166,123 @@ class TestHeadEntries:
 
 
     def test_queue_takes_the_first_novel_heads_kept_points(self, monkeypatch):
-        import segdiscover.train as train_mod
-        from segdiscover.queueing import FeatureQueue
-
-        pseudo, inserts = train_mod._pseudo_label, []
-        labelled = []  # per call: (z_novel, (kept, dists))
-
-        def recording_label(prototypes, z_novel, *rest):
-            labelled.append((z_novel, pseudo(prototypes, z_novel, *rest)))
-            return labelled[-1][1]
-
-        insert = FeatureQueue.insert
-
-        def recording_insert(self, features, classes, *rest):
-            inserts.append((features.copy(), np.asarray(classes).copy(), len(labelled)))
-            return insert(self, features, classes, *rest)
-
-        monkeypatch.setattr(train_mod, "_pseudo_label", recording_label)
-        monkeypatch.setattr(FeatureQueue, "insert", recording_insert)
+        steps = record_steps(monkeypatch)
         clouds, split = tiny_setup()
         train(clouds, split, tiny_exp(epochs=1))  # 2 heads, over on: 4 entries
-        assert inserts
-        for features, classes, calls in inserts:
-            # the view's first labelling call is entry 0, novel head 0
-            z_novel, (kept, dists) = labelled[calls - 4]
-            np.testing.assert_array_equal(features, z_novel[:, kept])
-            np.testing.assert_array_equal(classes, dists[:, kept].argmax(axis=0))
+        inserted = 0
+        for step in steps:
+            novel = step_novel_idx(step)
+            assert len(step["inserts"]) == (2 if novel.size else 0)
+            for view, (features, classes) in enumerate(step["inserts"]):
+                # the view's first labelling call is entry 0, novel head 0
+                kept, dists = step["labelled"][4 * view]
+                np.testing.assert_array_equal(features, step["zs"][view][:, novel][:, kept])
+                np.testing.assert_array_equal(classes, dists[:, kept].argmax(axis=0))
+                inserted += 1
+        assert inserted
+
+
+def record_steps(monkeypatch):
+    """Record, per training step and in call order, what its transport
+    reads: the batch's masked labels, each view's features, per head map
+    built the prototypes and logit rows in entry order and the Sinkhorn
+    inputs made before it, the head map's logit products, each view's
+    queue sample, every Sinkhorn input, pseudo-label and queue insert."""
+    import segdiscover.train as train_mod
+    from segdiscover.queueing import FeatureQueue
+
+    steps = []
+
+    def wrap(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def views(args, out):
+        if not steps or steps[-1]["zs"]:
+            steps.append({"labels": [], "zs": [], "heads": [], "logits": [], "queue": [],
+                          "scores": [], "labelled": [], "inserts": []})
+        steps[-1]["labels"].append(args[0].labels)
+
+    def heads(args, out):
+        model, overcluster = args
+        order = [(h, over) for h in range(model.cfg.heads)
+                 for over in ((False, True) if overcluster else (False,))]
+        steps[-1]["heads"].append({
+            "map": out[0], "scored_before": len(steps[-1]["scores"]),
+            "prototypes": [(model.over_p if over else model.novel_p)[h].data.copy()
+                           for h, over in order],
+            "rows": [model.head_rows(h, over)[model.n_base:] for h, over in order],
+        })
+
+    def product(args, out):
+        # a product of this step's head map: one logit matrix per view
+        if steps and steps[-1]["heads"] and args[0] is steps[-1]["heads"][-1]["map"]:
+            steps[-1]["logits"].append(out.data.copy())
+
+    wrap(train_mod, "make_views", views)
+    wrap(train_mod, "_features", lambda args, out: steps[-1]["zs"].append(out.data.copy()))
+    wrap(SegmentationModel, "stacked_heads", heads)
+    wrap(ad, "matmul", product)
+    wrap(FeatureQueue, "sample", lambda args, out: steps[-1]["queue"].append(out.copy()))
+    wrap(train_mod, "sinkhorn_assign", lambda args, out: steps[-1]["scores"].append(args[0].copy()))
+    wrap(train_mod, "_pseudo_label", lambda args, out: steps[-1]["labelled"].append(out))
+    wrap(FeatureQueue, "insert", lambda args, out: steps[-1]["inserts"].append(
+        (args[1].copy(), np.asarray(args[2]).copy())))
+    return steps
+
+
+def step_novel_idx(step):
+    return np.flatnonzero(np.concatenate(step["labels"]) == UNLABELLED)
+
+
+class TestTransportReadsTheStepLogits:
+    def test_a_step_builds_one_head_map_and_one_logit_product_per_view(self, monkeypatch):
+        steps = record_steps(monkeypatch)
+        clouds, split = tiny_setup(scenes=7)  # 4 steps per epoch
+        train(clouds, split, tiny_exp(epochs=2))
+        assert len(steps) == 8
+        assert [len(step["heads"]) for step in steps] == [1] * 8
+        assert [len(step["logits"]) for step in steps] == [2] * 8
+        assert any(step["scores"] for step in steps)
+        # built before the transport, which reads its rows bit for bit
+        assert all(step["heads"][0]["scored_before"] == 0 for step in steps)
+        for step in steps:
+            novel, rows = step_novel_idx(step), step["heads"][0]["rows"]
+            for i, scores in enumerate(step["scores"]):
+                view, e = divmod(i, len(rows))
+                np.testing.assert_array_equal(scores[:, :novel.size],
+                                              step["logits"][view][rows[e]][:, novel])
+
+    @pytest.mark.parametrize("use_queue", [True, False])
+    @pytest.mark.parametrize("overcluster", [True, False])
+    def test_every_sinkhorn_input_is_the_prototype_scores(self, monkeypatch, use_queue,
+                                                          overcluster):
+        # prototypes.T @ [z_novel | queue] per entry and view, the product
+        # the transport computed for itself before it read the step's logits
+        steps = record_steps(monkeypatch)
+        clouds, split = tiny_setup()
+        train(clouds, split, tiny_exp(epochs=2, use_queue=use_queue, overcluster=overcluster))
+        checked = queued = 0
+        for step in steps:
+            novel = step_novel_idx(step)
+            prototypes = step["heads"][0]["prototypes"]
+            assert len(prototypes) == 2 * (2 if overcluster else 1)
+            assert len(step["scores"]) == (2 * len(prototypes) if novel.size else 0)
+            for i, scores in enumerate(step["scores"]):
+                view, e = divmod(i, len(prototypes))
+                cols = step["zs"][view][:, novel]
+                if use_queue and step["queue"][view].size:
+                    cols = np.concatenate([cols, step["queue"][view]], axis=1)
+                    queued += 1
+                np.testing.assert_allclose(scores, prototypes[e].T @ cols, rtol=1e-12)
+                checked += 1
+        assert checked and (queued > 0) == use_queue
 
 
 class TestSupervisionIsolation:
@@ -232,8 +324,9 @@ def view_features(model, pairs, neigh):
 
 def step_case(heads, overcluster):
     """A 3-scene batch as ``train`` hands it to ``_step_loss``: views,
-    graphs, label layout, each view's features, pseudo-labels per head
-    and family, and the flat entry list with its targets."""
+    graphs, label layout, each view's features and stacked-head logits,
+    pseudo-labels per head and family, and the flat entry list with its
+    targets."""
     from types import SimpleNamespace
 
     from segdiscover.augment import AugmentConfig, make_views
@@ -254,31 +347,37 @@ def step_case(heads, overcluster):
 
     zs = view_features(model, pairs, neigh)
     targets, over_targets = [{}, {}], [{}, {}]
-    no_queue = np.zeros((0, 0))
     for vi, z in enumerate(zs):
         z_novel = z.data[:, novel_idx]
         for h in range(heads):
             targets[vi][h] = _pseudo_label(
-                model.novel_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
+                model.novel_p[h].data.T @ z_novel, novel_idx.size, 0.3, 3, 0.5, True)
             over_targets[vi][h] = _pseudo_label(
-                model.over_p[h].data, z_novel, no_queue, 0.3, 3, 0.5, True)
+                model.over_p[h].data.T @ z_novel, novel_idx.size, 0.3, 3, 0.5, True)
     assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
     # the flat entry list in summing order: novel_0, over_0, novel_1, ...
     entries, flat_targets = [], [[], []]
     for h in range(heads):
-        entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
+        entries.append((w_novel, model.head_rows(h)))
         for vi in range(2):
             flat_targets[vi].append(targets[vi][h])
         if overcluster:
-            entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+            entries.append((w_over, model.head_rows(h, over=True)))
             for vi in range(2):
                 flat_targets[vi].append(over_targets[vi][h])
     return SimpleNamespace(
-        model=model, pairs=pairs, neigh=neigh, zs=zs, labels=labels, base_idx=base_idx,
+        model=model, pairs=pairs, neigh=neigh, zs=zs, logits=step_logits(model, zs, overcluster),
+        labels=labels, base_idx=base_idx,
         novel_idx=novel_idx, base_onehot=base_onehot, base_order=base_order, targets=targets,
         over_targets=over_targets, entries=entries, flat_targets=flat_targets,
         w_novel=w_novel, w_over=w_over,
     )
+
+
+def step_logits(model, zs, overcluster):
+    """Each view's stacked-head logits, as ``train`` builds them."""
+    w_stack, b_stack = model.stacked_heads(overcluster)
+    return [ad.matmul(w_stack, z, bias=b_stack) for z in zs]
 
 
 class TestFullLossGradient:
@@ -300,25 +399,26 @@ class TestFullLossGradient:
         base_order = [0, 1, 2]
         weights = compute_loss_weights(masked, split)
         w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
-        entries = []
+        entries, prototypes = [], []
         for h in range(2):
-            entries.append((model.novel_p[h], w_novel, model.head_rows(h)))
-            entries.append((model.over_p[h], w_over, model.head_rows(h, over=True)))
+            entries.append((w_novel, model.head_rows(h)))
+            entries.append((w_over, model.head_rows(h, over=True)))
+            prototypes += [model.novel_p[h], model.over_p[h]]
         _, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
 
         # freeze pseudo-label targets once (constants for the gradient)
         targets = []
         for z in view_features(model, pairs, neigh):
             targets.append([])
-            for p, _, _ in entries:
+            for p in prototypes:
                 scores = p.data.T @ z.data[:, novel_idx]
                 dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), novel_idx.size)
                 targets[-1].append((np.arange(dist.shape[1]), dist))
 
         def loss_value():
-            zs = view_features(model, pairs, neigh)
+            logits = step_logits(model, view_features(model, pairs, neigh), True)
             return _step_loss(
-                model, zs, targets, entries, base_idx, novel_idx, base_onehot, 0.2
+                model, logits, targets, entries, base_idx, novel_idx, base_onehot, 0.2
             )[0]
 
         loss = loss_value()
@@ -360,7 +460,7 @@ class TestFullLossGradient:
         targets, over_targets, base_order = c.targets, c.over_targets, c.base_order
         entries, flat_targets, w_novel, w_over = c.entries, c.flat_targets, c.w_novel, c.w_over
         total, head_vals = _step_loss(
-            model, zs, flat_targets, entries, base_idx, novel_idx, base_onehot, temperature
+            model, c.logits, flat_targets, entries, base_idx, novel_idx, base_onehot, temperature
         )
         params = model.parameters()
         ad.backward(total)
@@ -439,7 +539,7 @@ def per_entry_step_loss(model, zs, targets, entries, base_idx, novel_idx, base_o
     w_stack, b_stack = model.stacked_heads(len(entries) > heads)
     logits = [ad.add(ad.matmul(w_stack, z), b_stack) for z in zs]
     terms = []
-    for e, (_, w_vec, rows) in enumerate(entries):
+    for e, (w_vec, rows) in enumerate(entries):
         pair = []
         for vi, other in ((0, 1), (1, 0)):
             kept, dist = targets[other][e]
@@ -464,7 +564,7 @@ class TestStepLossBits:
         c = step_case(heads, overcluster)
         model, params = c.model, c.model.parameters()
         layout = (c.entries, c.base_idx, c.novel_idx, c.base_onehot, 0.2)
-        total, head_vals = _step_loss(model, c.zs, c.flat_targets, *layout)
+        total, head_vals = _step_loss(model, c.logits, c.flat_targets, *layout)
         ad.backward(total)
         got = {name: p.grad.copy() for name, p in params.items()}
         for p in params.values():
