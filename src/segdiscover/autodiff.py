@@ -480,75 +480,125 @@ def pooled_matmul(w, a, graph: NeighbourGraph, bias):
     return _result(out, (w, a, bias), backward)
 
 
-def softmax_cross_entropy(logits, blocks, *, scale, floor):
-    """Weighted softmax cross entropy of blocks of one ``logits`` matrix,
-    as one node.
+def _check_cols(node, cols, n_cols, what):
+    """``cols`` as distinct column indices of ``node``'s n_cols columns."""
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    where = f"softmax_cross_entropy {node.label()}: {what}"
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ShapeError(f"{where} columns outside [0, {n_cols})")
+    seen = np.zeros(n_cols, dtype=bool)
+    seen[cols] = True
+    if np.count_nonzero(seen) != cols.size:
+        raise ShapeError(f"{where} repeats a column")
+    return cols
 
-    Each block is ``(rows, cols, target, weights)``: it selects ``rows``
-    (all when None) and ``cols``, multiplies by ``scale``, takes the
-    column softmax q and scores the mean over its m columns of
-    -sum_c w_c t_cj log max(q_cj, floor). The result is a (B, 1) column,
-    one value per block; a block without columns scores 0 and passes no
-    gradient. Each value is that of gather, mul, softmax_cols, log, mul
-    and sum_all chained; ``target`` and ``weights`` are constants.
-    Blocks may share entries, and a block may repeat a row or column:
-    backward sums each block's gradient on its own with one
-    ``np.bincount`` over its flat positions, repeats in order, and adds
-    the blocks into one array in list order, as a tape of one node per
-    block would.
+
+def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floor):
+    """Softmax cross entropy of ``logits`` against a weighted one-hot base
+    target and head families, as one node.
+
+    The base rows are the first ``len(weights)`` rows of ``logits``:
+    column ``cols[j]`` targets base row ``slots[j]`` with weight
+    ``weights[slots[j]]``. Each family is ``(start, fcols, target,
+    kept)``: H heads of K rows each, head by head from row ``start``,
+    with targets ``target`` (H, K, c) at columns ``fcols``, of which head
+    h scores those that ``kept[h]`` (H, c) marks. Head h's column softmax
+    q runs over the base rows and its own K rows of ``logits * scale``,
+    and its value is the mean over its ``len(cols) + kept[h].sum()``
+    scored columns of -sum_r t_rj log max(q_rj, floor): the base target
+    counts in every head. The result is a column of one value per head,
+    family by family; without families, one value of the softmax over
+    the base rows alone. A head with no scored column scores 0 and
+    passes no gradient; neither ``cols`` nor any ``fcols`` may repeat a
+    column.
+
+    Each family takes one column shift over the base rows and all of its
+    rows, so one exponential of the base rows serves its every head, and
+    log q is the shifted logit less the log of its head's normaliser.
+    Backward is the closed form scale * (q T - t) / m per head, T being
+    each column's target mass over the entries with q >= floor: below
+    the floor the log is constant and passes no gradient.
     """
     logits = _as_tensor(logits)
     if floor <= 0.0:
         raise ValueError(f"softmax_cross_entropy needs a positive log floor, got {floor}")
-    n_rows, n_cols = logits.data.shape
-    out = np.zeros((len(blocks), 1))
-    # per block with columns: its position, rows and columns, q and the
-    # weighted target; backward recomputes the clamp and the flat positions
-    kept = []
-    for b, (rows, cols, target, weights) in enumerate(blocks):
-        ri = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-        ci = np.asarray(cols, dtype=np.intp)
+    data = logits.data
+    n_rows, n_cols = data.shape
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    n_base = weights.size
+    cols = _check_cols(logits, cols, n_cols, "the base target")
+    slots = np.asarray(slots, dtype=np.intp).reshape(-1)
+    if n_base > n_rows or slots.size != cols.size or np.any((slots < 0) | (slots >= n_base)):
+        raise ShapeError(
+            f"softmax_cross_entropy {logits.label()}: {slots.size} base slots in "
+            f"[0, {n_base}) for {cols.size} columns of {n_rows} rows"
+        )
+    if not families:  # one head of no rows: the base rows alone
+        families = [(n_base, (), np.zeros((1, 0, 0)), np.zeros((1, 0), dtype=bool))]
+    log_floor = np.log(floor)
+    base = data[:n_base] * scale
+    w_labels = weights[slots]
+    values, kept_families = [], []
+    for f, (start, fcols, target, kept) in enumerate(families):
         target = np.asarray(target, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if target.shape != (ri.size, ci.size):
+        kept = np.asarray(kept, dtype=bool)
+        fcols = _check_cols(logits, fcols, n_cols, f"family {f}")
+        heads, k = target.shape[:2] if target.ndim == 3 else (0, 0)
+        if (target.shape != (heads, k, fcols.size) or kept.shape != (heads, fcols.size)
+                or not n_base <= start <= n_rows - heads * k):
             raise ShapeError(
-                f"softmax_cross_entropy {logits.label()}: block {b} is {(ri.size, ci.size)} "
-                f"vs target {target.shape}"
+                f"softmax_cross_entropy {logits.label()}: family {f} has target "
+                f"{target.shape} and kept {kept.shape} for {fcols.size} columns from row "
+                f"{start} of {n_rows}, past {n_base} base rows"
             )
-        if weights.size != ri.size:
-            raise ShapeError(
-                f"softmax_cross_entropy {logits.label()}: block {b} needs one weight per row"
-            )
-        if ci.size == 0:
-            continue
-        # gathered through flat positions, the block is row-major: the
-        # column-major ``logits[ri][:, ci]`` runs the axis-0 max and sums
-        # below ~10x slower, and the flat gather is ~2-4x faster than
-        # ``logits[ri[:, None], ci]``
-        index = ri[:, None] * n_cols + ci
-        q = np.take(logits.data, index) * scale
-        q -= q.max(axis=0, keepdims=True)
-        np.exp(q, out=q)
-        q /= q.sum(axis=0, keepdims=True)
-        wt = weights[:, None] * target
-        out[b, 0] = (wt * np.log(np.maximum(q, floor))).sum() * (-1.0 / ci.size)
-        kept.append((b, ri, ci, q, wt))
-    if not kept:
+        rows = data[start:start + heads * k].reshape(heads, k, n_cols) * scale
+        shift = np.maximum(base.max(axis=0, initial=-np.inf),
+                           rows.max(axis=(0, 1), initial=-np.inf))
+        rows -= shift
+        x_base = base - shift
+        # log q at the scored entries: the shifted logit less log z
+        log_q_base = x_base[slots, cols]
+        log_q_rows = np.take(rows, fcols, axis=2)
+        e_base = np.exp(x_base, out=x_base)
+        e_rows = np.exp(rows, out=rows)
+        z = e_base.sum(axis=0) + e_rows.sum(axis=1)
+        log_z = np.log(z)
+        log_q_base = log_q_base - log_z[:, cols]
+        log_q_rows -= log_z[:, None, fcols]
+        t_rows = target * kept[:, None, :]
+        counts = cols.size + np.count_nonzero(kept, axis=1)
+        logs = ((w_labels * np.maximum(log_q_base, log_floor)).sum(axis=1)
+                + (t_rows * np.maximum(log_q_rows, log_floor)).sum(axis=(1, 2)))
+        values.append(np.where(counts > 0, -logs / np.maximum(counts, 1), 0.0))
+        if counts.any():
+            # each head's targets where q >= floor, the only entries whose log moves
+            t_base = w_labels * (log_q_base >= log_floor)
+            t_rows *= log_q_rows >= log_floor
+            kept_families.append((f, start, fcols, e_base, e_rows, z, t_base, t_rows, counts))
+    out = np.concatenate(values)[:, None]
+    if not kept_families:
         return Tensor(out)
+    first = np.cumsum([0] + [v.size for v in values])
 
     def backward(grad, acc):
-        g = np.zeros(logits.data.size)
-        for b, ri, ci, q, wt in kept:
-            index = ri[:, None] * n_cols + ci
-            m = q.shape[1]
-            dq = wt * ((-float(grad[b, 0]) / m) * (q >= floor)) / np.maximum(q, floor)
-            ds = q * (dq - (dq * q).sum(axis=0, keepdims=True))
-            # the block is summed on its own first, repeated positions in
-            # order, as a node of its own would be; its sum stops at its
-            # last position, which spares most of g for the early heads
-            part = np.bincount(index.reshape(-1), weights=(ds * scale).reshape(-1))
-            g[:part.size] += part
-        acc(logits, g.reshape(logits.data.shape))
+        g = np.zeros_like(data)
+        for f, start, fcols, e_base, e_rows, z, t_base, t_rows, counts in kept_families:
+            heads, k = e_rows.shape[:2]
+            coef = (scale / np.maximum(counts, 1)) * grad[first[f]:first[f + 1], 0]
+            t_base *= coef[:, None]
+            t_rows *= coef[:, None, None]
+            # q T summed over heads: each column's target mass over its normaliser
+            mass = np.zeros((heads, n_cols))
+            mass[:, cols] = t_base
+            mass[:, fcols] += t_rows.sum(axis=1)
+            mass /= z
+            g[:n_base] += e_base * mass.sum(axis=0)
+            g[slots, cols] -= t_base.sum(axis=0)
+            e_rows *= mass[:, None, :]
+            g_rows = g[start:start + heads * k]
+            g_rows += e_rows.reshape(heads * k, n_cols)
+            g_rows[:, fcols] -= t_rows.reshape(heads * k, fcols.size)
+        acc(logits, g)
 
     return _result(out, (logits,), backward)
 

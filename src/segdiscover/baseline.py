@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
-from .losses import TrainConfig, compute_loss_weights, fit, one_hot, tempered_ce
+from .losses import TrainConfig, class_slots, compute_loss_weights, fit, tempered_ce
 from .model import CombinedHeadModel, ModelConfig, SegmentationModel, distance_blocks
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
@@ -199,7 +199,6 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
     """
     base_order = sorted(split.base_classes)
     n_base = len(base_order)
-    width = n_base + n_novel_slots
     w_vec = compute_loss_weights(scenes, split).vector(base_order, n_novel_slots)
     k = model.cfg.knn
     no_pseudo = (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
@@ -208,21 +207,20 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
         cloud.neighbours(k)  # built here, before the first step
         base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
         idx, slots = pseudo.get(cloud.scene_id, no_pseudo)
-        novel = np.zeros((width, idx.size))
-        novel[n_base + slots, np.arange(idx.size)] = 1.0
         cols = np.concatenate([base_idx, idx])
-        onehot = np.concatenate([one_hot(cloud.labels[base_idx], base_order, width), novel], axis=1)
-        targets.append((cols, onehot) if cols.size else None)
+        rows = np.concatenate([class_slots(cloud.labels[base_idx], base_order), n_base + slots])
+        targets.append((cols, rows) if cols.size else None)
 
     def batch_loss(ids, _last_lr):
         terms = []
         for i in ids:
             if targets[i] is None:
                 continue
-            cols, onehot = targets[i]
+            cols, rows = targets[i]
             coords = make_views(scenes[i], rng, aug)[0]
             z = model.extract_features(coords, scenes[i].neighbours(k))
-            terms.append(tempered_ce(logits_fn(z), [(None, cols, onehot, w_vec)], temperature))
+            # every row is a base row: one softmax over all of them, no family
+            terms.append(tempered_ce(logits_fn(z), cols, rows, w_vec, (), temperature))
         return ad.sum_in_order(ad.concat_rows(terms), 1 / len(terms)) if terms else None
 
     return batch_loss

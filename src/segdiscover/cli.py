@@ -21,7 +21,7 @@ from . import config as cfgmod
 from . import data as datamod
 from .baseline import run_baseline, write_pseudo_labels
 from .evaluate import evaluate
-from .model import SegmentationModel
+from .model import CombinedHeadModel, load_model
 from .train import DiscoveryConfig, train
 
 ABLATION_GRID = {
@@ -142,10 +142,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, exp, split, names, _train, scored = _prologue(args, trains=False)
     rng = np.random.default_rng(exp.train.seed)
-    model = SegmentationModel(exp.model, len(split.base_classes), split.n_novel, rng)
-    model.load(args.checkpoint)
+    model = load_model(args.checkpoint, exp.model, len(split.base_classes), split.n_novel, rng)
     head = cfgmod.eval_head(cfg, exp.model.heads)
     if head is not None:
+        if isinstance(model, CombinedHeadModel):
+            raise ValueError(f"model.eval_head={cfg['model.eval_head']}: {args.checkpoint} is a "
+                             "baseline checkpoint, whose one joint head has no index")
         model.selected_head = head
     with _output(args, cfg) as out:
         report = evaluate(model, scored, split, class_names=names)

@@ -1,4 +1,4 @@
-"""Weighted cross entropy, one-hot targets, LR schedule, optimizer and
+"""Weighted cross entropy, one-hot class slots, LR schedule, optimizer and
 the epoch-and-batch driver both training methods step through.
 
 Base-class loss weights are inverse relative frequencies normalized to
@@ -100,27 +100,26 @@ def weighted_ce(pred, target, weights) -> "ad.Tensor":
     return ad.mul(ad.sum_all(ad.mul(wt, ad.log(pred_t, floor=LOG_FLOOR))), -1.0 / m)
 
 
-def tempered_ce(logits, blocks, temperature) -> "ad.Tensor":
-    """``weighted_ce`` of the column softmax of ``logits / temperature``
-    for each ``(rows, cols, target, weights)`` block (rows all when None),
-    as one fused tape node: a (B, 1) column with one value per block,
-    whose gradients backward adds in block order."""
+def tempered_ce(logits, cols, slots, weights, families, temperature) -> "ad.Tensor":
+    """Cross entropy of the column softmax of ``logits / temperature``
+    against the weighted one-hot base target (column ``cols[j]`` on base
+    row ``slots[j]``, rows weighted by ``weights``) and the head
+    ``families`` of ``autodiff.softmax_cross_entropy``, as one fused tape
+    node: a column of one value per head, family by family, or a single
+    value over the base rows alone when there is no family."""
     return ad.softmax_cross_entropy(
-        logits, blocks, scale=1.0 / temperature, floor=LOG_FLOOR
+        logits, cols, slots, weights, families, scale=1.0 / temperature, floor=LOG_FLOOR
     )
 
 
-def one_hot(labels, class_order, width) -> np.ndarray:
-    """(width, n) matrix with a one in each label's row of ``class_order``."""
+def class_slots(labels, class_order) -> np.ndarray:
+    """Each label's position in ``class_order``: its one-hot row."""
     index = {c: i for i, c in enumerate(class_order)}
     values, inverse = np.unique(np.asarray(labels), return_inverse=True)
     outside = [v for v in values.tolist() if v not in index]
     if outside:
         raise ValueError(f"labels {outside} are not in the class order {list(class_order)}")
-    rows = np.array([index[v] for v in values.tolist()], dtype=np.intp)[inverse.reshape(-1)]
-    out = np.zeros((width, rows.size))
-    out[rows, np.arange(rows.size)] = 1.0
-    return out
+    return np.array([index[v] for v in values.tolist()], dtype=np.intp)[inverse.reshape(-1)]
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:

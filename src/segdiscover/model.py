@@ -188,7 +188,7 @@ class SegmentationModel:
         a bias column that is zero past the base rows.
 
         Built from the per-head parameters, so gradients reach them and
-        checkpoint names do not change; ``head_rows`` picks one head.
+        checkpoint names do not change; ``head_families`` locates the heads.
         The prototypes are set side by side and transposed once, so the
         map takes four tape nodes whatever the head count.
         """
@@ -197,14 +197,16 @@ class SegmentationModel:
         zeros = ad.constant(np.zeros((w.shape[0] - self.n_base, 1)))
         return w, ad.concat_rows([self.base_b, zeros])
 
-    def head_rows(self, head: int, over: bool = False) -> np.ndarray:
-        """Rows of the ``stacked_heads`` logits for the base classes
-        followed by one novel (or over-clustering) head."""
-        if not (0 <= head < self.cfg.heads):
-            raise IndexError(f"head index {head} out of range")
-        width = self.n_novel * (self.cfg.overcluster_factor if over else 1)
-        start = self.n_base + (self.cfg.heads * self.n_novel if over else 0) + head * width
-        return np.concatenate([np.arange(self.n_base), np.arange(start, start + width)])
+    def head_families(self, overcluster: bool) -> list[tuple[int, int]]:
+        """(first row, rows per head) of each head family in the
+        ``stacked_heads`` logits: the novel heads, then the
+        over-clustering heads with ``overcluster``. A family's heads
+        follow one another, so its rows are one contiguous range."""
+        families = [(self.n_base, self.n_novel)]
+        if overcluster:
+            families.append((self.n_base + self.cfg.heads * self.n_novel,
+                             self.cfg.overcluster_factor * self.n_novel))
+        return families
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
                       neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
@@ -255,11 +257,7 @@ class SegmentationModel:
         ad.save_checkpoint(path, self.state())
 
     def load(self, path):
-        state = ad.load_checkpoint(path)
-        try:
-            self.load_state(state)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        _restore(self, path, ad.load_checkpoint(path))
 
 
 class CombinedHeadModel(SegmentationModel):
@@ -290,3 +288,22 @@ class CombinedHeadModel(SegmentationModel):
 
     def state(self) -> dict:
         return {name: p.data for name, p in self.parameters().items()}
+
+
+def _restore(model, path, state: dict):
+    """Load ``state``, read from ``path``, into ``model``; a mismatch names the file."""
+    try:
+        model.load_state(state)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model
+
+
+def load_model(path, cfg: ModelConfig, n_base: int, n_novel: int,
+               rng: np.random.Generator) -> SegmentationModel:
+    """The model a checkpoint file holds, the file read once: a
+    ``CombinedHeadModel`` when it holds the baseline's joint head, else a
+    ``SegmentationModel``. Any other name mismatch is refused by name."""
+    state = ad.load_checkpoint(path)
+    cls = CombinedHeadModel if "joint.w" in state else SegmentationModel
+    return _restore(cls(cfg, n_base, n_novel, rng), path, state)

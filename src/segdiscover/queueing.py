@@ -3,9 +3,9 @@
 The queue holds novel-point features from past iterations in one FIFO
 ring buffer per predicted class, so batches missing a class can still
 borrow columns for the transport step. The selection function keeps,
-per predicted class, the points whose class probability reaches that
-class's p-th percentile (nearest rank), an adaptive threshold that
-tracks how confident the model currently is.
+per head and predicted class, the points whose class probability
+reaches that class's p-th percentile (nearest rank), an adaptive
+threshold that tracks how confident the model currently is.
 """
 
 from __future__ import annotations
@@ -31,42 +31,53 @@ class QueueConfig:
 
 @dataclass
 class SelectionResult:
-    kept_indices: np.ndarray  # sorted point indices into the scored set
-    thresholds: dict  # class id -> tau_c (classes with no argmax points absent)
+    kept: np.ndarray  # (..., m) bool: the points each head keeps
+    thresholds: np.ndarray  # (..., n_classes) tau_c; NaN where a class has no argmax points
+
+    @property
+    def kept_indices(self) -> np.ndarray:
+        """Sorted indices of the points a single head keeps."""
+        if self.kept.ndim != 1:
+            raise ValueError(f"kept_indices needs a single head, got kept {self.kept.shape}")
+        return np.flatnonzero(self.kept)
 
 
 def select_phi(class_probs: np.ndarray, p: float) -> SelectionResult:
-    """Keep reliable points per predicted class.
+    """Keep reliable points per head and predicted class.
 
-    ``class_probs`` is (n_classes, m) with columns summing to one. For
-    each class c, tau_c is the p-th percentile (nearest rank) of the max
+    ``class_probs`` is (..., n_classes, m) with columns summing to one;
+    leading axes are heads, each selected on its own. For each head and
+    class c, tau_c is the p-th percentile (nearest rank) of the max
     probabilities of points whose argmax is c; points at or above tau_c
     are kept. p = 0 keeps everything.
     """
     probs = np.asarray(class_probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ValueError(f"class_probs must be 2-D, got shape {probs.shape}")
+    if probs.ndim < 2:
+        raise ValueError(f"class_probs must be at least 2-D, got shape {probs.shape}")
     if not (0.0 <= p < 1.0):
         raise ValueError(f"percentile p must be in [0, 1), got {p}")
-    colsums = probs.sum(axis=0)
-    if probs.shape[1] and (np.any(probs < -1e-9) or np.any(np.abs(colsums - 1.0) > 1e-6)):
+    colsums = probs.sum(axis=-2)
+    if probs.shape[-1] and (np.any(probs < -1e-9) or np.any(np.abs(colsums - 1.0) > 1e-6)):
         raise ValueError("class_probs columns must be distributions summing to 1")
 
-    winners = probs.argmax(axis=0)
-    confidence = probs.max(axis=0)
-    kept = []
-    thresholds = {}
-    for c in range(probs.shape[0]):
-        members = np.flatnonzero(winners == c)
-        if members.size == 0:
-            continue
-        ranked = np.sort(confidence[members])
-        rank = max(1, int(np.ceil(p * members.size)))
-        tau = ranked[rank - 1]
-        thresholds[c] = float(tau)
-        kept.append(members[confidence[members] >= tau])
-    indices = np.sort(np.concatenate(kept)) if kept else np.array([], dtype=np.intp)
-    return SelectionResult(indices, thresholds)
+    *lead, n_classes, m = probs.shape
+    # one group per (head, class); points sorted by confidence, then
+    # stably by group, so each group's confidences lie ascending in a run
+    winners = probs.argmax(axis=-2).reshape(-1, m)
+    n_groups = winners.shape[0] * n_classes
+    group = (winners + n_classes * np.arange(winners.shape[0])[:, None]).reshape(-1)
+    confidence = probs.max(axis=-2).reshape(-1)
+    order = np.argsort(confidence)
+    # a 16-bit key takes numpy's radix sort, ~3x faster here
+    key = group[order].astype(np.uint16 if n_groups <= 1 << 16 else np.intp)
+    order = order[np.argsort(key, kind="stable")]
+    sizes = np.bincount(group, minlength=n_groups)
+    rank = np.maximum(1, np.ceil(p * sizes).astype(np.intp))
+    present = sizes > 0
+    tau = np.full(sizes.shape, np.nan)
+    tau[present] = confidence[order[(np.cumsum(sizes) - sizes + rank - 1)[present]]]
+    kept = confidence >= tau[group]
+    return SelectionResult(kept.reshape(*lead, m), tau.reshape(*lead, n_classes))
 
 
 @dataclass

@@ -42,36 +42,46 @@ def epsilon_at(schedule: EpsilonSchedule, epoch: int) -> float:
     return float(min(schedule.eps_start, max(schedule.eps_end, eps)))
 
 
-def sinkhorn_assign(scores, eps: float, n_iters: int) -> np.ndarray:
+def sinkhorn_assign(scores, eps: float, n_iters: int, heads: int = 1) -> np.ndarray:
     """Soft assignment of points (columns) to prototypes (rows).
 
-    ``scores`` is rho x m (queue columns, if any, already appended). The
-    exponentials are computed with the per-column max subtracted, so eps
-    down to 0.05 is safe for scores well outside the unit range.
+    ``scores`` is (heads x rho) x m: ``heads`` prototype sets of rho rows
+    each, stacked, that score the same m columns (queue columns, if any,
+    already appended). Each set is projected on its own; ``q`` keeps the
+    layout of ``scores``. The exponentials are computed with each set's
+    per-column max subtracted, so eps down to 0.05 is safe for scores
+    well outside the unit range.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
         raise ValueError(f"scores must be a non-empty 2-D matrix, got shape {scores.shape}")
+    if heads < 1 or scores.shape[0] % heads:
+        raise ValueError(f"{scores.shape[0]} score rows do not split into {heads} heads")
     if np.any(np.isnan(scores)):
         raise ValueError("scores contain NaN")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    rho, m = scores.shape
-    q = np.exp((scores - scores.max(axis=0, keepdims=True)) / eps)
+    m = scores.shape[1]
+    rho = scores.shape[0] // heads
+    # row sums reduce the contiguous axis and column sums add each set's
+    # rows in order, so every set's q equals a call on its rows alone
+    s = scores.reshape(heads, rho, m)
+    q = np.exp((s - s.max(axis=1, keepdims=True)) / eps)
     for _ in range(n_iters):
-        q *= (1.0 / rho) / np.maximum(q.sum(axis=1, keepdims=True), _TINY)
-        q *= (1.0 / m) / np.maximum(q.sum(axis=0, keepdims=True), _TINY)
-    return q
+        q *= (1.0 / rho) / np.maximum(q.sum(axis=2, keepdims=True), _TINY)
+        q *= (1.0 / m) / np.maximum(q.sum(axis=1, keepdims=True), _TINY)
+    return q.reshape(scores.shape)
 
 
 def pseudo_labels_from(q: np.ndarray, m_batch: int) -> np.ndarray:
     """Per-point class distributions for the first ``m_batch`` columns.
 
-    Queue columns sit past ``m_batch`` and are dropped; each kept column
-    is rescaled to sum to one.
+    ``q`` is (..., rho, m), leading axes being heads. Queue columns sit
+    past ``m_batch`` and are dropped; each kept column is rescaled to
+    sum to one.
     """
-    if m_batch > q.shape[1]:
-        raise ValueError(f"m_batch {m_batch} exceeds {q.shape[1]} assignment columns")
-    kept = q[:, :m_batch].copy()
-    kept /= np.maximum(kept.sum(axis=0, keepdims=True), _TINY)
+    if m_batch > q.shape[-1]:
+        raise ValueError(f"m_batch {m_batch} exceeds {q.shape[-1]} assignment columns")
+    kept = q[..., :m_batch].copy()
+    kept /= np.maximum(kept.sum(axis=-2, keepdims=True), _TINY)
     return kept

@@ -1,12 +1,15 @@
 """Online discovery training: the batch objective ``losses.fit`` steps on.
 
-Per batch and view: extract features, score them against every head at
-once, solve each head's transport problem on its rows of those logits
-(queue columns, scored by the same map, appended) at the current epoch's
-smoothness, filter the resulting pseudo-labels, refresh the queue, and
-take an SGD step on the swapped objective over base ground truth plus
-novel pseudo-labels. Novel ground truth is hidden before the loop ever
-sees a point and the batch assembly asserts that.
+Per batch and view: extract features and score them against every head
+at once. Each head family (the novel heads, then the over-clustering
+heads) is one contiguous row range of those logits, so one transport
+call solves all of a family's heads (queue columns, scored by the same
+map, appended) at the current epoch's smoothness, and one selection
+call filters their pseudo-labels. Then refresh the queue, and take an
+SGD step on the swapped objective over base ground truth plus novel
+pseudo-labels: one cross-entropy node per view scores every head of
+every family. Novel ground truth is hidden before the loop ever sees a
+point and the batch assembly asserts that.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
-from .losses import TrainConfig, compute_loss_weights, fit, one_hot, tempered_ce
+from .losses import TrainConfig, class_slots, compute_loss_weights, fit, tempered_ce
 from .model import ModelConfig, SegmentationModel
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 from .queueing import FeatureQueue, QueueConfig, select_phi
@@ -78,13 +81,14 @@ def _features(model, views, neighbours):
     return ad.concat_cols(feats) if len(feats) > 1 else feats[0]
 
 
-def _pseudo_label(scores, m, eps, iters, percentile, filter_on):
-    """Transport-based soft labels for one head from its prototype scores
-    (m novel points, then queue columns); returns (kept, dists)."""
-    q = sinkhorn_assign(scores, eps, iters)
-    labels = pseudo_labels_from(q, m)
-    kept = select_phi(labels, percentile).kept_indices if filter_on else np.arange(labels.shape[1])
-    return kept, labels
+def _pseudo_label(scores, heads, m, eps, iters, percentile, filter_on):
+    """Transport-based soft labels for one head family from its stacked
+    prototype scores (heads x rho rows; m novel points, then queue
+    columns); returns (kept, dists), (heads, m) and (heads, rho, m)."""
+    q = sinkhorn_assign(scores, eps, iters, heads)
+    dists = pseudo_labels_from(q.reshape(heads, -1, q.shape[1]), m)
+    kept = select_phi(dists, percentile).kept if filter_on else np.ones((heads, m), dtype=bool)
+    return kept, dists
 
 
 def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
@@ -119,20 +123,14 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     if init_state is not None:
         model.load_state(init_state, strict=False)
 
-    # one entry per swapped term, in summing order: novel_0, over_0,
-    # novel_1, ... (over only when on); each is (class weights, rows of
-    # the stacked logits)
+    # each family is (first row, rows per head) of the stacked logits;
+    # novel classes all weigh one, so only the base rows carry weights
     heads = cfg.model.heads
-    weights = compute_loss_weights(masked, split)
-    w_novel = weights.vector(base_order, n_novel)
-    w_over = weights.vector(base_order, cfg.model.overcluster_factor * n_novel)
-    entries = []
-    for h in range(heads):
-        entries.append((w_novel, model.head_rows(h)))
-        if dc.overcluster:
-            entries.append((w_over, model.head_rows(h, over=True)))
-    # a batch without novel points trains every entry on base labels alone
-    no_targets = [(np.arange(0), np.zeros((rows.size - n_base, 0))) for _, rows in entries]
+    families = model.head_families(dc.overcluster)
+    w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+    # a batch without novel points trains every head on base labels alone
+    no_targets = [(np.zeros((heads, 0), dtype=bool), np.zeros((heads, width, 0)))
+                  for _, width in families]
     queue = FeatureQueue(tuple(range(n_novel)), cfg.queue.capacity, balanced=dc.phi_queue)
     sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
     metrics = []
@@ -153,13 +151,13 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         base_idx = np.flatnonzero(labels != UNLABELLED)
         novel_idx = np.flatnonzero(labels == UNLABELLED)
         assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
-        base_onehot = one_hot(labels[base_idx], base_order, n_base)
+        base_slots = class_slots(labels[base_idx], base_order)
         # every head scores each view once, for the transport and the loss;
         # the bias is zero past the base rows, so those rows are prototype scores
         w_stack, b_stack = model.stacked_heads(dc.overcluster)
         logits = [ad.matmul(w_stack, z, bias=b_stack) for z in zs]
 
-        # pseudo-labels per view and entry; queue is sampled before the
+        # pseudo-labels per view and family; queue is sampled before the
         # current batch is inserted, so it only carries past iterations
         targets = [no_targets, no_targets]
         for vi, z in enumerate(zs):
@@ -171,25 +169,27 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                 if qcols.size:
                     scores = np.concatenate([scores, w_stack.data @ qcols], axis=1)
             targets[vi] = [
-                _pseudo_label(scores[rows[n_base:]], novel_idx.size, eps, cfg.sinkhorn.iters,
-                              dc.percentile, dc.tau_train)
-                for _, rows in entries
+                _pseudo_label(scores[start:start + heads * width], heads, novel_idx.size, eps,
+                              cfg.sinkhorn.iters, dc.percentile, dc.tau_train)
+                for start, width in families
             ]
             if dc.use_queue:
                 # novel head-0 inserts are filtered when phi_queue is on;
                 # with tau_train on too, the training filter chose them
-                kept0, head0 = targets[vi][0]
+                kept, dists = targets[vi][0]
+                head0 = dists[0]
                 if not dc.phi_queue:
                     cand = np.arange(head0.shape[1])
                 elif dc.tau_train:
-                    cand = kept0
+                    cand = np.flatnonzero(kept[0])
                 else:
                     cand = select_phi(head0, dc.percentile).kept_indices
                 queue.insert(z.data[:, novel_idx[cand]], head0[:, cand].argmax(axis=0),
                              cfg.queue.insert_fraction, rng)
 
         total, head_vals = _step_loss(
-            model, logits, targets, entries, base_idx, novel_idx, base_onehot, tc.temperature
+            logits, targets, families, base_idx, base_slots, w_base, novel_idx, heads,
+            tc.temperature,
         )
         batches.append(np.concatenate([total.data[0], head_vals]))
         return total
@@ -224,30 +224,23 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     return TrainResult(model, metrics, head_losses)
 
 
-def _step_loss(model, logits, targets, entries, base_idx, novel_idx, base_onehot, temperature):
+def _step_loss(logits, targets, families, base_idx, base_slots, w_base, novel_idx, heads,
+               temperature):
     """The step's objective and each novel head's swapped term.
 
-    Entry ``e`` of ``entries`` (class weights, logit rows) scores view
-    0's ``stacked_heads`` logits against view 1's pseudo-labels
-    ``targets[1][e]`` and view 1's against ``targets[0][e]``, both on
-    base ground truth too. The objective is the sum of all entries'
-    terms over the head count; the novel heads are every
-    ``len(entries) // heads``-th entry from the first. One cross entropy
-    node per view scores every entry as a block of its rows.
+    One cross-entropy node per view scores that view's ``stacked_heads``
+    logits: base ground truth (point ``base_idx[j]`` in base row
+    ``base_slots[j]``, rows weighted by ``w_base``) and, per family of
+    ``families``, the other view's pseudo-labels ``targets[other][f]`` =
+    (kept, dists) at ``novel_idx``. Its values are one per head, family
+    by family, the novel heads first; the objective is the sum of both
+    views' values over the head count.
     """
-    n_base, heads = model.n_base, model.cfg.heads
     values = []
     for view_logits, other in zip(logits, (1, 0)):
-        blocks = []
-        for e, (w_vec, rows) in enumerate(entries):
-            kept, dist = targets[other][e]
-            cols = np.concatenate([base_idx, novel_idx[kept]])
-            target = np.zeros((rows.size, cols.size))
-            target[:n_base, :base_idx.size] = base_onehot
-            target[n_base:, base_idx.size:] = dist[:, kept]
-            blocks.append((rows, cols, target, w_vec))
-        values.append(tempered_ce(view_logits, blocks, temperature))
-    # entry e's term is its two views' values added; summed in entry order
+        scored = [(start, novel_idx, dists, kept)
+                  for (start, _), (kept, dists) in zip(families, targets[other])]
+        values.append(tempered_ce(view_logits, base_idx, base_slots, w_base, scored, temperature))
+    # head h's term is its two views' values added; summed family by family
     terms = ad.add(values[0], values[1])
-    head_vals = terms.data[::len(entries) // heads, 0]
-    return ad.sum_in_order(terms, 1.0 / heads), head_vals
+    return ad.sum_in_order(terms, 1.0 / heads), terms.data[:heads, 0]

@@ -123,7 +123,7 @@ def test_criterion_02_sinkhorn_oracle_equivalence():
 def test_criterion_03_full_loss_gradient():
     from segdiscover.augment import AugmentConfig, make_views
     from segdiscover.data import UNLABELLED, mask_novel
-    from segdiscover.losses import compute_loss_weights, one_hot
+    from segdiscover.losses import class_slots, compute_loss_weights
     from segdiscover.model import SegmentationModel
     from segdiscover.sinkhorn import pseudo_labels_from
     from segdiscover.train import _features, _step_loss
@@ -138,12 +138,12 @@ def test_criterion_03_full_loss_gradient():
     pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
     neigh = [c.neighbours(4) for c in masked]
     base_order = [0, 1, 2]
-    weights = compute_loss_weights(masked, split).vector(base_order, 2)
-    entries = [(weights, model.head_rows(h)) for h in range(2)]
+    w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+    families = model.head_families(False)
     labels = np.concatenate([c.labels for c in masked])
     base_idx = np.flatnonzero(labels != UNLABELLED)
     novel_idx = np.flatnonzero(labels == UNLABELLED)
-    onehot = one_hot(labels[base_idx], base_order, 3)
+    slots = class_slots(labels[base_idx], base_order)
 
     def build():
         return [_features(model, views, neigh) for views in zip(*pairs)]
@@ -154,15 +154,15 @@ def test_criterion_03_full_loss_gradient():
 
     targets = []
     for z in build():
-        targets.append([])
-        for h in range(2):
-            scores = model.novel_p[h].data.T @ z.data[:, novel_idx]
-            dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), novel_idx.size)
-            targets[-1].append((np.arange(dist.shape[1]), dist))
+        scores = np.concatenate([p.data for p in model.novel_p], axis=1).T @ z.data[:, novel_idx]
+        q = sinkhorn_assign(scores, 0.3, 3, 2)
+        dists = pseudo_labels_from(q.reshape(2, -1, q.shape[1]), novel_idx.size)
+        targets.append([(np.ones((2, novel_idx.size), dtype=bool), dists)])
 
     def loss_value():
         # both heads' swapped terms, summed and halved
-        return _step_loss(model, logits(), targets, entries, base_idx, novel_idx, onehot, 0.2)[0]
+        return _step_loss(logits(), targets, families, base_idx, slots, w_base, novel_idx, 2,
+                          0.2)[0]
 
     loss = loss_value()
     ad.backward(loss)

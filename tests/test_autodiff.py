@@ -231,160 +231,158 @@ class TestGatherBackward:
         np.testing.assert_array_equal(a.grad, expected)
 
 
-def _op_chain_ce(logits, target, weights, rows, cols, scale, floor):
-    """The fused cross entropy spelled out in single ops."""
-    block = ad.transpose(ad.gather_cols(ad.transpose(logits), rows))
-    q = ad.softmax_cols(ad.mul(ad.gather_cols(block, cols), scale))
-    wt = ad.constant(np.asarray(weights)[:, None] * target)
-    return ad.mul(ad.sum_all(ad.mul(wt, ad.log(q, floor=floor))), -1.0 / len(cols))
+def _per_block_reference(data, blocks, coefs, scale, floor):
+    """Cross entropy one block at a time, in numpy: per ``(rows, cols,
+    target, weights)`` block, the column softmax of its rows and columns
+    of ``data * scale`` and the mean over its columns of
+    -sum w t log max(q, floor). Returns the values and the gradient of
+    sum_b coefs[b] * value_b, each block's scattered by ``np.add.at``."""
+    values, grad = np.zeros(len(blocks)), np.zeros_like(data)
+    for b, (rows, cols, target, weights) in enumerate(blocks):
+        if not len(cols):
+            continue
+        s = data[np.ix_(rows, cols)] * scale
+        q = np.exp(s - s.max(axis=0))
+        q /= q.sum(axis=0)
+        wt = weights[:, None] * target
+        m = len(cols)
+        values[b] = -(wt * np.log(np.maximum(q, floor))).sum() / m
+        dq = wt * ((-coefs[b] / m) * (q >= floor)) / np.maximum(q, floor)
+        np.add.at(grad, np.ix_(rows, cols), q * (dq - (dq * q).sum(axis=0)) * scale)
+    return values, grad
+
+
+def _as_blocks(cols, slots, weights, families):
+    """The blocks of ``_per_block_reference`` that score what
+    ``softmax_cross_entropy`` scores: one per head, the base rows and the
+    head's rows over the base columns and the head's kept columns."""
+    n_base, cols = len(weights), np.asarray(cols)
+    onehot = np.zeros((n_base, cols.size))
+    onehot[slots, np.arange(cols.size)] = 1.0
+    if not families:
+        return [(np.arange(n_base), cols, onehot, weights)]
+    blocks = []
+    for start, fcols, target, kept in families:
+        heads, k, _ = target.shape
+        for h in range(heads):
+            block_cols = np.concatenate([cols, np.asarray(fcols)[kept[h]]])
+            block = np.zeros((n_base + k, block_cols.size))
+            block[:n_base, :cols.size] = onehot
+            block[n_base:, cols.size:] = target[h][:, kept[h]]
+            rows = np.concatenate([np.arange(n_base), start + h * k + np.arange(k)])
+            blocks.append((rows, block_cols, block, np.concatenate([weights, np.ones(k)])))
+    return blocks
 
 
 class TestSoftmaxCrossEntropy:
-    FLOOR = 1e-12
-    ROWS = [5, 0, 2, 3]
+    """Head families of one logit matrix against the per-block reference:
+    3 base rows, then a family of 3 heads of 2 rows and one of 3 heads of
+    4 rows, over 14 columns."""
 
-    def setup_case(self, cols):
-        rng = np.random.default_rng(21)
-        data = rng.normal(size=(6, 9))
-        data[2, 4] = data[2, 0] = -30.0  # softmax of these falls below the floor
-        logits = ad.parameter(data, "logits")
-        target = rng.random((len(self.ROWS), len(cols)))
-        target /= target.sum(axis=0, keepdims=True)
-        weights = rng.uniform(0.5, 2.0, len(self.ROWS))
-        return logits, target, weights
+    FLOOR, SCALE = 1e-12, 1.5
+    COLS = [0, 2, 3, 5, 7, 8, 11]  # base points
+    FCOLS = [1, 4, 6, 9, 10, 12, 13]  # novel points
 
-    def fused(self, logits, target, weights, cols):
-        return ad.softmax_cross_entropy(
-            logits, [(self.ROWS, cols, target, weights)], scale=1.5, floor=self.FLOOR
+    def setup_case(self, fcols=FCOLS, seed=31):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(21, 14))
+        data[3:9, 4] = data[9, 6] = data[2, 0] = -40.0  # softmaxes below the floor
+        slots = rng.integers(0, 3, len(self.COLS))
+        slots[self.COLS.index(0)] = 2  # a base target below the floor
+        weights = rng.uniform(0.5, 2.0, 3)
+        families = []
+        for start, k in ((3, 2), (9, 4)):
+            target = rng.random((3, k, len(fcols)))
+            kept = rng.random((3, len(fcols))) < 0.6
+            kept[:, 0] = kept[0, 1] = True
+            families.append((start, fcols, target / target.sum(axis=1, keepdims=True), kept))
+        coefs = rng.uniform(-1.0, 2.0, 6)
+        return ad.parameter(data, "logits"), slots, weights, families, coefs
+
+    def fused(self, logits, slots, weights, families, cols=COLS):
+        return ad.softmax_cross_entropy(logits, cols, slots, weights, families,
+                                        scale=self.SCALE, floor=self.FLOOR)
+
+    def weighted(self, values, coefs):
+        return ad.sum_all(ad.mul(values, ad.constant(np.asarray(coefs)[:, None])))
+
+    def check_against_reference(self, logits, slots, weights, families, coefs, cols=COLS):
+        values = self.fused(logits, slots, weights, families, cols)
+        assert values.data.shape == (len(coefs), 1)
+        ad.backward(self.weighted(values, coefs))
+        ref_values, ref_grad = _per_block_reference(
+            logits.data, _as_blocks(cols, slots, weights, families), coefs, self.SCALE,
+            self.FLOOR,
         )
+        np.testing.assert_allclose(values.data[:, 0], ref_values, rtol=1e-12)
+        np.testing.assert_allclose(logits.grad, ref_grad, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("cols", [[8, 1, 4, 6, 0], [1, 4, 1, 6, 4]])
-    def test_value_and_gradient_match_the_op_chain(self, cols):
-        logits, target, weights = self.setup_case(cols)
-        loss = self.fused(logits, target, weights, cols)
-        assert loss.data.shape == (1, 1)
-        ad.backward(loss)
-        fused_grad = logits.grad.copy()
-        logits.zero_grad()
-        chain = _op_chain_ce(logits, target, weights, self.ROWS, cols, 1.5, self.FLOOR)
-        ad.backward(chain)
-        np.testing.assert_allclose(loss.data, chain.data, rtol=1e-13)
-        np.testing.assert_allclose(fused_grad, logits.grad, rtol=1e-12, atol=1e-15)
+    def test_values_and_gradient_match_the_per_block_reference(self):
+        logits, slots, weights, families, coefs = self.setup_case()
+        # the clamp is exercised on a base and a head target
+        s = logits.data * self.SCALE
+        assert np.exp(s[2, 0] - np.logaddexp.reduce(s[[0, 1, 2, 3, 4], 0])) < self.FLOOR
+        assert np.exp(s[3, 4] - np.logaddexp.reduce(s[[0, 1, 2, 3, 4], 4])) < self.FLOOR
+        self.check_against_reference(logits, slots, weights, families, coefs)
 
-    @pytest.mark.parametrize("cols", [[8, 1, 4, 6, 0], [1, 4, 1, 6, 4]])
-    def test_central_differences_including_clamped_entries(self, cols):
-        logits, target, weights = self.setup_case(cols)
-        block = logits.data[np.ix_(self.ROWS, cols)] * 1.5
-        q = np.exp(block - block.max(axis=0)) / np.exp(block - block.max(axis=0)).sum(axis=0)
-        assert np.any(q < self.FLOOR)  # the clamp is exercised
-        ad.backward(self.fused(logits, target, weights, cols))
+    def test_one_family_and_shared_columns_match_the_reference(self):
+        # the over-clustering family alone, its columns overlapping the base ones
+        logits, slots, weights, families, coefs = self.setup_case(fcols=[0, 1, 4, 7, 9, 12, 13])
+        self.check_against_reference(logits, slots, weights, families[1:], coefs[3:])
+
+    def test_no_family_is_the_softmax_over_the_base_rows(self):
+        # the baseline's call: every row is a base row
+        logits, _, _, _, _ = self.setup_case()
+        rng = np.random.default_rng(4)
+        slots, weights = rng.integers(0, 21, 10), rng.uniform(0.5, 2.0, 21)
+        cols = [13, 0, 2, 5, 4, 7, 9, 10, 11, 6]  # unsorted, like base then pseudo points
+        self.check_against_reference(logits, slots, weights, (), [0.7], cols=cols)
+
+    def test_central_differences_including_clamped_entries(self):
+        logits, slots, weights, families, coefs = self.setup_case()
+
+        def loss():
+            return self.weighted(self.fused(logits, slots, weights, families), coefs)
+
+        ad.backward(loss())
         coords = [(logits, i) for i in range(logits.data.size)]
-        fd = finite_difference(
-            lambda: float(self.fused(logits, target, weights, cols).data[0, 0]),
-            {"logits": logits}, coords, step=1e-6,
-        )
-        np.testing.assert_allclose(logits.grad.reshape(-1), fd, rtol=1e-6, atol=1e-9)
-        assert np.all(logits.grad[[1, 4], :] == 0.0)  # rows never selected
-        assert np.all(logits.grad[:, [c for c in range(9) if c not in cols]] == 0.0)
-
-    def test_no_columns_is_zero(self):
-        logits, _, weights = self.setup_case([])
-        loss = self.fused(logits, np.zeros((4, 0)), weights, [])
-        assert float(loss.data[0, 0]) == 0.0
-        assert loss._backward is None  # nothing to differentiate
-
-    def test_target_shape_mismatch_names_node(self):
-        logits, target, weights = self.setup_case([0, 1])
-        with pytest.raises(ad.ShapeError, match="logits: block 0"):
-            self.fused(logits, target[:, :1], weights, [0, 1])
-
-
-class TestBlockCrossEntropy:
-    """Several blocks of one logit matrix that share rows and columns, the
-    way every head's block holds the base rows and the base points."""
-
-    FLOOR = 1e-12
-    BLOCKS = [  # (rows, cols)
-        ([0, 1, 2, 3], [0, 2, 3, 5, 7]),
-        ([0, 1, 4, 5, 6], [0, 2, 3, 8]),
-        ([0, 1, 6, 6], [1, 2, 2, 9]),  # a repeated row and column: indexed add
-        ([0, 1, 2, 3], []),  # no columns: value 0, no gradient
-        (None, [4, 0, 7]),  # every row
-    ]
-    COEFS = [0.5, -1.25, 2.0, 3.0, 0.75]
-
-    def setup_case(self):
-        rng = np.random.default_rng(31)
-        data = rng.normal(size=(7, 10))
-        data[6, 1] = -40.0  # below the floor after the softmax
-        logits = ad.parameter(data, "logits")
-        blocks = []
-        for rows, cols in self.BLOCKS:
-            n = 7 if rows is None else len(rows)
-            target = rng.random((n, len(cols)))
-            blocks.append((rows, cols, target / target.sum(axis=0), rng.uniform(0.5, 2.0, n)))
-        return logits, blocks
-
-    def fused(self, logits, blocks):
-        return ad.softmax_cross_entropy(logits, blocks, scale=1.5, floor=self.FLOOR)
-
-    def weighted(self, values):
-        return ad.sum_all(ad.mul(values, ad.constant(np.array(self.COEFS)[:, None])))
-
-    def test_each_value_and_the_gradient_match_the_op_chains(self):
-        logits, blocks = self.setup_case()
-        values = self.fused(logits, blocks)
-        assert values.data.shape == (len(blocks), 1)
-        ad.backward(self.weighted(values))
-        fused_grad = logits.grad.copy()
-        logits.zero_grad()
-        chains = []
-        for b, (rows, cols, target, weights) in enumerate(blocks):
-            if not cols:
-                assert values.data[b, 0] == 0.0
-                continue
-            rows = range(7) if rows is None else rows
-            chain = _op_chain_ce(logits, target, weights, rows, cols, 1.5, self.FLOOR)
-            np.testing.assert_allclose(values.data[b, 0], chain.data[0, 0], rtol=1e-13)
-            chains.append(ad.mul(chain, self.COEFS[b]))
-        ad.backward(ad.sum_all(ad.concat_rows(chains)))
-        np.testing.assert_allclose(fused_grad, logits.grad, rtol=1e-12, atol=1e-15)
-
-    def test_central_differences(self):
-        logits, blocks = self.setup_case()
-        ad.backward(self.weighted(self.fused(logits, blocks)))
-        coords = [(logits, i) for i in range(logits.data.size)]
-        fd = finite_difference(
-            lambda: float(self.weighted(self.fused(logits, blocks)).data[0, 0]),
-            {"logits": logits}, coords, step=1e-6,
-        )
+        fd = finite_difference(lambda: float(loss().data[0, 0]), {"logits": logits}, coords,
+                               step=1e-6)
         np.testing.assert_allclose(logits.grad.reshape(-1), fd, rtol=1e-6, atol=1e-9)
 
-    def test_gradients_are_added_in_list_order_bit_for_bit(self):
-        # what a tape of one node per block accumulates: ((g0 + g1) + g2) ...
-        logits, blocks = self.setup_case()
-        ad.backward(ad.sum_in_order(self.fused(logits, blocks), 1.0))
-        fused_grad = logits.grad.copy()
-        total = None
-        for block in blocks:
-            logits.zero_grad()
-            ad.backward(self.fused(logits, [block]))
-            total = logits.grad.copy() if total is None else total + logits.grad
-        assert np.array_equal(fused_grad, total)
+    def test_a_head_with_no_scored_column_scores_zero_and_passes_no_gradient(self):
+        logits, slots, weights, families, coefs = self.setup_case()
+        start, fcols, target, kept = families[1]
+        kept = kept.copy()
+        kept[1] = False
+        values = self.fused(logits, slots[:0], weights, [(start, fcols, target, kept)], cols=[])
+        assert values.data[1, 0] == 0.0 and np.all(values.data[[0, 2], 0] > 0.0)
+        ad.backward(self.weighted(values, [0.0, 1.0, 0.0]))
+        assert not np.any(logits.grad)
 
-    def test_an_empty_block_passes_no_gradient(self):
-        logits, blocks = self.setup_case()
-        ad.backward(ad.sum_all(self.fused(logits, blocks)))
-        with_empty = logits.grad.copy()
-        logits.zero_grad()
-        ad.backward(ad.sum_all(self.fused(logits, blocks[:3] + blocks[4:])))
-        assert np.array_equal(with_empty, logits.grad)
-
-    def test_only_empty_blocks_record_no_tape(self):
-        logits, blocks = self.setup_case()
-        values = self.fused(logits, [blocks[3], blocks[3]])
-        assert np.array_equal(values.data, np.zeros((2, 1)))
+    def test_nothing_to_score_records_no_tape(self):
+        logits, _, weights, families, _ = self.setup_case()
+        empty = [(start, [], target[:, :, :0], kept[:, :0])
+                 for start, _, target, kept in families]
+        values = self.fused(logits, [], weights, empty, cols=[])
+        assert np.array_equal(values.data, np.zeros((6, 1)))
         assert values._backward is None
+
+    @pytest.mark.parametrize("cols, slots, families, match", [
+        ([0, 2, 0], [0, 1, 2], (), "the base target repeats a column"),
+        ([0, 14], [0, 1], (), r"the base target columns outside \[0, 14\)"),
+        ([0, 2], [0, 3], (), r"2 base slots in \[0, 3\)"),
+        ([0], [0], [(3, [1, 4, 1], np.ones((3, 2, 3)) / 2, np.ones((3, 3), bool))],
+         "family 0 repeats a column"),
+        ([0], [0], [(2, [1], np.ones((3, 2, 1)) / 2, np.ones((3, 1), bool))],
+         "family 0 has target .* from row 2 of 21, past 3 base rows"),
+        ([0], [0], [(3, [1], np.ones((3, 2, 1)) / 2, np.ones((2, 1), bool))],
+         r"family 0 has target \(3, 2, 1\) and kept \(2, 1\)"),
+    ])
+    def test_bad_targets_raise_a_shape_error_naming_the_node(self, cols, slots, families, match):
+        logits, _, weights, _, _ = self.setup_case()
+        with pytest.raises(ad.ShapeError, match="logits: " + match):
+            self.fused(logits, slots, weights, families, cols)
 
 
 class TestSumInOrder:

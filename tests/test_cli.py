@@ -135,6 +135,44 @@ class TestBaselineCommand:
         assert (out / "report.tsv").exists()
         assert list((out / "pseudo").glob("*.plabel"))
 
+    def test_eval_scores_the_baseline_checkpoint_as_the_baseline_did(self, tmp_path):
+        data = gen_tiny(tmp_path / "d")
+        run = tmp_path / "bl"
+        assert main(["baseline", "--data", str(data), "--out", str(run), "--seed", "0", *FAST]) == 0
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(data), "--checkpoint", str(run / "baseline.ckpt"),
+                     "--out", str(out), *FAST]) == 0
+        # both score the validation scenes: every per-class row and aggregate agrees
+        rows = (out / "report.tsv").read_text().splitlines()
+        assert len(rows) == 5 + 3
+        assert rows == (run / "report.tsv").read_text().splitlines()
+
+    def test_eval_refuses_a_head_index_for_a_baseline_checkpoint(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path / "d")
+        run = tmp_path / "bl"
+        assert main(["baseline", "--data", str(data), "--out", str(run), *FAST]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--checkpoint", str(run / "baseline.ckpt"),
+                     "--out", str(tmp_path / "eval"), *FAST, "model.eval_head=1"])
+        assert code == 1
+        assert "model.eval_head=1: " in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_eval_names_a_parameter_neither_model_holds(self, tmp_path, capsys):
+        from segdiscover import autodiff as ad
+
+        data = gen_tiny(tmp_path / "d")
+        run = tmp_path / "bl"
+        assert main(["baseline", "--data", str(data), "--out", str(run), *FAST]) == 0
+        state = ad.load_checkpoint(run / "baseline.ckpt")
+        state["extra.w"] = np.zeros((1, 1))
+        ad.save_checkpoint(tmp_path / "odd.ckpt", state)
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "odd.ckpt"),
+                     "--out", str(tmp_path / "eval"), *FAST])
+        assert code == 1
+        assert "holds parameters the model lacks: extra.w" in capsys.readouterr().err
+
     def test_scoring_the_training_scenes_reuses_their_graphs(self, tmp_path, monkeypatch):
         import shutil
 

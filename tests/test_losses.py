@@ -20,8 +20,8 @@ from segdiscover.losses import (
     TrainConfig,
     compute_loss_weights,
     fit,
+    class_slots,
     lr_at,
-    one_hot,
     weighted_ce,
 )
 
@@ -63,21 +63,19 @@ class TestWeightedCE:
         np.testing.assert_allclose(logits.grad[:, 0], s - [1.0, 0.0], atol=1e-12)
 
 
-class TestOneHot:
+class TestClassSlots:
     def test_matches_the_per_point_loop(self):
         order = [9, 2, 5]
         labels = np.random.default_rng(2).choice(order, size=40)
-        expected = np.zeros((4, labels.size))
-        for col, lab in enumerate(labels.tolist()):
-            expected[order.index(lab), col] = 1.0
-        np.testing.assert_array_equal(one_hot(labels, order, 4), expected)
+        expected = [order.index(lab) for lab in labels.tolist()]
+        assert class_slots(labels, order).tolist() == expected
 
     def test_label_outside_the_class_order_is_named(self):
         with pytest.raises(ValueError, match=r"labels \[7\]"):
-            one_hot(np.array([2, 7]), [2, 5], 2)
+            class_slots(np.array([2, 7]), [2, 5])
 
-    def test_no_labels_gives_zero_columns(self):
-        assert one_hot(np.array([], dtype=np.int64), [0, 1], 3).shape == (3, 0)
+    def test_no_labels_gives_no_slots(self):
+        assert class_slots(np.array([], dtype=np.int64), [0, 1]).shape == (0,)
 
 
 class TestLossWeights:

@@ -54,7 +54,7 @@ class TestSelectPhi:
     def test_empty_classes_contribute_nothing(self):
         probs = np.array([[0.9, 0.8], [0.1, 0.2], [0.0, 0.0]])
         result = select_phi(probs, 0.5)
-        assert 2 not in result.thresholds
+        assert np.isnan(result.thresholds).tolist() == [False, True, True]
 
     def test_malformed_distributions_rejected(self):
         with pytest.raises(ValueError, match="distributions"):

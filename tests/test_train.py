@@ -5,14 +5,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdiscover import autodiff as ad
 from segdiscover.data import UNLABELLED, LabelledCloud, generate_synthetic, toy_discovery_config
 from segdiscover.losses import (
     LOG_FLOOR,
     TrainConfig,
+    class_slots,
     compute_loss_weights,
-    one_hot,
     weighted_ce,
 )
 from segdiscover.model import ModelConfig, SegmentationModel
@@ -144,12 +146,10 @@ class TestHeadEntries:
 
         step_loss, steps = train_mod._step_loss, []
 
-        def recording(model, logits, targets, entries, *rest):
-            # summing order; the novel entries are every other one
-            rows = [r.tolist() for _, r in entries]
-            assert rows == [model.head_rows(h, over=over).tolist()
-                            for h in (0, 1) for over in (False, True)]
-            total, head_vals = step_loss(model, logits, targets, entries, *rest)
+        def recording(logits, targets, families, *rest):
+            # the novel family, then the over-clustering one
+            assert families == [(3, 2), (3 + 2 * 2, 4)]
+            total, head_vals = step_loss(logits, targets, families, *rest)
             steps.append(head_vals.copy())
             return total, head_vals
 
@@ -164,20 +164,19 @@ class TestHeadEntries:
         meta = ad.load_checkpoint(tmp_path / "c.ckpt")["meta.selected_head"]
         assert meta.reshape(-1).tolist() == [float(result.model.selected_head)]
 
-
     def test_queue_takes_the_first_novel_heads_kept_points(self, monkeypatch):
         steps = record_steps(monkeypatch)
         clouds, split = tiny_setup()
-        train(clouds, split, tiny_exp(epochs=1))  # 2 heads, over on: 4 entries
+        train(clouds, split, tiny_exp(epochs=1))  # 2 heads, over on: 2 families
         inserted = 0
         for step in steps:
             novel = step_novel_idx(step)
             assert len(step["inserts"]) == (2 if novel.size else 0)
             for view, (features, classes) in enumerate(step["inserts"]):
-                # the view's first labelling call is entry 0, novel head 0
-                kept, dists = step["labelled"][4 * view]
-                np.testing.assert_array_equal(features, step["zs"][view][:, novel][:, kept])
-                np.testing.assert_array_equal(classes, dists[:, kept].argmax(axis=0))
+                # the view's first labelling call is the novel family
+                kept, dists = step["labelled"][2 * view]
+                np.testing.assert_array_equal(features, step["zs"][view][:, novel][:, kept[0]])
+                np.testing.assert_array_equal(classes, dists[0][:, kept[0]].argmax(axis=0))
                 inserted += 1
         assert inserted
 
@@ -185,9 +184,9 @@ class TestHeadEntries:
 def record_steps(monkeypatch):
     """Record, per training step and in call order, what its transport
     reads: the batch's masked labels, each view's features, per head map
-    built the prototypes and logit rows in entry order and the Sinkhorn
-    inputs made before it, the head map's logit products, each view's
-    queue sample, every Sinkhorn input, pseudo-label and queue insert."""
+    built its families, their prototypes and the Sinkhorn inputs made
+    before it, the head map's logit products, each view's queue sample,
+    every Sinkhorn input, pseudo-label and queue insert."""
     import segdiscover.train as train_mod
     from segdiscover.queueing import FeatureQueue
 
@@ -211,13 +210,11 @@ def record_steps(monkeypatch):
 
     def heads(args, out):
         model, overcluster = args
-        order = [(h, over) for h in range(model.cfg.heads)
-                 for over in ((False, True) if overcluster else (False,))]
+        kinds = (model.novel_p, model.over_p) if overcluster else (model.novel_p,)
         steps[-1]["heads"].append({
             "map": out[0], "scored_before": len(steps[-1]["scores"]),
-            "prototypes": [(model.over_p if over else model.novel_p)[h].data.copy()
-                           for h, over in order],
-            "rows": [model.head_rows(h, over)[model.n_base:] for h, over in order],
+            "prototypes": [np.concatenate([p.data for p in kind], axis=1) for kind in kinds],
+            "families": model.head_families(overcluster),
         })
 
     def product(args, out):
@@ -250,21 +247,22 @@ class TestTransportReadsTheStepLogits:
         assert [len(step["heads"]) for step in steps] == [1] * 8
         assert [len(step["logits"]) for step in steps] == [2] * 8
         assert any(step["scores"] for step in steps)
-        # built before the transport, which reads its rows bit for bit
+        # built before the transport, which reads each family's rows bit for bit
         assert all(step["heads"][0]["scored_before"] == 0 for step in steps)
         for step in steps:
-            novel, rows = step_novel_idx(step), step["heads"][0]["rows"]
+            novel, families = step_novel_idx(step), step["heads"][0]["families"]
             for i, scores in enumerate(step["scores"]):
-                view, e = divmod(i, len(rows))
-                np.testing.assert_array_equal(scores[:, :novel.size],
-                                              step["logits"][view][rows[e]][:, novel])
+                view, f = divmod(i, len(families))
+                start, width = families[f]
+                np.testing.assert_array_equal(
+                    scores[:, :novel.size], step["logits"][view][start:start + 2 * width, novel])
 
     @pytest.mark.parametrize("use_queue", [True, False])
     @pytest.mark.parametrize("overcluster", [True, False])
     def test_every_sinkhorn_input_is_the_prototype_scores(self, monkeypatch, use_queue,
                                                           overcluster):
-        # prototypes.T @ [z_novel | queue] per entry and view, the product
-        # the transport computed for itself before it read the step's logits
+        # a family's prototypes.T @ [z_novel | queue] per view, the product
+        # the transport once computed for itself before it read the step's logits
         steps = record_steps(monkeypatch)
         clouds, split = tiny_setup()
         train(clouds, split, tiny_exp(epochs=2, use_queue=use_queue, overcluster=overcluster))
@@ -272,50 +270,81 @@ class TestTransportReadsTheStepLogits:
         for step in steps:
             novel = step_novel_idx(step)
             prototypes = step["heads"][0]["prototypes"]
-            assert len(prototypes) == 2 * (2 if overcluster else 1)
+            assert len(prototypes) == (2 if overcluster else 1)
             assert len(step["scores"]) == (2 * len(prototypes) if novel.size else 0)
             for i, scores in enumerate(step["scores"]):
-                view, e = divmod(i, len(prototypes))
+                view, f = divmod(i, len(prototypes))
                 cols = step["zs"][view][:, novel]
                 if use_queue and step["queue"][view].size:
                     cols = np.concatenate([cols, step["queue"][view]], axis=1)
                     queued += 1
-                np.testing.assert_allclose(scores, prototypes[e].T @ cols, rtol=1e-12)
+                np.testing.assert_allclose(scores, prototypes[f].T @ cols, rtol=1e-12)
                 checked += 1
         assert checked and (queued > 0) == use_queue
 
 
-class TestSupervisionIsolation:
-    def test_novel_label_permutation_leaves_checkpoint_unchanged(self, tmp_path):
-        clouds, split = tiny_setup()
-        rng = np.random.default_rng(9)
-        shuffled = []
-        for c in clouds:
-            labels = c.labels.copy()
-            novel = np.flatnonzero(np.isin(labels, [3, 4]))
-            labels[novel] = rng.permutation(labels[novel])
-            shuffled.append(LabelledCloud(c.coords, labels, c.scene_id))
-        # evaluation metrics may differ (they read ground truth), the
-        # trained parameters must not
-        a = train(clouds, split, tiny_exp(seed=1), val_clouds=clouds)
-        b = train(shuffled, split, tiny_exp(seed=1), val_clouds=clouds)
-        a.model.save(tmp_path / "a.ckpt")
-        b.model.save(tmp_path / "b.ckpt")
-        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+def _select_phi_per_class(probs, p):
+    """One head's selection a class at a time: each class's nearest-rank
+    threshold over the confidences of the points it wins."""
+    winners, confidence = probs.argmax(axis=0), probs.max(axis=0)
+    kept = np.zeros(probs.shape[1], dtype=bool)
+    for c in range(probs.shape[0]):
+        members = np.flatnonzero(winners == c)
+        if members.size:
+            tau = np.sort(confidence[members])[max(1, int(np.ceil(p * members.size))) - 1]
+            kept[members[confidence[members] >= tau]] = True
+    return kept
 
-    def test_masked_labels_asserted_in_batches(self):
-        clouds, split = tiny_setup()
-        result = train(clouds, split, tiny_exp(epochs=1))
-        assert result is not None  # assertion inside the loop did not fire
+
+@st.composite
+def family_scores(draw):
+    """A family's stacked prototype scores: heads x rho rows over m novel
+    and some queue columns, with repeated columns (tied confidences) and
+    prototypes that may win no point."""
+    heads, rho = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    m, n_queue = draw(st.integers(1, 30)), draw(st.sampled_from([0, 1, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    scores = rng.uniform(-1.0, 1.0, (heads * rho, m + n_queue))
+    repeats = rng.integers(0, m + n_queue, draw(st.integers(0, m + n_queue)))
+    scores[:, rng.integers(0, m + n_queue, repeats.size)] = scores[:, repeats]
+    if draw(st.booleans()):
+        scores[rng.integers(0, heads * rho)] -= 10.0  # a prototype that wins nothing
+    return scores, heads, m
+
+
+class TestFamilyTransport:
+    @settings(max_examples=150, deadline=None)
+    @given(case=family_scores(), p=st.sampled_from([0.0, 0.3, 0.5, 0.9]),
+           eps=st.sampled_from([0.05, 0.3]))
+    def test_one_call_per_family_equals_the_per_head_chain_bit_for_bit(self, case, p, eps):
+        from segdiscover.queueing import select_phi
+        from segdiscover.sinkhorn import pseudo_labels_from, sinkhorn_assign
+        from segdiscover.train import _pseudo_label
+
+        scores, heads, m = case
+        rho = scores.shape[0] // heads
+        kept, dists = _pseudo_label(scores, heads, m, eps, 3, p, True)
+        assert kept.shape == (heads, m) and dists.shape == (heads, rho, m)
+        for h in range(heads):
+            q = sinkhorn_assign(scores[h * rho:(h + 1) * rho], eps, 3)
+            dist = pseudo_labels_from(q, m)
+            assert np.array_equal(dists[h], dist)
+            assert np.array_equal(kept[h], _select_phi_per_class(dist, p))
+            assert np.array_equal(kept[h], select_phi(dist, p).kept)
+        assert np.array_equal(select_phi(dists, p).kept, kept)
+        if p == 0.0:
+            assert kept.all()
+        no_filter, same = _pseudo_label(scores, heads, m, eps, 3, p, False)
+        assert no_filter.all() and np.array_equal(same, dists)
 
 
 def batch_layout(masked, base_order):
-    """One batch's labels, base and novel columns and base one-hot, the
+    """One batch's labels, base and novel columns and base slots, the
     layout both views share."""
     labels = np.concatenate([c.labels for c in masked])
     base_idx = np.flatnonzero(labels != UNLABELLED)
     novel_idx = np.flatnonzero(labels == UNLABELLED)
-    return labels, base_idx, novel_idx, one_hot(labels[base_idx], base_order, len(base_order))
+    return labels, base_idx, novel_idx, class_slots(labels[base_idx], base_order)
 
 
 def view_features(model, pairs, neigh):
@@ -325,8 +354,7 @@ def view_features(model, pairs, neigh):
 def step_case(heads, overcluster):
     """A 3-scene batch as ``train`` hands it to ``_step_loss``: views,
     graphs, label layout, each view's features and stacked-head logits,
-    pseudo-labels per head and family, and the flat entry list with its
-    targets."""
+    and per view and family the pseudo-labels (kept, dists)."""
     from types import SimpleNamespace
 
     from segdiscover.augment import AugmentConfig, make_views
@@ -341,36 +369,26 @@ def step_case(heads, overcluster):
     pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
     neigh = [c.neighbours(4) for c in masked]
     base_order = sorted(split.base_classes)
-    weights = compute_loss_weights(masked, split)
-    w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
-    labels, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
+    w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+    labels, base_idx, novel_idx, base_slots = batch_layout(masked, base_order)
+    families = model.head_families(overcluster)
+    kinds = (model.novel_p, model.over_p)[:len(families)]
 
     zs = view_features(model, pairs, neigh)
-    targets, over_targets = [{}, {}], [{}, {}]
-    for vi, z in enumerate(zs):
+    targets = []
+    for z in zs:
         z_novel = z.data[:, novel_idx]
-        for h in range(heads):
-            targets[vi][h] = _pseudo_label(
-                model.novel_p[h].data.T @ z_novel, novel_idx.size, 0.3, 3, 0.5, True)
-            over_targets[vi][h] = _pseudo_label(
-                model.over_p[h].data.T @ z_novel, novel_idx.size, 0.3, 3, 0.5, True)
-    assert all(0 < t[0].size < t[1].shape[1] for t in targets[0].values())
-    # the flat entry list in summing order: novel_0, over_0, novel_1, ...
-    entries, flat_targets = [], [[], []]
-    for h in range(heads):
-        entries.append((w_novel, model.head_rows(h)))
-        for vi in range(2):
-            flat_targets[vi].append(targets[vi][h])
-        if overcluster:
-            entries.append((w_over, model.head_rows(h, over=True)))
-            for vi in range(2):
-                flat_targets[vi].append(over_targets[vi][h])
+        targets.append([
+            _pseudo_label(np.concatenate([p.data for p in kind], axis=1).T @ z_novel, heads,
+                          novel_idx.size, 0.3, 3, 0.5, True)
+            for kind in kinds
+        ])
+    assert all(0 < kept[h].sum() < novel_idx.size
+               for kept, _ in targets[0] for h in range(heads))
     return SimpleNamespace(
         model=model, pairs=pairs, neigh=neigh, zs=zs, logits=step_logits(model, zs, overcluster),
-        labels=labels, base_idx=base_idx,
-        novel_idx=novel_idx, base_onehot=base_onehot, base_order=base_order, targets=targets,
-        over_targets=over_targets, entries=entries, flat_targets=flat_targets,
-        w_novel=w_novel, w_over=w_over,
+        labels=labels, base_idx=base_idx, novel_idx=novel_idx, base_slots=base_slots,
+        base_order=base_order, w_base=w_base, families=families, targets=targets,
     )
 
 
@@ -380,9 +398,14 @@ def step_logits(model, zs, overcluster):
     return [ad.matmul(w_stack, z, bias=b_stack) for z in zs]
 
 
+def step_loss_of(c, logits, temperature=0.2):
+    return _step_loss(logits, c.targets, c.families, c.base_idx, c.base_slots, c.w_base,
+                      c.novel_idx, c.model.cfg.heads, temperature)
+
+
 class TestFullLossGradient:
     def test_swapped_loss_through_model_matches_finite_differences(self):
-        # 2 scenes x 16 points, every novel and over-clustering entry of
+        # 2 scenes x 16 points, every novel and over-clustering head of
         # the step; targets held fixed while parameters move
         clouds, split = tiny_setup(scenes=2, points=16)
         from segdiscover.data import mask_novel
@@ -397,29 +420,24 @@ class TestFullLossGradient:
         pairs = [make_views(c, rng, aug) for c in masked]
         neigh = [c.neighbours(4) for c in masked]
         base_order = [0, 1, 2]
-        weights = compute_loss_weights(masked, split)
-        w_novel, w_over = weights.vector(base_order, 2), weights.vector(base_order, 4)
-        entries, prototypes = [], []
-        for h in range(2):
-            entries.append((w_novel, model.head_rows(h)))
-            entries.append((w_over, model.head_rows(h, over=True)))
-            prototypes += [model.novel_p[h], model.over_p[h]]
-        _, base_idx, novel_idx, base_onehot = batch_layout(masked, base_order)
+        w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+        families = model.head_families(True)
+        _, base_idx, novel_idx, base_slots = batch_layout(masked, base_order)
 
         # freeze pseudo-label targets once (constants for the gradient)
         targets = []
         for z in view_features(model, pairs, neigh):
             targets.append([])
-            for p in prototypes:
-                scores = p.data.T @ z.data[:, novel_idx]
-                dist = pseudo_labels_from(sinkhorn_assign(scores, 0.3, 3), novel_idx.size)
-                targets[-1].append((np.arange(dist.shape[1]), dist))
+            for kind in (model.novel_p, model.over_p):
+                scores = np.concatenate([p.data for p in kind], axis=1).T @ z.data[:, novel_idx]
+                q = sinkhorn_assign(scores, 0.3, 3, 2)
+                dists = pseudo_labels_from(q.reshape(2, -1, q.shape[1]), novel_idx.size)
+                targets[-1].append((np.ones((2, novel_idx.size), dtype=bool), dists))
 
         def loss_value():
             logits = step_logits(model, view_features(model, pairs, neigh), True)
-            return _step_loss(
-                model, logits, targets, entries, base_idx, novel_idx, base_onehot, 0.2
-            )[0]
+            return _step_loss(logits, targets, families, base_idx, base_slots, w_base,
+                              novel_idx, 2, 0.2)[0]
 
         loss = loss_value()
         ad.backward(loss)
@@ -451,17 +469,12 @@ class TestFullLossGradient:
         self._check_step_loss_against_single_ops(overcluster=False)
 
     def _check_step_loss_against_single_ops(self, overcluster):
-        # the stacked-head, fused-CE step over the flat entry list against
+        # the stacked-head, fused-CE step over the head families against
         # each head's logits and cross entropy built from the public single ops
         heads, temperature = 3, 0.2
         c = step_case(heads, overcluster)
-        model, pairs, neigh, zs = c.model, c.pairs, c.neigh, c.zs
-        labels, base_idx, novel_idx, base_onehot = c.labels, c.base_idx, c.novel_idx, c.base_onehot
-        targets, over_targets, base_order = c.targets, c.over_targets, c.base_order
-        entries, flat_targets, w_novel, w_over = c.entries, c.flat_targets, c.w_novel, c.w_over
-        total, head_vals = _step_loss(
-            model, c.logits, flat_targets, entries, base_idx, novel_idx, base_onehot, temperature
-        )
+        model, pairs, neigh = c.model, c.pairs, c.neigh
+        total, head_vals = step_loss_of(c, c.logits, temperature)
         params = model.parameters()
         ad.backward(total)
         got = {name: p.grad.copy() for name, p in params.items()}
@@ -470,21 +483,20 @@ class TestFullLossGradient:
 
         zs = view_features(model, pairs, neigh)
         terms, ref_head_vals = [], np.zeros(heads)
-        ref_families = [(model.novel_logits, targets, w_novel),
-                        (model.over_logits, over_targets, w_over)]
-        for h in range(heads):
-            for head_logits, tg, w in ref_families[:2 if overcluster else 1]:
+        kinds = [(model.novel_logits, np.r_[c.w_base, 1.0, 1.0]),
+                 (model.over_logits, np.r_[c.w_base, np.ones(4)])]
+        for f, (head_logits, w) in enumerate(kinds[:2 if overcluster else 1]):
+            for h in range(heads):
                 for vi, other in ((0, 1), (1, 0)):
-                    kept, dist = tg[other][h]
-                    cols = np.concatenate([base_idx, novel_idx[kept]])
-                    target = np.zeros((3 + dist.shape[0], cols.size))
-                    base_rows = [base_order.index(c) for c in labels[base_idx]]
-                    target[base_rows, np.arange(base_idx.size)] = 1.0
-                    target[3:, base_idx.size:] = dist[:, kept]
+                    kept, dists = c.targets[other][f]
+                    cols = np.concatenate([c.base_idx, c.novel_idx[kept[h]]])
+                    target = np.zeros((3 + dists.shape[1], cols.size))
+                    target[c.base_slots, np.arange(c.base_idx.size)] = 1.0
+                    target[3:, c.base_idx.size:] = dists[h][:, kept[h]]
                     logits = ad.concat_rows([model.base_logits(zs[vi]), head_logits(zs[vi], h)])
                     pred = ad.softmax_cols(ad.mul(ad.gather_cols(logits, cols), 1.0 / temperature))
                     terms.append(weighted_ce(pred, target, w))
-                    if head_logits == model.novel_logits:
+                    if f == 0:
                         ref_head_vals[h] += float(terms[-1].data[0, 0])
         reference = ad.mul(sum_tensors(terms), 1.0 / heads)
         ad.backward(reference)
@@ -531,40 +543,46 @@ def concat_features(model, coords, neighbours):
     return ad.l2_normalize_cols(ad.matmul(model.w3, cat, bias=model.b3))
 
 
-def per_entry_step_loss(model, zs, targets, entries, base_idx, novel_idx, base_onehot,
-                        temperature):
-    """``_step_loss`` composed one cross entropy node per entry and view,
-    the pairs and then the entries added by a chain of ``add`` nodes."""
-    n_base, heads = model.n_base, model.cfg.heads
-    w_stack, b_stack = model.stacked_heads(len(entries) > heads)
+def per_entry_step_loss(c, zs, temperature):
+    """``_step_loss`` one head entry and view at a time, the way the step
+    composed it before the families: each entry's cross entropy on its
+    own block of the view's logits, by the numpy reference of
+    ``tests/test_autodiff.py``. Returns the objective, the novel heads'
+    terms and a surrogate whose gradient reaches every parameter through
+    the reference's gradient of the objective at each view's logits."""
+    from test_autodiff import _per_block_reference
+
+    heads, n_base = c.model.cfg.heads, 3
+    w_stack, b_stack = c.model.stacked_heads(len(c.families) > 1)
     logits = [ad.add(ad.matmul(w_stack, z), b_stack) for z in zs]
-    terms = []
-    for e, (w_vec, rows) in enumerate(entries):
-        pair = []
-        for vi, other in ((0, 1), (1, 0)):
-            kept, dist = targets[other][e]
-            cols = np.concatenate([base_idx, novel_idx[kept]])
-            if cols.size == 0:
-                continue
-            target = np.zeros((rows.size, cols.size))
-            target[:n_base, :base_idx.size] = base_onehot
-            target[n_base:, base_idx.size:] = dist[:, kept]
-            pair.append(ad.softmax_cross_entropy(
-                logits[vi], [(rows, cols, target, w_vec)], scale=1.0 / temperature,
-                floor=LOG_FLOOR,
-            ))
-        terms.append(sum_tensors(pair) if pair else ad.constant(0.0))
-    head_vals = np.array([float(t.data[0, 0]) for t in terms[::len(entries) // heads]])
-    return ad.mul(sum_tensors(terms), 1.0 / heads), head_vals
+    values, surrogate = [], []
+    for view_logits, other in zip(logits, (1, 0)):
+        blocks = []
+        # summing order of the flat entry list: novel_0, over_0, novel_1, ...
+        for h in range(heads):
+            for (start, width), (kept, dists) in zip(c.families, c.targets[other]):
+                cols = np.concatenate([c.base_idx, c.novel_idx[kept[h]]])
+                target = np.zeros((n_base + width, cols.size))
+                target[c.base_slots, np.arange(c.base_idx.size)] = 1.0
+                target[n_base:, c.base_idx.size:] = dists[h][:, kept[h]]
+                rows = np.concatenate([np.arange(n_base), start + h * width + np.arange(width)])
+                blocks.append((rows, cols, target, np.r_[c.w_base, np.ones(width)]))
+        value, grad = _per_block_reference(view_logits.data, blocks,
+                                           np.full(len(blocks), 1 / heads), 1.0 / temperature,
+                                           LOG_FLOOR)
+        values.append(value)
+        surrogate.append(ad.sum_all(ad.mul(view_logits, ad.constant(grad))))
+    terms = values[0] + values[1]
+    total = np.cumsum(terms)[-1] / heads
+    return total, terms[::len(c.families)], sum_tensors(surrogate)
 
 
-class TestStepLossBits:
+class TestStepLossMatchesThePerEntryComposition:
     @pytest.mark.parametrize("heads, overcluster", [(3, True), (3, False), (1, True)])
-    def test_gradients_equal_the_per_entry_composition_bit_for_bit(self, heads, overcluster):
+    def test_values_and_gradients_match_the_per_entry_composition(self, heads, overcluster):
         c = step_case(heads, overcluster)
         model, params = c.model, c.model.parameters()
-        layout = (c.entries, c.base_idx, c.novel_idx, c.base_onehot, 0.2)
-        total, head_vals = _step_loss(model, c.logits, c.flat_targets, *layout)
+        total, head_vals = step_loss_of(c, c.logits)
         ad.backward(total)
         got = {name: p.grad.copy() for name, p in params.items()}
         for p in params.values():
@@ -574,24 +592,19 @@ class TestStepLossBits:
             zs = [ad.concat_cols([features(model, coords, nb)
                                   for coords, nb in zip(views, c.neigh)])
                   for views in zip(*c.pairs)]
-            reference, ref_head_vals = per_entry_step_loss(model, zs, c.flat_targets, *layout)
-            ad.backward(reference)
+            ref_total, ref_head_vals, surrogate = per_entry_step_loss(c, zs, 0.2)
+            ad.backward(surrogate)
             ref_grads = {name: p.grad.copy() for name, p in params.items()}
             for p in params.values():
                 p.zero_grad()
-            if features is chain_features:
-                assert np.array_equal(total.data, reference.data)
-                assert np.array_equal(head_vals, ref_head_vals)
-                for name in params:
-                    assert np.array_equal(got[name], ref_grads[name]), name
-            else:
-                # pooling the projection, not the hidden layer, reorders
-                # the sums: equal up to rounding
-                np.testing.assert_allclose(total.data, reference.data, rtol=1e-10)
-                np.testing.assert_allclose(head_vals, ref_head_vals, rtol=1e-10)
-                for name, g in ref_grads.items():
-                    np.testing.assert_allclose(got[name], g, rtol=1e-10,
-                                               atol=1e-10 * np.abs(g).max(), err_msg=name)
+            # the families sum each softmax in another order; pooling the
+            # projection, not the hidden layer, reorders the feature sums too
+            rtol = 1e-12 if features is chain_features else 1e-10
+            np.testing.assert_allclose(total.data[0, 0], ref_total, rtol=rtol)
+            np.testing.assert_allclose(head_vals, ref_head_vals, rtol=rtol)
+            for name, g in ref_grads.items():
+                np.testing.assert_allclose(got[name], g, rtol=rtol,
+                                           atol=rtol * np.abs(g).max(), err_msg=name)
 
 
 def tape_size(output):
