@@ -483,14 +483,17 @@ def pooled_matmul(w, a, graph: NeighbourGraph, bias):
 def _check_cols(node, cols, n_cols, what):
     """``cols`` as distinct column indices of ``node``'s n_cols columns."""
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    where = f"softmax_cross_entropy {node.label()}: {what}"
-    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-        raise ShapeError(f"{where} columns outside [0, {n_cols})")
-    seen = np.zeros(n_cols, dtype=bool)
-    seen[cols] = True
-    if np.count_nonzero(seen) != cols.size:
-        raise ShapeError(f"{where} repeats a column")
-    return cols
+    if not cols.size:
+        return cols
+    if cols.min() < 0 or cols.max() >= n_cols:
+        problem = f"columns outside [0, {n_cols})"
+    else:
+        seen = np.zeros(n_cols, dtype=bool)
+        seen[cols] = True
+        if np.count_nonzero(seen) == cols.size:
+            return cols
+        problem = "repeats a column"
+    raise ShapeError(f"softmax_cross_entropy {node.label()}: {what} {problem}")
 
 
 def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floor):
@@ -528,7 +531,8 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
     n_base = weights.size
     cols = _check_cols(logits, cols, n_cols, "the base target")
     slots = np.asarray(slots, dtype=np.intp).reshape(-1)
-    if n_base > n_rows or slots.size != cols.size or np.any((slots < 0) | (slots >= n_base)):
+    if (n_base > n_rows or slots.size != cols.size
+            or slots.size and (slots.min() < 0 or slots.max() >= n_base)):
         raise ShapeError(
             f"softmax_cross_entropy {logits.label()}: {slots.size} base slots in "
             f"[0, {n_base}) for {cols.size} columns of {n_rows} rows"
@@ -537,6 +541,7 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
         families = [(n_base, (), np.zeros((1, 0, 0)), np.zeros((1, 0), dtype=bool))]
     log_floor = np.log(floor)
     base = data[:n_base] * scale
+    base_max = base.max(axis=0, initial=-np.inf)
     w_labels = weights[slots]
     values, kept_families = [], []
     for f, (start, fcols, target, kept) in enumerate(families):
@@ -552,8 +557,7 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
                 f"{start} of {n_rows}, past {n_base} base rows"
             )
         rows = data[start:start + heads * k].reshape(heads, k, n_cols) * scale
-        shift = np.maximum(base.max(axis=0, initial=-np.inf),
-                           rows.max(axis=(0, 1), initial=-np.inf))
+        shift = np.maximum(base_max, rows.max(axis=(0, 1), initial=-np.inf))
         rows -= shift
         x_base = base - shift
         # log q at the scored entries: the shifted logit less log z
@@ -567,8 +571,8 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
         log_q_rows -= log_z[:, None, fcols]
         t_rows = target * kept[:, None, :]
         counts = cols.size + np.count_nonzero(kept, axis=1)
-        logs = ((w_labels * np.maximum(log_q_base, log_floor)).sum(axis=1)
-                + (t_rows * np.maximum(log_q_rows, log_floor)).sum(axis=(1, 2)))
+        logs = (np.maximum(log_q_base, log_floor) @ w_labels
+                + (t_rows * np.maximum(log_q_rows, log_floor)).reshape(heads, -1).sum(axis=1))
         values.append(np.where(counts > 0, -logs / np.maximum(counts, 1), 0.0))
         if counts.any():
             # each head's targets where q >= floor, the only entries whose log moves
@@ -578,7 +582,7 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
     out = np.concatenate(values)[:, None]
     if not kept_families:
         return Tensor(out)
-    first = np.cumsum([0] + [v.size for v in values])
+    first = np.cumsum([0] + [v.size for v in values]).tolist()
 
     def backward(grad, acc):
         g = np.zeros_like(data)
