@@ -537,71 +537,81 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
             f"softmax_cross_entropy {logits.label()}: {slots.size} base slots in "
             f"[0, {n_base}) for {cols.size} columns of {n_rows} rows"
         )
-    if not families:  # one head of no rows: the base rows alone
-        families = [(n_base, (), np.zeros((1, 0, 0)), np.zeros((1, 0), dtype=bool))]
     log_floor = np.log(floor)
     base = data[:n_base] * scale
     base_max = base.max(axis=0, initial=-np.inf)
     w_labels = weights[slots]
-    values, kept_families = [], []
-    for f, (start, fcols, target, kept) in enumerate(families):
-        target = np.asarray(target, dtype=np.float64)
-        kept = np.asarray(kept, dtype=bool)
-        fcols = _check_cols(logits, fcols, n_cols, f"family {f}")
-        heads, k = target.shape[:2] if target.ndim == 3 else (0, 0)
-        if (target.shape != (heads, k, fcols.size) or kept.shape != (heads, fcols.size)
-                or not n_base <= start <= n_rows - heads * k):
-            raise ShapeError(
-                f"softmax_cross_entropy {logits.label()}: family {f} has target "
-                f"{target.shape} and kept {kept.shape} for {fcols.size} columns from row "
-                f"{start} of {n_rows}, past {n_base} base rows"
-            )
-        rows = data[start:start + heads * k].reshape(heads, k, n_cols) * scale
-        shift = np.maximum(base_max, rows.max(axis=(0, 1), initial=-np.inf))
-        rows -= shift
+    values, scored = [], []
+    # without families, one head of no rows: the softmax over the base rows
+    for f, family in enumerate(families or [None]):
+        heads, rows_part = 1, None
+        shift, z = base_max, 0.0
+        if family is not None:
+            start, fcols, target, kept = family
+            target = np.asarray(target, dtype=np.float64)
+            kept = np.asarray(kept, dtype=bool)
+            fcols = _check_cols(logits, fcols, n_cols, f"family {f}")
+            heads, k = target.shape[:2] if target.ndim == 3 else (0, 0)
+            if (target.shape != (heads, k, fcols.size) or kept.shape != (heads, fcols.size)
+                    or not n_base <= start <= n_rows - heads * k):
+                raise ShapeError(
+                    f"softmax_cross_entropy {logits.label()}: family {f} has target "
+                    f"{target.shape} and kept {kept.shape} for {fcols.size} columns from row "
+                    f"{start} of {n_rows}, past {n_base} base rows"
+                )
+            rows = data[start:start + heads * k].reshape(heads, k, n_cols) * scale
+            shift = np.maximum(base_max, rows.max(axis=(0, 1), initial=-np.inf))
+            rows -= shift
+            # log q at the scored entries: the shifted logit less log z
+            log_q_rows = np.take(rows, fcols, axis=2)
+            e_rows = np.exp(rows, out=rows)
+            z = e_rows.sum(axis=1)
         x_base = base - shift
-        # log q at the scored entries: the shifted logit less log z
         log_q_base = x_base[slots, cols]
-        log_q_rows = np.take(rows, fcols, axis=2)
         e_base = np.exp(x_base, out=x_base)
-        e_rows = np.exp(rows, out=rows)
-        z = e_base.sum(axis=0) + e_rows.sum(axis=1)
+        z = e_base.sum(axis=0, keepdims=True) + z
         log_z = np.log(z)
         log_q_base = log_q_base - log_z[:, cols]
-        log_q_rows -= log_z[:, None, fcols]
-        t_rows = target * kept[:, None, :]
-        counts = cols.size + np.count_nonzero(kept, axis=1)
-        logs = (np.maximum(log_q_base, log_floor) @ w_labels
-                + (t_rows * np.maximum(log_q_rows, log_floor)).reshape(heads, -1).sum(axis=1))
+        logs = np.maximum(log_q_base, log_floor) @ w_labels
+        counts = np.full(heads, cols.size)
+        if family is not None:
+            log_q_rows -= log_z[:, None, fcols]
+            t_rows = target * kept[:, None, :]
+            counts += np.count_nonzero(kept, axis=1)
+            logs += (t_rows * np.maximum(log_q_rows, log_floor)).reshape(heads, -1).sum(axis=1)
+            # each head's targets where q >= floor, the only entries whose log moves
+            t_rows *= log_q_rows >= log_floor
+            rows_part = (start, fcols, e_rows, t_rows)
         values.append(np.where(counts > 0, -logs / np.maximum(counts, 1), 0.0))
         if counts.any():
-            # each head's targets where q >= floor, the only entries whose log moves
             t_base = w_labels * (log_q_base >= log_floor)
-            t_rows *= log_q_rows >= log_floor
-            kept_families.append((f, start, fcols, e_base, e_rows, z, t_base, t_rows, counts))
+            scored.append((f, e_base, z, t_base, counts, rows_part))
     out = np.concatenate(values)[:, None]
-    if not kept_families:
+    if not scored:
         return Tensor(out)
     first = np.cumsum([0] + [v.size for v in values]).tolist()
 
     def backward(grad, acc):
         g = np.zeros_like(data)
-        for f, start, fcols, e_base, e_rows, z, t_base, t_rows, counts in kept_families:
-            heads, k = e_rows.shape[:2]
+        for f, e_base, z, t_base, counts, rows_part in scored:
             coef = (scale / np.maximum(counts, 1)) * grad[first[f]:first[f + 1], 0]
             t_base *= coef[:, None]
-            t_rows *= coef[:, None, None]
             # q T summed over heads: each column's target mass over its normaliser
-            mass = np.zeros((heads, n_cols))
+            mass = np.zeros(z.shape)
             mass[:, cols] = t_base
-            mass[:, fcols] += t_rows.sum(axis=1)
+            if rows_part is not None:
+                start, fcols, e_rows, t_rows = rows_part
+                heads, k = e_rows.shape[:2]
+                t_rows *= coef[:, None, None]
+                mass[:, fcols] += t_rows.sum(axis=1)
             mass /= z
             g[:n_base] += e_base * mass.sum(axis=0)
             g[slots, cols] -= t_base.sum(axis=0)
-            e_rows *= mass[:, None, :]
-            g_rows = g[start:start + heads * k]
-            g_rows += e_rows.reshape(heads * k, n_cols)
-            g_rows[:, fcols] -= t_rows.reshape(heads * k, fcols.size)
+            if rows_part is not None:
+                e_rows *= mass[:, None, :]
+                g_rows = g[start:start + heads * k]
+                g_rows += e_rows.reshape(heads * k, n_cols)
+                g_rows[:, fcols] -= t_rows.reshape(heads * k, fcols.size)
         acc(logits, g)
 
     return _result(out, (logits,), backward)
