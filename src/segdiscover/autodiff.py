@@ -25,10 +25,10 @@ column gather used to slice batches, a neighbour mean that averages
 each column's k-NN columns through an index gather, a linear map of
 an input stacked over its neighbour mean that pools the map's output
 instead (``pooled_matmul``: the extractor's projection and pooling as
-one node), and a fused softmax cross entropy that scores a list of
-row/column blocks of one logit matrix as one tape node, one value per
-block, each block gathered row-major and its gradient scattered back
-by one ``np.bincount``.
+one node), and a fused softmax cross entropy that scores a view's
+logits as one tape node: one value per head, head families read as
+contiguous row slabs that share the base rows, with a closed-form
+backward.
 
 The pooling ops take a ``NeighbourGraph`` around a
 ``model.knn_indices`` index. A graph keeps the transpose its first
@@ -496,23 +496,23 @@ def _check_cols(node, cols, n_cols, what):
     raise ShapeError(f"softmax_cross_entropy {node.label()}: {what} {problem}")
 
 
-def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floor):
+def softmax_cross_entropy(logits, cols, slots, weights, fcols, families, *, scale, floor):
     """Softmax cross entropy of ``logits`` against a weighted one-hot base
     target and head families, as one node.
 
     The base rows are the first ``len(weights)`` rows of ``logits``:
     column ``cols[j]`` targets base row ``slots[j]`` with weight
-    ``weights[slots[j]]``. Each family is ``(start, fcols, target,
-    kept)``: H heads of K rows each, head by head from row ``start``,
-    with targets ``target`` (H, K, c) at columns ``fcols``, of which head
-    h scores those that ``kept[h]`` (H, c) marks. Head h's column softmax
+    ``weights[slots[j]]``. Each family is ``(start, target, kept)``: H
+    heads of K rows each, head by head from row ``start``, with targets
+    ``target`` (H, K, c) at the c columns ``fcols`` that all families
+    share, of which head h scores those that ``kept[h]`` (H, c) marks. Head h's column softmax
     q runs over the base rows and its own K rows of ``logits * scale``,
     and its value is the mean over its ``len(cols) + kept[h].sum()``
     scored columns of -sum_r t_rj log max(q_rj, floor): the base target
     counts in every head. The result is a column of one value per head,
     family by family; without families, one value of the softmax over
     the base rows alone. A head with no scored column scores 0 and
-    passes no gradient; neither ``cols`` nor any ``fcols`` may repeat a
+    passes no gradient; neither ``cols`` nor ``fcols`` may repeat a
     column.
 
     Each family takes one column shift over the base rows and all of its
@@ -537,6 +537,8 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
             f"softmax_cross_entropy {logits.label()}: {slots.size} base slots in "
             f"[0, {n_base}) for {cols.size} columns of {n_rows} rows"
         )
+    if families:
+        fcols = _check_cols(logits, fcols, n_cols, "the head target")
     log_floor = np.log(floor)
     base = data[:n_base] * scale
     base_max = base.max(axis=0, initial=-np.inf)
@@ -547,10 +549,9 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
         heads, rows_part = 1, None
         shift, z = base_max, 0.0
         if family is not None:
-            start, fcols, target, kept = family
+            start, target, kept = family
             target = np.asarray(target, dtype=np.float64)
             kept = np.asarray(kept, dtype=bool)
-            fcols = _check_cols(logits, fcols, n_cols, f"family {f}")
             heads, k = target.shape[:2] if target.ndim == 3 else (0, 0)
             if (target.shape != (heads, k, fcols.size) or kept.shape != (heads, fcols.size)
                     or not n_base <= start <= n_rows - heads * k):
@@ -581,7 +582,7 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
             logs += (t_rows * np.maximum(log_q_rows, log_floor)).reshape(heads, -1).sum(axis=1)
             # each head's targets where q >= floor, the only entries whose log moves
             t_rows *= log_q_rows >= log_floor
-            rows_part = (start, fcols, e_rows, t_rows)
+            rows_part = (start, e_rows, t_rows)
         values.append(np.where(counts > 0, -logs / np.maximum(counts, 1), 0.0))
         if counts.any():
             t_base = w_labels * (log_q_base >= log_floor)
@@ -600,7 +601,7 @@ def softmax_cross_entropy(logits, cols, slots, weights, families, *, scale, floo
             mass = np.zeros(z.shape)
             mass[:, cols] = t_base
             if rows_part is not None:
-                start, fcols, e_rows, t_rows = rows_part
+                start, e_rows, t_rows = rows_part
                 heads, k = e_rows.shape[:2]
                 t_rows *= coef[:, None, None]
                 mass[:, fcols] += t_rows.sum(axis=1)

@@ -220,7 +220,7 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
             coords = make_views(scenes[i], rng, aug)[0]
             z = model.extract_features(coords, scenes[i].neighbours(k))
             # every row is a base row: one softmax over all of them, no family
-            terms.append(tempered_ce(logits_fn(z), cols, rows, w_vec, (), temperature))
+            terms.append(tempered_ce(logits_fn(z), cols, rows, w_vec, (), (), temperature))
         return ad.sum_in_order(ad.concat_rows(terms), 1 / len(terms)) if terms else None
 
     return batch_loss

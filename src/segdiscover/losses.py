@@ -100,15 +100,16 @@ def weighted_ce(pred, target, weights) -> "ad.Tensor":
     return ad.mul(ad.sum_all(ad.mul(wt, ad.log(pred_t, floor=LOG_FLOOR))), -1.0 / m)
 
 
-def tempered_ce(logits, cols, slots, weights, families, temperature) -> "ad.Tensor":
+def tempered_ce(logits, cols, slots, weights, fcols, families, temperature) -> "ad.Tensor":
     """Cross entropy of the column softmax of ``logits / temperature``
     against the weighted one-hot base target (column ``cols[j]`` on base
     row ``slots[j]``, rows weighted by ``weights``) and the head
-    ``families`` of ``autodiff.softmax_cross_entropy``, as one fused tape
-    node: a column of one value per head, family by family, or a single
-    value over the base rows alone when there is no family."""
+    ``families`` of ``autodiff.softmax_cross_entropy`` at columns
+    ``fcols``, as one fused tape node: a column of one value per head,
+    family by family, or a single value over the base rows alone when
+    there is no family."""
     return ad.softmax_cross_entropy(
-        logits, cols, slots, weights, families, scale=1.0 / temperature, floor=LOG_FLOOR
+        logits, cols, slots, weights, fcols, families, scale=1.0 / temperature, floor=LOG_FLOOR
     )
 
 

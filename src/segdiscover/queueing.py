@@ -34,13 +34,6 @@ class SelectionResult:
     kept: np.ndarray  # (..., m) bool: the points each head keeps
     thresholds: np.ndarray  # (..., n_classes) tau_c; NaN where a class has no argmax points
 
-    @property
-    def kept_indices(self) -> np.ndarray:
-        """Sorted indices of the points a single head keeps."""
-        if self.kept.ndim != 1:
-            raise ValueError(f"kept_indices needs a single head, got kept {self.kept.shape}")
-        return np.flatnonzero(self.kept)
-
 
 def select_phi(class_probs: np.ndarray, p: float) -> SelectionResult:
     """Keep reliable points per head and predicted class.

@@ -183,7 +183,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                 elif dc.tau_train:
                     cand = np.flatnonzero(kept[0])
                 else:
-                    cand = select_phi(head0, dc.percentile).kept_indices
+                    cand = np.flatnonzero(select_phi(head0, dc.percentile).kept)
                 queue.insert(z.data[:, novel_idx[cand]], head0[:, cand].argmax(axis=0),
                              cfg.queue.insert_fraction, rng)
 
@@ -238,9 +238,10 @@ def _step_loss(logits, targets, families, base_idx, base_slots, w_base, novel_id
     """
     values = []
     for view_logits, other in zip(logits, (1, 0)):
-        scored = [(start, novel_idx, dists, kept)
+        scored = [(start, dists, kept)
                   for (start, _), (kept, dists) in zip(families, targets[other])]
-        values.append(tempered_ce(view_logits, base_idx, base_slots, w_base, scored, temperature))
+        values.append(tempered_ce(view_logits, base_idx, base_slots, w_base, novel_idx, scored,
+                                  temperature))
     # head h's term is its two views' values added; summed family by family
     terms = ad.add(values[0], values[1])
     return ad.sum_in_order(terms, 1.0 / heads), terms.data[:heads, 0]

@@ -289,9 +289,9 @@ def test_criterion_10_phi_monotonicity():
         m = int(rng.integers(1, 80))
         probs = rng.random((int(rng.integers(2, 6)), m))
         probs /= probs.sum(axis=0)
-        kept_03 = set(select_phi(probs, 0.3).kept_indices.tolist())
-        kept_07 = set(select_phi(probs, 0.7).kept_indices.tolist())
-        all_kept = select_phi(probs, 0.0).kept_indices.size == m
+        kept_03 = set(np.flatnonzero(select_phi(probs, 0.3).kept).tolist())
+        kept_07 = set(np.flatnonzero(select_phi(probs, 0.7).kept).tolist())
+        all_kept = np.flatnonzero(select_phi(probs, 0.0).kept).size == m
         if not (kept_07 <= kept_03 and all_kept):
             failures += 1
     verdict(10, failures == 0, f"{failures} monotonicity violations over 100 sets")

@@ -18,7 +18,7 @@ class TestSelectPhi:
         rng = np.random.default_rng(0)
         probs = distributions(rng, 3, 40)
         result = select_phi(probs, 0.0)
-        assert result.kept_indices.tolist() == list(range(40))
+        assert np.flatnonzero(result.kept).tolist() == list(range(40))
 
     def test_nearest_rank_example(self):
         # class-0 max-probabilities {0.9, 0.8, 0.6, 0.4}; p=0.5 -> tau=0.6
@@ -31,7 +31,7 @@ class TestSelectPhi:
         # class 0 members: columns 0-3 with confidences .9 .8 .6 .6
         result = select_phi(probs, 0.5)
         assert result.thresholds[0] == pytest.approx(0.6)
-        assert {0, 1, 2, 3} <= set(result.kept_indices.tolist())
+        assert {0, 1, 2, 3} <= set(np.flatnonzero(result.kept).tolist())
 
     def test_documented_percentile_case(self):
         # direct nearest-rank check on the four-value set
@@ -48,7 +48,7 @@ class TestSelectPhi:
         values_all = select_phi(probs, 0.5)
         # class 0 has members {0.9, 0.8, 0.6}: tau = 0.8, kept = 2 of them
         assert values_all.thresholds[0] == pytest.approx(0.8)
-        kept0 = [i for i in values_all.kept_indices if probs[:, i].argmax() == 0]
+        kept0 = [i for i in np.flatnonzero(values_all.kept) if probs[:, i].argmax() == 0]
         assert kept0 == [0, 1]
 
     def test_empty_classes_contribute_nothing(self):
@@ -67,16 +67,16 @@ class TestSelectPhi:
         result = select_phi(probs, 0.5)
         # tau = 0.7 (nearest rank of 3 values at p=0.5); 0.7 stays
         assert result.thresholds[0] == pytest.approx(0.7)
-        assert set(result.kept_indices.tolist()) == {1, 2}
+        assert set(np.flatnonzero(result.kept).tolist()) == {1, 2}
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31), m=st.integers(1, 60))
     def test_monotone_in_p(self, seed, m):
         probs = distributions(np.random.default_rng(seed), 4, m)
-        kept_03 = set(select_phi(probs, 0.3).kept_indices.tolist())
-        kept_07 = set(select_phi(probs, 0.7).kept_indices.tolist())
+        kept_03 = set(np.flatnonzero(select_phi(probs, 0.3).kept).tolist())
+        kept_07 = set(np.flatnonzero(select_phi(probs, 0.7).kept).tolist())
         assert kept_07 <= kept_03
-        assert len(select_phi(probs, 0.0).kept_indices) == m
+        assert len(np.flatnonzero(select_phi(probs, 0.0).kept)) == m
 
     def test_non_empty_class_always_keeps_a_point(self):
         rng = np.random.default_rng(5)
@@ -85,7 +85,7 @@ class TestSelectPhi:
             result = select_phi(probs, 0.9)
             winners = probs.argmax(axis=0)
             for c in np.unique(winners):
-                kept_c = [i for i in result.kept_indices if winners[i] == c]
+                kept_c = [i for i in np.flatnonzero(result.kept) if winners[i] == c]
                 assert kept_c
 
 

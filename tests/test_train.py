@@ -283,6 +283,30 @@ class TestTransportReadsTheStepLogits:
         assert checked and (queued > 0) == use_queue
 
 
+class TestSupervisionIsolation:
+    def test_novel_label_permutation_leaves_checkpoint_unchanged(self, tmp_path):
+        clouds, split = tiny_setup()
+        rng = np.random.default_rng(9)
+        shuffled = []
+        for c in clouds:
+            labels = c.labels.copy()
+            novel = np.flatnonzero(np.isin(labels, [3, 4]))
+            labels[novel] = rng.permutation(labels[novel])
+            shuffled.append(LabelledCloud(c.coords, labels, c.scene_id))
+        # evaluation metrics may differ (they read ground truth), the
+        # trained parameters must not
+        a = train(clouds, split, tiny_exp(seed=1), val_clouds=clouds)
+        b = train(shuffled, split, tiny_exp(seed=1), val_clouds=clouds)
+        a.model.save(tmp_path / "a.ckpt")
+        b.model.save(tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_masked_labels_asserted_in_batches(self):
+        clouds, split = tiny_setup()
+        result = train(clouds, split, tiny_exp(epochs=1))
+        assert result is not None  # assertion inside the loop did not fire
+
+
 def _select_phi_per_class(probs, p):
     """One head's selection a class at a time: each class's nearest-rank
     threshold over the confidences of the points it wins."""
