@@ -329,6 +329,13 @@ def gather_cols(a, indices):
     return _result(a.data[:, idx], (a,), backward)
 
 
+def index_dtype(m: int):
+    """The narrowest type that indexes m points: uint16 up to 65,536
+    points, int32 past that. ``model.knn_indices`` returns its graphs in
+    it and ``_reverse_passes`` keeps their transposes in it."""
+    return np.uint16 if m <= 1 << 16 else np.int32
+
+
 def _reverse_passes(neighbours, m):
     """The transpose of a k-NN index as gather passes.
 
@@ -337,8 +344,7 @@ def _reverse_passes(neighbours, m):
     ``flat[offsets[s]:offsets[s + 1]]``: the rows that name, for the
     s-th time, each of the first ``offsets[s + 1] - offsets[s]`` points
     of ``order`` (those named by more than s rows). ``order`` and
-    ``flat`` take the narrowest type that indexes m points: uint16 up
-    to 65,536 points, int32 past that. Sorts run on the narrowest
+    ``flat`` take ``index_dtype(m)``. Sorts run on the narrowest
     unsigned key type, so numpy takes its radix sort when the key fits
     16 bits.
     """
@@ -351,7 +357,7 @@ def _reverse_passes(neighbours, m):
     top = int(degree.max())
     order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
     named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
-    dtype = np.uint16 if m <= 1 << 16 else np.int32
+    dtype = index_dtype(m)
     passes = np.concatenate([by_point[start[order[:c]] + s] for s, c in enumerate(named)])
     offsets = np.concatenate([[0], np.cumsum(named)])
     return order.astype(dtype), passes.astype(dtype), offsets

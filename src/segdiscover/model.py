@@ -43,26 +43,44 @@ KNN_BLOCK_BYTES = 1 << 21  # squared distances one ``distance_blocks`` block may
 def distance_blocks(points: np.ndarray, others: np.ndarray):
     """Yield ``(lo, hi, d2)``: squared distances from ``points[lo:hi]`` to all
     ``others``, ``KNN_BLOCK_BYTES // (8 len(others))`` rows (at least one) at
-    a time; each is summed from coordinate differences, so it does not
-    depend on its block."""
+    a time; each is summed from coordinate differences, x then y then z,
+    so it does not depend on its block.
+
+    Every block is written into the same two reused buffers, so the next
+    block overwrites a yielded one: a caller consumes each block, and may
+    change it, before asking for the next."""
     axes = np.ascontiguousarray(points.T, dtype=np.float64)
     rest = np.ascontiguousarray(others.T, dtype=np.float64)
     step = max(1, KNN_BLOCK_BYTES // (8 * rest.shape[1]))
+    rows = min(step, axes.shape[1])
+    d2_rows, term_rows = np.empty((2, rows, rest.shape[1]))
     for lo in range(0, axes.shape[1], step):
         hi = min(lo + step, axes.shape[1])
-        d2 = np.square(axes[0, lo:hi, None] - rest[0])
-        d2 += np.square(axes[1, lo:hi, None] - rest[1])
-        d2 += np.square(axes[2, lo:hi, None] - rest[2])
+        d2, term = d2_rows[:hi - lo], term_rows[:hi - lo]
+        np.subtract(axes[0, lo:hi, None], rest[0], out=d2)
+        np.square(d2, out=d2)
+        for axis in (1, 2):
+            np.subtract(axes[axis, lo:hi, None], rest[axis], out=term)
+            np.square(term, out=term)
+            d2 += term
         yield lo, hi, d2
 
 
 def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
-    """(m, min(k, m-1)) int32 nearest-neighbour indices per point, self
-    excluded, distance ties broken by lower point index. A scene with
-    more points than int32 can count is refused.
+    """(m, min(k, m-1)) nearest-neighbour indices per point, self
+    excluded, each row in ascending index order. A distance tie at the
+    k-th neighbour is broken by lower point index. Indices take
+    ``autodiff.index_dtype(m)``: uint16 up to 65,536 points, int32 past
+    that. A scene with more points than int32 can count, or with a
+    non-finite coordinate, is refused.
 
     Rows are scored in ``distance_blocks``, so memory grows with m while
-    time stays quadratic.
+    time stays quadratic. Per block, ``np.argpartition`` picks k nearest
+    columns per row. A row that has exactly k distances at or below the
+    largest picked one has no tie across the k-th distance, and its
+    picks, sorted, are its neighbours. Only the rows with more run the
+    tie rule: every distance below the k-th, then the lowest-indexed
+    ones equal to it.
 
     A scene keeps its graph per k (``LabelledCloud.neighbours``), and
     training pools both augmented views over the un-augmented scene's
@@ -73,19 +91,36 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     m = coords.shape[0]
     if m > np.iinfo(np.int32).max:
         raise ValueError(f"knn_indices: a scene of {m} points is past the int32 index range")
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"knn_indices: point {bad[0]} has a non-finite coordinate {coords[bad[0]].tolist()}"
+        )
     if m == 1:
-        return np.zeros((1, 1), dtype=np.int32)
+        return np.zeros((1, 1), dtype=ad.index_dtype(m))
     k = min(k, m - 1)
-    out = np.empty((m, k), dtype=np.int32)
+    out = np.empty((m, k), dtype=ad.index_dtype(m))
     for lo, hi, d2 in distance_blocks(coords, coords):
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        strict = d2 < kth
-        deficit = k - strict.sum(axis=1)
-        ties = d2 == kth
-        chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
-        out[lo:hi] = np.nonzero(chosen)[1].reshape(hi - lo, k)
+        rows = np.arange(hi - lo)
+        d2[rows, rows + lo] = np.inf
+        picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, picked, axis=1).max(axis=1, keepdims=True)
+        picked.sort(axis=1)
+        out[lo:hi] = picked
+        tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+        if tied.size:
+            out[lo + tied] = _tie_break(d2[tied], kth[tied], k)
     return out
+
+
+def _tie_break(d2: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """The k columns per row of ``d2`` below its ``kth`` distance, then
+    the lowest-indexed ones equal to it, in ascending order."""
+    strict = d2 < kth
+    ties = d2 == kth
+    deficit = k - strict.sum(axis=1)
+    chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
+    return np.nonzero(chosen)[1].reshape(-1, k)
 
 
 def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = None) -> np.ndarray:
@@ -157,11 +192,11 @@ class SegmentationModel:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
             raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
+        if neighbours is None:
+            neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
         x = ad.constant(coords.T, name="xyz")
         h1 = ad.matmul(self.w1, x, bias=self.b1, relu=True)
         h2 = ad.matmul(self.w2, h1, bias=self.b2, relu=True)
-        if neighbours is None:
-            neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
         # proj.w @ [h2; P(h2)] + proj.b, pooling the projection instead
         z = ad.pooled_matmul(self.w3, h2, neighbours, self.b3)
         return ad.l2_normalize_cols(z)

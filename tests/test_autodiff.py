@@ -658,6 +658,12 @@ class TestPooledMatmul:
         ad.backward(ad.sum_all(ad.neighbour_mean(a, graph)))
         assert graph.reverse is kept  # every later pass reuses it
 
+    @pytest.mark.parametrize("m, dtype", [(1, np.uint16), (1 << 16, np.uint16),
+                                          ((1 << 16) + 1, np.int32)])
+    def test_index_dtype_is_the_narrowest_type_that_indexes_m_points(self, m, dtype):
+        assert ad.index_dtype(m) is dtype
+        assert np.iinfo(dtype).max >= m - 1
+
     @pytest.mark.parametrize("m, dtype", [(2, np.uint16), (1 << 16, np.uint16),
                                           ((1 << 16) + 1, np.int32)])
     def test_the_transpose_takes_the_narrowest_type_that_indexes_m_points(self, m, dtype):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from segdiscover import autodiff as ad
 from segdiscover import model as model_module
+from segdiscover.data import generate_synthetic, toy_discovery_config
 from segdiscover.model import (
     CombinedHeadModel,
     ModelConfig,
@@ -337,6 +338,24 @@ def _knn_reference(coords, k):
     return np.array(out, dtype=np.intp)
 
 
+def _knn_selection_reference(coords, k):
+    """The k-NN selection that ``knn_indices`` replaced: per block, a
+    partition to the k-th distance, every distance below it, then the
+    lowest-indexed ones equal to it by a cumulative count over the row."""
+    m = len(coords)
+    k = min(k, m - 1)
+    out = np.empty((m, k), dtype=np.intp)
+    for lo, hi, d2 in model_module.distance_blocks(coords, coords):
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        strict = d2 < kth
+        deficit = k - strict.sum(axis=1)
+        ties = d2 == kth
+        chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
+        out[lo:hi] = np.nonzero(chosen)[1].reshape(hi - lo, k)
+    return out
+
+
 class TestKnnIndices:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -364,10 +383,36 @@ class TestKnnIndices:
             mp.setattr(model_module, "KNN_BLOCK_BYTES", 8 * m * rows)
             blocked = knn_indices(coords, k)
         assert whole.shape == (m, max(1, min(k, m - 1)))
-        assert whole.dtype == np.int32
+        assert whole.dtype == ad.index_dtype(m)
         assert blocked.dtype == whole.dtype
         np.testing.assert_array_equal(blocked, whole)
         np.testing.assert_array_equal(whole, _knn_reference(coords, k))
+
+    @pytest.mark.parametrize("block_bytes", [1 << 21, 1 << 14])
+    def test_a_toy_scan_equals_the_replaced_selection(self, block_bytes, monkeypatch):
+        syn = toy_discovery_config(seed=0, n_scenes=1, points_per_scene=2048)
+        # through float32, as a scan file stores it
+        coords = generate_synthetic(syn)[0].coords.astype(np.float32).astype(np.float64)
+        want = _knn_selection_reference(coords, 16)
+        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        got = knn_indices(coords, 16)
+        assert got.dtype == np.uint16
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_duplicate_heavy_lattice_equals_the_replaced_selection(self):
+        # 1,000 draws from 125 lattice points: every row ties at its k-th
+        # distance, so the tie rule picks most neighbours
+        coords = np.random.default_rng(5).integers(0, 5, size=(1000, 3)).astype(np.float64)
+        np.testing.assert_array_equal(knn_indices(coords, 16), _knn_selection_reference(coords, 16))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_coordinate_is_refused_by_its_point(self, bad):
+        coords = np.random.default_rng(6).normal(size=(50, 3))
+        coords[17, 1] = bad
+        with pytest.raises(ValueError, match=r"point 17 has a non-finite coordinate"):
+            knn_indices(coords, 4)
+        with pytest.raises(ValueError, match=r"point 17 has a non-finite coordinate"):
+            make_model().predict_slots(coords)
 
     def test_memory_grows_with_points_not_their_square(self):
         import tracemalloc
