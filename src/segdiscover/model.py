@@ -109,18 +109,14 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
         out[lo:hi] = picked
         tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
         if tied.size:
-            out[lo + tied] = _tie_break(d2[tied], kth[tied], k)
+            # a tie crosses the k-th distance: every distance below it,
+            # then the lowest-indexed ones equal to it
+            d2, kth = d2[tied], kth[tied]
+            strict, ties = d2 < kth, d2 == kth
+            deficit = k - strict.sum(axis=1)
+            chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
+            out[lo + tied] = np.nonzero(chosen)[1].reshape(-1, k)
     return out
-
-
-def _tie_break(d2: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
-    """The k columns per row of ``d2`` below its ``kth`` distance, then
-    the lowest-indexed ones equal to it, in ascending order."""
-    strict = d2 < kth
-    ties = d2 == kth
-    deficit = k - strict.sum(axis=1)
-    chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
-    return np.nonzero(chosen)[1].reshape(-1, k)
 
 
 def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = None) -> np.ndarray:
