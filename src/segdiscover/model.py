@@ -114,7 +114,9 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
             d2, kth = d2[tied], kth[tied]
             strict, ties = d2 < kth, d2 == kth
             deficit = k - strict.sum(axis=1)
-            chosen = strict | (ties & (np.cumsum(ties, axis=1) <= deficit[:, None]))
+            # int32 counts every column: m is within the int32 range
+            rank = np.cumsum(ties, axis=1, dtype=np.int32)
+            chosen = strict | (ties & (rank <= deficit[:, None]))
             out[lo + tied] = np.nonzero(chosen)[1].reshape(-1, k)
     return out
 
