@@ -396,14 +396,17 @@ class NeighbourGraph:
         return self.index.shape[0]
 
     def mean(self, a):
-        """P(a) for a (D, m) array: gathers rows of its points-major copy."""
+        """P(a) for a (D, m) array: gathers rows of its points-major copy,
+        which is dropped before the sum is divided in place."""
         nb = self.index
         # gathering rows of the transpose is twice as fast once it is contiguous
         rows = np.ascontiguousarray(a.T)
         total = rows.take(nb[:, 0], axis=0)
         for j in range(1, nb.shape[1]):
             total += rows.take(nb[:, j], axis=0)
-        return (total / nb.shape[1]).T
+        del rows
+        total /= nb.shape[1]
+        return total.T
 
     def mean_transpose(self, grad):
         """P's transpose applied to a (D, m) array, through the kept
@@ -725,7 +728,8 @@ def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"]):
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a ``save_checkpoint`` file; any malformed input raises a
-    ``ValueError`` that names the file."""
+    ``ValueError`` that names the file, and a repeated parameter name or
+    a non-finite value also names the parameter."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -755,6 +759,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (ndim,) = u32s(1, f"{name} rank")
         dims = u32s(ndim, f"{name} shape")
         values = np.frombuffer(take(8 * math.prod(dims), f"{name} values"), dtype="<f8")
+        if name in out:
+            raise ValueError(f"{path}: parameter {name} appears twice")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name} holds a non-finite value")
         try:
             out[name] = values.reshape(dims).astype(np.float64)
         except ValueError:  # a zero-size shape past numpy's rank or size limits

@@ -511,6 +511,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             ad.load_checkpoint(path)
 
+    def test_a_repeated_parameter_name_is_refused_by_file_and_name(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        ad.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3)})
+        blob = path.read_bytes()
+        # the header, then the one record twice: the second `a` used to win
+        path.write_bytes(blob + blob[8:])
+        with pytest.raises(ValueError, match=r"twice\.ckpt: parameter a appears twice"):
+            ad.load_checkpoint(path)
+
 
 def _dense_mean(neighbours, m):
     """The (m, m) averaging matrix of a neighbour index, built entry by entry."""

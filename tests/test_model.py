@@ -292,6 +292,17 @@ class TestCheckpointInput:
                                              r"\(8, 128\), the model expects \(4, 128\)"):
             make_model(feature_dim=4).load(tmp_path / "d8.ckpt")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_parameter_is_refused_by_file_and_name(self, bad, tmp_path):
+        # a NaN in enc1.w used to load, and the model then predicted slot 0
+        # for every point
+        state = make_model().state()
+        state["enc1.w"][3, 1] = bad
+        path = tmp_path / "nan.ckpt"
+        ad.save_checkpoint(path, state)
+        with pytest.raises(ValueError, match=r"nan\.ckpt: parameter enc1\.w holds a non-finite"):
+            model_module.load_model(path, ModelConfig(), 3, 2, np.random.default_rng(0))
+
     def test_a_flattened_array_is_not_reshaped(self):
         model = make_model(seed=1)
         state = model.state()
@@ -321,6 +332,10 @@ class TestCheckpointInput:
         assert fresh.selected_head == 3
 
 
+# the block size as shipped, the 2 MiB it replaced, and blocks of a few rows
+BLOCK_BYTES = [model_module.KNN_BLOCK_BYTES, 1 << 21, 1 << 14]
+
+
 def _knn_reference(coords, k):
     """Nearest neighbours by sorting each row's (distance, index) pairs,
     listed in index order as ``knn_indices`` lists them."""
@@ -341,8 +356,11 @@ def _knn_reference(coords, k):
 def _knn_selection_reference(coords, k):
     """The k-NN selection that ``knn_indices`` replaced: per block, a
     partition to the k-th distance, every distance below it, then the
-    lowest-indexed ones equal to it by a cumulative count over the row."""
+    lowest-indexed ones equal to it by a cumulative count over the row.
+    A single point lists itself, as ``knn_indices`` lists it."""
     m = len(coords)
+    if m == 1:
+        return np.zeros((1, 1), dtype=np.intp)
     k = min(k, m - 1)
     out = np.empty((m, k), dtype=np.intp)
     for lo, hi, d2 in model_module.distance_blocks(coords, coords):
@@ -388,7 +406,7 @@ class TestKnnIndices:
         np.testing.assert_array_equal(blocked, whole)
         np.testing.assert_array_equal(whole, _knn_reference(coords, k))
 
-    @pytest.mark.parametrize("block_bytes", [1 << 21, 1 << 14])
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
     def test_a_toy_scan_equals_the_replaced_selection(self, block_bytes, monkeypatch):
         syn = toy_discovery_config(seed=0, n_scenes=1, points_per_scene=2048)
         # through float32, as a scan file stores it
@@ -399,11 +417,40 @@ class TestKnnIndices:
         assert got.dtype == np.uint16
         np.testing.assert_array_equal(got, want)
 
-    def test_a_duplicate_heavy_lattice_equals_the_replaced_selection(self):
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_smallest_scenes_equal_the_replaced_selection(self, m, block_bytes, monkeypatch):
+        # k = m - 1 reads the self distance at partition position k; past
+        # it k is capped to m - 1
+        coords = np.random.default_rng(m).normal(size=(m, 3))
+        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        for k in (m - 1, m, m + 1):
+            got = knn_indices(coords, k)
+            assert got.dtype == np.uint16
+            np.testing.assert_array_equal(got, _knn_selection_reference(coords, k))
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    def test_equal_kth_and_next_distances_equal_the_replaced_selection(
+        self, block_bytes, monkeypatch
+    ):
+        # point 0 is 0.5 from point 1 and 1 from points 2 and 3, so at k = 2
+        # its 2nd and 3rd distances are equal and the lower index wins
+        coords = np.array([[0.0, 0, 0], [0.5, 0, 0], [-1, 0, 0], [0, 1, 0]])
+        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        got = knn_indices(coords, 2)
+        assert got[0].tolist() == [1, 2]
+        np.testing.assert_array_equal(got, _knn_selection_reference(coords, 2))
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    def test_a_duplicate_heavy_lattice_equals_the_replaced_selection(
+        self, block_bytes, monkeypatch
+    ):
         # 1,000 draws from 125 lattice points: every row ties at its k-th
         # distance, so the tie rule picks most neighbours
         coords = np.random.default_rng(5).integers(0, 5, size=(1000, 3)).astype(np.float64)
-        np.testing.assert_array_equal(knn_indices(coords, 16), _knn_selection_reference(coords, 16))
+        want = _knn_selection_reference(coords, 16)
+        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        np.testing.assert_array_equal(knn_indices(coords, 16), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_coordinate_is_refused_by_its_point(self, bad):
@@ -413,6 +460,20 @@ class TestKnnIndices:
             knn_indices(coords, 4)
         with pytest.raises(ValueError, match=r"point 17 has a non-finite coordinate"):
             make_model().predict_slots(coords)
+
+    def test_coordinates_whose_squared_differences_overflow_are_refused(self):
+        # past ~1.3e154 the squared distances overflow to inf and tie with
+        # the self distance, so a point would list itself
+        coords = np.array([[0.0, 0, 0], [1e200, 0, 0], [2e200, 0, 0], [3e200, 0, 0]])
+        with pytest.raises(ValueError, match=r"point 1 has a coordinate of magnitude 2\*\*510"):
+            knn_indices(coords, 2)
+        coords[1:, 0] = [2.0**510, 1.0, 2.0]
+        with pytest.raises(ValueError, match=r"point 1 has a coordinate of magnitude 2\*\*510"):
+            knn_indices(coords, 2)
+        # just below the bound every sum of three squares stays finite
+        edge = np.nextafter(2.0**510, 0.0)
+        coords = np.array([[edge, edge, edge], [-edge, -edge, -edge], [0.0, 0, 0]])
+        np.testing.assert_array_equal(knn_indices(coords, 1), [[2], [2], [0]])
 
     def test_memory_grows_with_points_not_their_square(self):
         import tracemalloc
@@ -424,8 +485,9 @@ class TestKnnIndices:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one dense 4,096 x 4,096 distance matrix alone is 134 MB
-        assert peak < 64e6
+        # one dense 4,096 x 4,096 distance matrix alone is 134 MB; a
+        # 256 KiB block's distances, term and partition index take ~0.8 MB
+        assert peak < 4e6
 
     def test_a_scene_past_the_int32_index_range_is_refused(self):
         # a broadcast view: 2**31 points that allocate nothing
@@ -488,8 +550,9 @@ class TestLeanInference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a recorded tape holds every layer's output at once: ~23 MB here
-        assert peak < 16e6
+        # a recorded tape holds every layer's output at once: ~23 MB here;
+        # untaped, each layer and the pooling's copy go once spent
+        assert peak < 8.5e6
 
 
 class TestExtractFeaturesGradient:
