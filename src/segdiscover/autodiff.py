@@ -21,20 +21,21 @@ and the ReLU mask), transpose, add (with column-vector bias
 broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
 L2 normalization, column-wise softmax, clamped log, sum and mean
 reduction, a sum in row-major order, row/column concatenation, a
-column gather used to slice batches, a neighbour mean that averages
-each column's k-NN columns through an index gather, a linear map of
-an input stacked over its neighbour mean that pools the map's output
-instead (``pooled_matmul``: the extractor's projection and pooling as
-one node), and a fused softmax cross entropy that scores a view's
-logits as one tape node: one value per head, head families read as
-contiguous row slabs that share the base rows, with a closed-form
-backward.
+column gather used to slice batches, a linear map of an input stacked
+over its neighbour mean that pools the map's output instead
+(``pooled_matmul``: the extractor's projection and pooling as one
+node, and the one pooling op), and a fused softmax cross entropy that
+scores a view's logits as one tape node: one value per head, head
+families read as contiguous row slabs that share the base rows, with a
+closed-form backward.
 
-The pooling ops take a ``NeighbourGraph`` around a
-``model.knn_indices`` index. A graph keeps the transpose its first
-backward pass builds, at 2 bytes per entry up to 65,536 points, so a
-scene's later passes gather through it without rebuilding it;
-inference never builds it.
+The pooling takes a ``NeighbourGraph`` around a ``model.knn_indices``
+index. The neighbour mean P is ``NeighbourGraph.mean``: column i of
+P(a) is the mean of ``a``'s columns ``index[i]``. Its transpose,
+``NeighbourGraph.mean_transpose``, runs through reverse passes that the
+first backward builds and the graph keeps, at 2 bytes per entry up to
+65,536 points, so a scene's later passes gather through them without
+rebuilding them; inference never builds them.
 Backward closures compute gradients only for operands that reach a
 tracked leaf.
 """
@@ -426,38 +427,17 @@ class NeighbourGraph:
         return out.T
 
 
-def _check_points(graph, m, where):
-    if graph.n_points != m:
-        raise ShapeError(f"{where}: {graph.n_points} neighbour rows for {m} points")
-
-
-def neighbour_mean(a, graph: NeighbourGraph):
-    """Column i of the result is the mean of ``a``'s columns ``graph.index[i]``.
-
-    ``a`` is (D, m) with one column per point and ``graph`` a
-    ``NeighbourGraph`` over its m points. Backward applies the graph's
-    transpose, built at the first backward pass and kept by the graph.
-    """
-    a = _as_tensor(a)
-    _check_points(graph, a.data.shape[1], f"neighbour_mean {a.label()}")
-
-    def backward(grad, acc):
-        acc(a, graph.mean_transpose(grad))
-
-    return _result(graph.mean(a.data), (a,), backward)
-
-
 def pooled_matmul(w, a, graph: NeighbourGraph, bias):
-    """``w @ [a; P(a)] + bias`` as one node, P the neighbour mean of
-    ``neighbour_mean``, with the pooling moved past the product:
-    ``w[:, :n] @ a + P(w[:, n:] @ a) + bias`` for an (n, m) ``a``.
+    """``w @ [a; P(a)] + bias`` as one node, P the averaging operator of
+    ``graph`` (``NeighbourGraph.mean``), with the pooling moved past the
+    product: ``w[:, :n] @ a + P(w[:, n:] @ a) + bias`` for an (n, m)
+    ``a``. This is the package's one pooling op.
 
-    P is linear, so the value equals pooling ``a`` and concatenating
-    it under ``a`` up to rounding, while the pooling runs over the
-    output's rows rather than twice as many of the input's. Each half
-    of ``w`` is copied out, so values and gradients equal those of
-    ``gather_cols`` halves, ``matmul``, ``neighbour_mean`` and two
-    ``add`` nodes chained bit for bit.
+    P is linear, so the value equals pooling ``a`` and stacking it under
+    ``a`` up to rounding, while the pooling runs over the output's rows
+    rather than twice as many of the input's. Each half of ``w`` is
+    copied out; backward applies P's transpose
+    (``NeighbourGraph.mean_transpose``) once, to the output's gradient.
     """
     w, a, bias = _as_tensor(w), _as_tensor(a), _as_tensor(bias)
     n, m = a.data.shape
@@ -471,7 +451,10 @@ def pooled_matmul(w, a, graph: NeighbourGraph, bias):
             f"pooled_matmul {w.label()} @ {a.label()} + {bias.label()}: bias {bias.data.shape} "
             f"vs {w.data.shape[0]} output rows"
         )
-    _check_points(graph, m, f"pooled_matmul {a.label()}")
+    if graph.n_points != m:
+        raise ShapeError(
+            f"pooled_matmul {a.label()}: {graph.n_points} neighbour rows for {m} points"
+        )
     w_own = np.ascontiguousarray(w.data[:, :n])
     w_pool = np.ascontiguousarray(w.data[:, n:])
     out = w_own @ a.data

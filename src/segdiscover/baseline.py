@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import TrainConfig, class_slots, compute_loss_weights, fit, tempered_ce
-from .model import CombinedHeadModel, ModelConfig, SegmentationModel, distance_blocks
+from .model import CombinedHeadModel, ModelConfig, SegmentationModel, check_coords, distance_blocks
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
 KMEANS_RESTARTS = 20  # k-means++ seedings per kmeans call; the lowest SSE wins
@@ -128,12 +128,14 @@ def propagate_nn(coords: np.ndarray, selected: np.ndarray, labels: np.ndarray):
     Ties break to the lower point index; if two selected points share a
     nearest neighbour, the first (lowest selected index) writes and later
     ones are ignored. Returns (indices, labels) including the originals.
-    Selected points are scored in ``model.distance_blocks``.
+    Selected points are scored in ``model.distance_blocks``, past whose
+    range ``model.check_coords`` refuses a point, as in ``knn_indices``.
     """
     selected = np.asarray(selected, dtype=np.intp)
     labels = np.asarray(labels)
     if selected.size == 0:
         raise ValueError("propagation needs a non-empty selected subset")
+    check_coords(coords, "propagate_nn")
     n = coords.shape[0]
     mask = np.ones(n, dtype=bool)
     mask[selected] = False

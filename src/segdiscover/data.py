@@ -432,11 +432,19 @@ def parse_key_values(items, keys) -> dict:
     return out
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 is refused by file and offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8") from None
+
+
 def read_key_values(path, keys) -> dict:
-    """A text file's ``key=value`` lines, ``#`` comments skipped; a line without
-    ``=``, a key not in ``keys`` or a repeat is refused by file and line."""
+    """A ``read_text`` file's ``key=value`` lines, ``#`` comments skipped; a line
+    without ``=``, a key not in ``keys`` or a repeat is refused by file and line."""
     lines = [(f"{path}:{lineno}", line.strip())
-             for lineno, line in enumerate(Path(path).read_text().splitlines(), 1)]
+             for lineno, line in enumerate(read_text(path).splitlines(), 1)]
     return parse_key_values([(where, line) for where, line in lines
                              if line and not line.startswith("#")], keys)
 
@@ -465,9 +473,10 @@ def write_class_names(path, names: dict):
 
 
 def read_class_names(path) -> dict:
-    """Inverse of ``write_class_names``; a malformed or repeated line is refused by line."""
+    """Inverse of ``write_class_names`` (through ``read_text``); a malformed or
+    repeated line is refused by line."""
     names = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         cid, tab, name = line.partition("\t")

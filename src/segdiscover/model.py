@@ -71,6 +71,20 @@ def distance_blocks(points: np.ndarray, others: np.ndarray):
         yield lo, hi, d2
 
 
+def check_coords(coords: np.ndarray, where: str):
+    """Refuse, by its point and prefixed by ``where``, the first point of
+    (m, 3) ``coords`` with a coordinate that is non-finite or of magnitude
+    ``2**510`` or more, past which ``distance_blocks`` overflows."""
+    # NaN fails the comparison too; below 2**510 three squared differences
+    # sum to less than 3 * 2**1022, inside the float64 range
+    bad = np.flatnonzero(~(np.abs(coords) < 2.0 ** 510).all(axis=1))
+    if bad.size:
+        point = coords[bad[0]]
+        what = ("non-finite coordinate" if not np.isfinite(point).all()
+                else "coordinate of magnitude 2**510 or more")
+        raise ValueError(f"{where}: point {bad[0]} has a {what} {point.tolist()}")
+
+
 def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     """(m, min(k, m-1)) nearest-neighbour indices per point, self
     excluded, each row in ascending index order. A distance tie at the
@@ -99,14 +113,7 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     m = coords.shape[0]
     if m > np.iinfo(np.int32).max:
         raise ValueError(f"knn_indices: a scene of {m} points is past the int32 index range")
-    # NaN fails the comparison too; below 2**510 three squared differences
-    # sum to less than 3 * 2**1022, inside the float64 range
-    bad = np.flatnonzero(~(np.abs(coords) < 2.0 ** 510).all(axis=1))
-    if bad.size:
-        point = coords[bad[0]]
-        what = ("non-finite coordinate" if not np.isfinite(point).all()
-                else "coordinate of magnitude 2**510 or more")
-        raise ValueError(f"knn_indices: point {bad[0]} has a {what} {point.tolist()}")
+    check_coords(coords, "knn_indices")
     if m == 1:
         return np.zeros((1, 1), dtype=ad.index_dtype(m))
     k = min(k, m - 1)
@@ -292,7 +299,7 @@ class SegmentationModel:
                     )
                 p.data[...] = arr
             elif strict:
-                raise KeyError(f"checkpoint missing parameter {name}")
+                raise ValueError(f"checkpoint missing parameter {name}")
         if "meta.selected_head" in state:
             head = np.asarray(state["meta.selected_head"], dtype=np.float64).reshape(-1)
             if head.size != 1 or head[0] not in range(self.cfg.heads):
@@ -304,9 +311,6 @@ class SegmentationModel:
 
     def save(self, path):
         ad.save_checkpoint(path, self.state())
-
-    def load(self, path):
-        _restore(self, path, ad.load_checkpoint(path))
 
 
 class CombinedHeadModel(SegmentationModel):
@@ -339,20 +343,17 @@ class CombinedHeadModel(SegmentationModel):
         return {name: p.data for name, p in self.parameters().items()}
 
 
-def _restore(model, path, state: dict):
-    """Load ``state``, read from ``path``, into ``model``; a mismatch names the file."""
+def load_model(path, cfg: ModelConfig, n_base: int, n_novel: int,
+               rng: np.random.Generator) -> SegmentationModel:
+    """The model a checkpoint file holds, the file read once: a
+    ``CombinedHeadModel`` when it holds the baseline's joint head, else a
+    ``SegmentationModel``. Any other name mismatch is refused by name,
+    and every mismatch names the file."""
+    state = ad.load_checkpoint(path)
+    cls = CombinedHeadModel if "joint.w" in state else SegmentationModel
+    model = cls(cfg, n_base, n_novel, rng)
     try:
         model.load_state(state)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model
-
-
-def load_model(path, cfg: ModelConfig, n_base: int, n_novel: int,
-               rng: np.random.Generator) -> SegmentationModel:
-    """The model a checkpoint file holds, the file read once: a
-    ``CombinedHeadModel`` when it holds the baseline's joint head, else a
-    ``SegmentationModel``. Any other name mismatch is refused by name."""
-    state = ad.load_checkpoint(path)
-    cls = CombinedHeadModel if "joint.w" in state else SegmentationModel
-    return _restore(cls(cfg, n_base, n_novel, rng), path, state)

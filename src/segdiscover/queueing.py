@@ -1,16 +1,15 @@
 """Class-balanced feature queue and percentile-based point selection.
 
 The queue holds novel-point features from past iterations in one FIFO
-ring buffer per predicted class, so batches missing a class can still
-borrow columns for the transport step. The selection function keeps,
-per head and predicted class, the points whose class probability
+array of feature rows per predicted class, so batches missing a class
+can still borrow columns for the transport step. The selection function
+keeps, per head and predicted class, the points whose class probability
 reaches that class's p-th percentile (nearest rank), an adaptive
 threshold that tracks how confident the model currently is.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +74,11 @@ def select_phi(class_probs: np.ndarray, p: float) -> SelectionResult:
 
 @dataclass
 class FeatureQueue:
-    """Per-class FIFO buffers of unit-norm feature columns.
+    """Per-class FIFO buffers of unit-norm features, each one (n, D) array
+    of rows, oldest first, cut to its last ``capacity`` rows on insert.
 
-    With ``balanced=False`` the queue degrades to a single FIFO buffer
-    with no per-class bookkeeping (the unbalanced ablation variant).
+    With ``balanced=False`` the queue degrades to a single bucket with
+    no per-class bookkeeping (the unbalanced ablation variant).
     """
 
     class_ids: tuple
@@ -88,7 +88,7 @@ class FeatureQueue:
 
     def __post_init__(self):
         keys = tuple(sorted(self.class_ids)) if self.balanced else (None,)
-        self._buckets = {key: deque(maxlen=self.capacity) for key in keys}
+        self._buckets = {key: np.zeros((0, 0)) for key in keys}
 
     def sizes(self) -> dict:
         return {key: len(bucket) for key, bucket in self._buckets.items()}
@@ -122,21 +122,23 @@ class FeatureQueue:
             count = min(members.size, int(np.ceil(insert_fraction * members.size)))
             # sorted so FIFO order follows arrival (column) order
             chosen = np.sort(rng.choice(members, size=count, replace=False))
-            for idx in chosen:
-                bucket.append(features[:, idx].copy())
+            rows = features[:, chosen].T
+            if len(bucket):
+                rows = np.concatenate([bucket, rows])
+            self._buckets[key] = rows[-self.capacity:]
 
     def sample(self, per_class_count: int, rng: np.random.Generator) -> np.ndarray:
-        """Up to ``per_class_count`` columns per bucket, uniform without
-        replacement; returns (D, total), possibly zero-width."""
-        columns = []
+        """Up to ``per_class_count`` rows per bucket, uniform without replacement,
+        in queue order as the columns of a C-contiguous (D, total) array
+        (0 x 0 when the queue is empty)."""
+        rows = []
         budget = per_class_count if self.balanced else per_class_count * max(1, len(self.class_ids))
-        for key in self._buckets:
-            bucket = self._buckets[key]
-            if not bucket:
+        for bucket in self._buckets.values():
+            if not len(bucket):
                 continue
             take = min(budget, len(bucket))
             chosen = rng.choice(len(bucket), size=take, replace=False)
-            columns.extend(bucket[i] for i in sorted(chosen))
-        if not columns:
+            rows.append(bucket[np.sort(chosen)])
+        if not rows:
             return np.zeros((0, 0))
-        return np.stack(columns, axis=1)
+        return np.ascontiguousarray(np.concatenate(rows).T)

@@ -521,9 +521,10 @@ class TestCheckpoint:
             ad.load_checkpoint(path)
 
 
-def _dense_mean(neighbours, m):
-    """The (m, m) averaging matrix of a neighbour index, built entry by entry."""
-    k = neighbours.shape[1]
+def _dense_mean(neighbours):
+    """The (m, m) averaging matrix of an (m, k) neighbour index, built entry
+    by entry: ``a @ _dense_mean(nb)`` is P(a)."""
+    m, k = neighbours.shape
     mat = np.zeros((m, m))
     for i in range(m):
         for n in neighbours[i]:
@@ -542,13 +543,12 @@ class TestNeighbourMean:
         nb = np.asarray(neighbours)
         m = nb.shape[0]
         rng = np.random.default_rng(5)
-        a = ad.parameter(rng.normal(size=(3, m)), "a")
-        upstream = rng.normal(size=(3, m))
-        mat = _dense_mean(nb, m)
-        out = ad.neighbour_mean(a, ad.NeighbourGraph(nb))
-        np.testing.assert_allclose(out.data, a.data @ mat, rtol=0, atol=1e-12)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
-        np.testing.assert_allclose(a.grad, upstream @ mat.T, rtol=0, atol=1e-12)
+        a, upstream = rng.normal(size=(2, 3, m))
+        mat = _dense_mean(nb)
+        graph = ad.NeighbourGraph(nb)
+        np.testing.assert_allclose(graph.mean(a), a @ mat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(graph.mean_transpose(upstream), upstream @ mat.T,
+                                   rtol=0, atol=1e-12)
 
     def test_knn_graph_matches_knn_mean_matrix(self):
         from segdiscover.model import knn_indices, knn_mean_matrix
@@ -559,17 +559,11 @@ class TestNeighbourMean:
         nb = knn_indices(coords, 5)
         assert np.bincount(nb.reshape(-1), minlength=63)[62] == 0
         mat = knn_mean_matrix(coords, 5, nb)
-        a = ad.parameter(rng.normal(size=(7, 63)), "a")
-        upstream = rng.normal(size=(7, 63))
-        out = ad.neighbour_mean(a, ad.NeighbourGraph(nb))
-        np.testing.assert_allclose(out.data, a.data @ mat, rtol=0, atol=1e-12)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
-        np.testing.assert_allclose(a.grad, upstream @ mat.T, rtol=0, atol=1e-12)
-
-    def test_constant_input_records_no_tape(self):
-        graph = ad.NeighbourGraph(np.array([[1], [2], [0]]))
-        out = ad.neighbour_mean(ad.constant(np.ones((2, 3))), graph)
-        assert out._parents == () and out._backward is None
+        a, upstream = rng.normal(size=(2, 7, 63))
+        graph = ad.NeighbourGraph(nb)
+        np.testing.assert_allclose(graph.mean(a), a @ mat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(graph.mean_transpose(upstream), upstream @ mat.T,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("neighbours, match", [
         (np.array([0, 1, 2]), "integer array"),
@@ -582,13 +576,6 @@ class TestNeighbourMean:
     def test_a_bad_index_is_refused_by_the_graph(self, neighbours, match):
         with pytest.raises(ad.ShapeError, match=match):
             ad.NeighbourGraph(neighbours)
-
-    def test_a_graph_over_other_points_raises_a_shape_error_naming_the_node(self):
-        h = ad.parameter(np.zeros((2, 3)), "enc2.out")
-        graph = ad.NeighbourGraph(np.zeros((2, 1), dtype=np.intp))
-        with pytest.raises(ad.ShapeError, match="neighbour_mean enc2.out: 2 neighbour rows "
-                                                "for 3 points"):
-            ad.neighbour_mean(h, graph)
 
 
 POOLING_GRAPHS = [
@@ -614,23 +601,19 @@ class TestPooledMatmul:
     @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
     def test_value_and_gradients_match_pooling_the_stacked_input(self, neighbours):
         w, a, bias, upstream = _pooled_case(neighbours)
-        nb = ad.NeighbourGraph(np.asarray(neighbours))
-        params = (w, a, bias)
-        results = []
-        for compose in (
-            lambda: ad.pooled_matmul(w, a, nb, bias),
-            lambda: ad.matmul(w, ad.concat_rows([a, ad.neighbour_mean(a, nb)]), bias=bias),
-        ):
-            for p in params:
-                p.zero_grad()
-            out = compose()
-            ad.backward(ad.sum_all(ad.mul(out, upstream)))
-            results.append((out.data, [p.grad.copy() for p in params]))
-        (got, got_grads), (want, want_grads) = results
-        np.testing.assert_allclose(got, want, rtol=1e-10)
-        for p, g, ref in zip(params, got_grads, want_grads):
-            assert np.abs(ref).max() > 0.0, p.name
-            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-14, err_msg=p.name)
+        nb = np.asarray(neighbours)
+        out = ad.pooled_matmul(w, a, ad.NeighbourGraph(nb), bias)
+        ad.backward(ad.sum_all(ad.mul(out, upstream)))
+        # the numpy reference: w @ [a; a P] + bias with P the dense matrix
+        mat, g, n = _dense_mean(nb), upstream.data, a.shape[0]
+        stacked = np.concatenate([a.data, a.data @ mat])
+        np.testing.assert_allclose(out.data, w.data @ stacked + bias.data, rtol=1e-10)
+        wants = (g @ stacked.T,
+                 w.data[:, :n].T @ g + (w.data[:, n:].T @ g) @ mat.T,
+                 g.sum(axis=1, keepdims=True))
+        for p, want in zip((w, a, bias), wants):
+            assert np.abs(want).max() > 0.0, p.name
+            np.testing.assert_allclose(p.grad, want, rtol=1e-10, atol=1e-14, err_msg=p.name)
 
     @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
     def test_gradients_match_central_differences(self, neighbours):
@@ -664,7 +647,7 @@ class TestPooledMatmul:
         for got, want in zip(kept[:2], fresh[:2]):
             assert np.array_equal(got, want)
         assert np.array_equal(kept[2], fresh[2])
-        ad.backward(ad.sum_all(ad.neighbour_mean(a, graph)))
+        ad.backward(ad.sum_all(ad.pooled_matmul(w, a, graph, bias)))
         assert graph.reverse is kept  # every later pass reuses it
 
     @pytest.mark.parametrize("m, dtype", [(1, np.uint16), (1 << 16, np.uint16),
@@ -694,6 +677,13 @@ class TestPooledMatmul:
 
     def test_a_graph_over_other_points_is_refused(self):
         graph = ad.NeighbourGraph(np.array([[1], [0]]))
-        with pytest.raises(ad.ShapeError, match=r"pooled_matmul h2: 2 neighbour rows for 3"):
+        with pytest.raises(ad.ShapeError, match=r"pooled_matmul h2: 2 neighbour rows for 3 "
+                                                r"points"):
             ad.pooled_matmul(np.zeros((2, 6)), ad.parameter(np.zeros((3, 3)), "h2"), graph,
                              np.zeros((2, 1)))
+
+    def test_constant_inputs_record_no_tape(self):
+        graph = ad.NeighbourGraph(np.array([[1], [2], [0]]))
+        out = ad.pooled_matmul(np.ones((2, 4)), ad.constant(np.ones((2, 3))), graph,
+                               np.zeros((2, 1)))
+        assert out._parents == () and out._backward is None

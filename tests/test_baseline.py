@@ -159,6 +159,16 @@ class TestPropagateNN:
         with pytest.raises(ValueError):
             propagate_nn(np.zeros((3, 3)), np.array([], dtype=int), np.array([]))
 
+    def test_a_coordinate_past_the_squared_distance_range_is_refused_by_its_point(self):
+        # the squared distances overflowed to inf, and point 1, not the
+        # nearer point 3, took the label
+        coords = [[3e200, 0, 0], [0, 0, 0], [1e200, 0, 0], [2.9e200, 0, 0]]
+        message = r"^propagate_nn: point 0 has a coordinate of magnitude 2\*\*510 or more"
+        with pytest.raises(ValueError, match=message + r" \[3e\+200, 0\.0, 0\.0\]$"):
+            propagate_nn(np.array(coords), [0], [7])
+        with pytest.raises(ValueError, match=r"^propagate_nn: point 2 has a non-finite"):
+            propagate_nn(np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]]), [0], [7])
+
     def test_row_blocks_bound_memory_and_keep_the_result(self):
         import tracemalloc
 

@@ -281,6 +281,21 @@ class TestErrors:
         assert f"error: {split}: synthetic: need at least one base class" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("name", ["classes.txt", "split.txt", "run.cfg"])
+    def test_a_byte_that_is_not_utf8_names_its_file(self, tmp_path, capsys, name):
+        data = gen_tiny(tmp_path / "d")
+        path = (tmp_path if name == "run.cfg" else data) / name
+        if name == "run.cfg":
+            path.write_text("train.epochs=1\n")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:3] + b"\xff" + raw[3:])
+        args = ["train", "--data", str(data), "--out", str(tmp_path / "runs" / "x"), *FAST]
+        if name == "run.cfg":
+            args += ["--config", str(path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {path}: byte 3 is not UTF-8\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_eval_refuses_a_checkpoint_with_heads_the_model_lacks(self, tmp_path, capsys):
         data = gen_tiny(tmp_path / "d")
         fast = [a for a in FAST if not a.startswith("model.heads=")]

@@ -253,6 +253,18 @@ class TestSplits:
         with pytest.raises(ValueError, match=message):
             D.read_class_names(path)
 
+    def test_key_values_refuse_a_byte_that_is_not_utf8_by_file_and_offset(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_bytes(b"dataset=toy\nsplit_name=s\xff\nnovel=crown\n")
+        with pytest.raises(ValueError, match=r"^\S*split\.txt: byte 24 is not UTF-8$"):
+            D.read_key_values(path, ("dataset", "split_name", "novel"))
+
+    def test_class_names_refuse_a_byte_that_is_not_utf8_by_file_and_offset(self, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_bytes(b"0\tground\n1\th\xffb\n")
+        with pytest.raises(ValueError, match=r"^\S*classes\.txt: byte 12 is not UTF-8$"):
+            D.read_class_names(path)
+
     def test_raw_label_remap(self):
         classes = D.load_class_table("semantickitti")
         raw = np.array([10, 252, 0, 81])

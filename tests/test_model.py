@@ -157,10 +157,11 @@ class TestStateRoundTrip:
         expected = model.predict_slots(coords)
         model.save(tmp_path / "m.ckpt")
 
-        fresh = make_model(seed=2)
         saved = model.state()
-        assert any(not np.array_equal(v, saved[k]) for k, v in fresh.state().items())
-        fresh.load(tmp_path / "m.ckpt")
+        assert any(not np.array_equal(v, saved[k]) for k, v in make_model(seed=2).state().items())
+        fresh = model_module.load_model(tmp_path / "m.ckpt", ModelConfig(), 3, 2,
+                                        np.random.default_rng(2))
+        assert type(fresh) is SegmentationModel
         assert fresh.selected_head == 3
         np.testing.assert_array_equal(fresh.predict_slots(coords), expected)
 
@@ -170,8 +171,9 @@ class TestStateRoundTrip:
         coords = rng.normal(size=(6, 3))
         expected = model.predict_slots(coords)
         model.save(tmp_path / "c.ckpt")
-        fresh = CombinedHeadModel(ModelConfig(), 3, 2, np.random.default_rng(10))
-        fresh.load(tmp_path / "c.ckpt")
+        fresh = model_module.load_model(tmp_path / "c.ckpt", ModelConfig(), 3, 2,
+                                        np.random.default_rng(10))
+        assert type(fresh) is CombinedHeadModel
         np.testing.assert_array_equal(fresh.predict_slots(coords), expected)
 
 
@@ -290,7 +292,8 @@ class TestCheckpointInput:
         make_model(feature_dim=8).save(tmp_path / "d8.ckpt")
         with pytest.raises(ValueError, match=r"d8\.ckpt: parameter proj\.w has shape "
                                              r"\(8, 128\), the model expects \(4, 128\)"):
-            make_model(feature_dim=4).load(tmp_path / "d8.ckpt")
+            model_module.load_model(tmp_path / "d8.ckpt", ModelConfig(feature_dim=4), 3, 2,
+                                    np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_parameter_is_refused_by_file_and_name(self, bad, tmp_path):
@@ -301,6 +304,15 @@ class TestCheckpointInput:
         path = tmp_path / "nan.ckpt"
         ad.save_checkpoint(path, state)
         with pytest.raises(ValueError, match=r"nan\.ckpt: parameter enc1\.w holds a non-finite"):
+            model_module.load_model(path, ModelConfig(), 3, 2, np.random.default_rng(0))
+
+    def test_a_missing_parameter_is_refused_by_file_and_name(self, tmp_path):
+        # a KeyError named neither, and the command line printed it quoted
+        state = make_model().state()
+        del state["enc1.w"]
+        path = tmp_path / "short.ckpt"
+        ad.save_checkpoint(path, state)
+        with pytest.raises(ValueError, match=r"short\.ckpt: checkpoint missing parameter enc1\.w$"):
             model_module.load_model(path, ModelConfig(), 3, 2, np.random.default_rng(0))
 
     def test_a_flattened_array_is_not_reshaped(self):

@@ -1,5 +1,7 @@
 """Feature queue and the percentile selection function."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,3 +150,70 @@ class TestFeatureQueue:
         assert set(q.sizes()) == {None}
         out = q.sample(4, rng)  # budget = per_class * n_classes = 8
         assert out.shape == (4, 8)
+
+
+class DequeQueue:
+    """The queue as it was before its buckets became row arrays: one
+    ``deque`` of column copies per bucket, kept as ``FeatureQueue``'s
+    reference."""
+
+    def __init__(self, class_ids, capacity, balanced=True):
+        self.class_ids, self.balanced = class_ids, balanced
+        keys = tuple(sorted(class_ids)) if balanced else (None,)
+        self.buckets = {key: deque(maxlen=capacity) for key in keys}
+
+    def sizes(self):
+        return {key: len(bucket) for key, bucket in self.buckets.items()}
+
+    def insert(self, features, predicted_classes, insert_fraction, rng):
+        features = np.asarray(features, dtype=np.float64)
+        if features.size == 0 or insert_fraction <= 0.0:
+            return
+        for key, bucket in self.buckets.items():
+            members = (np.flatnonzero(predicted_classes == key) if self.balanced
+                       else np.arange(features.shape[1]))
+            if members.size == 0:
+                continue
+            count = min(members.size, int(np.ceil(insert_fraction * members.size)))
+            for idx in np.sort(rng.choice(members, size=count, replace=False)):
+                bucket.append(features[:, idx].copy())
+
+    def sample(self, per_class_count, rng):
+        columns = []
+        budget = per_class_count if self.balanced else per_class_count * max(1, len(self.class_ids))
+        for bucket in self.buckets.values():
+            if not bucket:
+                continue
+            chosen = rng.choice(len(bucket), size=min(budget, len(bucket)), replace=False)
+            columns.extend(bucket[i] for i in sorted(chosen))
+        if not columns:
+            return np.zeros((0, 0))
+        return np.stack(columns, axis=1)
+
+
+class TestFeatureQueueMatchesTheDequeReference:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 6), balanced=st.booleans(),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(0, 9), st.floats(0.0, 1.0),
+                                  st.integers(1, 4)), max_size=12))
+    def test_equal_samples_sizes_and_rng_state(self, seed, capacity, balanced, ops):
+        # class 5 is never predicted, so its bucket stays empty; class 1
+        # is predicted but has no bucket
+        class_ids = (5, 0, 2)
+        data = np.random.default_rng(seed + 1)
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        queues = (FeatureQueue(class_ids, capacity, balanced),
+                  DequeQueue(class_ids, capacity, balanced))
+        for is_insert, n, fraction, per_class in ops + [(False, 0, 0.0, 3)]:
+            if is_insert:
+                features = data.normal(size=(3, n))
+                classes = data.choice([0, 1, 2], size=n)
+                for q, rng in zip(queues, rngs):
+                    q.insert(features, classes, fraction, rng)
+            else:
+                got, want = (q.sample(per_class, rng) for q, rng in zip(queues, rngs))
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got.flags.c_contiguous
+            assert queues[0].sizes() == queues[1].sizes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state

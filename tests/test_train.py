@@ -542,28 +542,36 @@ class TestFullLossGradient:
         assert result.metrics[0]["loss"] >= 0.0
 
 
+def dense_pool(a, graph):
+    """The neighbour mean P(a) as a product with the graph's dense
+    averaging matrix, the numpy reference of ``tests/test_autodiff.py``."""
+    from test_autodiff import _dense_mean
+
+    return ad.matmul(a, ad.constant(_dense_mean(graph.index)))
+
+
 def chain_features(model, coords, neighbours):
     """The extractor composed from single ops: one node each for every
     layer's product, bias sum and ReLU, and the projection as products
-    with ``gather_cols`` halves of ``proj.w``, the second one pooled."""
+    with ``gather_cols`` halves of ``proj.w``, the second one pooled by
+    ``dense_pool``."""
     x = ad.constant(coords.T)
     h1 = ad.relu(ad.add(ad.matmul(model.w1, x), model.b1))
     h2 = ad.relu(ad.add(ad.matmul(model.w2, h1), model.b2))
     n = h2.shape[0]
     own = ad.matmul(ad.gather_cols(model.w3, np.arange(n)), h2)
-    pooled = ad.neighbour_mean(
-        ad.matmul(ad.gather_cols(model.w3, np.arange(n, 2 * n)), h2), neighbours)
+    pooled = dense_pool(ad.matmul(ad.gather_cols(model.w3, np.arange(n, 2 * n)), h2), neighbours)
     return ad.l2_normalize_cols(ad.add(ad.add(own, pooled), model.b3))
 
 
 def concat_features(model, coords, neighbours):
     """The extractor as composed before the projection took the pooling:
-    ``proj.w`` times the hidden features with their neighbour mean
-    stacked under them."""
+    ``proj.w`` times the hidden features with their ``dense_pool``
+    neighbour mean stacked under them."""
     x = ad.constant(coords.T)
     h1 = ad.matmul(model.w1, x, bias=model.b1, relu=True)
     h2 = ad.matmul(model.w2, h1, bias=model.b2, relu=True)
-    cat = ad.concat_rows([h2, ad.neighbour_mean(h2, neighbours)])
+    cat = ad.concat_rows([h2, dense_pool(h2, neighbours)])
     return ad.l2_normalize_cols(ad.matmul(model.w3, cat, bias=model.b3))
 
 
