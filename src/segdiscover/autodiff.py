@@ -35,7 +35,8 @@ P(a) is the mean of ``a``'s columns ``index[i]``. Its transpose,
 ``NeighbourGraph.mean_transpose``, runs through reverse passes that the
 first backward builds and the graph keeps, at 2 bytes per entry up to
 65,536 points, so a scene's later passes gather through them without
-rebuilding them; inference never builds them.
+rebuilding them; inference never builds them, and pools a range of
+columns at a time (``NeighbourGraph.mean``'s ``lo`` and ``hi``).
 Backward closures compute gradients only for operands that reach a
 tracked leaf.
 """
@@ -396,10 +397,12 @@ class NeighbourGraph:
     def n_points(self) -> int:
         return self.index.shape[0]
 
-    def mean(self, a):
-        """P(a) for a (D, m) array: gathers rows of its points-major copy,
-        which is dropped before the sum is divided in place."""
-        nb = self.index
+    def mean(self, a, lo=0, hi=None):
+        """Columns ``lo:hi`` (all by default) of P(a) for a (D, m) array:
+        gathers rows of its points-major copy, which is dropped before the
+        sum is divided in place. A transposed (m, D) C-contiguous array
+        is its own points-major copy and is read in place."""
+        nb = self.index[lo:hi]
         # gathering rows of the transpose is twice as fast once it is contiguous
         rows = np.ascontiguousarray(a.T)
         total = rows.take(nb[:, 0], axis=0)

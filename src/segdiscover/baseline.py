@@ -286,10 +286,13 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
         local = subsample_psi(novel_idx.size, baseline_cfg.subsample, rng)
         if local.size == 0:
             continue
-        # features of the whole scene, so k-NN pooling sees every point
-        with ad.no_tape():
-            z = pretrained.extract_features(cloud.coords, cloud.neighbours(model_cfg.knn)).data
-        feats.append(z[:, novel_idx[local]].T)
+        # features of the whole scene, so k-NN pooling sees every point;
+        # ``picked`` is ascending, so each chunk holds one run of it
+        picked, rows = novel_idx[local], []
+        for lo, hi, z in pretrained.feature_chunks(cloud.coords, cloud.neighbours(model_cfg.knn)):
+            first, last = np.searchsorted(picked, [lo, hi])
+            rows.append(z[:, picked[first:last] - lo].T)
+        feats.append(np.concatenate(rows))
         picks.append((i, novel_idx, local))
     pseudo: dict = {}
     if feats:

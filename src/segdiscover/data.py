@@ -271,15 +271,26 @@ def read_kitti_scan(bin_path, label_path) -> LabelledCloud:
     )
 
 
-def _check_writable_labels(cloud: LabelledCloud):
+def _check_writable(cloud: LabelledCloud):
+    """Refuse, by its scene, a cloud the scan format cannot hold: labels
+    outside 16 bits, or a point with a coordinate that float32 rounds to
+    infinity, which ``read_kitti_scan`` would refuse."""
     bad = np.unique(cloud.labels[(cloud.labels < 0) | (cloud.labels > 0xFFFF)])
     if bad.size:
         raise ValueError(f"scene {cloud.scene_id!r}: labels {bad.tolist()} do not fit in 16 bits")
+    with np.errstate(over="ignore"):
+        far = np.flatnonzero(np.isinf(cloud.coords.astype(np.float32)).any(axis=1))
+    if far.size:
+        raise ValueError(
+            f"scene {cloud.scene_id!r}: point {far[0]} has a coordinate past the float32 "
+            f"range {cloud.coords[far[0]].tolist()}"
+        )
 
 
 def write_kitti_scan(bin_path, label_path, cloud: LabelledCloud):
-    """Inverse of ``read_kitti_scan``; remission written as zero."""
-    _check_writable_labels(cloud)
+    """Inverse of ``read_kitti_scan``; remission written as zero. A cloud
+    the format cannot hold is refused before the files are written."""
+    _check_writable(cloud)
     pts = np.zeros((cloud.n_points, 4), dtype="<f4")
     pts[:, :3] = cloud.coords
     Path(bin_path).write_bytes(pts.tobytes())
@@ -304,7 +315,7 @@ def write_scan_dir(root, clouds):
 
     File names come from the scene ids, so an empty or repeated id is
     refused, naming the ids, before any file is written; so is a label
-    outside 16 bits.
+    outside 16 bits or a coordinate past the float32 range.
     """
     counts = Counter(c.scene_id for c in clouds)
     repeated = sorted(i for i, n in counts.items() if n > 1 and i)
@@ -314,7 +325,7 @@ def write_scan_dir(root, clouds):
             f"{counts['']} empty, repeated {repeated}"
         )
     for cloud in clouds:
-        _check_writable_labels(cloud)
+        _check_writable(cloud)
     root = Path(root)
     (root / "scans").mkdir(parents=True, exist_ok=True)
     (root / "labels").mkdir(parents=True, exist_ok=True)

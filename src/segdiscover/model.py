@@ -11,6 +11,18 @@ Novel heads are bias-free linear maps whose weight columns double as the
 class prototypes read by the transport solver; the base head carries a
 bias. Over-clustering heads are extra bias-free heads with o times the
 novel width, discarded at inference.
+
+Inference scores a scene in chunks of points (``feature_chunks``),
+untaped, with the same layer ops: ``predict_slots`` of both model
+classes and the baseline's clustering features run it. A chunk is
+``FORWARD_CHUNK_BYTES`` (1 MiB) of one (hidden, chunk) encoder layer,
+2,048 points at hidden = 64. Pass 1 keeps each chunk's two projection
+halves, the pooled one points-major in one (m, D) array; pass 2 pools,
+normalises and scores chunk by chunk. So inference holds ~0.5 kB per
+point at D = 32, not the ~1.8 kB of whole-scene (hidden, m) layers:
+``predict_slots`` with the graph given peaks under ``tracemalloc`` at
+2.9, 5.0 and 6.0 MB for 2,048, 6,144 and 8,192 points, against 3.7,
+11.1 and 14.8 MB for one whole-scene untaped forward.
 """
 
 from __future__ import annotations
@@ -43,6 +55,10 @@ class ModelConfig:
 # L2 cache: 256 KiB blocks keep 768 KiB at work, where 2 MiB blocks put
 # 6 MiB against a 2 MiB L2 and ran an 8,192-point k-NN ~25% slower.
 KNN_BLOCK_BYTES = 1 << 18
+
+# Bytes of one (hidden, chunk) encoder layer of an untaped forward
+# (``SegmentationModel.feature_chunks``): 2,048 points at hidden = 64.
+FORWARD_CHUNK_BYTES = 1 << 20
 
 
 def distance_blocks(points: np.ndarray, others: np.ndarray):
@@ -199,6 +215,26 @@ class SegmentationModel:
         heads = [self.base_w, self.base_b] + self.novel_p + self.over_p
         return {p.name: p for p in self.extractor + heads}
 
+    def _scene(self, coords, neighbours):
+        """``coords`` as (m, 3) float64 and the graph to pool them over:
+        ``neighbours``, refused unless it has m rows, or one built here."""
+        coords = np.asarray(coords, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
+            raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
+        if neighbours is None:
+            neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
+        if neighbours.n_points != coords.shape[0]:
+            raise ad.ShapeError(
+                f"{neighbours.n_points} neighbour rows for {coords.shape[0]} points"
+            )
+        return coords, neighbours
+
+    def _encode(self, coords: np.ndarray) -> ad.Tensor:
+        """The two encoder layers on (c, 3) coordinates, (hidden, c).
+        Untaped, the first layer goes once the second exists."""
+        h = ad.matmul(self.w1, ad.constant(coords.T, name="xyz"), bias=self.b1, relu=True)
+        return ad.matmul(self.w2, h, bias=self.b2, relu=True)
+
     def extract_features(self, coords: np.ndarray,
                          neighbours: ad.NeighbourGraph | None = None) -> ad.Tensor:
         """(D, m) feature matrix with unit-norm columns for one cloud.
@@ -207,20 +243,51 @@ class SegmentationModel:
         which keeps the transpose a backward pass builds; bare
         coordinates get a graph built here and then dropped.
         """
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
-            raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
-        if neighbours is None:
-            neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
-        x = ad.constant(coords.T, name="xyz")
-        # one name for both encoder layers, dropped before normalising:
-        # untaped, each (hidden, m) layer is freed once the next one exists
-        h = ad.matmul(self.w1, x, bias=self.b1, relu=True)
-        h = ad.matmul(self.w2, h, bias=self.b2, relu=True)
+        coords, neighbours = self._scene(coords, neighbours)
         # proj.w @ [h; P(h)] + proj.b, pooling the projection instead
-        z = ad.pooled_matmul(self.w3, h, neighbours, self.b3)
-        del h
+        z = ad.pooled_matmul(self.w3, self._encode(coords), neighbours, self.b3)
         return ad.l2_normalize_cols(z)
+
+    def feature_chunks(self, coords: np.ndarray, neighbours: ad.NeighbourGraph | None = None):
+        """Yield ``(lo, hi, z)``: the untaped (D, hi - lo) features of
+        points lo:hi, chunk by chunk, with ``extract_features``' layers.
+
+        A chunk is ``FORWARD_CHUNK_BYTES // (8 hidden)`` points. Pass 1
+        runs the encoder on each chunk and keeps only its two halves of
+        the projection: the own half by chunk, the pooled half
+        points-major in one (m, D) array. Pass 2 pools each chunk over
+        its rows of the graph (``NeighbourGraph.mean``), then adds the
+        bias and normalises. So one chunk's encoder layers and the two
+        (D, m) projections are held at a time, never every (hidden, m)
+        layer. A scene of one chunk takes the products of
+        ``extract_features`` and gets its features bit for bit; past one
+        chunk, BLAS may round a narrower product's columns in the last bit.
+        """
+        coords, neighbours = self._scene(coords, neighbours)
+        m, n = coords.shape[0], self.cfg.hidden
+        step = max(1, FORWARD_CHUNK_BYTES // (8 * n))
+        w_own = np.ascontiguousarray(self.w3.data[:, :n])
+        w_pool = np.ascontiguousarray(self.w3.data[:, n:])
+        own, pooled = [], np.empty((m, w_pool.shape[0]))
+        with ad.no_tape():
+            for lo in range(0, m, step):
+                h = self._encode(coords[lo:lo + step]).data
+                own.append(w_own @ h)
+                pooled[lo:lo + step] = (w_pool @ h).T
+                del h
+        for lo in range(0, m, step):
+            z = own.pop(0)
+            hi = lo + z.shape[1]
+            z += neighbours.mean(pooled.T, lo, hi)
+            z += self.b3.data
+            yield lo, hi, ad.l2_normalize_cols(z).data
+
+    def _slots(self, coords, neighbours, logits) -> np.ndarray:
+        """Per-point argmax of ``logits(z)`` over ``feature_chunks``, untaped."""
+        with ad.no_tape():
+            return np.concatenate([
+                logits(z).argmax(axis=0) for _, _, z in self.feature_chunks(coords, neighbours)
+            ])
 
     def base_logits(self, z: ad.Tensor) -> ad.Tensor:
         return ad.matmul(self.base_w, z, bias=self.base_b)
@@ -273,12 +340,9 @@ class SegmentationModel:
         class ids by the evaluation matching.
         """
         head = self.selected_head if head is None else head
-        with ad.no_tape():
-            z = self.extract_features(coords, neighbours)
-            logits = np.concatenate(
-                [self.base_logits(z).data, self.novel_logits(z, head).data], axis=0
-            )
-        return logits.argmax(axis=0)
+        return self._slots(coords, neighbours, lambda z: np.concatenate(
+            [self.base_logits(z).data, self.novel_logits(z, head).data], axis=0
+        ))
 
     def state(self) -> dict:
         st = {name: p.data for name, p in self.parameters().items()}
@@ -336,8 +400,7 @@ class CombinedHeadModel(SegmentationModel):
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
                       neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
-        with ad.no_tape():
-            return self.logits(self.extract_features(coords, neighbours)).data.argmax(axis=0)
+        return self._slots(coords, neighbours, lambda z: self.logits(z).data)
 
     def state(self) -> dict:
         return {name: p.data for name, p in self.parameters().items()}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segdiscover import model as model_module
 from segdiscover.augment import AugmentConfig
 from segdiscover.baseline import (
     BaselineConfig,
@@ -404,7 +405,10 @@ class TestPipeline:
         for _, slots in pseudo.values():
             assert np.all((slots >= 0) & (slots < 2))
 
-    def test_clustering_pool_is_full_scene_features_at_picked_points(self, monkeypatch):
+    @staticmethod
+    def _clustering_pool(monkeypatch):
+        """The k-means pool of a tiny baseline run, and the whole-scene
+        taped features of the pretrained model at the picked points."""
         import segdiscover.baseline as bl
         from segdiscover.data import UNLABELLED
 
@@ -432,7 +436,19 @@ class TestPipeline:
             if picked.size:
                 expected.append(pretrained[0].extract_features(cloud.coords).data[:, picked].T)
         assert len(pools) == 1
-        np.testing.assert_allclose(pools[0], np.concatenate(expected), rtol=1e-12, atol=1e-15)
+        return pools[0], np.concatenate(expected)
+
+    def test_clustering_pool_is_full_scene_features_at_picked_points(self, monkeypatch):
+        # a 48-point scene is one chunk, which runs the whole-scene products
+        pool, expected = self._clustering_pool(monkeypatch)
+        np.testing.assert_array_equal(pool, expected)
+
+    def test_clustering_pool_across_chunks_is_the_picked_features(self, monkeypatch):
+        # 10-point chunks: each chunk gives its own run of the picked points.
+        # BLAS may round a narrower product's columns in the last bit
+        monkeypatch.setattr(model_module, "FORWARD_CHUNK_BYTES", 8 * TINY_MODEL.hidden * 10)
+        pool, expected = self._clustering_pool(monkeypatch)
+        np.testing.assert_allclose(pool, expected, rtol=1e-12, atol=1e-15)
 
     def test_picked_points_carry_their_kmeans_assignments(self, monkeypatch):
         import segdiscover.baseline as bl

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from segdiscover import data as D
 
@@ -163,6 +165,71 @@ class TestScanIO:
         with pytest.raises(ValueError, match=r"scene 'c': labels \[65536\]"):
             D.write_kitti_scan(tmp_path / "c.bin", tmp_path / "c.label", wide)
         assert list(tmp_path.iterdir()) == []
+
+    def test_coordinates_past_the_float32_range_are_refused_before_any_file_is_written(
+        self, tmp_path
+    ):
+        good = D.LabelledCloud(np.zeros((2, 3)), np.zeros(2, dtype=int), scene_id="a")
+        far = D.LabelledCloud(np.array([[0.0, 0, 0], [1e39, 0, 0], [0, 0, -1e39]]),
+                              np.zeros(3, dtype=int), scene_id="b")
+        with pytest.raises(ValueError, match=r"scene 'b': point 1 has a coordinate past the "
+                                             r"float32 range \[1e\+39, 0\.0, 0\.0\]"):
+            D.write_scan_dir(tmp_path / "tree", [good, far])
+        assert not (tmp_path / "tree").exists()
+        with pytest.raises(ValueError, match=r"scene 'b': point 1 "):
+            D.write_kitti_scan(tmp_path / "b.bin", tmp_path / "b.label", far)
+        assert list(tmp_path.iterdir()) == []
+        # the largest float32 and values that round down to it still fit
+        top = float(np.finfo(np.float32).max)
+        edge = D.LabelledCloud(np.array([[top, -top, np.nextafter(top, np.inf)]]),
+                               np.zeros(1, dtype=int), scene_id="c")
+        D.write_scan_dir(tmp_path / "tree", [edge])
+        (back,) = D.load_scan_dir(tmp_path / "tree")
+        assert back.coords.tolist() == [[top, -top, top]]
+
+
+class TestScanReaderMutations:
+    """Flipped bits, truncations and inserted bytes in a valid scan/label
+    pair: the reader returns a cloud or raises a ValueError naming the file."""
+
+    @staticmethod
+    def _mutate(raw: bytes, kind: str, pos: int, bit: int, extra: bytes) -> bytes:
+        pos = pos % (len(raw) + 1)
+        if kind == "flip" and pos < len(raw):
+            return raw[:pos] + bytes([raw[pos] ^ (1 << bit)]) + raw[pos + 1:]
+        if kind == "truncate":
+            return raw[:pos]
+        return raw[:pos] + extra + raw[pos:]
+
+    # 300 examples at positions spread over the file (~1 s) caught a
+    # reader that skips its non-finite check in each of 6 runs
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(
+        st.sampled_from(["bin", "label"]),
+        st.sampled_from(["flip", "truncate", "insert"]),
+        st.integers(0, 2**16), st.integers(0, 7), st.binary(min_size=1, max_size=20),
+    ), min_size=1, max_size=4))
+    def test_a_mutated_pair_is_read_or_refused_by_file(self, tmp_path, mutations):
+        rng = np.random.default_rng(3)
+        # magnitudes in [1, 2): one flipped exponent bit makes a coordinate inf or NaN
+        xyz = rng.uniform(1.0, 2.0, size=(6, 3)) * rng.choice([-1.0, 1.0], size=(6, 3))
+        pts = np.column_stack([xyz, np.zeros(6)]).astype("<f4")
+        files = {"bin": pts.tobytes(), "label": rng.integers(0, 2**32, 6, dtype="<u4").tobytes()}
+        for which, kind, pos, bit, extra in mutations:
+            files[which] = self._mutate(files[which], kind, pos, bit, extra)
+        bin_path, label_path = tmp_path / "s.bin", tmp_path / "s.label"
+        bin_path.write_bytes(files["bin"])
+        label_path.write_bytes(files["label"])
+        try:
+            cloud = D.read_kitti_scan(bin_path, label_path)
+        except ValueError as exc:
+            assert str(exc).startswith((f"{bin_path}: ", f"{label_path}: ")), str(exc)
+            return
+        n = len(files["bin"]) // 16
+        assert cloud.coords.shape == (n, 3) and np.isfinite(cloud.coords).all()
+        assert cloud.labels.shape == (n,) and cloud.labels.min() >= 0
+        assert cloud.labels.max() <= 0xFFFF
 
 
 class TestSplits:

@@ -17,6 +17,10 @@ from segdiscover.model import (
 )
 
 
+# points per untaped forward chunk at the default hidden width
+CHUNK = model_module.FORWARD_CHUNK_BYTES // (8 * ModelConfig().hidden)
+
+
 def make_model(seed=0, **kw):
     cfg = ModelConfig(**kw)
     return SegmentationModel(cfg, n_base=3, n_novel=2, rng=np.random.default_rng(seed))
@@ -549,22 +553,61 @@ class TestLeanInference:
         ad.backward(ad.sum_all(model.extract_features(coords, graph)))
         assert graph.reverse is not None
 
-    def test_predict_slots_memory_stays_near_the_features(self):
+    @staticmethod
+    def _predict_peak(m):
+        """tracemalloc peak of ``predict_slots`` on m points, graph given.
+        The graph is random: memory does not depend on which rows it names."""
         import tracemalloc
 
         rng = np.random.default_rng(14)
         model = SegmentationModel(ModelConfig(), 3, 2, rng)
-        coords = rng.normal(size=(4096, 3))
-        nb = ad.NeighbourGraph(knn_indices(coords, 16))
+        coords = rng.normal(size=(m, 3))
+        nb = ad.NeighbourGraph(rng.integers(0, m, size=(m, 16)).astype(ad.index_dtype(m)))
         tracemalloc.start()
         try:
             model.predict_slots(coords, neighbours=nb)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_predict_slots_memory_stays_near_the_features(self):
         # a recorded tape holds every layer's output at once: ~23 MB here;
-        # untaped, each layer and the pooling's copy go once spent
-        assert peak < 8.5e6
+        # a whole-scene untaped forward peaks at 7.4 MB with two (64, m)
+        # layers. In chunks it holds one chunk's layers and the two (D, m)
+        # projections: 3.9 MB
+        assert self._predict_peak(4096) < 5e6
+
+    def test_predict_slots_memory_grows_by_the_projections_per_point(self):
+        # ~0.5 kB per point: the (D, m) own and pooled projections at
+        # D = 32, plus the slots; every (64, m) layer held at once took ~1.8 kB
+        per_point = (self._predict_peak(16384) - self._predict_peak(4096)) / (16384 - 4096)
+        assert per_point < 700
+
+    @pytest.mark.parametrize("combined", [False, True])
+    @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    def test_chunk_boundaries_keep_the_slots_of_a_taped_forward(self, combined, m):
+        rng = np.random.default_rng(m)
+        model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 4, 3, rng)
+        coords = rng.normal(size=(m, 3)) * 5
+        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        # a non-default eval head; the combined model has one head only
+        slots = model.predict_slots(coords, 3, graph)
+        assert graph.reverse is None
+        z = model.extract_features(coords, graph)
+        logits = model.logits(z) if combined else ad.concat_rows(
+            [model.base_logits(z), model.novel_logits(z, 3)])
+        np.testing.assert_array_equal(slots, logits.data.argmax(axis=0))
+        chunks = list(model.feature_chunks(coords, graph))
+        assert [(lo, hi) for lo, hi, _ in chunks] == [
+            (lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)
+        ]
+        features = np.concatenate([f for _, _, f in chunks], axis=1)
+        if m <= CHUNK:
+            # one chunk runs the whole-scene products
+            np.testing.assert_array_equal(features, z.data)
+        else:
+            # BLAS may round a narrower product's columns in the last bit
+            np.testing.assert_allclose(features, z.data, rtol=0, atol=1e-15)
 
 
 class TestExtractFeaturesGradient:
