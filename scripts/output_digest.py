@@ -2,13 +2,14 @@
 """SHA-256 digests of every file a fixed set of CLI runs writes.
 
 Per seed, runs in-process through ``segdiscover.cli.main`` and into a
-temporary directory: ``gen-data`` with the toy and with the generic
-archetypes; ``train`` at the defaults and with each ``disc.*`` toggle
-off; ``baseline`` with over-clustering off and on; ``eval`` of the
-default training's checkpoint; and ``ablate``. Prints ``sha256  relative/path``
-for every file written, each run's exit code, stdout and stderr
-included (as ``logs/<run>.stdout`` and ``logs/<run>.stderr``, the
-temporary root replaced by ``<root>``). Two source trees print the
+temporary directory: ``gen-data`` with the toy archetypes, with the
+generic ones and with ``data.dropout=0.25``; ``train`` at the defaults
+and with each ``disc.*`` toggle off; ``baseline`` with over-clustering
+off and on; ``eval`` of the default training's checkpoint, by its
+selected head and with ``model.eval_head=1``; and ``ablate``. Prints
+``sha256  relative/path`` for every file written, each run's exit
+code, stdout and stderr included (as ``logs/<run>.stdout`` and
+``logs/<run>.stderr``, the temporary root replaced by ``<root>``). Two source trees print the
 same lines exactly when their outputs are byte-identical, so an
 identity check is
 
@@ -61,6 +62,7 @@ def runs(seed):
         ("data", ["gen-data", "--out", "{root}/data", *gen]),
         ("data-generic", ["gen-data", "--out", "{root}/data-generic", *gen,
                           "data.archetypes=generic"]),
+        ("data-dropout", ["gen-data", "--out", "{root}/data-dropout", *gen, "data.dropout=0.25"]),
         ("train", ["train", *data, "--out", "{root}/train", epochs]),
     ]
     out += [
@@ -76,6 +78,8 @@ def runs(seed):
                                   *offline, "offline.overcluster=on"]),
         ("eval", ["eval", *data, "--out", "{root}/eval",
                   "--checkpoint", "{root}/train/checkpoint.ckpt"]),
+        ("eval-head1", ["eval", *data, "--out", "{root}/eval-head1",
+                        "--checkpoint", "{root}/train/checkpoint.ckpt", "model.eval_head=1"]),
         ("ablate", ["ablate", *data, "--out", "{root}/ablate",
                     f"train.epochs={SIZES['ablate_epochs']}",
                     f"offline.pretrain_epochs={SIZES['ablate_epochs']}"]),

@@ -27,6 +27,8 @@ class AugmentConfig:
     def __post_init__(self):
         if self.scale_lo > self.scale_hi:
             raise ValueError("scale_lo must not exceed scale_hi")
+        if self.jitter_sigma < 0.0:
+            raise ValueError("jitter_sigma must be non-negative")
 
 
 def _augment_once(coords: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:

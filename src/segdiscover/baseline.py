@@ -49,6 +49,12 @@ class BaselineConfig:
     overcluster: bool = False  # entropy-ranked agglomeration stage
     overcluster_factor: int = 3
 
+    def __post_init__(self):
+        if min(self.pretrain_epochs, self.finetune_epochs) < 0:
+            raise ValueError("epoch counts must be non-negative")
+        if self.overcluster_factor < 1:
+            raise ValueError("overcluster_factor must be >= 1")
+
 
 @dataclass
 class KMeansModel:

@@ -58,25 +58,6 @@ def _resolve(args) -> dict:
     return cfgmod.resolve(args.config, [*args.overrides, *flags])
 
 
-def _synthetic_config(cfg: dict, seed: int) -> datamod.SyntheticConfig:
-    def data(key):
-        return cfgmod.literal(cfg, f"data.{key}")
-
-    scenes, points = data("scenes"), data("points")
-    if data("archetypes") == "toy":
-        syn = datamod.toy_discovery_config(seed=seed, n_scenes=scenes, points_per_scene=points)
-    else:
-        n_classes, n_novel = data("classes"), data("novel")
-        syn = datamod.SyntheticConfig(
-            archetypes=datamod.make_archetypes(n_classes, seed=seed),
-            n_scenes=scenes,
-            points_per_scene=points,
-            seed=seed,
-            novel_classes=tuple(range(n_classes - n_novel, n_classes)),
-        )
-    return replace(syn, scene_dropout=data("dropout"))
-
-
 @contextlib.contextmanager
 def _output(args, cfg: dict):
     """Create ``--out`` for the body to write into; ``config.resolved`` is
@@ -89,12 +70,14 @@ def _output(args, cfg: dict):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    syn = _synthetic_config(cfg, cfgmod.check(cfg).train.seed)
+    seed = cfgmod.check(cfg).train.seed
+    data = cfgmod.data_config(cfg)
+    syn = data.synthetic(seed)
     split = syn.split()
     names = syn.class_names()
 
     train_clouds = datamod.generate_synthetic(syn)
-    val_clouds = datamod.validation_scenes(syn, cfgmod.literal(cfg, "data.val_scenes"))
+    val_clouds = datamod.validation_scenes(syn, data.val_scenes)
     with _output(args, cfg) as out:
         datamod.write_scan_dir(out / "train", train_clouds)
         datamod.write_scan_dir(out / "val", val_clouds)
@@ -143,12 +126,12 @@ def cmd_eval(args) -> int:
     cfg, exp, split, names, _train, scored = _prologue(args, trains=False)
     rng = np.random.default_rng(exp.train.seed)
     model = load_model(args.checkpoint, exp.model, len(split.base_classes), split.n_novel, rng)
-    head = cfgmod.eval_head(cfg, exp.model.heads)
-    if head is not None:
+    head = exp.model.eval_head
+    if head != "auto":
         if isinstance(model, CombinedHeadModel):
-            raise ValueError(f"model.eval_head={cfg['model.eval_head']}: {args.checkpoint} is a "
+            raise ValueError(f"model.eval_head={head}: {args.checkpoint} is a "
                              "baseline checkpoint, whose one joint head has no index")
-        model.selected_head = head
+        model.selected_head = int(head)
     with _output(args, cfg) as out:
         report = evaluate(model, scored, split, class_names=names)
         (out / "report.tsv").write_text(report.to_tsv())

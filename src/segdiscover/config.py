@@ -6,17 +6,21 @@ config file, then command-line overrides, and writes the result to
 ``config.resolved`` so any run can be reproduced from that file alone.
 Both the file and the overrides go through ``data.parse_key_values``,
 which strips keys and values and refuses an unknown or repeated key.
-Defaults live on the config dataclasses: ``FIELDS`` maps each key to a
-field, whose default gives the key's default text and its value's type.
+Every key is a field of a config dataclass: ``FIELDS`` maps each key to
+its field, whose default gives the key's default text and its value's
+type, and whose dataclass checks the value. A value the dataclass
+refuses is reported with the keys set under it, before a run reads a
+scan or writes anything.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .baseline import BaselineConfig
-from .data import VAL_SCENES, parse_key_values, read_key_values, toy_discovery_config
+from .data import DataConfig, parse_key_values, read_key_values
 from .train import ExperimentConfig
 
 # flat key -> (root config class, dotted field path under it)
@@ -30,6 +34,7 @@ FIELDS = {
     "model.k": (ExperimentConfig, "model.knn"),
     "model.heads": (ExperimentConfig, "model.heads"),
     "model.overcluster_factor": (ExperimentConfig, "model.overcluster_factor"),
+    "model.eval_head": (ExperimentConfig, "model.eval_head"),
     "sk.iters": (ExperimentConfig, "sinkhorn.iters"),
     "sk.eps_start": (ExperimentConfig, "sinkhorn.eps_start"),
     "sk.eps_end": (ExperimentConfig, "sinkhorn.eps_end"),
@@ -56,19 +61,13 @@ FIELDS = {
     "offline.cap": (BaselineConfig, "subsample.cap"),
     "offline.overcluster": (BaselineConfig, "overcluster"),
     "offline.overcluster_factor": (BaselineConfig, "overcluster_factor"),
-}
-
-_TOY = toy_discovery_config()  # the synthetic generator, whose sizes are the data.* defaults
-# keys with no field; each value parses as the type of its default here
-LITERAL_DEFAULTS = {
-    "model.eval_head": "auto",
-    "data.scenes": _TOY.n_scenes,
-    "data.val_scenes": VAL_SCENES,
-    "data.points": _TOY.points_per_scene,
-    "data.classes": _TOY.n_classes,
-    "data.novel": len(_TOY.novel_classes),
-    "data.dropout": _TOY.scene_dropout,
-    "data.archetypes": "toy",
+    "data.scenes": (DataConfig, "scenes"),
+    "data.val_scenes": (DataConfig, "val_scenes"),
+    "data.points": (DataConfig, "points"),
+    "data.archetypes": (DataConfig, "archetypes"),
+    "data.classes": (DataConfig, "classes"),
+    "data.novel": (DataConfig, "novel"),
+    "data.dropout": (DataConfig, "dropout"),
 }
 
 
@@ -86,7 +85,6 @@ def _text(value) -> str:
 
 
 DEFAULTS = {key: _text(_field_default(root, path)) for key, (root, path) in FIELDS.items()}
-DEFAULTS.update((key, _text(value)) for key, value in LITERAL_DEFAULTS.items())
 
 
 def resolve(file_path=None, overrides=()) -> dict:
@@ -112,13 +110,16 @@ def _flag(key, text) -> bool:
 
 
 def _parse(key, text, default):
-    """``text`` as the type of the field's ``default``."""
+    """``text`` as the type of the field's ``default``; a float must be finite."""
     if isinstance(default, bool):
         return _flag(key, text)
     try:
-        return type(default)(text)
+        value = type(default)(text)
     except ValueError:
         raise ValueError(f"{key}: expected {type(default).__name__}, got {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite float, got {text!r}")
+    return value
 
 
 def _build(root, cfg: dict):
@@ -145,11 +146,6 @@ def _build(root, cfg: dict):
     return fill(root(), "")
 
 
-def literal(cfg: dict, key: str):
-    """The value of a key in ``LITERAL_DEFAULTS``, as its default's type."""
-    return _parse(key, cfg[key], LITERAL_DEFAULTS[key])
-
-
 def experiment_config(cfg: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, cfg)
 
@@ -158,41 +154,13 @@ def baseline_config(cfg: dict) -> BaselineConfig:
     return _build(BaselineConfig, cfg)
 
 
+def data_config(cfg: dict) -> DataConfig:
+    return _build(DataConfig, cfg)
+
+
 def check(cfg: dict) -> ExperimentConfig:
-    """Parse every key, so a bad value fails before a run writes anything."""
+    """Build every config, so a bad value fails before a run writes anything."""
     exp = experiment_config(cfg)
     baseline_config(cfg)
-    eval_head(cfg, exp.model.heads)
-    for key in LITERAL_DEFAULTS:
-        literal(cfg, key)
-    _check_data(cfg)
+    data_config(cfg)
     return exp
-
-
-def _check_data(cfg: dict):
-    """The synthetic-data keys against their allowed values and each other."""
-    archetypes = literal(cfg, "data.archetypes")
-    classes, novel = literal(cfg, "data.classes"), literal(cfg, "data.novel")
-    if archetypes not in ("toy", "generic"):
-        raise ValueError(f"data.archetypes: expected toy or generic, got {archetypes!r}")
-    if not 0 < novel < classes:
-        raise ValueError(f"data.novel: expected 1..data.classes-1 = {classes - 1}, got {novel}")
-    if archetypes == "toy":
-        for key, value, fixed in (("data.classes", classes, _TOY.n_classes),
-                                  ("data.novel", novel, len(_TOY.novel_classes))):
-            if value != fixed:
-                raise ValueError(f"{key}: the toy archetypes fix it at {fixed}, got {value}")
-
-
-def eval_head(cfg: dict, heads: int) -> int | None:
-    """``model.eval_head`` as a head index, or None for ``auto``."""
-    text = cfg["model.eval_head"]
-    if text == "auto":
-        return None
-    try:
-        head = int(text)
-    except ValueError:
-        head = -1
-    if not 0 <= head < heads:
-        raise ValueError(f"model.eval_head: expected auto or 0..{heads - 1}, got {text!r}")
-    return head

@@ -47,8 +47,7 @@ class LabelledCloud:
             raise ValueError("labels length must match point count")
         if self.coords.shape[0] < 1:
             raise ValueError("a cloud needs at least one point")
-        if not np.all(np.isfinite(self.coords)):
-            raise ValueError("coords must be finite")
+        model.check_coords(self.coords, f"scene {self.scene_id!r}")
 
     @property
     def n_points(self) -> int:
@@ -234,6 +233,52 @@ def make_archetypes(n_classes: int, seed: int = 0) -> tuple:
     weights = np.array([2.5] + [1.0 + 0.5 * ((i * 7) % 3) for i in range(1, n_classes)])
     shares = weights / weights.sum()
     return tuple(replace(a, share=float(s)) for a, s in zip(archetypes, shares))
+
+
+_TOY = toy_discovery_config()  # its sizes are the ``DataConfig`` defaults
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The ``data.*`` settings of ``gen-data``'s synthetic set: ``toy``
+    (``toy_discovery_config``, fixed class counts) or ``generic``
+    (``make_archetypes``) archetypes. The generator config's own checks
+    refuse the counts and the dropout; the check builds no archetype
+    past the toy ones and generates no scene."""
+
+    scenes: int = _TOY.n_scenes
+    val_scenes: int = VAL_SCENES
+    points: int = _TOY.points_per_scene
+    archetypes: str = "toy"
+    classes: int = _TOY.n_classes
+    novel: int = len(_TOY.novel_classes)
+    dropout: float = _TOY.scene_dropout
+
+    def __post_init__(self):
+        if self.archetypes not in ("toy", "generic"):
+            raise ValueError(f"archetypes must be toy or generic, got {self.archetypes!r}")
+        if not 0 < self.novel < self.classes:
+            raise ValueError(f"novel must be in 1..classes-1 = {self.classes - 1}, got {self.novel}")
+        toy = (_TOY.n_classes, len(_TOY.novel_classes))
+        if self.archetypes == "toy" and (self.classes, self.novel) != toy:
+            raise ValueError(f"the toy archetypes fix classes/novel at {toy[0]}/{toy[1]}, "
+                             f"got {self.classes}/{self.novel}")
+        syn = toy_discovery_config(n_scenes=self.scenes, points_per_scene=self.points)
+        replace(syn, n_scenes=self.val_scenes, scene_dropout=self.dropout)
+
+    def synthetic(self, seed: int) -> SyntheticConfig:
+        """The generator config of the training scenes, seeded ``seed``."""
+        if self.archetypes == "toy":
+            syn = toy_discovery_config(seed=seed, n_scenes=self.scenes, points_per_scene=self.points)
+        else:
+            syn = SyntheticConfig(
+                archetypes=make_archetypes(self.classes, seed=seed),
+                n_scenes=self.scenes,
+                points_per_scene=self.points,
+                seed=seed,
+                novel_classes=tuple(range(self.classes - self.novel, self.classes)),
+            )
+        return replace(syn, scene_dropout=self.dropout)
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,16 @@ class ModelConfig:
     knn: int = 16
     heads: int = 5  # H
     overcluster_factor: int = 3  # o
+    eval_head: str = "auto"  # the head ``eval`` scores: its index, or auto for the selected one
 
     def __post_init__(self):
         if min(self.feature_dim, self.hidden, self.knn, self.heads) < 1:
             raise ValueError("model dimensions must be positive")
         if self.overcluster_factor < 1:
             raise ValueError("overcluster_factor must be >= 1")
+        head = self.eval_head
+        if head != "auto" and not (head.isdecimal() and int(head) < self.heads):
+            raise ValueError(f"eval_head must be auto or 0..{self.heads - 1}, got {head!r}")
 
 
 # Squared distances one ``distance_blocks`` block may hold. A k-NN block

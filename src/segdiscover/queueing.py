@@ -26,6 +26,8 @@ class QueueConfig:
             raise ValueError("capacity must be positive")
         if not (0.0 <= self.insert_fraction <= 1.0):
             raise ValueError("insert_fraction must be in [0, 1]")
+        if self.sample_per_class < 0:
+            raise ValueError("sample_per_class must be non-negative")
 
 
 @dataclass

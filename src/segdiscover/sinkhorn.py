@@ -7,6 +7,10 @@ iteration normalizes prototype rows first and point columns last, so
 the per-point marginal is exact at output, matching the per-point
 rescale applied downstream; the row constraint is the equipartition
 side that prevents cluster collapse and tightens with iteration count.
+
+``SinkhornConfig`` holds the iteration count and the smoothness
+schedule that ``epsilon_at`` reads, and refuses a schedule outside
+``eps_start >= eps_end > 0``.
 """
 
 from __future__ import annotations
@@ -19,27 +23,26 @@ _TINY = 1e-300
 
 
 @dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear decay of the assignment smoothness over training."""
-
-    eps_start: float
-    eps_end: float
-    total_epochs: int
+class SinkhornConfig:
+    iters: int = 3
+    eps_start: float = 0.3
+    eps_end: float = 0.05
 
     def __post_init__(self):
+        if self.iters < 0:
+            raise ValueError(f"iters must be non-negative, got {self.iters}")
         if not (self.eps_start >= self.eps_end > 0.0):
             raise ValueError(f"need eps_start >= eps_end > 0, got {self.eps_start}, {self.eps_end}")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be positive")
 
 
-def epsilon_at(schedule: EpsilonSchedule, epoch: int) -> float:
-    """Smoothness at a given epoch: linear from start to end, clamped."""
-    if schedule.total_epochs <= 1:
-        return schedule.eps_start
-    t = epoch / (schedule.total_epochs - 1)
-    eps = schedule.eps_start + (schedule.eps_end - schedule.eps_start) * t
-    return float(min(schedule.eps_start, max(schedule.eps_end, eps)))
+def epsilon_at(cfg: SinkhornConfig, epoch: int, total_epochs: int) -> float:
+    """Smoothness at a given epoch of ``total_epochs``: linear from
+    ``eps_start`` to ``eps_end``, clamped."""
+    if total_epochs <= 1:
+        return cfg.eps_start
+    t = epoch / (total_epochs - 1)
+    eps = cfg.eps_start + (cfg.eps_end - cfg.eps_start) * t
+    return float(min(cfg.eps_start, max(cfg.eps_end, eps)))
 
 
 def sinkhorn_assign(scores, eps: float, n_iters: int, heads: int = 1) -> np.ndarray:

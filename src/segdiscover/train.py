@@ -26,20 +26,13 @@ from .losses import TrainConfig, class_slots, compute_loss_weights, fit, tempere
 from .model import ModelConfig, SegmentationModel
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 from .queueing import FeatureQueue, QueueConfig, select_phi
-from .sinkhorn import EpsilonSchedule, epsilon_at, pseudo_labels_from, sinkhorn_assign
+from .sinkhorn import SinkhornConfig, epsilon_at, pseudo_labels_from, sinkhorn_assign
 
 METRICS_COLUMNS = (
     ("epoch", "d"), ("loss", ".6f"), ("lr", ".8f"), ("eps", ".6f"),
     ("novel_mIoU", ".4f"), ("base_mIoU", ".4f"), ("all_mIoU", ".4f"),
 )
 METRICS_HEADER = "\t".join(name for name, _ in METRICS_COLUMNS)
-
-
-@dataclass(frozen=True)
-class SinkhornConfig:
-    iters: int = 3
-    eps_start: float = 0.3
-    eps_end: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -51,6 +44,10 @@ class DiscoveryConfig:
     tau_train: bool = True  # filter the pseudo-labels used for training
     overcluster: bool = True
     percentile: float = 0.5
+
+    def __post_init__(self):
+        if not (0.0 <= self.percentile < 1.0):
+            raise ValueError(f"percentile must be in [0, 1), got {self.percentile}")
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,13 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     no_targets = [(np.zeros((heads, 0), dtype=bool), np.zeros((heads, width, 0)))
                   for _, width in families]
     queue = FeatureQueue(tuple(range(n_novel)), cfg.queue.capacity, balanced=dc.phi_queue)
-    sched = EpsilonSchedule(cfg.sinkhorn.eps_start, cfg.sinkhorn.eps_end, tc.epochs)
     metrics = []
     batches = []  # per batch of this epoch: its loss, then each novel head's term
     head_losses = None
 
     def batch_loss(scene_ids, last_lr):
         """One batch's swapped objective; the driver steps on it."""
-        eps = epsilon_at(sched, len(metrics))  # one row per finished epoch
+        eps = epsilon_at(cfg.sinkhorn, len(metrics), tc.epochs)  # one row per finished epoch
         scenes = [masked[i] for i in scene_ids]
         views = [make_views(c, rng, cfg.augment) for c in scenes]
         neigh = [c.neighbours(k) for c in scenes]
@@ -207,7 +203,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
             "epoch": epoch,
             "loss": float(means[0]),
             "lr": lr,
-            "eps": epsilon_at(sched, epoch),
+            "eps": epsilon_at(cfg.sinkhorn, epoch, tc.epochs),
             "novel_mIoU": report.novel_miou,
             "base_mIoU": report.base_miou,
             "all_mIoU": report.all_miou,

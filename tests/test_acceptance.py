@@ -25,7 +25,7 @@ from segdiscover.evaluate import ConfusionMatrix, constant_predictor_bound, eval
 from segdiscover.losses import TrainConfig
 from segdiscover.model import ModelConfig
 from segdiscover.queueing import FeatureQueue, select_phi
-from segdiscover.sinkhorn import EpsilonSchedule, epsilon_at, sinkhorn_assign
+from segdiscover.sinkhorn import SinkhornConfig, epsilon_at, sinkhorn_assign
 from segdiscover.train import DiscoveryConfig, ExperimentConfig, train
 
 
@@ -186,11 +186,11 @@ def test_criterion_03_full_loss_gradient():
 
 
 def test_criterion_04_epsilon_endpoints():
-    sched = EpsilonSchedule(0.3, 0.05, 10)
-    start_ok = epsilon_at(sched, 0) == 0.3
-    end_ok = epsilon_at(sched, 9) == 0.05
+    sk = SinkhornConfig(eps_start=0.3, eps_end=0.05)
+    start_ok = epsilon_at(sk, 0, 10) == 0.3
+    end_ok = epsilon_at(sk, 9, 10) == 0.05
     verdict(4, start_ok and end_ok,
-            f"epsilon(0) = {epsilon_at(sched, 0)}, epsilon(final) = {epsilon_at(sched, 9)}")
+            f"epsilon(0) = {epsilon_at(sk, 0, 10)}, epsilon(final) = {epsilon_at(sk, 9, 10)}")
 
 
 def test_criterion_05_toy_discovery(toy_full_runs):

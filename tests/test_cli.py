@@ -378,6 +378,43 @@ class TestEveryKeyChecked:
         assert reads == []
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("bad", [
+        "data.scenes=0",
+        "sk.eps_end=0",
+        "sk.iters=-2",
+        "unc.p=1.5",
+        "queue.sample_per_class=-1",
+        "aug.jitter_sigma=-1",
+        "aug.jitter_sigma=nan",
+        "aug.scale_lo=nan",
+        "train.lr_max=nan",
+        "train.temperature=nan",
+        "sk.eps_start=inf",
+        "offline.finetune_epochs=-2",
+        "offline.overcluster=on offline.overcluster_factor=0",
+    ])
+    def test_train_refuses_an_out_of_range_value_by_name_before_out_exists(
+        self, dataset, tmp_path, capsys, bad
+    ):
+        data, _ = dataset
+        keys = {kv.split("=")[0] for kv in bad.split()}
+        settings = [kv for kv in FAST if kv.split("=")[0] not in keys] + bad.split()
+        out = tmp_path / "runs" / "x"
+        assert main(["train", "--data", str(data), "--out", str(out), *settings]) == 1
+        assert bad.split()[-1].split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_eval_scores_the_head_eval_head_names(self, dataset, tmp_path, monkeypatch):
+        import segdiscover.cli as cli
+
+        heads, evaluate = [], cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", lambda model, *args, **kwargs: (
+            heads.append(model.selected_head), evaluate(model, *args, **kwargs))[1])
+        for head in ("0", "1"):
+            args = self.args("eval", dataset, tmp_path / head) + [f"model.eval_head={head}"]
+            assert main(args) == 0
+        assert heads == [0, 1]
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_resolved_passes_the_check(self, dataset, tmp_path, command):
         good = ["offline.ratio=0.5", "data.points=64", "model.eval_head=1"]

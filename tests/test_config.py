@@ -74,6 +74,8 @@ def expected_field(key):
     name = RENAMED.get(key, name)
     if section == "offline":
         return f"baseline.{name}"
+    if section == "data":
+        return f"data.{name}"
     return f"experiment.{SECTIONS[section]}.{name}"
 
 
@@ -91,16 +93,23 @@ def leaves(obj, prefix):
 
 def built(cfg):
     return {**leaves(config.experiment_config(cfg), "experiment."),
-            **leaves(config.baseline_config(cfg), "baseline.")}
+            **leaves(config.baseline_config(cfg), "baseline."),
+            **leaves(config.data_config(cfg), "data.")}
+
+
+# keys whose other value is valid only beside another setting, and that setting
+CONTEXT = {"data.classes": "data.archetypes=generic", "data.novel": "data.archetypes=generic"}
 
 
 def other_value(default):
     """A valid value unlike ``default``, as config text."""
     if isinstance(default, bool):
         return "off" if default else "on"
+    if isinstance(default, str):
+        return {"auto": "1", "toy": "generic"}[default]
     if isinstance(default, int):
         return str(default + 1)
-    return str(default * 1.02)  # a small step keeps scale_lo <= scale_hi
+    return str(default * 1.02 or 0.25)  # a small step keeps scale_lo <= scale_hi
 
 
 def test_defaults_build_the_default_dataclasses():
@@ -123,19 +132,24 @@ def test_defaults_text_matches_the_dataclasses():
 
 
 def test_each_key_sets_its_own_field_and_no_other():
-    defaults = built(config.resolve())
     reached = set()
     for key in config.FIELDS:
+        context = [CONTEXT[key]] if key in CONTEXT else []
+        defaults = built(config.resolve(overrides=context))
         field = expected_field(key)
         default = defaults[field]
         text = other_value(default)
-        got = built(config.resolve(overrides=[f"{key}={text}"]))
+        got = built(config.resolve(overrides=[*context, f"{key}={text}"]))
         changed = {path for path in got if got[path] != defaults[path]}
         assert changed == {field}, key
         want = text == "on" if isinstance(default, bool) else type(default)(text)
         assert got[field] == want, key
         reached.add(field)
-    assert reached == set(defaults)
+    assert reached == set(built(config.resolve()))
+
+
+def test_every_key_is_a_dataclass_field():
+    assert set(config.DEFAULTS) == set(config.FIELDS)
 
 
 def test_legacy_defaults_file_loads_to_the_same_settings(tmp_path):
@@ -212,11 +226,12 @@ class TestBoundaryErrors:
     def test_eval_head_outside_the_heads_rejected(self, text):
         cfg = config.resolve(overrides=[f"model.eval_head={text}"])
         with pytest.raises(ValueError, match="model.eval_head"):
-            config.eval_head(cfg, 5)
+            config.check(cfg)
 
     def test_eval_head_values(self):
-        assert config.eval_head(config.resolve(), 5) is None
-        assert config.eval_head(config.resolve(overrides=["model.eval_head=4"]), 5) == 4
+        assert config.experiment_config(config.resolve()).model.eval_head == "auto"
+        cfg = config.resolve(overrides=["model.eval_head=4"])
+        assert config.experiment_config(cfg).model.eval_head == "4"
 
     def test_eval_command_names_a_bad_eval_head(self, tmp_path, capsys):
         fast = ["train.epochs=1", "model.D=8", "model.hidden=16", "model.k=4",
@@ -263,7 +278,7 @@ class TestGenDataChecksEveryKey:
         assert datamod.read_split_file(out / "split.txt", names).n_novel == 3
 
     def test_data_keys_parse_as_their_default_types(self):
-        cfg = config.resolve(overrides=["data.points=64", "data.dropout=0.25"])
-        assert config.literal(cfg, "data.points") == 64
-        assert config.literal(cfg, "data.dropout") == 0.25
-        assert config.literal(cfg, "data.archetypes") == "toy"
+        data = config.data_config(config.resolve(overrides=["data.points=64", "data.dropout=0.25"]))
+        assert data.points == 64
+        assert data.dropout == 0.25
+        assert data.archetypes == "toy"

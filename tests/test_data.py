@@ -114,6 +114,11 @@ class TestScanIO:
         with pytest.raises(ValueError, match=r"n\.bin: record 1 has a non-finite coordinate"):
             D.read_kitti_scan(tmp_path / "n.bin", tmp_path / "n.label")
 
+    def test_a_cloud_refuses_a_non_finite_coordinate_by_scene_and_point(self):
+        coords = np.array([[1.0, 2.0, 3.0], [0.0, np.inf, 0.0]])
+        with pytest.raises(ValueError, match=r"scene 'a7': point 1 has a non-finite coordinate"):
+            D.LabelledCloud(coords, np.zeros(2, dtype=int), scene_id="a7")
+
     def test_write_read_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(3, 3)).astype("<f4").astype(np.float64)

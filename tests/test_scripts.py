@@ -50,11 +50,15 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
         "train/metrics.tsv", "train-no-overcluster/metrics.tsv", "baseline/baseline.ckpt",
         "eval/report.tsv", "ablate/ablation.tsv", "ablate/sweep.tsv", "logs/train.stderr",
         "data-generic/split.txt", "baseline-overcluster/baseline.ckpt",
-        "baseline-overcluster/pseudo/0000.plabel",
+        "baseline-overcluster/pseudo/0000.plabel", "data-dropout/split.txt",
+        "eval-head1/report.tsv",
     ):
         assert f"seed3/{path}" in digests, path
     assert digests["seed3/train/checkpoint.ckpt"] != digests["seed3/train-no-use_queue/checkpoint.ckpt"]
     assert digests["seed3/data/classes.txt"] != digests["seed3/data-generic/classes.txt"]
+    scans = [sorted(d for p, d in digests.items() if p.startswith(f"seed3/{run}/train/"))
+             for run in ("data", "data-dropout")]
+    assert scans[0] != scans[1]
     assert digests["seed3/baseline/baseline.ckpt"] != digests[
         "seed3/baseline-overcluster/baseline.ckpt"]
     # a second run in another temporary directory prints the same lines

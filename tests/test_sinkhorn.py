@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdiscover.sinkhorn import (
-    EpsilonSchedule,
+    SinkhornConfig,
     epsilon_at,
     pseudo_labels_from,
     sinkhorn_assign,
@@ -39,29 +39,27 @@ def _similarity_scores(rng, rho, m, dim=32):
 
 
 class TestEpsilonSchedule:
+    CFG = SinkhornConfig(eps_start=0.3, eps_end=0.05)
+
     def test_start_value(self):
-        sched = EpsilonSchedule(0.3, 0.05, 10)
-        assert epsilon_at(sched, 0) == 0.3
+        assert epsilon_at(self.CFG, 0, 10) == 0.3
 
     def test_end_value(self):
-        sched = EpsilonSchedule(0.3, 0.05, 10)
-        assert epsilon_at(sched, 9) == pytest.approx(0.05, abs=0)
+        assert epsilon_at(self.CFG, 9, 10) == pytest.approx(0.05, abs=0)
 
     def test_midpoint_interpolation(self):
-        sched = EpsilonSchedule(0.3, 0.05, 10)
         expected = 0.3 - 4 * (0.25 / 9)
-        assert epsilon_at(sched, 4) == pytest.approx(expected, rel=1e-12)
+        assert epsilon_at(self.CFG, 4, 10) == pytest.approx(expected, rel=1e-12)
 
     def test_clamped_inside_range(self):
-        sched = EpsilonSchedule(0.3, 0.05, 10)
         for epoch in range(10):
-            assert 0.05 <= epsilon_at(sched, epoch) <= 0.3
+            assert 0.05 <= epsilon_at(self.CFG, epoch, 10) <= 0.3
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
-            EpsilonSchedule(0.05, 0.3, 10)
+            SinkhornConfig(eps_start=0.05, eps_end=0.3)
         with pytest.raises(ValueError):
-            EpsilonSchedule(0.3, 0.0, 10)
+            SinkhornConfig(eps_start=0.3, eps_end=0.0)
 
 
 class TestSinkhornAssign:
