@@ -25,6 +25,8 @@ class AugmentConfig:
     jitter_sigma: float = 0.01  # meters
 
     def __post_init__(self):
+        if self.scale_lo <= 0.0:
+            raise ValueError(f"scale_lo must be positive, got {self.scale_lo}")
         if self.scale_lo > self.scale_hi:
             raise ValueError("scale_lo must not exceed scale_hi")
         if self.jitter_sigma < 0.0:

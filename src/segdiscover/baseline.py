@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
-from .losses import TrainConfig, class_slots, compute_loss_weights, fit, tempered_ce
+from .losses import TrainConfig, compute_loss_weights, fit, tempered_ce
 from .model import CombinedHeadModel, ModelConfig, SegmentationModel, check_coords, distance_blocks
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
@@ -85,19 +85,20 @@ def _kmeans_pp_init(features, k, rng):
 
 
 def _lloyd(features, centroids, max_iter):
-    assignments = None
-    for _ in range(max_iter):
+    """Lloyd refinement: at most ``max_iter`` centroid updates, stopping
+    early once the assignment repeats. The last distances computed are
+    those of the returned centroids and give the assignment and SSE."""
+    previous = None
+    for it in range(max_iter + 1):
         d2 = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        if assignments is not None and np.array_equal(new_assign, assignments):
+        assignments = d2.argmin(axis=1)
+        if it == max_iter or (previous is not None and np.array_equal(assignments, previous)):
             break
-        assignments = new_assign
+        previous = assignments
         for j in range(centroids.shape[0]):
             members = features[assignments == j]
             if members.shape[0]:
                 centroids[j] = members.mean(axis=0)
-    d2 = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assignments = d2.argmin(axis=1)
     sse = float(d2[np.arange(features.shape[0]), assignments].sum())
     return centroids, assignments, sse
 
@@ -205,9 +206,8 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
     indices, slots) in the rows after the base ones; ``logits_fn`` scores
     the base classes and ``n_novel_slots`` more.
     """
-    base_order = sorted(split.base_classes)
-    n_base = len(base_order)
-    w_vec = compute_loss_weights(scenes, split).vector(base_order, n_novel_slots)
+    n_base = len(split.base_classes)
+    w_vec = np.concatenate([compute_loss_weights(scenes, split), np.ones(n_novel_slots)])
     k = model.cfg.knn
     no_pseudo = (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
     targets = []
@@ -216,7 +216,7 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
         base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
         idx, slots = pseudo.get(cloud.scene_id, no_pseudo)
         cols = np.concatenate([base_idx, idx])
-        rows = np.concatenate([class_slots(cloud.labels[base_idx], base_order), n_base + slots])
+        rows = np.concatenate([split.base_slots(cloud.labels[base_idx]), n_base + slots])
         targets.append((cols, rows) if cols.size else None)
 
     def batch_loss(ids, _last_lr):

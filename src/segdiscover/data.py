@@ -64,7 +64,11 @@ class LabelledCloud:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Partition of a dataset's class ids into base (labelled) and novel."""
+    """Partition of a dataset's class ids into base (labelled) and novel.
+
+    The split also owns the training layout of the base classes: base
+    class ``c`` trains in slot ``sorted(base_classes).index(c)``, and no
+    other id has a slot (``base_slots``)."""
 
     dataset: str
     name: str
@@ -82,6 +86,16 @@ class SplitSpec:
     @property
     def n_novel(self) -> int:
         return len(self.novel_classes)
+
+    def base_slots(self, labels) -> np.ndarray:
+        """Each label's slot: its index among the sorted base ids. A novel,
+        unlabelled or unknown id has none and is refused by value."""
+        order = sorted(self.base_classes)
+        values, inverse = np.unique(np.asarray(labels), return_inverse=True)
+        outside = [v for v in values.tolist() if v not in self.base_classes]
+        if outside:
+            raise ValueError(f"labels {outside} are not in the class order {order}")
+        return np.searchsorted(order, values)[inverse.reshape(-1)]
 
 
 @dataclass(frozen=True)

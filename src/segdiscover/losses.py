@@ -1,9 +1,10 @@
-"""Weighted cross entropy, one-hot class slots, LR schedule, optimizer and
-the epoch-and-batch driver both training methods step through.
+"""Weighted cross entropy, base-class loss weights, LR schedule, optimizer
+and the epoch-and-batch driver both training methods step through.
 
 Base-class loss weights are inverse relative frequencies normalized to
-mean one; novel classes all share weight one because their frequency is
-unknown by construction.
+mean one, in the split's base-slot order (``SplitSpec.base_slots``);
+novel slots all weigh one because their frequency is unknown by
+construction, and the callers that train them append those ones.
 """
 
 from __future__ import annotations
@@ -40,41 +41,27 @@ class TrainConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if min(self.lr_max, self.lr_min, self.momentum, self.weight_decay) < 0:
             raise ValueError("optimizer settings must be non-negative")
+        if self.momentum >= 1.0:
+            raise ValueError(f"momentum must be below 1, got {self.momentum}")
+        if self.lr_min > self.lr_max:
+            raise ValueError("lr_min must not exceed lr_max")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Per-class weights over the combined base+novel label space."""
-
-    base_weights: dict  # base class id -> weight, mean 1 over base classes
-
-    def __post_init__(self):
-        if any(w <= 0 for w in self.base_weights.values()):
-            raise ValueError("loss weights must be positive")
-        if self.base_weights:
-            mean = sum(self.base_weights.values()) / len(self.base_weights)
-            if abs(mean - 1.0) > 1e-9:
-                raise ValueError(f"base weights must average 1, got {mean}")
-
-    def vector(self, base_order, n_novel_slots: int) -> np.ndarray:
-        base = [self.base_weights[c] for c in base_order]
-        return np.array(base + [1.0] * n_novel_slots)
-
-
-def compute_loss_weights(clouds, split: SplitSpec) -> LossWeights:
-    """Inverse relative-frequency base weights from training occurrences."""
+def compute_loss_weights(clouds, split: SplitSpec) -> np.ndarray:
+    """Inverse relative-frequency weights of the sorted base classes, from
+    training occurrences, normalized to mean one by a left-to-right sum."""
     counts = class_counts(clouds, sorted(split.base_classes))
     total = sum(counts.values())
     if total == 0:
-        return LossWeights(dict.fromkeys(counts, 1.0))
+        return np.ones(len(counts))
     # absent base classes fall back to the strongest reweighting present
     inv = {c: total / cnt for c, cnt in counts.items() if cnt > 0}
     fallback = max(inv.values())
-    inv = {c: inv.get(c, fallback) for c in counts}
-    mean = sum(inv.values()) / len(inv)
-    return LossWeights({c: v / mean for c, v in inv.items()})
+    inv = [inv.get(c, fallback) for c in counts]
+    mean = sum(inv) / len(inv)
+    return np.array([v / mean for v in inv])
 
 
 def weighted_ce(pred, target, weights) -> "ad.Tensor":
@@ -111,16 +98,6 @@ def tempered_ce(logits, cols, slots, weights, fcols, families, temperature) -> "
     return ad.softmax_cross_entropy(
         logits, cols, slots, weights, fcols, families, scale=1.0 / temperature, floor=LOG_FLOOR
     )
-
-
-def class_slots(labels, class_order) -> np.ndarray:
-    """Each label's position in ``class_order``: its one-hot row."""
-    index = {c: i for i, c in enumerate(class_order)}
-    values, inverse = np.unique(np.asarray(labels), return_inverse=True)
-    outside = [v for v in values.tolist() if v not in index]
-    if outside:
-        raise ValueError(f"labels {outside} are not in the class order {list(class_order)}")
-    return np.array([index[v] for v in values.tolist()], dtype=np.intp)[inverse.reshape(-1)]
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:

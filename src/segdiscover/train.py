@@ -9,7 +9,8 @@ call filters their pseudo-labels. Then refresh the queue, and take an
 SGD step on the swapped objective over base ground truth plus novel
 pseudo-labels: one cross-entropy node per view scores every head of
 every family. Novel ground truth is hidden before the loop ever sees a
-point and the batch assembly asserts that.
+point, and the batch's slot lookup (``SplitSpec.base_slots``) refuses
+any id that is not a base class.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .evaluate import evaluate
-from .losses import TrainConfig, class_slots, compute_loss_weights, fit, tempered_ce
+from .losses import TrainConfig, compute_loss_weights, fit, tempered_ce
 from .model import ModelConfig, SegmentationModel
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 from .queueing import FeatureQueue, QueueConfig, select_phi
@@ -104,8 +105,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     if not masked:
         raise ValueError("no usable scenes after masking")
     eval_set = val_clouds if val_clouds is not None else clouds
-    base_order = sorted(split.base_classes)
-    n_base, n_novel = len(base_order), split.n_novel
+    n_base, n_novel = len(split.base_classes), split.n_novel
     tc = cfg.train
     dc = cfg.discovery
 
@@ -124,7 +124,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     # novel classes all weigh one, so only the base rows carry weights
     heads = cfg.model.heads
     families = model.head_families(dc.overcluster)
-    w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+    w_base = compute_loss_weights(masked, split)
     # a batch without novel points trains every head on base labels alone
     no_targets = [(np.zeros((heads, 0), dtype=bool), np.zeros((heads, width, 0)))
                   for _, width in families]
@@ -146,8 +146,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         labels = np.concatenate([c.labels for c in scenes])
         base_idx = np.flatnonzero(labels != UNLABELLED)
         novel_idx = np.flatnonzero(labels == UNLABELLED)
-        assert np.all(np.isin(labels[base_idx], base_order)), "unmasked label reached training"
-        base_slots = class_slots(labels[base_idx], base_order)
+        base_slots = split.base_slots(labels[base_idx])
         # every head scores each view once, for the transport and the loss;
         # the bias is zero past the base rows, so those rows are prototype scores
         w_stack, b_stack = model.stacked_heads(dc.overcluster)

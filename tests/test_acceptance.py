@@ -123,7 +123,7 @@ def test_criterion_02_sinkhorn_oracle_equivalence():
 def test_criterion_03_full_loss_gradient():
     from segdiscover.augment import AugmentConfig, make_views
     from segdiscover.data import UNLABELLED, mask_novel
-    from segdiscover.losses import class_slots, compute_loss_weights
+    from segdiscover.losses import compute_loss_weights
     from segdiscover.model import SegmentationModel
     from segdiscover.sinkhorn import pseudo_labels_from
     from segdiscover.train import _features, _step_loss
@@ -137,13 +137,12 @@ def test_criterion_03_full_loss_gradient():
                                           overcluster_factor=2), 3, 2, rng)
     pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
     neigh = [c.neighbours(4) for c in masked]
-    base_order = [0, 1, 2]
-    w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+    w_base = compute_loss_weights(masked, split)
     families = model.head_families(False)
     labels = np.concatenate([c.labels for c in masked])
     base_idx = np.flatnonzero(labels != UNLABELLED)
     novel_idx = np.flatnonzero(labels == UNLABELLED)
-    slots = class_slots(labels[base_idx], base_order)
+    slots = split.base_slots(labels[base_idx])
 
     def build():
         return [_features(model, views, neigh) for views in zip(*pairs)]

@@ -92,6 +92,20 @@ class TestKMeans:
             sses.append(sse)
         assert all(a >= b - 1e-9 for a, b in zip(sses, sses[1:]))
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 300])
+    def test_lloyd_scores_the_centroids_it_returns(self, max_iter):
+        from segdiscover.baseline import _kmeans_pp_init, _lloyd
+
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(200, 3)) + rng.integers(0, 3, size=(200, 1))
+        init = _kmeans_pp_init(pts, 4, rng)
+        centroids, assign, sse = _lloyd(pts, init.copy(), max_iter)
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(assign, d2.argmin(axis=1))
+        assert sse == float(d2[np.arange(200), assign].sum())
+        if max_iter == 0:
+            assert np.array_equal(centroids, init)
+
     def test_deterministic_per_seed(self):
         pts = np.random.default_rng(3).normal(size=(30, 4))
         m1, a1 = kmeans(pts, 3, seed=5)

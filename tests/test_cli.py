@@ -392,6 +392,10 @@ class TestEveryKeyChecked:
         "sk.eps_start=inf",
         "offline.finetune_epochs=-2",
         "offline.overcluster=on offline.overcluster_factor=0",
+        "aug.scale_lo=0 aug.scale_hi=0",
+        "aug.scale_lo=-1",
+        "train.momentum=5",
+        "train.lr_min=1 train.lr_max=0.5",
     ])
     def test_train_refuses_an_out_of_range_value_by_name_before_out_exists(
         self, dataset, tmp_path, capsys, bad

@@ -346,6 +346,28 @@ class TestSplits:
         assert classes.names[out[3]] == "traffic-sign"
 
 
+class TestBaseSlots:
+    def test_matches_the_per_point_loop(self):
+        split = D.SplitSpec("x", "s", frozenset({9, 2, 5}), frozenset({4}))
+        order = [2, 5, 9]
+        labels = np.random.default_rng(2).choice(order, size=40)
+        expected = [order.index(lab) for lab in labels.tolist()]
+        slots = split.base_slots(labels)
+        assert slots.dtype == np.intp and slots.tolist() == expected
+
+    def test_a_label_with_no_base_slot_is_named(self):
+        split = D.SplitSpec("x", "s", frozenset({0, 1, 2}), frozenset({3, 4}))
+        with pytest.raises(ValueError,
+                           match=r"^labels \[3, 4\] are not in the class order \[0, 1, 2\]$"):
+            split.base_slots(np.array([4, 0, 3, 2, 4]))
+        with pytest.raises(ValueError, match=rf"labels \[{D.UNLABELLED}\]"):
+            split.base_slots(np.array([1, D.UNLABELLED]))
+
+    def test_no_labels_gives_no_slots(self):
+        split = D.SplitSpec("x", "s", frozenset({0, 1}), frozenset({2}))
+        assert split.base_slots(np.array([], dtype=np.int64)).shape == (0,)
+
+
 class TestMasking:
     def test_novel_labels_hidden(self):
         cfg = small_config()

@@ -16,11 +16,9 @@ from segdiscover.data import (
 from segdiscover.evaluate import constant_predictor_bound
 from segdiscover.losses import (
     SGD,
-    LossWeights,
     TrainConfig,
     compute_loss_weights,
     fit,
-    class_slots,
     lr_at,
     weighted_ce,
 )
@@ -63,32 +61,23 @@ class TestWeightedCE:
         np.testing.assert_allclose(logits.grad[:, 0], s - [1.0, 0.0], atol=1e-12)
 
 
-class TestClassSlots:
-    def test_matches_the_per_point_loop(self):
-        order = [9, 2, 5]
-        labels = np.random.default_rng(2).choice(order, size=40)
-        expected = [order.index(lab) for lab in labels.tolist()]
-        assert class_slots(labels, order).tolist() == expected
-
-    def test_label_outside_the_class_order_is_named(self):
-        with pytest.raises(ValueError, match=r"labels \[7\]"):
-            class_slots(np.array([2, 7]), [2, 5])
-
-    def test_no_labels_gives_no_slots(self):
-        assert class_slots(np.array([], dtype=np.int64), [0, 1]).shape == (0,)
-
-
 class TestLossWeights:
     def test_inverse_frequency_normalized_to_mean_one(self):
         clouds = [LabelledCloud(np.zeros((6, 3)), np.array([0, 0, 0, 1, 1, 2]))]
         split = SplitSpec("s", "t", frozenset({0, 1}), frozenset({2}))
-        lw = compute_loss_weights(clouds, split)
+        weights = compute_loss_weights(clouds, split)
         # counts 3 and 2 -> inverse 1/3, 1/2 -> normalized to mean 1
         inv = np.array([1 / 3, 1 / 2])
-        expected = inv / inv.mean()
-        assert lw.base_weights[0] == pytest.approx(expected[0])
-        assert lw.base_weights[1] == pytest.approx(expected[1])
-        assert lw.vector([0, 1], 2)[2:].tolist() == [1.0, 1.0]
+        assert weights.shape == (2,)
+        np.testing.assert_allclose(weights, inv / inv.mean(), rtol=1e-12)
+
+    def test_one_weight_per_base_slot_in_slot_order(self):
+        # base ids 7 and 2 train in slots 1 and 0; the novel class 4 gets no weight
+        clouds = [LabelledCloud(np.zeros((6, 3)), np.array([7, 7, 7, 2, 4, 4]))]
+        split = SplitSpec("s", "t", frozenset({7, 2}), frozenset({4}))
+        weights = compute_loss_weights(clouds, split)
+        assert split.base_slots(np.array([2, 7])).tolist() == [0, 1]
+        np.testing.assert_allclose(weights, [1.5, 0.5], rtol=1e-12)
 
     def test_an_absent_base_class_takes_the_strongest_weight_present(self):
         clouds = [LabelledCloud(np.zeros((6, 3)), np.array([0, 0, 0, 0, 1, UNLABELLED]))]
@@ -96,13 +85,13 @@ class TestLossWeights:
         # 5 base points: inverse frequencies 5/4 and 5, and class 2 falls back to 5
         inv = [5 / 4, 5.0, 5.0]
         mean = sum(inv) / 3
-        expected = {0: inv[0] / mean, 1: inv[1] / mean, 2: inv[2] / mean}
-        assert compute_loss_weights(clouds, split).base_weights == expected
+        expected = [inv[0] / mean, inv[1] / mean, inv[2] / mean]
+        assert compute_loss_weights(clouds, split).tolist() == expected
 
     def test_no_base_points_weigh_every_base_class_one(self):
         clouds = [LabelledCloud(np.zeros((3, 3)), np.full(3, UNLABELLED))]
         split = SplitSpec("s", "t", frozenset({0, 1, 2}), frozenset({3}))
-        assert compute_loss_weights(clouds, split).base_weights == {0: 1.0, 1: 1.0, 2: 1.0}
+        assert compute_loss_weights(clouds, split).tolist() == [1.0, 1.0, 1.0]
 
     def test_the_shared_counter_reproduces_the_per_caller_loops_bit_for_bit(self):
         # ten base classes: numpy's pairwise mean of these inverse
@@ -111,23 +100,21 @@ class TestLossWeights:
                               points_per_scene=90, seed=2, scene_dropout=0.3,
                               novel_classes=(10, 11))
         clouds, split = generate_synthetic(syn), syn.split()
-        weights = compute_loss_weights(clouds, split).base_weights
-        assert weights == _loss_weights_loop(clouds, split)
+        weights = compute_loss_weights(clouds, split).tolist()
+        assert weights == list(_loss_weights_loop(clouds, split).values())
         counts = class_counts(clouds, sorted(split.base_classes))
         inv = np.array([sum(counts.values()) / n for n in counts.values()])
-        assert (inv / inv.mean()).tolist() != list(weights.values())
+        assert (inv / inv.mean()).tolist() != weights
         assert constant_predictor_bound(clouds, split) == _bound_loop(clouds, split)
 
-    def test_vector_layout(self):
-        lw = LossWeights({0: 0.5, 1: 1.5})
-        vec = lw.vector([0, 1], 3)
-        np.testing.assert_allclose(vec, [0.5, 1.5, 1.0, 1.0, 1.0])
-
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights({0: 2.0, 1: 1.0})  # mean != 1
-        with pytest.raises(ValueError):
-            LossWeights({0: -1.0, 1: 3.0})
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.6])
+    def test_weights_are_positive_and_average_one(self, dropout):
+        syn = SyntheticConfig(archetypes=make_archetypes(8, seed=1), n_scenes=4,
+                              points_per_scene=40, seed=1, scene_dropout=dropout,
+                              novel_classes=(6, 7))
+        weights = compute_loss_weights(generate_synthetic(syn), syn.split())
+        assert weights.shape == (6,) and (weights > 0).all()
+        assert abs(sum(weights.tolist()) / len(weights) - 1.0) <= 1e-9
 
 
 def _loss_weights_loop(clouds, split):

@@ -51,7 +51,7 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
         "eval/report.tsv", "ablate/ablation.tsv", "ablate/sweep.tsv", "logs/train.stderr",
         "data-generic/split.txt", "baseline-overcluster/baseline.ckpt",
         "baseline-overcluster/pseudo/0000.plabel", "data-dropout/split.txt",
-        "eval-head1/report.tsv",
+        "eval-head2/report.tsv",
     ):
         assert f"seed3/{path}" in digests, path
     assert digests["seed3/train/checkpoint.ckpt"] != digests["seed3/train-no-use_queue/checkpoint.ckpt"]
@@ -61,6 +61,8 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
     assert scans[0] != scans[1]
     assert digests["seed3/baseline/baseline.ckpt"] != digests[
         "seed3/baseline-overcluster/baseline.ckpt"]
+    # head 2 is not the selected head, and here it predicts differently
+    assert digests["seed3/eval/report.tsv"] != digests["seed3/eval-head2/report.tsv"]
     # a second run in another temporary directory prints the same lines
     assert script.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == first

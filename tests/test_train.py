@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdiscover import autodiff as ad
-from segdiscover.data import UNLABELLED, LabelledCloud, generate_synthetic, toy_discovery_config
+from segdiscover.data import (
+    UNLABELLED,
+    LabelledCloud,
+    SplitSpec,
+    generate_synthetic,
+    toy_discovery_config,
+)
 from segdiscover.losses import (
     LOG_FLOOR,
     TrainConfig,
-    class_slots,
     compute_loss_weights,
     weighted_ce,
 )
@@ -301,10 +306,60 @@ class TestSupervisionIsolation:
         b.model.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_masked_labels_asserted_in_batches(self):
+    def test_an_unmasked_label_is_refused_by_the_batch_slot_lookup(self, monkeypatch):
+        import segdiscover.train as trainmod
+
+        # with masking skipped, the first batch holding a novel point fails
+        # on it instead of training it in a base slot
+        monkeypatch.setattr(trainmod, "mask_novel", lambda clouds, split, ignore_id: clouds)
         clouds, split = tiny_setup()
-        result = train(clouds, split, tiny_exp(epochs=1))
-        assert result is not None  # assertion inside the loop did not fire
+        with pytest.raises(ValueError, match=r"labels \[[34](, 4)?\] are not in the class "
+                                             r"order \[0, 1, 2\]"):
+            train(clouds, split, tiny_exp(epochs=1))
+
+
+def shift_ids(clouds, split):
+    """``clouds`` and ``split`` with every class id c renamed 10c + 7: the
+    ids change, their order does not."""
+    def move(ids):
+        return frozenset(10 * c + 7 for c in ids)
+
+    moved = [LabelledCloud(c.coords, 10 * c.labels + 7, c.scene_id) for c in clouds]
+    return moved, SplitSpec(split.dataset, split.name, move(split.base_classes),
+                            move(split.novel_classes))
+
+
+def assert_same_state(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
+class TestClassIdsOnlyByOrder:
+    """Both methods read class ids only through their order (the split's
+    base slots), so renaming every id in an order-keeping way trains the
+    same parameters bit for bit."""
+
+    def test_online_training(self):
+        clouds, split = tiny_setup(seed=3, scenes=12, points=64)
+        runs = [train(c, s, tiny_exp()) for c, s in ((clouds, split), shift_ids(clouds, split))]
+        assert_same_state(runs[0].model.state(), runs[1].model.state())
+        assert runs[0].metrics_tsv() == runs[1].metrics_tsv()
+
+    def test_offline_baseline(self):
+        from segdiscover.augment import AugmentConfig
+        from segdiscover.baseline import BaselineConfig, run_baseline
+
+        clouds, split = tiny_setup(seed=3, scenes=12, points=64)
+        exp = tiny_exp()
+        runs = [run_baseline(c, s, exp.model, exp.train,
+                             BaselineConfig(pretrain_epochs=1, finetune_epochs=1), AugmentConfig())
+                for c, s in ((clouds, split), shift_ids(clouds, split))]
+        assert_same_state(runs[0][0].state(), runs[1][0].state())
+        assert runs[0][1].keys() == runs[1][1].keys()
+        for scene, (idx, slots) in runs[0][1].items():
+            assert np.array_equal(idx, runs[1][1][scene][0])
+            assert np.array_equal(slots, runs[1][1][scene][1])
 
 
 def _select_phi_per_class(probs, p):
@@ -362,13 +417,13 @@ class TestFamilyTransport:
         assert no_filter.all() and np.array_equal(same, dists)
 
 
-def batch_layout(masked, base_order):
+def batch_layout(masked, split):
     """One batch's labels, base and novel columns and base slots, the
     layout both views share."""
     labels = np.concatenate([c.labels for c in masked])
     base_idx = np.flatnonzero(labels != UNLABELLED)
     novel_idx = np.flatnonzero(labels == UNLABELLED)
-    return labels, base_idx, novel_idx, class_slots(labels[base_idx], base_order)
+    return labels, base_idx, novel_idx, split.base_slots(labels[base_idx])
 
 
 def view_features(model, pairs, neigh):
@@ -392,9 +447,8 @@ def step_case(heads, overcluster):
     rng = np.random.default_rng(5)
     pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
     neigh = [c.neighbours(4) for c in masked]
-    base_order = sorted(split.base_classes)
-    w_base = compute_loss_weights(masked, split).vector(base_order, 0)
-    labels, base_idx, novel_idx, base_slots = batch_layout(masked, base_order)
+    w_base = compute_loss_weights(masked, split)
+    labels, base_idx, novel_idx, base_slots = batch_layout(masked, split)
     families = model.head_families(overcluster)
     kinds = (model.novel_p, model.over_p)[:len(families)]
 
@@ -412,7 +466,7 @@ def step_case(heads, overcluster):
     return SimpleNamespace(
         model=model, pairs=pairs, neigh=neigh, zs=zs, logits=step_logits(model, zs, overcluster),
         labels=labels, base_idx=base_idx, novel_idx=novel_idx, base_slots=base_slots,
-        base_order=base_order, w_base=w_base, families=families, targets=targets,
+        w_base=w_base, families=families, targets=targets,
     )
 
 
@@ -443,10 +497,9 @@ class TestFullLossGradient:
         aug = AugmentConfig()
         pairs = [make_views(c, rng, aug) for c in masked]
         neigh = [c.neighbours(4) for c in masked]
-        base_order = [0, 1, 2]
-        w_base = compute_loss_weights(masked, split).vector(base_order, 0)
+        w_base = compute_loss_weights(masked, split)
         families = model.head_families(True)
-        _, base_idx, novel_idx, base_slots = batch_layout(masked, base_order)
+        _, base_idx, novel_idx, base_slots = batch_layout(masked, split)
 
         # freeze pseudo-label targets once (constants for the gradient)
         targets = []
