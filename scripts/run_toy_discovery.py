@@ -4,13 +4,17 @@ benchmark over several seeds and report novel mIoU against the
 constant-predictor chance bound. With ``--baseline`` each seed also runs
 the offline baseline on the same data, so one run holds the paper's
 comparison; ``--json`` appends the run's record (per-seed values,
-medians, the source's git sha and the host) to a file.
+medians, the mean points per class per training scene, the source's git
+sha and the host) to a file.
 
-Each seed runs at the toy generator's and ``TrainConfig``'s defaults
-(200 scenes of 512 points, 10 epochs).
+``--split`` picks the split shape: ``toy`` (the five-class toy, two
+novel), or a builtin split of a real dataset, whose class and novel
+counts are taken for ``generic`` archetypes: ``kitti-5-0`` is 19 classes
+with 5 novel, ``poss-4-0`` 13 with 4. Each seed runs at the generator's
+and ``TrainConfig``'s defaults (200 scenes of 512 points, 10 epochs).
 
 Usage: python scripts/run_toy_discovery.py [--seeds 0 1 2] [--baseline]
-           [--json QUALITY.json]
+           [--split toy|kitti-5-0|poss-4-0|...] [--json QUALITY.json]
 """
 
 import argparse
@@ -28,13 +32,40 @@ import numpy as np
 import segdiscover
 from segdiscover.augment import AugmentConfig
 from segdiscover.baseline import BaselineConfig, run_baseline
-from segdiscover.data import VAL_SCENES, generate_synthetic, toy_discovery_config, validation_scenes
+from segdiscover.data import (
+    VAL_SCENES,
+    DataConfig,
+    builtin_splits,
+    class_counts,
+    generate_synthetic,
+    toy_discovery_config,
+    validation_scenes,
+)
 from segdiscover.evaluate import constant_predictor_bound, evaluate
 from segdiscover.losses import TrainConfig
 from segdiscover.model import ModelConfig
 from segdiscover.train import ExperimentConfig, train
 
 SCORES = ("novel", "base", "all")
+DATASETS = ("semantickitti", "semanticposs")
+
+
+def split_shapes() -> dict:
+    """(classes, novel) per split shape name: the toy's, then every
+    builtin split of the real datasets."""
+    shapes = {"toy": (DataConfig().classes, DataConfig().novel)}
+    for dataset in DATASETS:
+        for split in builtin_splits(dataset):
+            shapes[split.name] = (len(split.base_classes) + split.n_novel, split.n_novel)
+    return shapes
+
+
+def synthetic_config(shape: str, seed: int):
+    """The training scenes' generator config for a split shape."""
+    if shape == "toy":
+        return toy_discovery_config(seed=seed)
+    classes, novel = split_shapes()[shape]
+    return DataConfig(archetypes="generic", classes=classes, novel=novel).synthetic(seed)
 
 
 def source_sha():
@@ -63,6 +94,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--baseline", action="store_true",
                         help="also run the offline baseline on every seed")
+    parser.add_argument("--split", default="toy", choices=split_shapes(),
+                        help="split shape: the toy, or a real dataset's builtin split")
     parser.add_argument("--json", type=Path, help="append this run's record to this file")
     args = parser.parse_args(argv)
 
@@ -70,11 +103,13 @@ def main(argv=None):
     methods = {"online": {s: [] for s in SCORES}}
     if args.baseline:
         methods["baseline"] = {s: [] for s in SCORES}
-    bounds = []
+    bounds, points = [], []
     start = time.monotonic()
     for seed in args.seeds:
-        cfg = toy_discovery_config(seed=seed)
+        cfg = synthetic_config(args.split, seed)
         clouds = generate_synthetic(cfg)
+        counts = class_counts(clouds, range(cfg.n_classes))
+        points.append({c: n / len(clouds) for c, n in counts.items()})
         val = validation_scenes(cfg, VAL_SCENES)
         exp = ExperimentConfig(train=TrainConfig(seed=seed))
         result = train(clouds, cfg.split(), exp, val_clouds=val, log=sys.stderr)
@@ -105,8 +140,11 @@ def main(argv=None):
     if args.json is not None:
         record = {
             "sha": sha, "host": host(), "seeds": args.seeds,
+            "split": {"shape": args.split, "classes": cfg.n_classes,
+                      "novel": len(cfg.novel_classes)},
             "sizes": {"scenes": cfg.n_scenes, "points": cfg.points_per_scene,
                       "epochs": exp.train.epochs},
+            "points_per_class_per_scene": points,
             "chance_bound": bounds,
             "per_seed": methods,
             "medians": {method: {s: statistics.median(v) for s, v in scores.items()}

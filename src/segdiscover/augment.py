@@ -44,7 +44,7 @@ def _augment_once(coords: np.ndarray, cfg: AugmentConfig, rng: np.random.Generat
     return coords
 
 
-def make_views(cloud: LabelledCloud, rng: np.random.Generator,
-               cfg: AugmentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently augmented (n, 3) coordinate arrays of ``cloud``."""
-    return _augment_once(cloud.coords, cfg, rng), _augment_once(cloud.coords, cfg, rng)
+def make_views(cloud: LabelledCloud, rng: np.random.Generator, cfg: AugmentConfig,
+               n_views: int) -> tuple[np.ndarray, ...]:
+    """``n_views`` independently augmented (n, 3) coordinate arrays of ``cloud``."""
+    return tuple(_augment_once(cloud.coords, cfg, rng) for _ in range(n_views))

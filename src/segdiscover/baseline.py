@@ -5,7 +5,9 @@ subsamples per-scene novel features, clusters the pooled features with
 seeded k-means, spreads each pseudo-label to its nearest unselected
 neighbour in coordinate space, and fine-tunes a joint head on base
 ground truth plus the hard pseudo-labels. Novel ground truth is masked
-at the same boundary the online trainer uses.
+at the same boundary the online trainer uses. Each stage trains a
+``CombinedHeadModel``, the extractor and one head, on one augmented
+view per scene and step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import TrainConfig, compute_loss_weights, fit, tempered_ce
-from .model import CombinedHeadModel, ModelConfig, SegmentationModel, check_coords, distance_blocks
+from .model import CombinedHeadModel, ModelConfig, check_coords, distance_blocks
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
 KMEANS_RESTARTS = 20  # k-means++ seedings per kmeans call; the lowest SSE wins
@@ -196,18 +198,18 @@ def _merge_overclusters(centroids, assignments, point_entropy, n_target):
     return cents[survivors], np.searchsorted(survivors, parent[assignments])
 
 
-def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
-             temperature, aug: AugmentConfig, rng):
+def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, temperature,
+             aug: AugmentConfig, rng):
     """The batch loss pretraining and fine-tuning step on: the mean
     tempered CE of the batch's scenes that have targets, each on one
     augmented view; None when no scene in the batch has any.
 
     Targets are base ground truth, plus ``pseudo[scene_id]`` = (point
-    indices, slots) in the rows after the base ones; ``logits_fn`` scores
-    the base classes and ``n_novel_slots`` more.
+    indices, slots) in the head's rows after the base ones.
     """
     n_base = len(split.base_classes)
-    w_vec = np.concatenate([compute_loss_weights(scenes, split), np.ones(n_novel_slots)])
+    w_vec = np.concatenate([compute_loss_weights(scenes, split),
+                            np.ones(model.head_w.shape[0] - n_base)])
     k = model.cfg.knn
     no_pseudo = (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
     targets = []
@@ -225,30 +227,30 @@ def _ce_loss(model, logits_fn, scenes, split: SplitSpec, pseudo, n_novel_slots,
             if targets[i] is None:
                 continue
             cols, rows = targets[i]
-            coords = make_views(scenes[i], rng, aug)[0]
+            coords, = make_views(scenes[i], rng, aug, 1)
             z = model.extract_features(coords, scenes[i].neighbours(k))
             # every row is a base row: one softmax over all of them, no family
-            terms.append(tempered_ce(logits_fn(z), cols, rows, w_vec, (), (), temperature))
+            terms.append(tempered_ce(model.logits(z), cols, rows, w_vec, (), (), temperature))
         return ad.sum_in_order(ad.concat_rows(terms), 1 / len(terms)) if terms else None
 
     return batch_loss
 
 
 def pretrain_base(scenes, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  baseline_cfg: BaselineConfig, aug: AugmentConfig) -> SegmentationModel:
-    """Supervised training of extractor plus base head on base points only.
+                  baseline_cfg: BaselineConfig, aug: AugmentConfig) -> CombinedHeadModel:
+    """Supervised training of extractor plus base head on base points only:
+    a ``CombinedHeadModel`` with no novel slot, its head named ``base``.
 
     ``scenes`` are masked (``mask_novel`` output).
     """
     rng = np.random.default_rng(train_cfg.seed)
-    model = SegmentationModel(model_cfg, len(split.base_classes), split.n_novel, rng)
-    batch_loss = _ce_loss(model, model.base_logits, scenes, split, {}, 0,
-                          train_cfg.temperature, aug, rng)
+    model = CombinedHeadModel(model_cfg, len(split.base_classes), 0, rng, name="base")
+    batch_loss = _ce_loss(model, scenes, split, {}, train_cfg.temperature, aug, rng)
     fit(model, len(scenes), train_cfg, baseline_cfg.pretrain_epochs, rng, batch_loss)
     return model
 
 
-def finetune(pretrained: SegmentationModel, scenes, pseudo, split: SplitSpec,
+def finetune(pretrained: CombinedHeadModel, scenes, pseudo, split: SplitSpec,
              model_cfg: ModelConfig, train_cfg: TrainConfig, baseline_cfg: BaselineConfig,
              aug: AugmentConfig) -> CombinedHeadModel:
     """Joint training on base ground truth and hard novel pseudo-labels.
@@ -260,11 +262,10 @@ def finetune(pretrained: SegmentationModel, scenes, pseudo, split: SplitSpec,
     n_base, n_novel = len(split.base_classes), split.n_novel
     rng = np.random.default_rng(train_cfg.seed + 1)
     model = CombinedHeadModel(model_cfg, n_base, n_novel, rng)
-    model.load_state(pretrained.state(), strict=False)
-    model.head_w.data[:n_base] = pretrained.base_w.data
-    model.head_b.data[:n_base] = pretrained.base_b.data
-    batch_loss = _ce_loss(model, model.logits, scenes, split, pseudo, n_novel,
-                          train_cfg.temperature, aug, rng)
+    model.load_state(pretrained.state(), strict=False)  # the extractor
+    model.head_w.data[:n_base] = pretrained.head_w.data
+    model.head_b.data[:n_base] = pretrained.head_b.data
+    batch_loss = _ce_loss(model, scenes, split, pseudo, train_cfg.temperature, aug, rng)
     fit(model, len(scenes), train_cfg, baseline_cfg.finetune_epochs, rng, batch_loss)
     return model
 

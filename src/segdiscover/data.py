@@ -66,8 +66,8 @@ class LabelledCloud:
 class SplitSpec:
     """Partition of a dataset's class ids into base (labelled) and novel.
 
-    The split also owns the training layout of the base classes: base
-    class ``c`` trains in slot ``sorted(base_classes).index(c)``, and no
+    The split also owns the training layout of the base classes: slot j
+    trains base class ``base_order[j]``, the j-th smallest base id, and no
     other id has a slot (``base_slots``)."""
 
     dataset: str
@@ -87,10 +87,15 @@ class SplitSpec:
     def n_novel(self) -> int:
         return len(self.novel_classes)
 
+    @property
+    def base_order(self) -> list[int]:
+        """The base class ids in slot order, ascending: ``base_slots``' inverse."""
+        return sorted(self.base_classes)
+
     def base_slots(self, labels) -> np.ndarray:
-        """Each label's slot: its index among the sorted base ids. A novel,
+        """Each label's slot: its index in ``base_order``. A novel,
         unlabelled or unknown id has none and is refused by value."""
-        order = sorted(self.base_classes)
+        order = self.base_order
         values, inverse = np.unique(np.asarray(labels), return_inverse=True)
         outside = [v for v in values.tolist() if v not in self.base_classes]
         if outside:
@@ -566,7 +571,7 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
 
     A scene that keeps every point shares its coordinates and k-NN graphs.
     An id that is neither base, novel nor ``ignore_id`` is an error."""
-    base = np.array(sorted(split.base_classes), dtype=np.int64)
+    base = np.array(split.base_order, dtype=np.int64)
     check_labels(clouds, split, ignore_id)
     masked = []
     for cloud in clouds:

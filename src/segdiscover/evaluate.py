@@ -150,9 +150,14 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
     to class ids on this same set, then the matrix columns are permuted
     accordingly before scoring. A ground-truth label outside the split
     (and not ``ignore_label``) is refused, naming its scene.
-    ``neighbours`` optionally carries each cloud's k-NN graph.
+    ``neighbours`` optionally carries each cloud's k-NN graph. An empty
+    ``clouds``, or a ``neighbours`` of another length, is refused.
     """
-    base_order = sorted(split.base_classes)
+    if not clouds:
+        raise ValueError("evaluate: no scenes to score")
+    if neighbours is not None and len(neighbours) != len(clouds):
+        raise ValueError(f"evaluate: {len(neighbours)} neighbour graphs for {len(clouds)} scenes")
+    base_order = split.base_order
     novel_order = sorted(split.novel_classes)
     n_base = len(base_order)
 

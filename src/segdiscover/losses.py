@@ -52,7 +52,7 @@ class TrainConfig:
 def compute_loss_weights(clouds, split: SplitSpec) -> np.ndarray:
     """Inverse relative-frequency weights of the sorted base classes, from
     training occurrences, normalized to mean one by a left-to-right sum."""
-    counts = class_counts(clouds, sorted(split.base_classes))
+    counts = class_counts(clouds, split.base_order)
     total = sum(counts.values())
     if total == 0:
         return np.ones(len(counts))

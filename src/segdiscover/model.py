@@ -1,28 +1,25 @@
-"""Shared per-point feature extractor and segmentation heads.
+"""The shared per-point feature extractor and the two head sets built on it.
 
-The extractor is a small dense per-point network: an MLP encodes xyz,
+``Extractor`` is a small dense per-point network: an MLP encodes xyz,
 a k-nearest-neighbour mean pools local context, and a final linear map
 projects the hidden features and their pooled context, stacked, to D
 dimensions, L2-normalized per point. The pooling is linear, so it runs
 after the projection, on D rows rather than twice the hidden width:
 ``W [h; P h] = W_a h + P (W_b h)``, one tape node
 (``autodiff.pooled_matmul``).
-Novel heads are bias-free linear maps whose weight columns double as the
-class prototypes read by the transport solver; the base head carries a
-bias. Over-clustering heads are extra bias-free heads with o times the
-novel width, discarded at inference.
 
-Inference scores a scene in chunks of points (``feature_chunks``),
-untaped, with the same layer ops: ``predict_slots`` of both model
-classes and the baseline's clustering features run it. A chunk is
-``FORWARD_CHUNK_BYTES`` (1 MiB) of one (hidden, chunk) encoder layer,
-2,048 points at hidden = 64. Pass 1 keeps each chunk's two projection
-halves, the pooled one points-major in one (m, D) array; pass 2 pools,
-normalises and scores chunk by chunk. So inference holds ~0.5 kB per
-point at D = 32, not the ~1.8 kB of whole-scene (hidden, m) layers:
-``predict_slots`` with the graph given peaks under ``tracemalloc`` at
-2.9, 5.0 and 6.0 MB for 2,048, 6,144 and 8,192 points, against 3.7,
-11.1 and 14.8 MB for one whole-scene untaped forward.
+``SegmentationModel`` (online discovery) adds a base head with a bias,
+bias-free novel heads whose weight columns double as the class
+prototypes read by the transport solver, and over-clustering heads with
+o times the novel width, discarded at inference. ``CombinedHeadModel``
+(the offline baseline) adds one head over base and novel slots jointly.
+
+Inference scores a scene in untaped chunks of points
+(``Extractor.feature_chunks``) with the same layer ops, so it holds
+~0.5 kB per point at D = 32, not the ~1.8 kB of whole-scene (hidden, m)
+layers: ``predict_slots`` with the graph given peaks under
+``tracemalloc`` at 6.0 MB for 8,192 points, against 14.8 MB for one
+whole-scene untaped forward.
 """
 
 from __future__ import annotations
@@ -182,46 +179,35 @@ def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = 
     return mat
 
 
-class SegmentationModel:
-    """Feature extractor plus base, novel, and over-clustering heads."""
+def _normal(rng: np.random.Generator, shape, fan_in: int, name: str) -> ad.Tensor:
+    return ad.parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), shape), name)
 
-    def __init__(self, cfg: ModelConfig, n_base: int, n_novel: int, rng: np.random.Generator):
+
+class Extractor:
+    """The per-point feature extractor that both model classes build on.
+
+    It draws enc1.w, enc2.w and proj.w from ``rng`` in that order; a
+    model class then draws the heads it trains and adds them to
+    ``tensors``, which ``parameters`` names: all it trains and saves."""
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.n_base = n_base
-        self.n_novel = n_novel
         h, d = cfg.hidden, cfg.feature_dim
-
-        def init(shape, fan_in, name):
-            return ad.parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), shape), name)
-
-        self.w1 = init((h, 3), 3, "enc1.w")
+        self.w1 = _normal(rng, (h, 3), 3, "enc1.w")
         self.b1 = ad.parameter(np.zeros((h, 1)), "enc1.b")
-        self.w2 = init((h, h), h, "enc2.w")
+        self.w2 = _normal(rng, (h, h), h, "enc2.w")
         self.b2 = ad.parameter(np.zeros((h, 1)), "enc2.b")
-        self.w3 = init((d, 2 * h), 2 * h, "proj.w")
+        self.w3 = _normal(rng, (d, 2 * h), 2 * h, "proj.w")
         self.b3 = ad.parameter(np.zeros((d, 1)), "proj.b")
-        self.base_w = init((n_base, d), d, "base.w")
-        self.base_b = ad.parameter(np.zeros((n_base, 1)), "base.b")
-        # Prototype matrices, one D x rho block per head; the same storage
-        # is read by the transport solver and by the head logits.
-        self.novel_p = [
-            init((d, n_novel), d, f"novel{i}.p") for i in range(cfg.heads)
-        ]
-        self.over_p = [
-            init((d, cfg.overcluster_factor * n_novel), d, f"over{i}.p")
-            for i in range(cfg.heads)
-        ]
-        self.selected_head = 0
-        # the extractor's tensors, which both model classes train and save
-        self.extractor = [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        self.tensors = [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def parameters(self) -> dict:
-        heads = [self.base_w, self.base_b] + self.novel_p + self.over_p
-        return {p.name: p for p in self.extractor + heads}
+        return {p.name: p for p in self.tensors}
 
     def _scene(self, coords, neighbours):
         """``coords`` as (m, 3) float64 and the graph to pool them over:
-        ``neighbours``, refused unless it has m rows, or one built here."""
+        ``neighbours``, refused unless it is m rows of ``knn_indices``'
+        width, or one built here."""
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
             raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
@@ -231,6 +217,10 @@ class SegmentationModel:
             raise ad.ShapeError(
                 f"{neighbours.n_points} neighbour rows for {coords.shape[0]} points"
             )
+        width = min(self.cfg.knn, max(coords.shape[0] - 1, 1))
+        if neighbours.index.shape[1] != width:
+            raise ad.ShapeError(f"a neighbour graph of width {neighbours.index.shape[1]} for "
+                                f"a k-NN of width {width} (knn={self.cfg.knn})")
         return coords, neighbours
 
     def _encode(self, coords: np.ndarray) -> ad.Tensor:
@@ -293,6 +283,46 @@ class SegmentationModel:
                 logits(z).argmax(axis=0) for _, _, z in self.feature_chunks(coords, neighbours)
             ])
 
+    def state(self) -> dict:
+        return {name: p.data for name, p in self.parameters().items()}
+
+    def load_state(self, state: dict, strict: bool = True):
+        unknown = sorted(set(state) - set(self.state()))
+        if strict and unknown:
+            raise ValueError(f"checkpoint holds parameters the model lacks: {', '.join(unknown)}")
+        for name, p in self.parameters().items():
+            if name in state:
+                arr = np.asarray(state[name], dtype=np.float64)
+                if arr.shape != p.data.shape:
+                    raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                                     f"the model expects {p.data.shape}")
+                p.data[...] = arr
+            elif strict:
+                raise ValueError(f"checkpoint missing parameter {name}")
+
+    def save(self, path):
+        ad.save_checkpoint(path, self.state())
+
+
+class SegmentationModel(Extractor):
+    """Feature extractor plus base, novel, and over-clustering heads."""
+
+    def __init__(self, cfg: ModelConfig, n_base: int, n_novel: int, rng: np.random.Generator):
+        super().__init__(cfg, rng)
+        self.n_base, self.n_novel, d = n_base, n_novel, cfg.feature_dim
+        self.base_w = _normal(rng, (n_base, d), d, "base.w")
+        self.base_b = ad.parameter(np.zeros((n_base, 1)), "base.b")
+        # Prototype matrices, one D x rho block per head; the same storage
+        # is read by the transport solver and by the head logits.
+        self.novel_p = [_normal(rng, (d, n_novel), d, f"novel{i}.p") for i in range(cfg.heads)]
+        o = cfg.overcluster_factor * n_novel
+        self.over_p = [_normal(rng, (d, o), d, f"over{i}.p") for i in range(cfg.heads)]
+        self.tensors += [self.base_w, self.base_b] + self.novel_p + self.over_p
+        self.selected_head = 0
+
+    # looked up on this class by name by bench/layers.py
+    extract_features = Extractor.extract_features
+
     def base_logits(self, z: ad.Tensor) -> ad.Tensor:
         return ad.matmul(self.base_w, z, bias=self.base_b)
 
@@ -349,69 +379,43 @@ class SegmentationModel:
         ))
 
     def state(self) -> dict:
-        st = {name: p.data for name, p in self.parameters().items()}
-        st["meta.selected_head"] = np.array([[float(self.selected_head)]])
-        return st
+        return {**super().state(), "meta.selected_head": np.array([[float(self.selected_head)]])}
 
     def load_state(self, state: dict, strict: bool = True):
-        params = self.parameters()
-        unknown = sorted(set(state) - set(params) - {"meta.selected_head"})
-        if strict and unknown:
-            raise ValueError(f"checkpoint holds parameters the model lacks: {', '.join(unknown)}")
-        for name, p in params.items():
-            if name in state:
-                arr = np.asarray(state[name], dtype=np.float64)
-                if arr.shape != p.data.shape:
-                    raise ValueError(
-                        f"parameter {name} has shape {arr.shape}, the model expects {p.data.shape}"
-                    )
-                p.data[...] = arr
-            elif strict:
-                raise ValueError(f"checkpoint missing parameter {name}")
+        super().load_state(state, strict)
         if "meta.selected_head" in state:
             head = np.asarray(state["meta.selected_head"], dtype=np.float64).reshape(-1)
             if head.size != 1 or head[0] not in range(self.cfg.heads):
-                raise ValueError(
-                    f"meta.selected_head {head.tolist()} is not a head index in "
-                    f"0..{self.cfg.heads - 1}"
-                )
+                raise ValueError(f"meta.selected_head {head.tolist()} is not a head index "
+                                 f"in 0..{self.cfg.heads - 1}")
             self.selected_head = int(head[0])
 
-    def save(self, path):
-        ad.save_checkpoint(path, self.state())
 
+class CombinedHeadModel(Extractor):
+    """Extractor plus a single head over base and novel slots jointly,
+    one per offline baseline stage: fine-tuning's ``joint`` head, and
+    pretraining's ``base`` head with no novel slot, whose state seeds
+    fine-tuning and ``ablate``'s online model alike."""
 
-class CombinedHeadModel(SegmentationModel):
-    """Extractor plus a single head over base and novel slots jointly.
-
-    Used by the offline baseline's fine-tuning stage; base slots can be
-    seeded from a pretrained base head. The per-head parameters it
-    inherits are not trained or saved.
-    """
-
-    def __init__(self, cfg: ModelConfig, n_base: int, n_novel: int, rng: np.random.Generator):
-        super().__init__(cfg, n_base, n_novel, rng)
-        d = cfg.feature_dim
-        n_all = n_base + n_novel
-        self.head_w = ad.parameter(rng.normal(0.0, np.sqrt(2.0 / d), (n_all, d)), "joint.w")
-        self.head_b = ad.parameter(np.zeros((n_all, 1)), "joint.b")
-
-    def parameters(self) -> dict:
-        return {p.name: p for p in self.extractor + [self.head_w, self.head_b]}
+    def __init__(self, cfg: ModelConfig, n_base: int, n_novel: int, rng: np.random.Generator,
+                 name: str = "joint"):
+        super().__init__(cfg, rng)
+        n_all, d = n_base + n_novel, cfg.feature_dim
+        self.head_w = _normal(rng, (n_all, d), d, f"{name}.w")
+        self.head_b = ad.parameter(np.zeros((n_all, 1)), f"{name}.b")
+        self.tensors += [self.head_w, self.head_b]
 
     def logits(self, z: ad.Tensor) -> ad.Tensor:
         return ad.matmul(self.head_w, z, bias=self.head_b)
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
                       neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
+        """Per-point argmax of the one head; ``head`` is ignored."""
         return self._slots(coords, neighbours, lambda z: self.logits(z).data)
-
-    def state(self) -> dict:
-        return {name: p.data for name, p in self.parameters().items()}
 
 
 def load_model(path, cfg: ModelConfig, n_base: int, n_novel: int,
-               rng: np.random.Generator) -> SegmentationModel:
+               rng: np.random.Generator) -> Extractor:
     """The model a checkpoint file holds, the file read once: a
     ``CombinedHeadModel`` when it holds the baseline's joint head, else a
     ``SegmentationModel``. Any other name mismatch is refused by name,

@@ -96,11 +96,13 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
 
     ``clouds`` keep their ground truth; novel labels are masked out here,
     at the boundary, and only the masked view is ever batched. Evaluation
-    metrics use ``val_clouds`` (unmasked) or, failing that, the training
-    scenes themselves.
+    metrics use ``val_clouds`` (unmasked) or, when it is None, the training
+    scenes themselves; an empty ``val_clouds`` is refused before any step.
     """
     if not clouds:
         raise ValueError("training dataset must be non-empty")
+    if val_clouds is not None and not val_clouds:
+        raise ValueError("val_clouds is empty; pass None to score the training scenes")
     masked = mask_novel(clouds, split, ignore_id=ignore_label)
     if not masked:
         raise ValueError("no usable scenes after masking")
@@ -137,7 +139,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         """One batch's swapped objective; the driver steps on it."""
         eps = epsilon_at(cfg.sinkhorn, len(metrics), tc.epochs)  # one row per finished epoch
         scenes = [masked[i] for i in scene_ids]
-        views = [make_views(c, rng, cfg.augment) for c in scenes]
+        views = [make_views(c, rng, cfg.augment, 2) for c in scenes]
         neigh = [c.neighbours(k) for c in scenes]
         zs = [_features(model, coords, neigh) for coords in zip(*views)]
         if not all(np.isfinite(z.data).all() for z in zs):

@@ -135,7 +135,7 @@ def test_criterion_03_full_loss_gradient():
     rng = np.random.default_rng(0)
     model = SegmentationModel(ModelConfig(feature_dim=8, hidden=12, knn=4, heads=2,
                                           overcluster_factor=2), 3, 2, rng)
-    pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
+    pairs = [make_views(c, rng, AugmentConfig(), 2) for c in masked]
     neigh = [c.neighbours(4) for c in masked]
     w_base = compute_loss_weights(masked, split)
     families = model.head_families(False)

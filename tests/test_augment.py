@@ -18,7 +18,7 @@ def cloud_of(coords, labels=None):
 def test_identity_config_returns_input():
     cfg = AugmentConfig(rotate=False, scale_lo=1.0, scale_hi=1.0, jitter_sigma=0.0)
     cloud = cloud_of([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], np.array([3, 4]))
-    view_a, view_b = make_views(cloud, np.random.default_rng(0), cfg)
+    view_a, view_b = make_views(cloud, np.random.default_rng(0), cfg, 2)
     np.testing.assert_allclose(view_a, cloud.coords, atol=0)
     np.testing.assert_allclose(view_b, cloud.coords, atol=0)
 
@@ -47,7 +47,7 @@ def test_rotation_preserves_pairwise_distances():
     rng = np.random.default_rng(3)
     cloud = cloud_of(rng.normal(size=(15, 3)))
     cfg = AugmentConfig(rotate=True, scale_lo=1.0, scale_hi=1.0, jitter_sigma=0.0)
-    view_a, view_b = make_views(cloud, rng, cfg)
+    view_a, view_b = make_views(cloud, rng, cfg, 2)
 
     def dist_matrix(xyz):
         return np.sqrt(((xyz[:, None, :] - xyz[None, :, :]) ** 2).sum(axis=2))
@@ -62,7 +62,7 @@ def test_scaled_views_are_isometries_up_to_scale(seed, m):
     rng = np.random.default_rng(seed)
     cloud = cloud_of(rng.normal(size=(m, 3)))
     cfg = AugmentConfig(rotate=True, scale_lo=0.9, scale_hi=1.1, jitter_sigma=0.0)
-    view = make_views(cloud, rng, cfg)[0]
+    view, = make_views(cloud, rng, cfg, 1)
     norms_in = np.linalg.norm(cloud.coords, axis=1)
     norms_out = np.linalg.norm(view, axis=1)
     nonzero = norms_in > 1e-12

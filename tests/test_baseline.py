@@ -358,9 +358,10 @@ class TestPretrain:
 
     def test_loss_decreases_on_average(self):
         # non-strict check averaged over seeds: pretrain longer, compare
-        # evaluation quality of a 1-epoch vs 5-epoch model
+        # evaluation quality of a 1-epoch vs 5-epoch model. At 6 scenes of
+        # 48 points a single seed's gain swings by up to +-0.25 either way
         gains = []
-        for seed in range(3):
+        for seed in range(6):
             clouds, split = tiny_setup(seed=seed)
             short = pretrain_base(
                 mask_novel(clouds, split), split, TINY_MODEL,
@@ -547,6 +548,33 @@ class TestPipeline:
         # 3 steps of 2 scenes per epoch, 2 epochs per stage, 2 stages
         assert len(done) == 24 and len(alive) == 24
         assert alive == [0] * len(alive)
+
+    def test_each_step_draws_one_view_per_scene_in_one_call(self, monkeypatch):
+        import segdiscover.baseline as bl
+        from segdiscover.losses import SGD
+
+        views, sgd_step = bl.make_views, SGD.step
+        steps, current = [], []
+
+        def counted_views(cloud, rng, aug, n_views):
+            out = views(cloud, rng, aug, n_views)
+            current.append((cloud.scene_id, n_views, len(out)))
+            return out
+
+        def stepped(opt, lr):
+            sgd_step(opt, lr)
+            steps.append(current[:])
+            current.clear()
+
+        monkeypatch.setattr(bl, "make_views", counted_views)
+        monkeypatch.setattr(SGD, "step", stepped)
+        clouds, split = tiny_setup()
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
+        # 3 steps of 2 scenes per epoch, 2 epochs per stage, 2 stages
+        assert len(steps) == 12 and not current
+        for calls in steps:
+            assert len({scene for scene, _, _ in calls}) == len(calls) == 2
+            assert all(asked == drawn == 1 for _, asked, drawn in calls)
 
     def test_pipeline_permutation_oracle(self, tmp_path):
         clouds, split = tiny_setup(scenes=4, points=32)

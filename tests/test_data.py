@@ -368,6 +368,13 @@ class TestBaseSlots:
         assert split.base_slots(np.array([], dtype=np.int64)).shape == (0,)
 
 
+    def test_base_order_inverts_the_slots(self):
+        split = D.SplitSpec("x", "s", frozenset({9, 2, 5}), frozenset({4}))
+        assert split.base_order == [2, 5, 9]
+        labels = np.random.default_rng(3).choice([2, 5, 9], size=40)
+        np.testing.assert_array_equal(np.asarray(split.base_order)[split.base_slots(labels)],
+                                      labels)
+
 class TestMasking:
     def test_novel_labels_hidden(self):
         cfg = small_config()

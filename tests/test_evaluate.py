@@ -189,6 +189,17 @@ class TestEvaluate:
         # unless it is the ignore label
         evaluate(_ConstantModel(0), clouds, split, ignore_label=9)
 
+    def test_an_empty_scored_set_is_refused(self):
+        split, _ = _toy_eval_set(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="no scenes to score"):
+            evaluate(_ConstantModel(0), [], split)
+
+    @pytest.mark.parametrize("graphs", [2, 4])
+    def test_a_neighbour_count_unlike_the_scene_count_is_refused(self, graphs):
+        split, clouds = _toy_eval_set(np.random.default_rng(9))
+        with pytest.raises(ValueError, match=rf"{graphs} neighbour graphs for 3 scenes"):
+            evaluate(_ConstantModel(0), clouds, split, neighbours=[None] * graphs)
+
     def test_miou_invariant_to_head_relabelling(self):
         rng = np.random.default_rng(5)
         split, clouds = _toy_eval_set(rng)

@@ -190,15 +190,21 @@ class TestCombinedHeadModel:
         assert sorted(ad.load_checkpoint(tmp_path / "c.ckpt")) == sorted(names)
         assert model.state()["joint.w"].shape == (5, ModelConfig().feature_dim)
 
-    def test_draws_the_extractor_then_the_joint_head(self):
+    def test_draws_the_extractor_then_the_joint_head_and_nothing_else(self):
         cfg = ModelConfig(feature_dim=8, hidden=16)
-        rng = np.random.default_rng(4)
-        plain = SegmentationModel(cfg, 3, 2, rng)
-        joint_w = rng.normal(0.0, np.sqrt(2.0 / 8), (5, 8))
-        model = CombinedHeadModel(cfg, 3, 2, np.random.default_rng(4))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        model = CombinedHeadModel(cfg, 3, 2, rng)
+        expected = {name: ref.normal(0.0, np.sqrt(2.0 / fan_in), shape) for name, shape, fan_in in (
+            ("enc1.w", (16, 3), 3), ("enc2.w", (16, 16), 16), ("proj.w", (8, 32), 32),
+            ("joint.w", (5, 8), 8),
+        )}
+        for name, value in expected.items():
+            np.testing.assert_array_equal(model.state()[name], value)
+        assert rng.random() == ref.random()
+        # the online model draws the same extractor first
+        online = SegmentationModel(cfg, 3, 2, np.random.default_rng(4))
         for name in ("enc1.w", "enc2.w", "proj.w"):
-            np.testing.assert_array_equal(model.state()[name], plain.state()[name])
-        np.testing.assert_array_equal(model.state()["joint.w"], joint_w)
+            np.testing.assert_array_equal(online.state()[name], expected[name])
 
     def test_finetune_starts_from_the_pretrained_extractor_and_base_head(self):
         from segdiscover.augment import AugmentConfig
@@ -210,7 +216,7 @@ class TestCombinedHeadModel:
         clouds, split = generate_synthetic(syn), syn.split()
         cfg = ModelConfig(feature_dim=8, hidden=16, knn=4, heads=2)
         train_cfg = TrainConfig(epochs=1, batch_size=2, seed=3)
-        pretrained = SegmentationModel(cfg, 3, 2, np.random.default_rng(1))
+        pretrained = CombinedHeadModel(cfg, 3, 0, np.random.default_rng(1), name="base")
         for p in pretrained.parameters().values():  # no zero biases left
             p.data += np.random.default_rng(2).normal(size=p.data.shape)
         model = finetune(pretrained, mask_novel(clouds, split), {}, split, cfg, train_cfg,
@@ -222,6 +228,62 @@ class TestCombinedHeadModel:
         np.testing.assert_array_equal(state["joint.w"][:3], before["base.w"])
         np.testing.assert_array_equal(state["joint.b"][:3], before["base.b"])
         np.testing.assert_array_equal(state["joint.w"][3:], fresh.state()["joint.w"][3:])
+
+
+def _plain_slots(arrays, coords, k, w, b):
+    """Slots of a plain numpy forward of checkpoint ``arrays`` through the
+    logit rows ``w`` and bias ``b``, pooling over ``knn_indices``."""
+    h = np.maximum(arrays["enc1.w"] @ coords.T + arrays["enc1.b"], 0.0)
+    h = np.maximum(arrays["enc2.w"] @ h + arrays["enc2.b"], 0.0)
+    pooled = h[:, knn_indices(coords, k)].mean(axis=2)
+    z = arrays["proj.w"] @ np.concatenate([h, pooled]) + arrays["proj.b"]
+    return (w @ (z / np.linalg.norm(z, axis=0)) + b).argmax(axis=0)
+
+
+class TestParametersAndKeys:
+    @pytest.mark.parametrize("make", [
+        lambda rng: SegmentationModel(ModelConfig(), 3, 2, rng),
+        lambda rng: CombinedHeadModel(ModelConfig(), 3, 2, rng),
+        lambda rng: CombinedHeadModel(ModelConfig(), 3, 0, rng, name="base"),
+    ], ids=["online", "joint", "pretrain"])
+    def test_every_drawn_tensor_is_a_parameter(self, make):
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        model = make(rng)
+        params = list(model.parameters().values())
+        held = [v for v in vars(model).values() if isinstance(v, ad.Tensor)]
+        held += [t for v in vars(model).values() if isinstance(v, list) for t in v]
+        assert held and all(any(t is p for p in params) for t in held)
+        # the generator moved by the drawn parameters' values and no more
+        ref.normal(size=sum(p.data.size for p in params if p.name.endswith((".w", ".p"))))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_a_checkpoint_with_the_stable_key_set_loads_and_predicts(self, combined, tmp_path):
+        cfg, d = ModelConfig(), ModelConfig().feature_dim
+        rng = np.random.default_rng(16)
+        shapes = {"enc1.w": (64, 3), "enc1.b": (64, 1), "enc2.w": (64, 64), "enc2.b": (64, 1),
+                  "proj.w": (d, 128), "proj.b": (d, 1)}
+        if combined:
+            shapes.update({"joint.w": (5, d), "joint.b": (5, 1)})
+        else:
+            shapes.update({"base.w": (3, d), "base.b": (3, 1)})
+            shapes.update({f"novel{i}.p": (d, 2) for i in range(5)})
+            shapes.update({f"over{i}.p": (d, 6) for i in range(5)})
+        arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        state = dict(arrays) if combined else {**arrays, "meta.selected_head": np.array([[3.0]])}
+        ad.save_checkpoint(tmp_path / "m.ckpt", state)
+        model = model_module.load_model(tmp_path / "m.ckpt", cfg, 3, 2, np.random.default_rng(0))
+        assert type(model) is (CombinedHeadModel if combined else SegmentationModel)
+        assert sorted(model.state()) == sorted(state)
+        if combined:
+            w, b = arrays["joint.w"], arrays["joint.b"]
+        else:
+            assert model.selected_head == 3
+            w = np.concatenate([arrays["base.w"], arrays["novel3.p"].T])
+            b = np.concatenate([arrays["base.b"], np.zeros((2, 1))])
+        coords = rng.normal(size=(200, 3))
+        np.testing.assert_array_equal(model.predict_slots(coords),
+                                      _plain_slots(arrays, coords, cfg.knn, w, b))
 
 
 def _checkpoint_blob(tmp_dir):
@@ -510,6 +572,22 @@ class TestKnnIndices:
         coords = np.broadcast_to(np.zeros(3), (2**31, 3))
         with pytest.raises(ValueError, match="2147483648 points"):
             knn_indices(coords, 16)
+
+
+class TestGraphWidth:
+    @pytest.mark.parametrize("m, width", [(1, 1), (2, 1), (10, 9), (40, 16)])
+    def test_only_a_graph_of_the_knn_width_is_pooled(self, m, width):
+        model = make_model()
+        coords = np.random.default_rng(m).normal(size=(m, 3))
+        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        assert graph.index.shape == (m, width)
+        model.predict_slots(coords, neighbours=graph)
+        if m > 2:
+            narrow = ad.NeighbourGraph(knn_indices(coords, 4))
+            message = rf"width 4 for a k-NN of width {width} \(knn=16\)"
+            for forward in (model.predict_slots, model.extract_features):
+                with pytest.raises(ad.ShapeError, match=message):
+                    forward(coords, neighbours=narrow)
 
 
 class TestLeanInference:

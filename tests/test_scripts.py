@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -96,3 +98,25 @@ def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, caps
     # a second run adds its record after the first
     assert script.main(argv[:-2] + ["--json", str(out)]) == 0
     assert len(json.loads(out.read_text())["runs"]) == 2
+
+
+def test_toy_discovery_on_a_paper_split_shape_records_the_shape(tmp_path, monkeypatch):
+    import functools
+    import json
+
+    script = load_script("run_toy_discovery")
+    monkeypatch.setattr(script, "DataConfig", functools.partial(
+        script.DataConfig, scenes=6, points=32))
+    monkeypatch.setattr(script, "TrainConfig", functools.partial(script.TrainConfig, epochs=1))
+    monkeypatch.setattr(script, "BaselineConfig", functools.partial(
+        script.BaselineConfig, pretrain_epochs=1, finetune_epochs=1))
+    out = tmp_path / "quality.json"
+    argv = ["--seeds", "0", "--split", "kitti-5-0", "--baseline", "--json", str(out)]
+    assert script.main(argv) == 0
+    (record,) = json.loads(out.read_text())["runs"]
+    assert record["split"] == {"shape": "kitti-5-0", "classes": 19, "novel": 5}
+    assert record["sizes"] == {"scenes": 6, "points": 32, "epochs": 1}
+    (per_class,) = record["points_per_class_per_scene"]
+    assert len(per_class) == 19 and sum(per_class.values()) == pytest.approx(32)
+    assert set(record["per_seed"]) == {"online", "baseline"}
+    assert script.split_shapes()["poss-4-0"] == (13, 4)

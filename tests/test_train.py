@@ -110,6 +110,17 @@ class TestSmoke:
         assert np.isfinite(result.metrics[0]["loss"])
 
 
+    def test_an_empty_validation_set_is_refused_before_the_first_step(self, monkeypatch):
+        from segdiscover import losses
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("an SGD step ran")
+
+        monkeypatch.setattr(losses.SGD, "step", no_step)
+        clouds, split = tiny_setup()
+        with pytest.raises(ValueError, match="val_clouds is empty"):
+            train(clouds, split, tiny_exp(epochs=1), val_clouds=[])
+
     @pytest.mark.parametrize("lr_max, message", [
         # parameters stay finite at 1e300, but the next forward overflows
         (1e300, r"features went non-finite after the SGD step at lr 1e\+300"),
@@ -445,7 +456,7 @@ def step_case(heads, overcluster):
     model_cfg = ModelConfig(feature_dim=8, hidden=12, knn=4, heads=heads, overcluster_factor=2)
     model = SegmentationModel(model_cfg, 3, 2, np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    pairs = [make_views(c, rng, AugmentConfig()) for c in masked]
+    pairs = [make_views(c, rng, AugmentConfig(), 2) for c in masked]
     neigh = [c.neighbours(4) for c in masked]
     w_base = compute_loss_weights(masked, split)
     labels, base_idx, novel_idx, base_slots = batch_layout(masked, split)
@@ -495,7 +506,7 @@ class TestFullLossGradient:
         rng = np.random.default_rng(0)
         model = SegmentationModel(model_cfg, 3, 2, rng)
         aug = AugmentConfig()
-        pairs = [make_views(c, rng, aug) for c in masked]
+        pairs = [make_views(c, rng, aug, 2) for c in masked]
         neigh = [c.neighbours(4) for c in masked]
         w_base = compute_loss_weights(masked, split)
         families = model.head_families(True)
