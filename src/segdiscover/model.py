@@ -213,14 +213,11 @@ class Extractor:
             raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
         if neighbours is None:
             neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
-        if neighbours.n_points != coords.shape[0]:
-            raise ad.ShapeError(
-                f"{neighbours.n_points} neighbour rows for {coords.shape[0]} points"
-            )
-        width = min(self.cfg.knn, max(coords.shape[0] - 1, 1))
-        if neighbours.index.shape[1] != width:
-            raise ad.ShapeError(f"a neighbour graph of width {neighbours.index.shape[1]} for "
-                                f"a k-NN of width {width} (knn={self.cfg.knn})")
+        m, (rows, width) = coords.shape[0], neighbours.index.shape
+        knn_width = min(self.cfg.knn, max(m - 1, 1))
+        if (rows, width) != (m, knn_width):
+            raise ad.ShapeError(f"{rows} neighbour rows of width {width} for {m} points "
+                                f"and a k-NN of width {knn_width} (knn={self.cfg.knn})")
         return coords, neighbours
 
     def _encode(self, coords: np.ndarray) -> ad.Tensor:

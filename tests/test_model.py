@@ -584,10 +584,14 @@ class TestGraphWidth:
         model.predict_slots(coords, neighbours=graph)
         if m > 2:
             narrow = ad.NeighbourGraph(knn_indices(coords, 4))
-            message = rf"width 4 for a k-NN of width {width} \(knn=16\)"
+            message = rf"{m} neighbour rows of width 4 for {m} points and a k-NN of width {width} "
             for forward in (model.predict_slots, model.extract_features):
-                with pytest.raises(ad.ShapeError, match=message):
+                with pytest.raises(ad.ShapeError, match=message + r"\(knn=16\)"):
                     forward(coords, neighbours=narrow)
+        # a graph of another scene's rows is refused as before
+        other = ad.NeighbourGraph(knn_indices(np.zeros((m + 1, 3)), 16))
+        with pytest.raises(ad.ShapeError, match=rf"{m + 1} neighbour rows of width"):
+            model.predict_slots(coords, neighbours=other)
 
 
 class TestLeanInference:
