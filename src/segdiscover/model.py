@@ -284,7 +284,7 @@ class Extractor:
         return {name: p.data for name, p in self.parameters().items()}
 
     def load_state(self, state: dict, strict: bool = True):
-        unknown = sorted(set(state) - set(self.state()))
+        unknown = sorted(set(state) - set(self.state()))  # every name save writes
         if strict and unknown:
             raise ValueError(f"checkpoint holds parameters the model lacks: {', '.join(unknown)}")
         for name, p in self.parameters().items():
