@@ -38,7 +38,6 @@ from segdiscover.data import (
     builtin_splits,
     class_counts,
     generate_synthetic,
-    toy_discovery_config,
     validation_scenes,
 )
 from segdiscover.evaluate import constant_predictor_bound, evaluate
@@ -62,10 +61,9 @@ def split_shapes() -> dict:
 
 def synthetic_config(shape: str, seed: int):
     """The training scenes' generator config for a split shape."""
-    if shape == "toy":
-        return toy_discovery_config(seed=seed)
     classes, novel = split_shapes()[shape]
-    return DataConfig(archetypes="generic", classes=classes, novel=novel).synthetic(seed)
+    return DataConfig(archetypes="toy" if shape == "toy" else "generic", classes=classes,
+                      novel=novel).synthetic(seed)
 
 
 def source_sha():

@@ -271,17 +271,17 @@ def finetune(pretrained: CombinedHeadModel, scenes, pseudo, split: SplitSpec,
 
 
 def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 baseline_cfg: BaselineConfig, aug: AugmentConfig,
-                 ignore_label: int | None = None):
+                 baseline_cfg: BaselineConfig, aug: AugmentConfig):
     """Full offline pipeline; returns (model, per-scene pseudo-labels).
 
     Pseudo-labels are keyed by scene id, so the ids must be distinct.
+    Points labelled ``split.ignore_id`` are dropped before pretraining.
     """
     shared = sorted(s for s, n in Counter(c.scene_id for c in clouds).items() if n > 1)
     if shared:
         raise ValueError(f"scene ids {shared} each name more than one scene; "
                          "pseudo-labels are keyed by scene id")
-    masked = mask_novel(clouds, split, ignore_id=ignore_label)
+    masked = mask_novel(clouds, split)
     # each scene's one k-NN graph serves pretraining, clustering and fine-tuning
     pretrained = pretrain_base(masked, split, model_cfg, train_cfg, baseline_cfg, aug)
 

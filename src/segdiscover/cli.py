@@ -104,7 +104,7 @@ def _prologue(args, trains: bool):
     split = datamod.read_split_file(Path(args.split or root / "split.txt"), names)
     val = datamod.load_scan_dir(root / "val") if (root / "val" / "scans").exists() else None
     train_clouds = datamod.load_scan_dir(root / "train") if trains or not val else None
-    datamod.check_labels((val or []) + (train_clouds or []), split, None)
+    datamod.check_labels((val or []) + (train_clouds or []), split)
     return cfg, exp, split, names, train_clouds, val or train_clouds
 
 

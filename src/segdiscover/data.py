@@ -68,12 +68,14 @@ class SplitSpec:
 
     The split also owns the training layout of the base classes: slot j
     trains base class ``base_order[j]``, the j-th smallest base id, and no
-    other id has a slot (``base_slots``)."""
+    other id has a slot (``base_slots``). Points labelled ``ignore_id``
+    are neither trained nor scored, so it may be no class of the split."""
 
     dataset: str
     name: str
     base_classes: frozenset
     novel_classes: frozenset
+    ignore_id: int | None = None
 
     def __post_init__(self):
         if self.base_classes & self.novel_classes:
@@ -82,6 +84,8 @@ class SplitSpec:
             raise ValueError(f"{self.name}: need at least one novel class")
         if not self.base_classes:
             raise ValueError(f"{self.name}: need at least one base class")
+        if self.ignore_id in self.base_classes | self.novel_classes:
+            raise ValueError(f"split {self.name!r}: ignore id {self.ignore_id} is also a class")
 
     @property
     def n_novel(self) -> int:
@@ -475,12 +479,9 @@ def builtin_splits(dataset_name: str, synthetic_cfg: SyntheticConfig | None = No
     else:
         raise ValueError(f"unknown dataset {dataset_name!r}")
     classes = load_class_table(dataset_name)
-    all_ids = frozenset(classes.names)
-    splits = []
-    for split_name, novel_names in table.items():
-        novel = frozenset(classes.id_of(n) for n in novel_names)
-        splits.append(SplitSpec(dataset_name, split_name, all_ids - novel, novel))
-    return splits
+    novel = {name: frozenset(map(classes.id_of, names)) for name, names in table.items()}
+    return [SplitSpec(dataset_name, name, frozenset(classes.names) - ids, ids, classes.ignore_id)
+            for name, ids in novel.items()]
 
 
 def write_split_file(path, split: SplitSpec, names: dict):
@@ -525,7 +526,8 @@ def read_key_values(path, keys) -> dict:
 
 
 def read_split_file(path, names: dict) -> SplitSpec:
-    """Parse the plain-text split format against a known class table."""
+    """Parse the plain-text split format against a known class table; the
+    format names no ignore id, so the split has none."""
     keys = ("dataset", "split_name", "novel")
     fields = read_key_values(path, keys)
     for key in keys:
@@ -565,19 +567,19 @@ def read_class_names(path) -> dict:
     return names
 
 
-def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[LabelledCloud]:
-    """Hide novel ground truth: novel labels become UNLABELLED, ignore-labelled
-    points are dropped entirely. Training code only ever sees the result.
+def mask_novel(clouds, split: SplitSpec) -> list[LabelledCloud]:
+    """Hide novel ground truth: novel labels become UNLABELLED, points of
+    ``split.ignore_id`` are dropped. Training code only sees the result.
 
     A scene that keeps every point shares its coordinates and k-NN graphs.
-    An id that is neither base, novel nor ``ignore_id`` is an error."""
+    An id that is neither base, novel nor ignored is an error."""
     base = np.array(split.base_order, dtype=np.int64)
-    check_labels(clouds, split, ignore_id)
+    check_labels(clouds, split)
     masked = []
     for cloud in clouds:
         coords, labels = cloud.coords, cloud.labels
-        if ignore_id is not None and np.any(labels == ignore_id):
-            keep = labels != ignore_id
+        if split.ignore_id is not None and np.any(labels == split.ignore_id):
+            keep = labels != split.ignore_id
             coords, labels = coords[keep], labels[keep]
         if coords.shape[0] == 0:
             continue  # scene was entirely ignore-labelled
@@ -589,11 +591,11 @@ def mask_novel(clouds, split: SplitSpec, ignore_id: int | None = None) -> list[L
     return masked
 
 
-def check_labels(clouds, split: SplitSpec, ignore_id: int | None):
-    """Refuse, by name, the first scene with an id neither base, novel nor ``ignore_id``."""
-    known = split.base_classes | split.novel_classes
+def check_labels(clouds, split: SplitSpec):
+    """Refuse, by name, the first scene with an id neither base, novel nor ignored."""
+    known = split.base_classes | split.novel_classes | {split.ignore_id}
     for cloud in clouds:
-        unknown = [v for v in np.unique(cloud.labels).tolist() if v not in known and v != ignore_id]
+        unknown = [v for v in np.unique(cloud.labels).tolist() if v not in known]
         if unknown:
             raise ValueError(f"scene {cloud.scene_id!r}: label ids {unknown} are neither base "
                              f"nor novel in split {split.name!r}, nor ignored")

@@ -141,15 +141,15 @@ class EvalReport:
 
 
 def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
-             ignore_label: int | None = None, neighbours=None) -> EvalReport:
+             neighbours=None) -> EvalReport:
     """Score a model on an evaluation set.
 
     The model must expose ``predict_slots(coords, neighbours=)``
     returning, per point, an argmax over base slots (sorted base ids)
     followed by its selected head's novel slots. Novel slots are matched
     to class ids on this same set, then the matrix columns are permuted
-    accordingly before scoring. A ground-truth label outside the split
-    (and not ``ignore_label``) is refused, naming its scene.
+    accordingly before scoring. Points labelled ``split.ignore_id`` are
+    not scored; any other label outside the split is refused by scene.
     ``neighbours`` optionally carries each cloud's k-NN graph. An empty
     ``clouds``, or a ``neighbours`` of another length, is refused.
     """
@@ -165,12 +165,12 @@ def evaluate(model, clouds, split: SplitSpec, class_names: dict | None = None,
     # predicted slot j stands for classes[j] until the novel slots are matched
     slot_classes = np.asarray(classes)
     by_slot = ConfusionMatrix(classes)
-    check_labels(clouds, split, ignore_label)
+    check_labels(clouds, split)
     for i, cloud in enumerate(clouds):
         slots = model.predict_slots(
             cloud.coords, neighbours=None if neighbours is None else neighbours[i]
         )
-        by_slot.add(slot_classes[slots], cloud.labels, ignore_label=ignore_label)
+        by_slot.add(slot_classes[slots], cloud.labels, ignore_label=split.ignore_id)
 
     mapping_rows = match_novel(by_slot.counts[n_base:, n_base:])
     # permute novel prediction columns so each matched slot lands on its

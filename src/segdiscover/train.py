@@ -79,23 +79,22 @@ def _features(model, views, neighbours):
     return ad.concat_cols(feats) if len(feats) > 1 else feats[0]
 
 
-def _pseudo_label(scores, heads, m, eps, iters, percentile, filter_on):
+def _pseudo_label(scores, heads, m, eps, iters, percentile):
     """Transport-based soft labels for one head family from its stacked
     prototype scores (heads x rho rows; m novel points, then queue
-    columns); returns (kept, dists), (heads, m) and (heads, rho, m)."""
+    columns) and their percentile selection; returns (kept, dists),
+    (heads, m) and (heads, rho, m)."""
     q = sinkhorn_assign(scores, eps, iters, heads)
     dists = pseudo_labels_from(q.reshape(heads, -1, q.shape[1]), m)
-    kept = select_phi(dists, percentile).kept if filter_on else np.ones((heads, m), dtype=bool)
-    return kept, dists
+    return select_phi(dists, percentile).kept, dists
 
 
 def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
-          init_state: dict | None = None, ignore_label: int | None = None,
-          log=None) -> TrainResult:
+          init_state: dict | None = None, log=None) -> TrainResult:
     """Run the discovery training loop and per-epoch evaluation.
 
-    ``clouds`` keep their ground truth; novel labels are masked out here,
-    at the boundary, and only the masked view is ever batched. Evaluation
+    ``clouds`` keep their ground truth; ``mask_novel`` hides novel labels and
+    ignored points here, and only the masked view is ever batched. Evaluation
     metrics use ``val_clouds`` (unmasked) or, when it is None, the training
     scenes themselves; an empty ``val_clouds`` is refused before any step.
     """
@@ -103,7 +102,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         raise ValueError("training dataset must be non-empty")
     if val_clouds is not None and not val_clouds:
         raise ValueError("val_clouds is empty; pass None to score the training scenes")
-    masked = mask_novel(clouds, split, ignore_id=ignore_label)
+    masked = mask_novel(clouds, split)
     if not masked:
         raise ValueError("no usable scenes after masking")
     eval_set = val_clouds if val_clouds is not None else clouds
@@ -165,22 +164,19 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
                 qcols = queue.sample(cfg.queue.sample_per_class, rng)
                 if qcols.size:
                     scores = np.concatenate([scores, w_stack.data @ qcols], axis=1)
-            targets[vi] = [
+            selected = [
                 _pseudo_label(scores[start:start + heads * width], heads, novel_idx.size, eps,
-                              cfg.sinkhorn.iters, dc.percentile, dc.tau_train)
+                              cfg.sinkhorn.iters, dc.percentile)
                 for start, width in families
             ]
+            # the selection filters training targets when tau_train is on
+            # and novel head-0 queue inserts when phi_queue is on
+            targets[vi] = selected if dc.tau_train else [
+                (np.ones_like(kept), dists) for kept, dists in selected]
             if dc.use_queue:
-                # novel head-0 inserts are filtered when phi_queue is on;
-                # with tau_train on too, the training filter chose them
-                kept, dists = targets[vi][0]
+                kept, dists = selected[0]
                 head0 = dists[0]
-                if not dc.phi_queue:
-                    cand = np.arange(head0.shape[1])
-                elif dc.tau_train:
-                    cand = np.flatnonzero(kept[0])
-                else:
-                    cand = np.flatnonzero(select_phi(head0, dc.percentile).kept)
+                cand = np.flatnonzero(kept[0]) if dc.phi_queue else np.arange(head0.shape[1])
                 queue.insert(z.data[:, novel_idx[cand]], head0[:, cand].argmax(axis=0),
                              cfg.queue.insert_fraction, rng)
 
@@ -198,8 +194,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         batches.clear()
         head_losses = means[1:]
         model.selected_head = int(np.argmin(head_losses))
-        report = evaluate(model, eval_set, split, ignore_label=ignore_label,
-                          neighbours=[c.neighbours(k) for c in eval_set])
+        report = evaluate(model, eval_set, split, neighbours=[c.neighbours(k) for c in eval_set])
         row = {
             "epoch": epoch,
             "loss": float(means[0]),

@@ -379,6 +379,36 @@ class TestPretrain:
             )
         assert np.mean(gains) > -1e-9
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_pretraining_loss_falls_from_the_first_epoch_to_the_last(self, seed,
+                                                                         monkeypatch):
+        import segdiscover.baseline as bl
+
+        real_fit, means = bl.fit, []
+
+        def recording_fit(model, n_scenes, cfg, epochs, rng, batch_loss, end_epoch=None):
+            losses = []
+
+            def recorded(scene_ids, last_lr):
+                loss = batch_loss(scene_ids, last_lr)
+                if loss is not None:
+                    losses.append(loss.data.item())
+                return loss
+
+            def epoch_mean(epoch, lr):
+                means.append(np.mean(losses))
+                losses.clear()
+
+            real_fit(model, n_scenes, cfg, epochs, rng, recorded, epoch_mean)
+
+        monkeypatch.setattr(bl, "fit", recording_fit)
+        clouds, split = tiny_setup(seed=seed)
+        pretrain_base(mask_novel(clouds, split), split, TINY_MODEL,
+                      TrainConfig(epochs=5, batch_size=2, seed=seed),
+                      BaselineConfig(pretrain_epochs=5, finetune_epochs=1), AUG)
+        assert len(means) == 5
+        assert means[-1] < means[0], means
+
 
 class TestPipeline:
     def test_run_baseline_smoke(self):

@@ -193,18 +193,32 @@ class TestScanIO:
         assert back.coords.tolist() == [[top, -top, top]]
 
 
+def mutate(raw: bytes, kind: str, pos: int, bit: int, extra: bytes) -> bytes:
+    """``raw`` with bit ``bit`` flipped, cut or ``extra`` inserted at ``pos``
+    taken modulo one past its length, so positions spread over the file."""
+    pos = pos % (len(raw) + 1)
+    if kind == "flip" and pos < len(raw):
+        return raw[:pos] + bytes([raw[pos] ^ (1 << bit)]) + raw[pos + 1:]
+    if kind == "truncate":
+        return raw[:pos]
+    return raw[:pos] + extra + raw[pos:]
+
+
+# one to four edits of a text file; inserts are random bytes or the
+# separators and names the readers split on, so some edits still parse
+TEXT_EDITS = st.lists(st.tuples(
+    st.sampled_from(["flip", "truncate", "insert"]), st.integers(0, 2**16), st.integers(0, 7),
+    st.one_of(st.binary(min_size=1, max_size=20), st.sampled_from([
+        b"\n", b"\r\n", b"\t", b"=", b",", b"#", b" ", b"novel=", b"dataset=", b"split_name=",
+        b"mast", b"crown", b"hub", b"7\t", b"0", b"\xff",
+    ])),
+), min_size=1, max_size=4)
+TOY_NAMES = dict(enumerate(["ground", "hub", "ring", "mast", "crown"]))
+
+
 class TestScanReaderMutations:
     """Flipped bits, truncations and inserted bytes in a valid scan/label
     pair: the reader returns a cloud or raises a ValueError naming the file."""
-
-    @staticmethod
-    def _mutate(raw: bytes, kind: str, pos: int, bit: int, extra: bytes) -> bytes:
-        pos = pos % (len(raw) + 1)
-        if kind == "flip" and pos < len(raw):
-            return raw[:pos] + bytes([raw[pos] ^ (1 << bit)]) + raw[pos + 1:]
-        if kind == "truncate":
-            return raw[:pos]
-        return raw[:pos] + extra + raw[pos:]
 
     # 300 examples at positions spread over the file (~1 s) caught a
     # reader that skips its non-finite check in each of 6 runs
@@ -222,7 +236,7 @@ class TestScanReaderMutations:
         pts = np.column_stack([xyz, np.zeros(6)]).astype("<f4")
         files = {"bin": pts.tobytes(), "label": rng.integers(0, 2**32, 6, dtype="<u4").tobytes()}
         for which, kind, pos, bit, extra in mutations:
-            files[which] = self._mutate(files[which], kind, pos, bit, extra)
+            files[which] = mutate(files[which], kind, pos, bit, extra)
         bin_path, label_path = tmp_path / "s.bin", tmp_path / "s.label"
         bin_path.write_bytes(files["bin"])
         label_path.write_bytes(files["label"])
@@ -235,6 +249,50 @@ class TestScanReaderMutations:
         assert cloud.coords.shape == (n, 3) and np.isfinite(cloud.coords).all()
         assert cloud.labels.shape == (n,) and cloud.labels.min() >= 0
         assert cloud.labels.max() <= 0xFFFF
+
+
+class TestTextReaderMutations:
+    """Flipped bits, truncations and inserted bytes in a valid split file
+    or class-name file: the reader parses it or raises a ValueError that
+    names the file. 200 examples each take about a second."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(TEXT_EDITS)
+    def test_a_mutated_split_file_is_read_or_refused_by_file(self, tmp_path, edits):
+        raw = b"dataset=toy\nsplit_name=s\nnovel=mast,crown\n"
+        for kind, pos, bit, extra in edits:
+            raw = mutate(raw, kind, pos, bit, extra)
+        path = tmp_path / "split.txt"
+        path.write_bytes(raw)
+        try:
+            split = D.read_split_file(path, TOY_NAMES)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            return
+        assert split.base_classes | split.novel_classes == frozenset(TOY_NAMES)
+        assert split.novel_classes and split.ignore_id is None
+        D.write_split_file(path, split, TOY_NAMES)
+        assert D.read_split_file(path, TOY_NAMES) == split
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(TEXT_EDITS)
+    def test_a_mutated_class_name_file_is_read_or_refused_by_file(self, tmp_path, edits):
+        raw = "".join(f"{cid}\t{name}\n" for cid, name in TOY_NAMES.items()).encode()
+        for kind, pos, bit, extra in edits:
+            raw = mutate(raw, kind, pos, bit, extra)
+        path = tmp_path / "classes.txt"
+        path.write_bytes(raw)
+        try:
+            names = D.read_class_names(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            return
+        assert all(name and "\t" not in name for name in names.values())
+        assert len(set(names.values())) == len(names)
+        D.write_class_names(path, names)
+        assert D.read_class_names(path) == names
 
 
 class TestSplits:
@@ -279,6 +337,20 @@ class TestSplits:
         back = D.read_split_file(tmp_path / "split.txt", names)
         assert back.novel_classes == split.novel_classes
         assert back.base_classes == split.base_classes
+
+    @pytest.mark.parametrize("cid", [0, 3])  # the toy's base ground, its novel mast
+    def test_an_ignore_id_that_is_a_class_is_refused_by_id_and_split(self, cid):
+        split = D.toy_discovery_config().split()
+        with pytest.raises(ValueError,
+                           match=rf"^split 'synthetic': ignore id {cid} is also a class$"):
+            dataclasses.replace(split, ignore_id=cid)
+
+    def test_every_builtin_split_ignores_its_tables_unlabelled_id(self):
+        for dataset in ("semantickitti", "semanticposs"):
+            assert D.load_class_table(dataset).ignore_id == 0
+            assert {s.ignore_id for s in D.builtin_splits(dataset)} == {0}
+        # the synthetic classes start at 0, so their split ignores no id
+        assert D.builtin_splits("synthetic", small_config())[0].ignore_id is None
 
     def test_a_split_with_no_base_class_is_refused(self):
         with pytest.raises(ValueError, match="s: need at least one base class"):
@@ -402,8 +474,8 @@ class TestMasking:
     def test_ignore_points_dropped(self):
         coords = np.zeros((4, 3))
         cloud = D.LabelledCloud(coords, np.array([0, 1, 2, 0]))
-        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}))
-        (masked,) = D.mask_novel([cloud], split, ignore_id=0)
+        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}), ignore_id=0)
+        (masked,) = D.mask_novel([cloud], split)
         assert masked.n_points == 2
         assert masked.labels.tolist() == [1, D.UNLABELLED]
 
@@ -413,7 +485,17 @@ class TestMasking:
         with pytest.raises(ValueError, match=r"scene '0007': label ids \[0, 40\] are neither"):
             D.mask_novel([cloud], split)
         with pytest.raises(ValueError, match=r"scene '0007': label ids \[40\] are neither"):
-            D.mask_novel([cloud], split, ignore_id=0)
+            D.mask_novel([cloud], dataclasses.replace(split, ignore_id=0))
+
+
+    def test_an_ignored_id_passes_the_label_check_and_only_it(self):
+        cloud = D.LabelledCloud(np.zeros((3, 3)), np.array([1, 2, 0]), scene_id="s")
+        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}))
+        with pytest.raises(ValueError, match=r"scene 's': label ids \[0\] are neither"):
+            D.check_labels([cloud], split)
+        D.check_labels([cloud], dataclasses.replace(split, ignore_id=0))
+        with pytest.raises(ValueError, match=r"scene 's': label ids \[0\] are neither"):
+            D.check_labels([cloud], dataclasses.replace(split, ignore_id=7))
 
 
 class TestSceneGraph:
@@ -464,12 +546,12 @@ class TestSceneGraph:
 
     def test_a_masked_scene_shares_its_graph_unless_it_lost_points(self, monkeypatch):
         calls = self._count(monkeypatch)
-        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}))
+        split = D.SplitSpec("x", "s", frozenset({1}), frozenset({2}), ignore_id=0)
         rng = np.random.default_rng(0)
         whole = D.LabelledCloud(rng.normal(size=(12, 3)), np.tile([1, 2], 6), scene_id="w")
         holed = D.LabelledCloud(rng.normal(size=(12, 3)), np.tile([1, 2, 0], 4), scene_id="h")
         graphs = [whole.neighbours(3), holed.neighbours(3)]
-        kept, dropped = D.mask_novel([whole, holed], split, ignore_id=0)
+        kept, dropped = D.mask_novel([whole, holed], split)
         assert kept.coords is whole.coords
         assert kept.neighbours(3) is graphs[0]
         assert dropped.n_points == 8

@@ -1,5 +1,7 @@
 """Metrics: confusion counting, mIoU, slot matching, end-to-end reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,25 @@ class TestEvaluate:
         clouds[1].labels[5] = 9
         with pytest.raises(ValueError, match=r"scene '1': label ids \[9\] are neither base"):
             evaluate(_ConstantModel(0), clouds, split)
-        # unless it is the ignore label
-        evaluate(_ConstantModel(0), clouds, split, ignore_label=9)
+        # unless it is the split's ignore id
+        evaluate(_ConstantModel(0), clouds, dataclasses.replace(split, ignore_id=9))
+
+    def test_ignored_points_are_left_out_of_the_counts(self):
+        class OctantModel:
+            def predict_slots(self, coords, head=None, neighbours=None):
+                return (coords[:, 0] > 0) + 2 * (coords[:, 1] > 0)
+
+        split, clouds = _toy_eval_set(np.random.default_rng(10))
+        ignored = [LabelledCloud(c.coords, np.where(np.arange(40) % 3 == 0, 9, c.labels),
+                                 c.scene_id) for c in clouds]
+        scored = [LabelledCloud(c.coords[c.labels != 9], c.labels[c.labels != 9], c.scene_id)
+                  for c in ignored]
+        got = evaluate(OctantModel(), ignored, dataclasses.replace(split, ignore_id=9))
+        want = evaluate(OctantModel(), scored, split)
+        assert got.per_class_iou == want.per_class_iou and got.mapping == want.mapping
+        assert got.all_miou == want.all_miou
+        # the ignored points would have moved the scores
+        assert evaluate(OctantModel(), clouds, split).per_class_iou != want.per_class_iou
 
     def test_an_empty_scored_set_is_refused(self):
         split, _ = _toy_eval_set(np.random.default_rng(8))

@@ -20,10 +20,18 @@ def small_toy_script(monkeypatch):
     import functools
 
     script = load_script("run_toy_discovery")
-    monkeypatch.setattr(script, "toy_discovery_config", functools.partial(
-        script.toy_discovery_config, n_scenes=6, points_per_scene=32))
+    monkeypatch.setattr(script, "DataConfig", functools.partial(
+        script.DataConfig, scenes=6, points=32))
     monkeypatch.setattr(script, "TrainConfig", functools.partial(script.TrainConfig, epochs=1))
     return script
+
+
+def test_the_toy_shape_is_the_toy_discovery_config():
+    from segdiscover.data import toy_discovery_config
+
+    script = load_script("run_toy_discovery")
+    for seed in range(5):
+        assert script.synthetic_config("toy", seed) == toy_discovery_config(seed=seed)
 
 
 def test_toy_discovery_reports_the_mean_over_seeds(capsys, monkeypatch):
@@ -104,10 +112,7 @@ def test_toy_discovery_on_a_paper_split_shape_records_the_shape(tmp_path, monkey
     import functools
     import json
 
-    script = load_script("run_toy_discovery")
-    monkeypatch.setattr(script, "DataConfig", functools.partial(
-        script.DataConfig, scenes=6, points=32))
-    monkeypatch.setattr(script, "TrainConfig", functools.partial(script.TrainConfig, epochs=1))
+    script = small_toy_script(monkeypatch)
     monkeypatch.setattr(script, "BaselineConfig", functools.partial(
         script.BaselineConfig, pretrain_epochs=1, finetune_epochs=1))
     out = tmp_path / "quality.json"

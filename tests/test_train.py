@@ -322,7 +322,7 @@ class TestSupervisionIsolation:
 
         # with masking skipped, the first batch holding a novel point fails
         # on it instead of training it in a base slot
-        monkeypatch.setattr(trainmod, "mask_novel", lambda clouds, split, ignore_id: clouds)
+        monkeypatch.setattr(trainmod, "mask_novel", lambda clouds, split: clouds)
         clouds, split = tiny_setup()
         with pytest.raises(ValueError, match=r"labels \[[34](, 4)?\] are not in the class "
                                              r"order \[0, 1, 2\]"):
@@ -413,7 +413,7 @@ class TestFamilyTransport:
 
         scores, heads, m = case
         rho = scores.shape[0] // heads
-        kept, dists = _pseudo_label(scores, heads, m, eps, 3, p, True)
+        kept, dists = _pseudo_label(scores, heads, m, eps, 3, p)
         assert kept.shape == (heads, m) and dists.shape == (heads, rho, m)
         for h in range(heads):
             q = sinkhorn_assign(scores[h * rho:(h + 1) * rho], eps, 3)
@@ -424,8 +424,6 @@ class TestFamilyTransport:
         assert np.array_equal(select_phi(dists, p).kept, kept)
         if p == 0.0:
             assert kept.all()
-        no_filter, same = _pseudo_label(scores, heads, m, eps, 3, p, False)
-        assert no_filter.all() and np.array_equal(same, dists)
 
 
 def batch_layout(masked, split):
@@ -469,7 +467,7 @@ def step_case(heads, overcluster):
         z_novel = z.data[:, novel_idx]
         targets.append([
             _pseudo_label(np.concatenate([p.data for p in kind], axis=1).T @ z_novel, heads,
-                          novel_idx.size, 0.3, 3, 0.5, True)
+                          novel_idx.size, 0.3, 3, 0.5)
             for kind in kinds
         ])
     assert all(0 < kept[h].sum() < novel_idx.size
@@ -818,7 +816,7 @@ class TestOneTapePerStep:
         clouds, split = tiny_setup(scenes=7)
         ignored = [LabelledCloud(clouds[0].coords, np.where(np.arange(48) < 5, 9, clouds[0].labels),
                                  clouds[0].scene_id)] + clouds[1:]
-        train(ignored, split, tiny_exp(epochs=1), ignore_label=9)
+        train(ignored, dataclasses.replace(split, ignore_id=9), tiny_exp(epochs=1))
         assert calls == [43] + [48] * 6 + [48]
 
 
