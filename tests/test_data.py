@@ -254,7 +254,7 @@ class TestScanReaderMutations:
 class TestTextReaderMutations:
     """Flipped bits, truncations and inserted bytes in a valid split file
     or class-name file: the reader parses it or raises a ValueError that
-    names the file. 200 examples each take about a second."""
+    names the file. 200 examples each take about half a second."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -486,7 +486,6 @@ class TestMasking:
             D.mask_novel([cloud], split)
         with pytest.raises(ValueError, match=r"scene '0007': label ids \[40\] are neither"):
             D.mask_novel([cloud], dataclasses.replace(split, ignore_id=0))
-
 
     def test_an_ignored_id_passes_the_label_check_and_only_it(self):
         cloud = D.LabelledCloud(np.zeros((3, 3)), np.array([1, 2, 0]), scene_id="s")

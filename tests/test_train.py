@@ -181,11 +181,31 @@ class TestHeadEntries:
         assert meta.reshape(-1).tolist() == [float(result.model.selected_head)]
 
     def test_queue_takes_the_first_novel_heads_kept_points(self, monkeypatch):
+        self.check_selection_users(monkeypatch, tau_train=True)
+
+    def test_without_tau_train_training_keeps_every_point_and_the_queue_still_filters(
+            self, monkeypatch):
+        self.check_selection_users(monkeypatch, tau_train=False)
+
+    @staticmethod
+    def check_selection_users(monkeypatch, tau_train):
+        """Queue inserts take the novel family's head-0 selection; training
+        targets take each family's selection only when ``tau_train`` is on."""
+        import segdiscover.train as train_mod
+
         steps = record_steps(monkeypatch)
+        step_loss, trained = train_mod._step_loss, []
+
+        def recording(logits, targets, *rest):
+            trained.append(targets)
+            return step_loss(logits, targets, *rest)
+
+        monkeypatch.setattr(train_mod, "_step_loss", recording)
         clouds, split = tiny_setup()
-        train(clouds, split, tiny_exp(epochs=1))  # 2 heads, over on: 2 families
+        # 2 heads, over on: 2 families
+        train(clouds, split, tiny_exp(epochs=1, tau_train=tau_train))
         inserted = 0
-        for step in steps:
+        for step, targets in zip(steps, trained, strict=True):
             novel = step_novel_idx(step)
             assert len(step["inserts"]) == (2 if novel.size else 0)
             for view, (features, classes) in enumerate(step["inserts"]):
@@ -194,6 +214,10 @@ class TestHeadEntries:
                 np.testing.assert_array_equal(features, step["zs"][view][:, novel][:, kept[0]])
                 np.testing.assert_array_equal(classes, dists[0][:, kept[0]].argmax(axis=0))
                 inserted += 1
+                for (k, d), (tk, td) in zip(step["labelled"][2 * view:2 * view + 2], targets[view],
+                                            strict=True):
+                    assert td is d
+                    np.testing.assert_array_equal(tk, k if tau_train else np.ones_like(k))
         assert inserted
 
 
