@@ -15,28 +15,27 @@ pass and only ``.data`` stays readable. A second ``backward`` through a
 spent node raises a ``ValueError`` that names it. Inference records no
 tape: ops run inside ``no_tape()`` return untracked results.
 
-Supported operations: matmul, optionally with a column-vector bias and
-a ReLU folded in (one node per linear layer, holding only its output
-and the ReLU mask), transpose, add (with column-vector bias
-broadcast), elementwise multiply, scalar scaling, ReLU, column-wise
-L2 normalization, column-wise softmax, clamped log, sum and mean
+Supported operations: matmul, optionally with a column-vector bias
+folded in, transpose, add (with column-vector bias broadcast),
+elementwise multiply, scalar scaling, ReLU, column-wise L2
+normalization, column-wise softmax, clamped log, sum and mean
 reduction, a sum in row-major order, row/column concatenation, a
-column gather used to slice batches, a linear map of an input stacked
-over its neighbour mean that pools the map's output instead
-(``pooled_matmul``: the extractor's projection and pooling as one
-node, and the one pooling op), and a fused softmax cross entropy that
-scores a view's logits as one tape node: one value per head, head
+column gather used to slice batches, and a fused softmax cross entropy
+that scores a view's logits as one tape node: one value per head, head
 families read as contiguous row slabs that share the base rows, with a
-closed-form backward.
+closed-form backward. ``record`` makes the node of an op written
+elsewhere, such as the extractor's one node per view
+(``model.Extractor.view_features``).
 
-The pooling takes a ``NeighbourGraph`` around a ``model.knn_indices``
-index. The neighbour mean P is ``NeighbourGraph.mean``: column i of
-P(a) is the mean of ``a``'s columns ``index[i]``. Its transpose,
-``NeighbourGraph.mean_transpose``, runs through reverse passes that the
-first backward builds and the graph keeps, at 2 bytes per entry up to
-65,536 points, so a scene's later passes gather through them without
-rebuilding them; inference never builds them, and pools a range of
-columns at a time (``NeighbourGraph.mean``'s ``lo`` and ``hi``).
+Neighbour pooling runs on a ``NeighbourGraph`` around a
+``model.knn_indices`` index. The neighbour mean P is
+``NeighbourGraph.mean``: column i of P(a) is the mean of ``a``'s
+columns ``index[i]``. Its transpose, ``NeighbourGraph.mean_transpose``,
+runs through reverse passes that the first backward builds and the
+graph keeps, at 2 bytes per entry up to 65,536 points, so a scene's
+later passes gather through them without rebuilding them; inference
+never builds them, and pools a range of columns at a time
+(``NeighbourGraph.mean``'s ``lo`` and ``hi``).
 Backward closures compute gradients only for operands that reach a
 tracked leaf.
 """
@@ -52,7 +51,7 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"NOPS"
 CHECKPOINT_VERSION = 1
-NORM_FLOOR = 1e-12  # l2_normalize_cols' lower bound on a column norm
+NORM_FLOOR = 1e-12  # col_norms' lower bound on a column norm
 
 
 class ShapeError(ValueError):
@@ -134,19 +133,21 @@ def _tracked(a: Tensor) -> bool:
     return a.requires_grad or a._parents != () or a._backward is not None
 
 
-def _result(data, parents, backward):
+def record(data, parents, backward):
+    """The result node of an op: ``data``, with ``backward(grad, acc)``
+    passing gradients to ``parents`` through ``acc``. Every op here
+    makes its node this way, and so may an op written elsewhere. Inside
+    ``no_tape``, or with no tracked parent, a constant."""
     if _recording and any(_tracked(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
 
-def matmul(a, b, bias=None, relu=False):
-    """``a @ b``, plus a column-vector ``bias`` and a ReLU when asked, as
-    one node.
+def matmul(a, b, bias=None):
+    """``a @ b``, plus a column-vector ``bias`` when given, as one node.
 
-    The bias is added in place and the ReLU masks in place, so the node
-    holds its output and the ReLU mask only; the values equal those of
-    matmul, add and relu chained.
+    The bias is added in place, so the node holds its output only; the
+    values equal those of matmul and add chained.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape[1] != b.data.shape[0]:
@@ -164,14 +165,8 @@ def matmul(a, b, bias=None, relu=False):
             )
         out += bias.data
         parents = (a, b, bias)
-    mask = None
-    if relu:
-        mask = out > 0.0
-        out *= mask
 
     def backward(grad, acc):
-        if mask is not None:
-            grad = grad * mask
         if _tracked(a):
             acc(a, grad @ b.data.T)
         if _tracked(b):
@@ -179,7 +174,7 @@ def matmul(a, b, bias=None, relu=False):
         if bias is not None:
             acc(bias, grad.sum(axis=1, keepdims=True))
 
-    return _result(out, parents, backward)
+    return record(out, parents, backward)
 
 
 def transpose(a):
@@ -188,7 +183,7 @@ def transpose(a):
     def backward(grad, acc):
         acc(a, grad.T)
 
-    return _result(a.data.T, (a,), backward)
+    return record(a.data.T, (a,), backward)
 
 
 def add(a, b):
@@ -203,7 +198,7 @@ def add(a, b):
         acc(a, grad)
         acc(b, grad.sum(axis=1, keepdims=True) if bias else grad)
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def mul(a, b):
@@ -217,7 +212,7 @@ def mul(a, b):
         def backward_scalar(grad, acc):
             acc(a, grad * s)
 
-        return _result(a.data * s, (a,), backward_scalar)
+        return record(a.data * s, (a,), backward_scalar)
     b = _as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul {a.label()} * {b.label()}: shapes {a.data.shape} vs {b.data.shape}")
@@ -226,7 +221,7 @@ def mul(a, b):
         acc(a, grad * b.data)
         acc(b, grad * a.data)
 
-    return _result(a.data * b.data, (a, b), backward)
+    return record(a.data * b.data, (a, b), backward)
 
 
 def relu(a):
@@ -236,7 +231,7 @@ def relu(a):
     def backward(grad, acc):
         acc(a, grad * mask)
 
-    return _result(a.data * mask, (a,), backward)
+    return record(a.data * mask, (a,), backward)
 
 
 def log(a, floor=0.0):
@@ -251,7 +246,7 @@ def log(a, floor=0.0):
     def backward(grad, acc):
         acc(a, grad * active / clamped)
 
-    return _result(out, (a,), backward)
+    return record(out, (a,), backward)
 
 
 def softmax_cols(a):
@@ -265,20 +260,25 @@ def softmax_cols(a):
         dot = (grad * s).sum(axis=0, keepdims=True)
         acc(a, s * (grad - dot))
 
-    return _result(s, (a,), backward)
+    return record(s, (a,), backward)
+
+
+def col_norms(x: np.ndarray) -> np.ndarray:
+    """(1, n) L2 norms of an (r, n) array's columns, at least ``NORM_FLOOR``."""
+    return np.maximum(np.sqrt((x ** 2).sum(axis=0, keepdims=True)), NORM_FLOOR)
 
 
 def l2_normalize_cols(a):
     """Scale every column to unit L2 norm."""
     a = _as_tensor(a)
-    norms = np.maximum(np.sqrt((a.data ** 2).sum(axis=0, keepdims=True)), NORM_FLOOR)
+    norms = col_norms(a.data)
     y = a.data / norms
 
     def backward(grad, acc):
         dot = (grad * y).sum(axis=0, keepdims=True)
         acc(a, (grad - y * dot) / norms)
 
-    return _result(y, (a,), backward)
+    return record(y, (a,), backward)
 
 
 def sum_all(a):
@@ -287,7 +287,7 @@ def sum_all(a):
     def backward(grad, acc):
         acc(a, np.full_like(a.data, float(grad[0, 0])))
 
-    return _result(np.array([[a.data.sum()]]), (a,), backward)
+    return record(np.array([[a.data.sum()]]), (a,), backward)
 
 
 def mean_all(a):
@@ -307,7 +307,7 @@ def _concat(tensors: Sequence, axis: int, op: str):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             acc(t, grad[:, lo:hi] if axis else grad[lo:hi])
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return record(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def concat_cols(tensors: Sequence):
@@ -328,7 +328,7 @@ def gather_cols(a, indices):
         np.add.at(g, (slice(None), idx), grad)
         acc(a, g)
 
-    return _result(a.data[:, idx], (a,), backward)
+    return record(a.data[:, idx], (a,), backward)
 
 
 def index_dtype(m: int):
@@ -428,51 +428,6 @@ class NeighbourGraph:
         out = np.empty_like(summed)
         out[order] = summed
         return out.T
-
-
-def pooled_matmul(w, a, graph: NeighbourGraph, bias):
-    """``w @ [a; P(a)] + bias`` as one node, P the averaging operator of
-    ``graph`` (``NeighbourGraph.mean``), with the pooling moved past the
-    product: ``w[:, :n] @ a + P(w[:, n:] @ a) + bias`` for an (n, m)
-    ``a``. This is the package's one pooling op.
-
-    P is linear, so the value equals pooling ``a`` and stacking it under
-    ``a`` up to rounding, while the pooling runs over the output's rows
-    rather than twice as many of the input's. Each half of ``w`` is
-    copied out; backward applies P's transpose
-    (``NeighbourGraph.mean_transpose``) once, to the output's gradient.
-    """
-    w, a, bias = _as_tensor(w), _as_tensor(a), _as_tensor(bias)
-    n, m = a.data.shape
-    if w.data.shape[1] != 2 * n:
-        raise ShapeError(
-            f"pooled_matmul {w.label()} @ {a.label()}: {w.data.shape[1]} weight columns "
-            f"for 2 x {n} input rows"
-        )
-    if bias.data.shape != (w.data.shape[0], 1):
-        raise ShapeError(
-            f"pooled_matmul {w.label()} @ {a.label()} + {bias.label()}: bias {bias.data.shape} "
-            f"vs {w.data.shape[0]} output rows"
-        )
-    if graph.n_points != m:
-        raise ShapeError(
-            f"pooled_matmul {a.label()}: {graph.n_points} neighbour rows for {m} points"
-        )
-    w_own = np.ascontiguousarray(w.data[:, :n])
-    w_pool = np.ascontiguousarray(w.data[:, n:])
-    out = w_own @ a.data
-    out += graph.mean(w_pool @ a.data)
-    out += bias.data
-
-    def backward(grad, acc):
-        pooled = graph.mean_transpose(grad)
-        if _tracked(a):
-            acc(a, w_own.T @ grad + w_pool.T @ pooled)
-        if _tracked(w):
-            acc(w, np.concatenate([grad @ a.data.T, pooled @ a.data.T], axis=1))
-        acc(bias, grad.sum(axis=1, keepdims=True))
-
-    return _result(out, (w, a, bias), backward)
 
 
 def _check_cols(node, cols, n_cols, what):
@@ -610,7 +565,7 @@ def softmax_cross_entropy(logits, cols, slots, weights, fcols, families, *, scal
                 g_rows[:, fcols] -= t_rows.reshape(heads * k, fcols.size)
         acc(logits, g)
 
-    return _result(out, (logits,), backward)
+    return record(out, (logits,), backward)
 
 
 def sum_in_order(a, scale):
@@ -623,7 +578,7 @@ def sum_in_order(a, scale):
         acc(a, np.full_like(a.data, float(grad[0, 0]) * scale))
 
     total = np.cumsum(a.data.reshape(-1))[-1]
-    return _result(np.array([[total * scale]]), (a,), backward)
+    return record(np.array([[total * scale]]), (a,), backward)
 
 
 def backward(output: Tensor):

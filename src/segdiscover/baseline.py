@@ -86,13 +86,22 @@ def _kmeans_pp_init(features, k, rng):
     return np.stack(centers)
 
 
+def _sq_dists(x, centroids):
+    """(n, k) squared distances from the rows of ``x`` to each centroid,
+    one centroid at a time, so no (n, k, D) temporary is made."""
+    out = np.empty((x.shape[0], centroids.shape[0]))
+    for j, c in enumerate(centroids):
+        out[:, j] = ((x - c) ** 2).sum(axis=1)
+    return out
+
+
 def _lloyd(features, centroids, max_iter):
     """Lloyd refinement: at most ``max_iter`` centroid updates, stopping
     early once the assignment repeats. The last distances computed are
     those of the returned centroids and give the assignment and SSE."""
     previous = None
     for it in range(max_iter + 1):
-        d2 = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(features, centroids)
         assignments = d2.argmin(axis=1)
         if it == max_iter or (previous is not None and np.array_equal(assignments, previous)):
             break
@@ -308,7 +317,7 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
         if baseline_cfg.overcluster and pool.shape[0] >= baseline_cfg.overcluster_factor * n_novel:
             k = baseline_cfg.overcluster_factor * n_novel
             km, assign = kmeans(pool, k, train_cfg.seed)
-            d2 = ((pool[:, None, :] - km.centroids[None, :, :]) ** 2).sum(axis=2)
+            d2 = _sq_dists(pool, km.centroids)
             temp = max(float(d2.min(axis=1).mean()), 1e-12)
             soft = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / temp)
             soft /= soft.sum(axis=1, keepdims=True)

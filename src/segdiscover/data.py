@@ -425,10 +425,17 @@ class DatasetClasses:
         raise KeyError(f"{self.dataset}: unknown class name {name!r}")
 
     def remap_raw(self, labels: np.ndarray) -> np.ndarray:
-        out = np.full(labels.shape, self.ignore_id, dtype=np.int64)
-        for raw, train in self.raw_map.items():
-            out[labels == raw] = train
-        return out
+        """Train ids (int64) of raw labels, in one lookup; a raw id the
+        table does not list is refused by id and dataset."""
+        raw = np.array(sorted(self.raw_map), dtype=np.int64)
+        train = np.array([self.raw_map[r] for r in raw], dtype=np.int64)
+        labels = np.asarray(labels)
+        pos = np.minimum(np.searchsorted(raw, labels), max(raw.size - 1, 0))
+        unlisted = labels != raw[pos] if raw.size else np.ones(labels.shape, dtype=bool)
+        if unlisted.any():
+            raise ValueError(f"{self.dataset}: raw labels {np.unique(labels[unlisted]).tolist()} "
+                             "are not in the class table")
+        return train[pos]
 
 
 def load_class_table(dataset_name: str) -> DatasetClasses:
@@ -527,14 +534,22 @@ def read_key_values(path, keys) -> dict:
 
 def read_split_file(path, names: dict) -> SplitSpec:
     """Parse the plain-text split format against a known class table; the
-    format names no ignore id, so the split has none."""
+    format names no ignore id, so the split has none. A missing or empty
+    key, and an empty or repeated ``novel`` entry, are refused by file."""
     keys = ("dataset", "split_name", "novel")
     fields = read_key_values(path, keys)
     for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: split file missing {key!r}")
+        if not fields[key]:
+            raise ValueError(f"{path}: split file key {key!r} is empty")
     by_name = {v: k for k, v in names.items()}
-    listed = [n.strip() for n in fields["novel"].split(",") if n.strip()]
+    listed = [n.strip() for n in fields["novel"].split(",")]
+    if "" in listed:
+        raise ValueError(f"{path}: split file key 'novel' has an empty entry")
+    repeated = sorted({n for n in listed if listed.count(n) > 1})
+    if repeated:
+        raise ValueError(f"{path}: split file key 'novel' repeats {repeated}")
     unknown = [n for n in listed if n not in by_name]
     if unknown:
         raise ValueError(f"{path}: novel classes {unknown} are not in the class table")

@@ -5,21 +5,24 @@ a k-nearest-neighbour mean pools local context, and a final linear map
 projects the hidden features and their pooled context, stacked, to D
 dimensions, L2-normalized per point. The pooling is linear, so it runs
 after the projection, on D rows rather than twice the hidden width:
-``W [h; P h] = W_a h + P (W_b h)``, one tape node
-(``autodiff.pooled_matmul``).
+``W [h; P h] = W_a h + P (W_b h)``.
+
+Training records a view's scenes as one tape node
+(``Extractor.view_features``) that keeps per scene only the second
+hidden layer, the column norms and the coordinates, and recomputes the
+first layer in backward, the activation-recomputation trade of Chen et
+al. (2016). Inference scores a scene in untaped chunks of points
+(``Extractor.feature_chunks``) through the same numpy forward
+(``Extractor._forward``), so it holds ~0.5 kB per point at D = 32, not
+the ~1.8 kB of whole-scene (hidden, m) layers: ``predict_slots`` with
+the graph given peaks under ``tracemalloc`` at 6.0 MB for 8,192
+points, against 14.8 MB for one whole-scene untaped forward.
 
 ``SegmentationModel`` (online discovery) adds a base head with a bias,
 bias-free novel heads whose weight columns double as the class
 prototypes read by the transport solver, and over-clustering heads with
 o times the novel width, discarded at inference. ``CombinedHeadModel``
 (the offline baseline) adds one head over base and novel slots jointly.
-
-Inference scores a scene in untaped chunks of points
-(``Extractor.feature_chunks``) with the same layer ops, so it holds
-~0.5 kB per point at D = 32, not the ~1.8 kB of whole-scene (hidden, m)
-layers: ``predict_slots`` with the graph given peaks under
-``tracemalloc`` at 6.0 MB for 8,192 points, against 14.8 MB for one
-whole-scene untaped forward.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class ModelConfig:
 KNN_BLOCK_BYTES = 1 << 18
 
 # Bytes of one (hidden, chunk) encoder layer of an untaped forward
-# (``SegmentationModel.feature_chunks``): 2,048 points at hidden = 64.
+# (``Extractor.feature_chunks``): 2,048 points at hidden = 64.
 FORWARD_CHUNK_BYTES = 1 << 20
 
 
@@ -179,6 +182,14 @@ def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = 
     return mat
 
 
+def _relu_layer(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``relu(w @ x + b)``, the bias added and the ReLU masked in place."""
+    out = w @ x
+    out += b
+    out *= out > 0.0
+    return out
+
+
 def _normal(rng: np.random.Generator, shape, fan_in: int, name: str) -> ad.Tensor:
     return ad.parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), shape), name)
 
@@ -220,58 +231,105 @@ class Extractor:
                                 f"and a k-NN of width {knn_width} (knn={self.cfg.knn})")
         return coords, neighbours
 
-    def _encode(self, coords: np.ndarray) -> ad.Tensor:
-        """The two encoder layers on (c, 3) coordinates, (hidden, c).
-        Untaped, the first layer goes once the second exists."""
-        h = ad.matmul(self.w1, ad.constant(coords.T, name="xyz"), bias=self.b1, relu=True)
-        return ad.matmul(self.w2, h, bias=self.b2, relu=True)
+    def _halves(self):
+        """The own and pooled halves of proj.w, each copied out."""
+        n = self.cfg.hidden
+        return (np.ascontiguousarray(self.w3.data[:, :n]),
+                np.ascontiguousarray(self.w3.data[:, n:]))
+
+    def _layer1(self, coords: np.ndarray) -> np.ndarray:
+        return _relu_layer(self.w1.data, coords.T, self.b1.data)
+
+    def _forward(self, coords, graph, step, hidden=None):
+        """Yield ``(lo, hi, z, norms)``: the unit (D, hi - lo) features of
+        points lo:hi and their pre-normalisation column norms, chunk by
+        chunk of ``step`` points, untaped. ``hidden``, a list, gets each
+        chunk's second layer.
+
+        Pass 1 runs the encoder on each chunk and keeps only its two
+        halves of the projection: the own half by chunk, the pooled half
+        points-major in one (m, D) array. Pass 2 pools each chunk over its
+        rows of ``graph`` (``NeighbourGraph.mean``), then adds the bias
+        and normalises. So one chunk's encoder layers and the two (D, m)
+        projections are held at a time, never every (hidden, m) layer.
+        """
+        w_own, w_pool = self._halves()
+        own, pooled = [], np.empty((coords.shape[0], w_pool.shape[0]))
+        for lo in range(0, coords.shape[0], step):
+            h = _relu_layer(self.w2.data, self._layer1(coords[lo:lo + step]), self.b2.data)
+            own.append(w_own @ h)
+            pooled[lo:lo + step] = (w_pool @ h).T
+            if hidden is not None:
+                hidden.append(h)
+            del h
+        for lo in range(0, coords.shape[0], step):
+            z = own.pop(0)
+            hi = lo + z.shape[1]
+            z += graph.mean(pooled.T, lo, hi)
+            z += self.b3.data
+            norms = ad.col_norms(z)
+            z /= norms
+            yield lo, hi, z, norms
+
+    def view_features(self, coords_list, graphs) -> ad.Tensor:
+        """(D, sum of m) unit-column features of one view: its scenes'
+        (m, 3) coordinate arrays side by side, each pooled over its
+        ``graphs`` entry (a scene's ``LabelledCloud.neighbours`` graph, or
+        None to build one here), as one tape node.
+
+        Each scene runs ``_forward`` whole, and the node keeps per scene
+        only its second hidden layer, its column norms and its
+        coordinates. Backward walks the scenes in order, recomputes the
+        first layer from the coordinates and applies the transposes of
+        the normalisation, the pooled projection (``NeighbourGraph.
+        mean_transpose``, kept by the graph) and both layers; every
+        parameter gets one gradient per scene, in scene order.
+        """
+        scenes = [self._scene(c, g) for c, g in zip(coords_list, graphs, strict=True)]
+        out = np.empty((self.cfg.feature_dim, sum(c.shape[0] for c, _ in scenes)))
+        kept, col = [], 0
+        for coords, graph in scenes:
+            hidden, m = [], coords.shape[0]
+            for _, _, z, norms in self._forward(coords, graph, m, hidden):
+                out[:, col:col + m] = z
+            kept.append((col, col + m, coords, graph, hidden[0], norms))
+            col += m
+
+        def backward(grad, acc):
+            w_own, w_pool = self._halves()
+            for lo, hi, coords, graph, h2, norms in kept:
+                g, y = grad[:, lo:hi], out[:, lo:hi]
+                # the normalisation, then the projection and its pooled half
+                g = (g - y * (g * y).sum(axis=0, keepdims=True)) / norms
+                pooled = graph.mean_transpose(g)
+                acc(self.w3, np.concatenate([g @ h2.T, pooled @ h2.T], axis=1))
+                acc(self.b3, g.sum(axis=1, keepdims=True))
+                g = (w_own.T @ g + w_pool.T @ pooled) * (h2 > 0.0)
+                h1 = self._layer1(coords)
+                acc(self.w2, g @ h1.T)
+                acc(self.b2, g.sum(axis=1, keepdims=True))
+                g = (self.w2.data.T @ g) * (h1 > 0.0)
+                acc(self.w1, g @ coords)
+                acc(self.b1, g.sum(axis=1, keepdims=True))
+
+        return ad.record(out, (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3), backward)
 
     def extract_features(self, coords: np.ndarray,
                          neighbours: ad.NeighbourGraph | None = None) -> ad.Tensor:
-        """(D, m) feature matrix with unit-norm columns for one cloud.
-
-        ``neighbours`` is the scene's ``LabelledCloud.neighbours`` graph,
-        which keeps the transpose a backward pass builds; bare
-        coordinates get a graph built here and then dropped.
-        """
-        coords, neighbours = self._scene(coords, neighbours)
-        # proj.w @ [h; P(h)] + proj.b, pooling the projection instead
-        z = ad.pooled_matmul(self.w3, self._encode(coords), neighbours, self.b3)
-        return ad.l2_normalize_cols(z)
+        """``view_features`` of one scene: (D, m) unit-column features."""
+        return self.view_features([coords], [neighbours])
 
     def feature_chunks(self, coords: np.ndarray, neighbours: ad.NeighbourGraph | None = None):
         """Yield ``(lo, hi, z)``: the untaped (D, hi - lo) features of
-        points lo:hi, chunk by chunk, with ``extract_features``' layers.
-
-        A chunk is ``FORWARD_CHUNK_BYTES // (8 hidden)`` points. Pass 1
-        runs the encoder on each chunk and keeps only its two halves of
-        the projection: the own half by chunk, the pooled half
-        points-major in one (m, D) array. Pass 2 pools each chunk over
-        its rows of the graph (``NeighbourGraph.mean``), then adds the
-        bias and normalises. So one chunk's encoder layers and the two
-        (D, m) projections are held at a time, never every (hidden, m)
-        layer. A scene of one chunk takes the products of
-        ``extract_features`` and gets its features bit for bit; past one
-        chunk, BLAS may round a narrower product's columns in the last bit.
+        points lo:hi, ``_forward`` by chunks of ``FORWARD_CHUNK_BYTES //
+        (8 hidden)`` points. A scene of one chunk gets the features of
+        ``extract_features`` bit for bit; past one chunk, BLAS may round
+        a narrower product's columns in the last bit.
         """
         coords, neighbours = self._scene(coords, neighbours)
-        m, n = coords.shape[0], self.cfg.hidden
-        step = max(1, FORWARD_CHUNK_BYTES // (8 * n))
-        w_own = np.ascontiguousarray(self.w3.data[:, :n])
-        w_pool = np.ascontiguousarray(self.w3.data[:, n:])
-        own, pooled = [], np.empty((m, w_pool.shape[0]))
-        with ad.no_tape():
-            for lo in range(0, m, step):
-                h = self._encode(coords[lo:lo + step]).data
-                own.append(w_own @ h)
-                pooled[lo:lo + step] = (w_pool @ h).T
-                del h
-        for lo in range(0, m, step):
-            z = own.pop(0)
-            hi = lo + z.shape[1]
-            z += neighbours.mean(pooled.T, lo, hi)
-            z += self.b3.data
-            yield lo, hi, ad.l2_normalize_cols(z).data
+        step = max(1, FORWARD_CHUNK_BYTES // (8 * self.cfg.hidden))
+        for lo, hi, z, _ in self._forward(coords, neighbours, step):
+            yield lo, hi, z
 
     def _slots(self, coords, neighbours, logits) -> np.ndarray:
         """Per-point argmax of ``logits(z)`` over ``feature_chunks``, untaped."""

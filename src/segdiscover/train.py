@@ -74,9 +74,8 @@ class TrainResult:
 
 def _features(model, views, neighbours):
     """One view's (D, n) features, the scenes' coordinate arrays side by
-    side; each scene pools over its entry of ``neighbours``."""
-    feats = [model.extract_features(coords, nb) for coords, nb in zip(views, neighbours)]
-    return ad.concat_cols(feats) if len(feats) > 1 else feats[0]
+    side as one tape node; each scene pools over its entry of ``neighbours``."""
+    return model.view_features(views, neighbours)
 
 
 def _pseudo_label(scores, heads, m, eps, iters, percentile):

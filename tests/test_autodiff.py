@@ -408,7 +408,7 @@ def _chain_sum(terms):
 
 
 class TestFusedLinear:
-    """``matmul`` with ``bias`` and ``relu`` against the op chain."""
+    """``matmul`` with ``bias`` against the op chain."""
 
     def setup_case(self, rng):
         w = ad.parameter(rng.normal(size=(4, 3)), "w")
@@ -416,39 +416,33 @@ class TestFusedLinear:
         b = ad.parameter(rng.normal(size=(4, 1)), "b")
         return w, x, b
 
-    @pytest.mark.parametrize("relu", [False, True])
-    def test_value_and_gradients_equal_the_op_chain_bit_for_bit(self, relu):
+    def test_value_and_gradients_equal_the_op_chain_bit_for_bit(self):
         rng = np.random.default_rng(41)
         w, x, b = self.setup_case(rng)
         upstream = ad.constant(rng.normal(size=(4, 6)))
-        fused = ad.matmul(w, x, bias=b, relu=relu)
+        fused = ad.matmul(w, x, bias=b)
         ad.backward(ad.sum_all(ad.mul(fused, upstream)))
         grads = [p.grad.copy() for p in (w, x, b)]
         for p in (w, x, b):
             p.zero_grad()
         chain = ad.add(ad.matmul(w, x), b)
-        chain = ad.relu(chain) if relu else chain
         ad.backward(ad.sum_all(ad.mul(chain, upstream)))
         assert np.array_equal(fused.data, chain.data)
         for got, p in zip(grads, (w, x, b)):
             assert np.array_equal(got, p.grad), p.name
         assert fused._parents is None  # one node, spent
 
-    @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("untracked", [None, "w", "x", "b"])
-    def test_central_differences(self, relu, untracked):
+    def test_central_differences(self, untracked):
         rng = np.random.default_rng(43)
         w, x, b = self.setup_case(rng)
-        pre = w.data @ x.data + b.data
-        # both signs occur, and no entry sits within a step of the kink
-        assert 0 < np.count_nonzero(pre > 0) < pre.size and np.abs(pre).min() > 1e-2
         operands = {"w": w, "x": x, "b": b}
         if untracked is not None:
             operands[untracked] = ad.constant(operands[untracked].data)
         upstream = ad.constant(rng.normal(size=(4, 6)))
 
         def forward():
-            y = ad.matmul(operands["w"], operands["x"], bias=operands["b"], relu=relu)
+            y = ad.matmul(operands["w"], operands["x"], bias=operands["b"])
             return ad.sum_all(ad.mul(ad.mul(y, y), upstream))
 
         ad.backward(forward())
@@ -459,14 +453,6 @@ class TestFusedLinear:
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
         if untracked is not None:
             assert operands[untracked].grad is None
-
-    def test_relu_zeroes_the_gradient_of_inactive_outputs(self):
-        w = ad.parameter(np.array([[1.0], [-1.0]]), "w")
-        x = ad.constant(np.array([[2.0, -3.0]]))
-        y = ad.matmul(w, x, bias=ad.constant(np.array([[0.5], [0.5]])), relu=True)
-        np.testing.assert_array_equal(y.data, [[2.5, 0.0], [0.0, 3.5]])
-        ad.backward(ad.sum_all(y))
-        np.testing.assert_array_equal(w.grad, [[2.0], [-3.0]])
 
     def test_bias_shape_mismatch_names_the_nodes(self):
         w = ad.parameter(np.zeros((2, 3)), "enc.w")
@@ -578,78 +564,7 @@ class TestNeighbourMean:
             ad.NeighbourGraph(neighbours)
 
 
-POOLING_GRAPHS = [
-    [[0]],  # one point averages itself
-    [[1, 2], [0, 2], [0, 1]],
-    [[1, 1], [0, 0], [1, 0], [0, 1]],  # points 2 and 3 are named by no row
-    [[3], [3], [3], [0]],  # point 3 named three times, 1 and 2 never
-]
-
-
-def _pooled_case(neighbours, seed=6):
-    """An (n, m) input, a (d, 2n) weight and a (d, 1) bias, all tracked,
-    and an upstream weighting, for a graph of m points."""
-    m = len(neighbours)
-    rng = np.random.default_rng(seed)
-    w = ad.parameter(rng.normal(size=(2, 6)), "proj.w")
-    a = ad.parameter(rng.normal(size=(3, m)), "h2")
-    bias = ad.parameter(rng.normal(size=(2, 1)), "proj.b")
-    return w, a, bias, ad.constant(rng.normal(size=(2, m)))
-
-
-class TestPooledMatmul:
-    @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
-    def test_value_and_gradients_match_pooling_the_stacked_input(self, neighbours):
-        w, a, bias, upstream = _pooled_case(neighbours)
-        nb = np.asarray(neighbours)
-        out = ad.pooled_matmul(w, a, ad.NeighbourGraph(nb), bias)
-        ad.backward(ad.sum_all(ad.mul(out, upstream)))
-        # the numpy reference: w @ [a; a P] + bias with P the dense matrix
-        mat, g, n = _dense_mean(nb), upstream.data, a.shape[0]
-        stacked = np.concatenate([a.data, a.data @ mat])
-        np.testing.assert_allclose(out.data, w.data @ stacked + bias.data, rtol=1e-10)
-        wants = (g @ stacked.T,
-                 w.data[:, :n].T @ g + (w.data[:, n:].T @ g) @ mat.T,
-                 g.sum(axis=1, keepdims=True))
-        for p, want in zip((w, a, bias), wants):
-            assert np.abs(want).max() > 0.0, p.name
-            np.testing.assert_allclose(p.grad, want, rtol=1e-10, atol=1e-14, err_msg=p.name)
-
-    @pytest.mark.parametrize("neighbours", POOLING_GRAPHS)
-    def test_gradients_match_central_differences(self, neighbours):
-        w, a, bias, upstream = _pooled_case(neighbours, seed=7)
-        graph = ad.NeighbourGraph(np.asarray(neighbours))
-
-        def loss():
-            return ad.sum_all(ad.mul(ad.pooled_matmul(w, a, graph, bias), upstream))
-
-        ad.backward(loss())
-        for p in (w, a, bias):
-            coords = [(p, i) for i in range(p.data.size)]
-            numeric = finite_difference(lambda: float(loss().data[0, 0]), None, coords)
-            assert relative_error(p.grad.reshape(-1), numeric).max() < 1e-6, p.name
-
-    def test_a_graph_keeps_the_transpose_its_first_backward_builds(self):
-        from segdiscover.model import knn_indices
-
-        rng = np.random.default_rng(9)
-        nb = knn_indices(rng.normal(size=(300, 3)), 7)
-        graph = ad.NeighbourGraph(nb)
-        w, a, bias = (ad.parameter(rng.normal(size=s), n)
-                      for s, n in (((4, 10), "w"), ((5, 300), "a"), ((4, 1), "b")))
-        out = ad.pooled_matmul(w, a, graph, bias)
-        assert graph.reverse is None  # a forward pass builds none
-        ad.backward(ad.sum_all(out))
-        kept = graph.reverse
-        fresh = ad._reverse_passes(nb, 300)
-        assert kept[0].dtype == kept[1].dtype == np.uint16
-        assert kept[1].nbytes == 2 * nb.size
-        for got, want in zip(kept[:2], fresh[:2]):
-            assert np.array_equal(got, want)
-        assert np.array_equal(kept[2], fresh[2])
-        ad.backward(ad.sum_all(ad.pooled_matmul(w, a, graph, bias)))
-        assert graph.reverse is kept  # every later pass reuses it
-
+class TestReversePasses:
     @pytest.mark.parametrize("m, dtype", [(1, np.uint16), (1 << 16, np.uint16),
                                           ((1 << 16) + 1, np.int32)])
     def test_index_dtype_is_the_narrowest_type_that_indexes_m_points(self, m, dtype):
@@ -665,25 +580,3 @@ class TestPooledMatmul:
         assert order.dtype == flat.dtype == dtype
         assert offsets.tolist() == [0, m]
         assert np.array_equal(flat[np.argsort(order)], (np.arange(m) - 1) % m)
-
-    @pytest.mark.parametrize("w_shape, b_shape, match", [
-        ((2, 5), (2, 1), "5 weight columns for 2 x 3 input rows"),
-        ((2, 6), (3, 1), r"bias \(3, 1\) vs 2 output rows"),
-    ])
-    def test_bad_shapes_raise_a_shape_error_naming_the_node(self, w_shape, b_shape, match):
-        with pytest.raises(ad.ShapeError, match=match):
-            ad.pooled_matmul(np.zeros(w_shape), ad.parameter(np.zeros((3, 2)), "h2"),
-                             ad.NeighbourGraph(np.array([[1], [0]])), np.zeros(b_shape))
-
-    def test_a_graph_over_other_points_is_refused(self):
-        graph = ad.NeighbourGraph(np.array([[1], [0]]))
-        with pytest.raises(ad.ShapeError, match=r"pooled_matmul h2: 2 neighbour rows for 3 "
-                                                r"points"):
-            ad.pooled_matmul(np.zeros((2, 6)), ad.parameter(np.zeros((3, 3)), "h2"), graph,
-                             np.zeros((2, 1)))
-
-    def test_constant_inputs_record_no_tape(self):
-        graph = ad.NeighbourGraph(np.array([[1], [2], [0]]))
-        out = ad.pooled_matmul(np.ones((2, 4)), ad.constant(np.ones((2, 3))), graph,
-                               np.zeros((2, 1)))
-        assert out._parents == () and out._backward is None

@@ -106,6 +106,26 @@ class TestKMeans:
         if max_iter == 0:
             assert np.array_equal(centroids, init)
 
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_distances_equal_the_broadcast_ones_without_its_temporary(self, k):
+        import tracemalloc
+
+        from segdiscover.baseline import _sq_dists
+
+        # the shape of the offline benchmark's clustering pool
+        rng = np.random.default_rng(k)
+        pts, centroids = rng.normal(size=(8224, 32)), rng.normal(size=(k, 32))
+        tracemalloc.start()
+        try:
+            d2 = _sq_dists(pts, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(d2, ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+        # an (n, D) difference or two at a time, where the (n, k, D)
+        # temporary holds k of them
+        assert peak < 3 * pts.nbytes, f"peak {peak / 1e6:.2f} MB"
+
     def test_deterministic_per_seed(self):
         pts = np.random.default_rng(3).normal(size=(30, 4))
         m1, a1 = kmeans(pts, 3, seed=5)

@@ -1,6 +1,7 @@
 """Synthetic generation, scan-format IO, splits, and masking."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,26 @@ class TestSplits:
         with pytest.raises(ValueError, match=message):
             D.read_split_file(path, dict(enumerate(["ground", "hub", "ring", "mast", "crown"])))
 
+    @pytest.mark.parametrize("text, message", [
+        ("dataset=\nsplit_name=s\nnovel=crown\n", "split file key 'dataset' is empty"),
+        ("dataset=toy\nsplit_name= \nnovel=crown\n", "split file key 'split_name' is empty"),
+        ("dataset=toy\nsplit_name=s\nnovel=\n", "split file key 'novel' is empty"),
+        ("dataset=toy\nsplit_name=s\nnovel=mast,,crown\n",
+         "split file key 'novel' has an empty entry"),
+        ("dataset=toy\nsplit_name=s\nnovel=mast, ,crown\n",
+         "split file key 'novel' has an empty entry"),
+        ("dataset=toy\nsplit_name=s\nnovel=crown,\n", "split file key 'novel' has an empty entry"),
+        ("dataset=toy\nsplit_name=s\nnovel=mast,crown, mast\n",
+         r"split file key 'novel' repeats \['mast'\]"),
+        ("dataset=\nsplit_name=\nnovel=mast,mast,,crown\n", "split file key 'dataset' is empty"),
+    ])
+    def test_an_empty_key_or_entry_or_a_repeated_entry_is_refused_by_file(
+            self, tmp_path, text, message):
+        path = tmp_path / "split.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            D.read_split_file(path, dict(enumerate(["ground", "hub", "ring", "mast", "crown"])))
+
     def test_class_names_round_trip(self, tmp_path):
         names = {0: "ground", 1: "hub", 7: "ring"}
         D.write_class_names(tmp_path / "classes.txt", names)
@@ -408,6 +429,23 @@ class TestSplits:
         path.write_bytes(b"0\tground\n1\th\xffb\n")
         with pytest.raises(ValueError, match=r"^\S*classes\.txt: byte 12 is not UTF-8$"):
             D.read_class_names(path)
+
+    @pytest.mark.parametrize("dataset", ["semantickitti", "semanticposs"])
+    def test_every_listed_raw_id_maps_as_its_table_row(self, dataset):
+        classes = D.load_class_table(dataset)
+        raw = np.array(sorted(classes.raw_map) * 2, dtype=np.uint32).reshape(2, -1)
+        out = classes.remap_raw(raw)
+        assert out.dtype == np.int64 and out.shape == raw.shape
+        assert out.tolist() == [[classes.raw_map[int(r)] for r in row] for row in raw]
+
+    def test_an_unlisted_raw_id_is_refused_by_id_and_dataset(self):
+        classes = D.load_class_table("semantickitti")
+        with pytest.raises(ValueError, match=r"^semantickitti: raw labels \[12345\] are not in "
+                                             r"the class table$"):
+            classes.remap_raw(np.array([10, 12345, 40]))
+        with pytest.raises(ValueError, match=r"raw labels \[-1, 2, 300\] are not"):
+            classes.remap_raw(np.array([300, 2, 10, -1, 300]))
+        assert classes.remap_raw(np.array([], dtype=np.uint32)).shape == (0,)
 
     def test_raw_label_remap(self):
         classes = D.load_class_table("semantickitti")

@@ -718,3 +718,133 @@ class TestExtractFeaturesGradient:
                 p.data.flat[flat] = original
                 numeric = (up - down) / 2e-5
                 assert abs(p.grad.flat[flat] - numeric) <= 1e-6 * max(1.0, abs(numeric)), p.name
+
+
+# one view of unequal scenes: m > k, m <= k (a graph narrower than knn),
+# a one-point scene that averages itself, and m = k + 1
+VIEW_SIZES = (9, 3, 1, 4)
+
+
+def _view_case(seed):
+    rng = np.random.default_rng(seed)
+    model = SegmentationModel(ModelConfig(feature_dim=4, hidden=5, knn=3), 2, 2, rng)
+    coords = [rng.normal(size=(m, 3)) for m in VIEW_SIZES]
+    graphs = [ad.NeighbourGraph(knn_indices(c, 3)) for c in coords]
+    weight = ad.constant(rng.normal(size=(4, sum(VIEW_SIZES))))
+    return model, coords, graphs, weight
+
+
+def _extractor_grads(model, loss):
+    params = model.tensors[:6]
+    for p in params:
+        p.zero_grad()
+    ad.backward(loss)
+    return {p.name: p.grad.copy() for p in params}
+
+
+class TestViewFeatures:
+    """``Extractor.view_features``: one tape node for a view's scenes."""
+
+    def test_value_and_gradients_match_the_op_chain_per_scene(self):
+        from test_train import chain_features
+
+        model, coords, graphs, weight = _view_case(21)
+        z = model.view_features(coords, graphs)
+        got = _extractor_grads(model, ad.sum_all(ad.mul(z, weight)))
+        chain = ad.concat_cols([chain_features(model, c, g) for c, g in zip(coords, graphs)])
+        want = _extractor_grads(model, ad.sum_all(ad.mul(chain, weight)))
+        # the chain pools the projection through a dense matrix
+        np.testing.assert_allclose(z.data, chain.data, rtol=0, atol=1e-14)
+        for name, g in want.items():
+            assert np.abs(g).max() > 0.0, name
+            np.testing.assert_allclose(got[name], g, rtol=1e-10, atol=1e-13, err_msg=name)
+
+    def test_gradients_match_central_differences(self):
+        model, coords, graphs, weight = _view_case(22)
+
+        def loss():
+            return ad.sum_all(ad.mul(model.view_features(coords, graphs), weight))
+
+        grads = _extractor_grads(model, loss())
+        for p in model.tensors[:6]:
+            for flat in range(p.data.size):
+                original = p.data.flat[flat]
+                p.data.flat[flat] = original + 1e-5
+                up = float(loss().data[0, 0])
+                p.data.flat[flat] = original - 1e-5
+                down = float(loss().data[0, 0])
+                p.data.flat[flat] = original
+                numeric = (up - down) / 2e-5
+                assert abs(grads[p.name].flat[flat] - numeric) <= 1e-6 * max(1.0, abs(numeric)), \
+                    (p.name, flat)
+
+    def test_a_view_holds_its_scenes_features_bit_for_bit(self):
+        model, coords, graphs, _ = _view_case(23)
+        z = model.view_features(coords, graphs)
+        ends = np.cumsum(VIEW_SIZES)
+        for c, g, lo, hi in zip(coords, graphs, ends - VIEW_SIZES, ends):
+            assert np.array_equal(z.data[:, lo:hi], model.extract_features(c, g).data)
+            (_, _, chunk), = model.feature_chunks(c, g)
+            assert np.array_equal(z.data[:, lo:hi], chunk)
+
+    def test_an_inactive_hidden_unit_passes_no_gradient(self):
+        model, coords, graphs, weight = _view_case(24)
+        # unit 0 of each hidden layer is below zero at every point
+        model.b1.data[0] = -1e6
+        model.b2.data[0] = -1e6
+        grads = _extractor_grads(model, ad.sum_all(ad.mul(model.view_features(coords, graphs),
+                                                          weight)))
+        for name in ("enc1.w", "enc1.b", "enc2.w", "enc2.b"):
+            assert not grads[name][0].any(), name
+            assert grads[name][1:].any(), name
+        # layer 2's unit 0 reads a dead input, so its column passes nothing
+        assert not grads["enc2.w"][:, 0].any()
+
+    def test_a_graph_keeps_the_transpose_its_first_backward_builds(self):
+        rng = np.random.default_rng(9)
+        model = SegmentationModel(ModelConfig(), 3, 2, rng)
+        coords = rng.normal(size=(300, 3))
+        nb = knn_indices(coords, 16)
+        graph = ad.NeighbourGraph(nb)
+        z = model.view_features([coords], [graph])
+        assert graph.reverse is None  # a forward pass builds none
+        ad.backward(ad.sum_all(z))
+        kept = graph.reverse
+        fresh = ad._reverse_passes(nb, 300)
+        assert kept[0].dtype == kept[1].dtype == np.uint16
+        assert kept[1].nbytes == 2 * nb.size
+        for got, want in zip(kept[:2], fresh[:2]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(kept[2], fresh[2])
+        ad.backward(ad.sum_all(model.view_features([coords], [graph])))
+        assert graph.reverse is kept  # every later pass reuses it
+
+    def test_a_backward_pass_spends_the_node(self):
+        model, coords, graphs, weight = _view_case(25)
+        z = model.view_features(coords, graphs)
+        assert z._parents == tuple(model.tensors[:6])
+        ad.backward(ad.sum_all(ad.mul(z, weight)))
+        assert z._parents is None and z._backward is None
+        with pytest.raises(ValueError, match="an earlier backward spent"):
+            ad.backward(ad.sum_all(z))
+
+    def test_no_tape_records_nothing(self):
+        model, coords, graphs, _ = _view_case(26)
+        with ad.no_tape():
+            z = model.view_features(coords, graphs)
+        assert z._parents == () and z._backward is None
+        assert np.array_equal(z.data, model.view_features(coords, graphs).data)
+
+    def test_a_graph_list_of_another_length_is_refused(self):
+        model, coords, graphs, _ = _view_case(27)
+        with pytest.raises(ValueError, match="zip"):
+            model.view_features(coords, graphs[:-1])
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_a_missing_graph_is_built_for_its_scene(self, m):
+        model, coords, graphs, _ = _view_case(28)
+        scene = np.random.default_rng(m).normal(size=(m, 3))
+        built = model.view_features(coords + [scene], graphs + [None])
+        given = model.view_features(coords + [scene],
+                                    graphs + [ad.NeighbourGraph(knn_indices(scene, 3))])
+        assert np.array_equal(built.data, given.data)

@@ -655,8 +655,8 @@ def concat_features(model, coords, neighbours):
     ``proj.w`` times the hidden features with their ``dense_pool``
     neighbour mean stacked under them."""
     x = ad.constant(coords.T)
-    h1 = ad.matmul(model.w1, x, bias=model.b1, relu=True)
-    h2 = ad.matmul(model.w2, h1, bias=model.b2, relu=True)
+    h1 = ad.relu(ad.matmul(model.w1, x, bias=model.b1))
+    h2 = ad.relu(ad.matmul(model.w2, h1, bias=model.b2))
     cat = ad.concat_rows([h2, dense_pool(h2, neighbours)])
     return ad.l2_normalize_cols(ad.matmul(model.w3, cat, bias=model.b3))
 
@@ -794,19 +794,15 @@ class TestOneTapePerStep:
         )
         train(clouds, split, exp)
         assert counts["steps"] == 2 and counts["ce"] == 2 * 2
-        # 8 extractor passes of 4 nodes (two hidden layers, the pooled
-        # projection, the normalization), 2 batch concatenations, 4 for
-        # the stacked heads: one column concatenation, one transpose, two
-        # row concatenations; 2 logit matmuls, 2 CE nodes, their sum and
-        # the ordered total
-        assert counts["nodes"] == [44, 44]
+        # one extractor node per view, 4 for the stacked heads: one
+        # column concatenation, one transpose, two row concatenations;
+        # 2 logit matmuls, 2 CE nodes, their sum and the ordered total
+        assert counts["nodes"] == [12, 12]
 
-    def test_a_step_of_four_512_point_scenes_stays_under_29_mb(self):
-        # one step plus the epoch's evaluation at the default model. The
-        # bound sits between the tracemalloc peaks of a tape with a node
-        # each for every layer's product, bias sum and ReLU and a CE node
-        # per entry and view (34.0 MB) and of one node per layer and one
-        # CE node per view (23.6 MB)
+    @staticmethod
+    def _step_peak():
+        """tracemalloc peak of one step of four 512-point scenes plus the
+        epoch's evaluation, at the default model."""
         import tracemalloc
 
         cfg = toy_discovery_config(seed=0, n_scenes=4, points_per_scene=512)
@@ -815,10 +811,26 @@ class TestOneTapePerStep:
         tracemalloc.start()
         try:
             train(clouds, cfg.split(), exp)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_a_step_of_four_512_point_scenes_stays_under_29_mb(self):
+        # the bound sits between the peaks of a tape with a node each for
+        # every layer's product, bias sum and ReLU and a CE node per entry
+        # and view (34.0 MB) and of one node per layer and one CE node per
+        # view (23.6 MB)
+        peak = self._step_peak()
         assert peak < 29e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_a_step_of_four_512_point_scenes_stays_under_12_5_mb(self):
+        # the bound sits between the peaks of a tape with a node per layer
+        # and scene, which keeps every layer, its ReLU mask and a second
+        # copy of each view's features (15.0 MB), and of one extractor node
+        # per view, which keeps per scene only the second hidden layer and
+        # the column norms (10.0 MB)
+        peak = self._step_peak()
+        assert peak < 12.5e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_scoring_the_training_scenes_reuses_their_graphs(self, monkeypatch):
         import segdiscover.model as model_mod
