@@ -7,7 +7,15 @@ neighbour in coordinate space, and fine-tunes a joint head on base
 ground truth plus the hard pseudo-labels. Novel ground truth is masked
 at the same boundary the online trainer uses. Each stage trains a
 ``CombinedHeadModel``, the extractor and one head, on one augmented
-view per scene and step.
+view per scene and step, and keeps its targets in narrow index types:
+3 bytes per labelled point up to 65,536 points per scene, 5 past that.
+
+The clustering stage holds its pool of picked features once, as one
+(n, D) array dropped with the assignment before fine-tuning. k-means
+scores the pool, and sums its clusters, in row blocks of
+``KMEANS_BLOCK_BYTES`` in row order, so it adds only one (n, k)
+distance array, the assignments and one block to the pool, and its
+results are bit for bit those of the one-shot formulas.
 """
 
 from __future__ import annotations
@@ -27,6 +35,13 @@ from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hoo
 
 KMEANS_RESTARTS = 20  # k-means++ seedings per kmeans call; the lowest SSE wins
 KMEANS_MAX_ITER = 300  # Lloyd iterations per seeding, if it has not converged
+
+# Float64 bytes of one row block of the clustering pool (or of its (n, k)
+# scores): k-means distances, centroid sums and the over-clustering
+# entropy each work on one such block at a time, never on a copy of the
+# pool, as FAISS blocks its k-means distances (Johnson et al., 2019).
+# 256 KiB holds 1,024 rows at D = 32.
+KMEANS_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,10 +85,17 @@ class KMeansModel:
             raise ValueError("centroids must be finite")
 
 
+def _row_blocks(n, width):
+    """``(lo, hi)`` row ranges of at most ``KMEANS_BLOCK_BYTES`` of float64
+    at ``width`` per row (at least one row each), and the longest range."""
+    step = max(1, KMEANS_BLOCK_BYTES // (8 * width))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)], min(step, n)
+
+
 def _kmeans_pp_init(features, k, rng):
     n = features.shape[0]
     centers = [features[rng.integers(n)]]
-    d2 = ((features - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(features, centers[0][None])[:, 0]
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -82,35 +104,76 @@ def _kmeans_pp_init(features, k, rng):
         probs = d2 / total
         idx = rng.choice(n, p=probs)
         centers.append(features[idx])
-        d2 = np.minimum(d2, ((features - centers[-1]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(features, centers[-1][None])[:, 0])
     return np.stack(centers)
 
 
-def _sq_dists(x, centroids):
+def _sq_dists(x, centroids, out=None):
     """(n, k) squared distances from the rows of ``x`` to each centroid,
-    one centroid at a time, so no (n, k, D) temporary is made."""
-    out = np.empty((x.shape[0], centroids.shape[0]))
-    for j, c in enumerate(centroids):
-        out[:, j] = ((x - c) ** 2).sum(axis=1)
+    written into ``out`` when it is given.
+
+    Rows are scored in blocks through one reused (block, D) buffer, so no
+    (n, D) temporary is made. Each row's sum over D is reduced on its own
+    from a contiguous row, as ``((x - c) ** 2).sum(axis=1)`` reduces it,
+    so the distances do not depend on the block."""
+    if out is None:
+        out = np.empty((x.shape[0], centroids.shape[0]))
+    blocks, rows = _row_blocks(x.shape[0], x.shape[1])
+    buf = np.empty((rows, x.shape[1]))
+    for lo, hi in blocks:
+        diff = buf[:hi - lo]
+        for j, c in enumerate(centroids):
+            np.subtract(x[lo:hi], c, out=diff)
+            np.square(diff, out=diff)
+            out[lo:hi, j] = diff.sum(axis=1)
     return out
+
+
+def _update_centroids(features, assignments, centroids):
+    """Move each centroid with members to their mean; keep the others.
+
+    Each cluster's sum is carried over the row blocks in row order: a
+    block's members are gathered under the running sum in one reused
+    (block + 1, D) buffer and reduced with it. numpy reduces axis 0 of a
+    C-ordered array of two or more columns one row after another, so the
+    centroids equal ``features[assignments == j].mean(axis=0)`` bit for
+    bit without copying a cluster. (One column is reduced pairwise, so
+    at D = 1 they may differ from it in the last bits.)"""
+    k, width = centroids.shape
+    sums, counts = np.empty((k, width)), np.zeros(k, dtype=np.int64)
+    blocks, rows = _row_blocks(features.shape[0], width)
+    buf = np.empty((rows + 1, width))
+    for lo, hi in blocks:
+        block = assignments[lo:hi]
+        for j in range(k):
+            mask = block == j
+            c = int(np.count_nonzero(mask))
+            if not c:
+                continue
+            np.compress(mask, features[lo:hi], axis=0, out=buf[1:c + 1])
+            if counts[j]:  # row 0 carries the sum; a cluster's first members start it
+                buf[0] = sums[j]
+            np.add.reduce(buf[0 if counts[j] else 1:c + 1], axis=0, out=sums[j])
+            counts[j] += c
+    filled = counts > 0
+    centroids[filled] = sums[filled] / counts[filled, None]
+    return centroids
 
 
 def _lloyd(features, centroids, max_iter):
     """Lloyd refinement: at most ``max_iter`` centroid updates, stopping
     early once the assignment repeats. The last distances computed are
-    those of the returned centroids and give the assignment and SSE."""
-    previous = None
+    those of the returned centroids and give the assignment and SSE.
+    Every iteration scores into one (n, k) array."""
+    previous = d2 = None
     for it in range(max_iter + 1):
-        d2 = _sq_dists(features, centroids)
+        d2 = _sq_dists(features, centroids, d2)
         assignments = d2.argmin(axis=1)
         if it == max_iter or (previous is not None and np.array_equal(assignments, previous)):
             break
         previous = assignments
-        for j in range(centroids.shape[0]):
-            members = features[assignments == j]
-            if members.shape[0]:
-                centroids[j] = members.mean(axis=0)
-    sse = float(d2[np.arange(features.shape[0]), assignments].sum())
+        _update_centroids(features, assignments, centroids)
+    sse = float(d2.min(axis=1).sum())
     return centroids, assignments, sse
 
 
@@ -207,6 +270,74 @@ def _merge_overclusters(centroids, assignments, point_entropy, n_target):
     return cents[survivors], np.searchsorted(survivors, parent[assignments])
 
 
+def _point_entropy(d2):
+    """Each row's entropy of its soft assignment: ``exp(-(d2 - min) / temp)``
+    normalised over the row, ``temp`` the mean row minimum.
+
+    The soft assignment is made in place of ``d2``, so the (n, k) scores
+    are held once; the entropy's product of the soft assignment and its
+    log is taken a row block at a time."""
+    low = d2.min(axis=1, keepdims=True)
+    temp = max(float(low[:, 0].mean()), 1e-12)
+    soft = np.subtract(d2, low, out=d2)
+    np.negative(soft, out=soft)
+    soft /= temp
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=1, keepdims=True)
+    entropy = np.empty(soft.shape[0])
+    blocks, rows = _row_blocks(*soft.shape)
+    buf = np.empty((rows, soft.shape[1]))
+    for lo, hi in blocks:
+        term = np.maximum(soft[lo:hi], 1e-12, out=buf[:hi - lo])
+        np.log(term, out=term)
+        term *= soft[lo:hi]
+        entropy[lo:hi] = -term.sum(axis=1)
+    return entropy
+
+
+def _cluster(pretrained: CombinedHeadModel, masked, split: SplitSpec, model_cfg: ModelConfig,
+             train_cfg: TrainConfig, baseline_cfg: BaselineConfig) -> dict:
+    """The clustering stage: per-scene pseudo-labels, keyed by scene id,
+    of the pretrained model's features at subsampled novel points.
+
+    The pool of picked features is one (n, D) array, written scene by
+    scene and dropped, with the assignment, when this returns."""
+    rng = np.random.default_rng(train_cfg.seed + 2)
+    # per scene: (scene index, its novel points, subsample positions among
+    # them), all drawn before any feature: ``feature_chunks`` draws nothing
+    picks = []
+    for i, cloud in enumerate(masked):
+        novel_idx = np.flatnonzero(cloud.labels == UNLABELLED)
+        local = subsample_psi(novel_idx.size, baseline_cfg.subsample, rng)
+        if local.size:
+            picks.append((i, novel_idx, local))
+    if not picks:
+        return {}
+    starts = np.cumsum([0] + [local.size for _, _, local in picks])  # each scene's pool rows
+    pool = np.empty((starts[-1], model_cfg.feature_dim))
+    for (i, novel_idx, local), at in zip(picks, starts):
+        # features of the whole scene, so k-NN pooling sees every point;
+        # ``picked`` is ascending, so each chunk holds one run of it
+        picked = novel_idx[local]
+        cloud = masked[i]
+        for lo, hi, z in pretrained.feature_chunks(cloud.coords, cloud.neighbours(model_cfg.knn)):
+            first, last = np.searchsorted(picked, [lo, hi])
+            pool[at + first:at + last] = z[:, picked[first:last] - lo].T
+    n_novel = split.n_novel
+    if baseline_cfg.overcluster and pool.shape[0] >= baseline_cfg.overcluster_factor * n_novel:
+        km, assign = kmeans(pool, baseline_cfg.overcluster_factor * n_novel, train_cfg.seed)
+        point_entropy = _point_entropy(_sq_dists(pool, km.centroids))
+        _, assign = _merge_overclusters(km.centroids, assign, point_entropy, n_novel)
+    else:
+        _, assign = kmeans(pool, min(n_novel, pool.shape[0]), train_cfg.seed)
+    pseudo = {}
+    for (i, novel_idx, local), slots in zip(picks, np.split(assign, starts[1:-1])):
+        # propagate within the scene's novel points only
+        ext_local, ext_lab = propagate_nn(masked[i].coords[novel_idx], local, slots)
+        pseudo[masked[i].scene_id] = (novel_idx[ext_local], ext_lab)
+    return pseudo
+
+
 def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, temperature,
              aug: AugmentConfig, rng):
     """The batch loss pretraining and fine-tuning step on: the mean
@@ -214,11 +345,14 @@ def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, tempera
     augmented view; None when no scene in the batch has any.
 
     Targets are base ground truth, plus ``pseudo[scene_id]`` = (point
-    indices, slots) in the head's rows after the base ones.
+    indices, slots) in the head's rows after the base ones. They are
+    kept for the whole stage in the narrowest types that hold them: a
+    point index in ``autodiff.index_dtype`` of the scene's points, a row
+    in the narrowest unsigned type that counts the head's rows.
     """
-    n_base = len(split.base_classes)
-    w_vec = np.concatenate([compute_loss_weights(scenes, split),
-                            np.ones(model.head_w.shape[0] - n_base)])
+    n_rows, n_base = model.head_w.shape[0], len(split.base_classes)
+    w_vec = np.concatenate([compute_loss_weights(scenes, split), np.ones(n_rows - n_base)])
+    row_dtype = np.min_scalar_type(n_rows - 1)
     k = model.cfg.knn
     no_pseudo = (np.array([], dtype=np.intp), np.array([], dtype=np.int64))
     targets = []
@@ -226,9 +360,16 @@ def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, tempera
         cloud.neighbours(k)  # built here, before the first step
         base_idx = np.flatnonzero(cloud.labels != UNLABELLED)
         idx, slots = pseudo.get(cloud.scene_id, no_pseudo)
-        cols = np.concatenate([base_idx, idx])
+        m = cloud.labels.size
+        # checked before narrowing, which would wrap a value out of range
+        if idx.size != slots.size or idx.size and not (
+                0 <= idx.min() and idx.max() < m and 0 <= slots.min()
+                and slots.max() < n_rows - n_base):
+            raise ValueError(f"pseudo-labels of scene {cloud.scene_id!r} must pair points in "
+                             f"[0, {m}) with slots in [0, {n_rows - n_base})")
+        cols = np.concatenate([base_idx, idx]).astype(ad.index_dtype(m))
         rows = np.concatenate([split.base_slots(cloud.labels[base_idx]), n_base + slots])
-        targets.append((cols, rows) if cols.size else None)
+        targets.append((cols, rows.astype(row_dtype)) if cols.size else None)
 
     def batch_loss(ids, _last_lr):
         terms = []
@@ -294,43 +435,7 @@ def run_baseline(clouds, split: SplitSpec, model_cfg: ModelConfig, train_cfg: Tr
     # each scene's one k-NN graph serves pretraining, clustering and fine-tuning
     pretrained = pretrain_base(masked, split, model_cfg, train_cfg, baseline_cfg, aug)
 
-    rng = np.random.default_rng(train_cfg.seed + 2)
-    # per scene: (scene index, its novel points, subsample positions among them)
-    feats, picks = [], []
-    for i, cloud in enumerate(masked):
-        novel_idx = np.flatnonzero(cloud.labels == UNLABELLED)
-        local = subsample_psi(novel_idx.size, baseline_cfg.subsample, rng)
-        if local.size == 0:
-            continue
-        # features of the whole scene, so k-NN pooling sees every point;
-        # ``picked`` is ascending, so each chunk holds one run of it
-        picked, rows = novel_idx[local], []
-        for lo, hi, z in pretrained.feature_chunks(cloud.coords, cloud.neighbours(model_cfg.knn)):
-            first, last = np.searchsorted(picked, [lo, hi])
-            rows.append(z[:, picked[first:last] - lo].T)
-        feats.append(np.concatenate(rows))
-        picks.append((i, novel_idx, local))
-    pseudo: dict = {}
-    if feats:
-        pool = np.concatenate(feats, axis=0)
-        n_novel = split.n_novel
-        if baseline_cfg.overcluster and pool.shape[0] >= baseline_cfg.overcluster_factor * n_novel:
-            k = baseline_cfg.overcluster_factor * n_novel
-            km, assign = kmeans(pool, k, train_cfg.seed)
-            d2 = _sq_dists(pool, km.centroids)
-            temp = max(float(d2.min(axis=1).mean()), 1e-12)
-            soft = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / temp)
-            soft /= soft.sum(axis=1, keepdims=True)
-            point_entropy = -(soft * np.log(np.maximum(soft, 1e-12))).sum(axis=1)
-            _, assign = _merge_overclusters(km.centroids, assign, point_entropy, n_novel)
-        else:
-            _, assign = kmeans(pool, min(n_novel, pool.shape[0]), train_cfg.seed)
-        bounds = np.cumsum([local.size for _, _, local in picks])[:-1]
-        for (i, novel_idx, local), slots in zip(picks, np.split(assign, bounds)):
-            # propagate within the scene's novel points only
-            ext_local, ext_lab = propagate_nn(masked[i].coords[novel_idx], local, slots)
-            pseudo[masked[i].scene_id] = (novel_idx[ext_local], ext_lab)
-
+    pseudo = _cluster(pretrained, masked, split, model_cfg, train_cfg, baseline_cfg)
     model = finetune(pretrained, masked, pseudo, split, model_cfg, train_cfg, baseline_cfg, aug)
     return model, pseudo
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segdiscover import baseline as bl
 from segdiscover import model as model_module
 from segdiscover.augment import AugmentConfig
 from segdiscover.baseline import (
@@ -161,6 +162,152 @@ class TestKMeans:
             ours = sse_of(pts, model.centroids)
             oracle = exhaustive_best(pts, k)
             assert ours <= oracle * 1.05 + 1e-12
+
+
+# Test-local copies of the one-shot k-means formulas that the blockwise
+# ones replaced: every blockwise result must equal them bit for bit.
+def one_shot_sq_dists(x, centroids):
+    out = np.empty((x.shape[0], centroids.shape[0]))
+    for j, c in enumerate(centroids):
+        out[:, j] = ((x - c) ** 2).sum(axis=1)
+    return out
+
+
+def one_shot_update(features, assignments, centroids):
+    centroids = centroids.copy()
+    for j in range(centroids.shape[0]):
+        members = features[assignments == j]
+        if members.shape[0]:
+            centroids[j] = members.mean(axis=0)
+    return centroids
+
+
+def one_shot_pp_init(features, k, rng):
+    n = features.shape[0]
+    centers = [features[rng.integers(n)]]
+    d2 = ((features - centers[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers.append(features[rng.integers(n)])
+            continue
+        idx = rng.choice(n, p=d2 / total)
+        centers.append(features[idx])
+        d2 = np.minimum(d2, ((features - centers[-1]) ** 2).sum(axis=1))
+    return np.stack(centers)
+
+
+def one_shot_entropy(d2):
+    temp = max(float(d2.min(axis=1).mean()), 1e-12)
+    soft = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / temp)
+    soft /= soft.sum(axis=1, keepdims=True)
+    return -(soft * np.log(np.maximum(soft, 1e-12))).sum(axis=1)
+
+
+BLOCK_ROWS = bl.KMEANS_BLOCK_BYTES // (8 * 32)  # rows of one block at D = 32
+
+
+class TestBlockwiseClustering:
+    """The blockwise distances, centroid sums and entropies equal the
+    one-shot formulas bit for bit, whatever the pool's block count."""
+
+    @staticmethod
+    def pool(n, width=32, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, width)) + rng.integers(0, 4, size=(n, 1))
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_distances_equal_the_one_shot_ones(self, n, k):
+        pts = self.pool(n)
+        centroids = np.random.default_rng(k).normal(size=(k, 32))
+        assert np.array_equal(bl._sq_dists(pts, centroids), one_shot_sq_dists(pts, centroids))
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_one_lloyd_update_equals_the_one_shot_one(self, n):
+        pts = self.pool(n)
+        init = bl._kmeans_pp_init(pts, 4, np.random.default_rng(1))
+        centroids, assign, sse = bl._lloyd(pts, init.copy(), max_iter=1)
+        ref_assign = one_shot_sq_dists(pts, init).argmin(axis=1)
+        ref_centroids = one_shot_update(pts, ref_assign, init)
+        d2 = one_shot_sq_dists(pts, ref_centroids)
+        assert np.array_equal(centroids, ref_centroids)
+        assert np.array_equal(assign, d2.argmin(axis=1))
+        assert sse == float(d2[np.arange(n), d2.argmin(axis=1)].sum())
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1])
+    def test_a_cluster_without_members_keeps_its_centroid(self, n):
+        pts = self.pool(n)
+        centroids = np.random.default_rng(2).normal(size=(5, 32))
+        assign = np.random.default_rng(3).choice([0, 1, 3, 4], size=n)  # cluster 2 is empty
+        got = bl._update_centroids(pts, assign, centroids.copy())
+        assert np.array_equal(got, one_shot_update(pts, assign, centroids))
+        assert np.array_equal(got[2], centroids[2])
+
+    @pytest.mark.parametrize("width", [2, 3, 9, 32])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_a_small_pool_over_many_blocks_keeps_every_bit(self, monkeypatch, width, rows):
+        # blocks of a few rows: k = 5 clusters outnumber one block's
+        # members, and most clusters skip most blocks
+        monkeypatch.setattr(bl, "KMEANS_BLOCK_BYTES", 8 * width * rows)
+        pts = self.pool(40, width, seed=width)
+        rng = np.random.default_rng(rows)
+        centroids = rng.normal(size=(5, width))
+        assign = rng.integers(0, 5, size=40)
+        assign[assign == 3] = 4  # and one goes empty
+        assert np.array_equal(bl._sq_dists(pts, centroids), one_shot_sq_dists(pts, centroids))
+        assert np.array_equal(bl._update_centroids(pts, assign, centroids.copy()),
+                              one_shot_update(pts, assign, centroids))
+        assert np.array_equal(bl._kmeans_pp_init(pts, 5, np.random.default_rng(0)),
+                              one_shot_pp_init(pts, 5, np.random.default_rng(0)))
+        d2 = one_shot_sq_dists(pts, centroids)
+        assert np.array_equal(bl._point_entropy(d2.copy()), one_shot_entropy(d2))
+
+    def test_a_negative_zero_sum_keeps_its_sign(self):
+        # a cluster's first member starts its sum, as numpy's mean starts
+        # from its first row: a sum started from +0.0 would lose the sign
+        pts = np.array([[-0.0, 1.0], [-0.0, 2.0]])
+        got = bl._update_centroids(pts, np.array([0, 0]), np.ones((1, 2)))
+        assert np.array_equal(np.signbit(got), np.signbit(one_shot_update(pts, np.zeros(2, int),
+                                                                          np.ones((1, 2)))))
+
+    def test_one_column_sums_within_rounding(self):
+        # numpy reduces a single column pairwise, not row by row
+        pts = self.pool(5000, width=1)
+        assign = np.random.default_rng(0).integers(0, 3, size=5000)
+        np.testing.assert_allclose(bl._update_centroids(pts, assign, np.zeros((3, 1))),
+                                   one_shot_update(pts, assign, np.zeros((3, 1))), rtol=1e-13)
+
+    def test_seeding_equals_the_one_shot_one(self):
+        pts = self.pool(2 * BLOCK_ROWS + 1)
+        assert np.array_equal(bl._kmeans_pp_init(pts, 6, np.random.default_rng(5)),
+                              one_shot_pp_init(pts, 6, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 9, 20])
+    def test_point_entropy_equals_the_one_shot_one(self, k):
+        n = 2 * (bl.KMEANS_BLOCK_BYTES // (8 * k)) + 1
+        d2 = one_shot_sq_dists(self.pool(n), np.random.default_rng(k).normal(size=(k, 32)))
+        assert np.array_equal(bl._point_entropy(d2.copy()), one_shot_entropy(d2))
+
+    def test_kmeans_holds_the_pool_once(self, monkeypatch):
+        import tracemalloc
+
+        # 2 seedings of at most 5 Lloyd iterations each: the peak of one
+        # iteration, with a best fit held beside the current one
+        monkeypatch.setattr(bl, "KMEANS_RESTARTS", 2)
+        monkeypatch.setattr(bl, "KMEANS_MAX_ITER", 5)
+        pts = np.random.default_rng(0).normal(size=(32768, 32))  # 8 MiB
+        tracemalloc.start()
+        try:
+            kmeans(pts, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one-shot k-means copied each cluster and made (n, D)
+        # temporaries per centroid (12.9 MiB here, 15.1 MiB at 20 seedings
+        # of up to 300 iterations); blockwise it holds one (n, k) distance
+        # array, the assignments and a block (2.3 MiB)
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestPropagateNN:
@@ -625,6 +772,83 @@ class TestPipeline:
         for calls in steps:
             assert len({scene for scene, _, _ in calls}) == len(calls) == 2
             assert all(asked == drawn == 1 for _, asked, drawn in calls)
+
+    def test_stage_targets_are_held_in_narrow_types(self, monkeypatch):
+        seen = set()
+        real_ce = bl.tempered_ce
+
+        def recorded(logits, cols, rows, *args):
+            seen.add((cols.dtype, rows.dtype))
+            return real_ce(logits, cols, rows, *args)
+
+        monkeypatch.setattr(bl, "tempered_ce", recorded)
+        clouds, split = tiny_setup()
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
+        # 48-point scenes and at most 5 head rows: 3 bytes per target
+        assert seen == {(np.dtype(np.uint16), np.dtype(np.uint8))}
+
+    @pytest.mark.parametrize("idx, slots", [
+        ([3, 1 << 16], [0, 1]),  # past the scene: uint16 would wrap it to 0
+        ([-1], [0]),
+        ([3], [2]),  # two novel slots
+        ([3], [-1]),
+        ([3], [256]),  # uint8 would wrap it to slot 0
+        ([3, 4], [0]),
+    ])
+    def test_fine_tuning_refuses_pseudo_labels_out_of_range(self, idx, slots):
+        clouds, split = tiny_setup(scenes=4)
+        masked = mask_novel(clouds, split)
+        pretrained = pretrain_base(masked, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
+        scene = masked[0].scene_id
+        pseudo = {scene: (np.array(idx), np.array(slots))}
+        with pytest.raises(ValueError, match=rf"pseudo-labels of scene '{scene}' must pair "
+                                             r"points in \[0, 48\) with slots in \[0, 2\)"):
+            finetune(pretrained, masked, pseudo, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
+
+    def test_the_pool_is_dropped_before_fine_tuning(self, monkeypatch):
+        import weakref
+
+        refs, alive = [], []
+        real_kmeans, real_finetune = bl.kmeans, bl.finetune
+
+        def captured(features, k, seed):
+            km, assign = real_kmeans(features, k, seed)
+            refs.extend([weakref.ref(features), weakref.ref(assign)])
+            return km, assign
+
+        def checked(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return real_finetune(*args, **kwargs)
+
+        monkeypatch.setattr(bl, "kmeans", captured)
+        monkeypatch.setattr(bl, "finetune", checked)
+        clouds, split = tiny_setup()
+        cfg = BaselineConfig(pretrain_epochs=1, finetune_epochs=1,
+                             subsample=SubsampleSpec(0.7, 30), overcluster=True)
+        run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, cfg, AUG)
+        assert alive == [[False, False]]
+
+    @pytest.mark.parametrize("overcluster", [False, True])
+    def test_a_64_scene_run_stays_under_5_5_mb(self, overcluster):
+        import tracemalloc
+
+        cfg = toy_discovery_config(seed=0, n_scenes=64, points_per_scene=256)
+        clouds = generate_synthetic(cfg)
+        base = BaselineConfig(pretrain_epochs=1, finetune_epochs=1,
+                              subsample=SubsampleSpec(1.0, 1000), overcluster=overcluster)
+        tracemalloc.start()
+        try:
+            run_baseline(clouds, cfg.split(), ModelConfig(), TrainConfig(epochs=1, batch_size=4),
+                         base, AUG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bound sits between the peaks of a clustering stage that held
+        # the pool as per-scene arrays and their concatenation, scored it
+        # through (n, D) temporaries and kept 16-byte stage targets
+        # (6.3-7.8 MB, either flag, first or second run in a process) and
+        # of one pool array scored in blocks with 3-byte targets (3.6-4.7 MB)
+        assert peak < 5.5e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_pipeline_permutation_oracle(self, tmp_path):
         clouds, split = tiny_setup(scenes=4, points=32)
