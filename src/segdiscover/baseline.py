@@ -12,10 +12,11 @@ view per scene and step, and keeps its targets in narrow index types:
 
 The clustering stage holds its pool of picked features once, as one
 (n, D) array dropped with the assignment before fine-tuning. k-means
-scores the pool, and sums its clusters, in row blocks of
-``KMEANS_BLOCK_BYTES`` in row order, so it adds only one (n, k)
-distance array, the assignments and one block to the pool, and its
-results are bit for bit those of the one-shot formulas.
+scores the pool, and sums its clusters, in ``model.row_blocks`` of
+``model.BLOCK_BYTES`` in row order, so it adds only one (n, k)
+distance array, one block and the assignments (uint8 up to 256
+clusters) to the pool, and its results are bit for bit those of the
+one-shot formulas.
 """
 
 from __future__ import annotations
@@ -30,18 +31,11 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import TrainConfig, compute_loss_weights, fit, tempered_ce
-from .model import CombinedHeadModel, ModelConfig, check_coords, distance_blocks
+from .model import CombinedHeadModel, ModelConfig, check_coords, distance_blocks, row_blocks
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
 KMEANS_RESTARTS = 20  # k-means++ seedings per kmeans call; the lowest SSE wins
 KMEANS_MAX_ITER = 300  # Lloyd iterations per seeding, if it has not converged
-
-# Float64 bytes of one row block of the clustering pool (or of its (n, k)
-# scores): k-means distances, centroid sums and the over-clustering
-# entropy each work on one such block at a time, never on a copy of the
-# pool, as FAISS blocks its k-means distances (Johnson et al., 2019).
-# 256 KiB holds 1,024 rows at D = 32.
-KMEANS_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -85,13 +79,6 @@ class KMeansModel:
             raise ValueError("centroids must be finite")
 
 
-def _row_blocks(n, width):
-    """``(lo, hi)`` row ranges of at most ``KMEANS_BLOCK_BYTES`` of float64
-    at ``width`` per row (at least one row each), and the longest range."""
-    step = max(1, KMEANS_BLOCK_BYTES // (8 * width))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)], min(step, n)
-
-
 def _kmeans_pp_init(features, k, rng):
     n = features.shape[0]
     centers = [features[rng.integers(n)]]
@@ -118,7 +105,7 @@ def _sq_dists(x, centroids, out=None):
     so the distances do not depend on the block."""
     if out is None:
         out = np.empty((x.shape[0], centroids.shape[0]))
-    blocks, rows = _row_blocks(x.shape[0], x.shape[1])
+    blocks, rows = row_blocks(x.shape[0], x.shape[1])
     buf = np.empty((rows, x.shape[1]))
     for lo, hi in blocks:
         diff = buf[:hi - lo]
@@ -141,7 +128,7 @@ def _update_centroids(features, assignments, centroids):
     at D = 1 they may differ from it in the last bits.)"""
     k, width = centroids.shape
     sums, counts = np.empty((k, width)), np.zeros(k, dtype=np.int64)
-    blocks, rows = _row_blocks(features.shape[0], width)
+    blocks, rows = row_blocks(features.shape[0], width)
     buf = np.empty((rows + 1, width))
     for lo, hi in blocks:
         block = assignments[lo:hi]
@@ -164,11 +151,17 @@ def _lloyd(features, centroids, max_iter):
     """Lloyd refinement: at most ``max_iter`` centroid updates, stopping
     early once the assignment repeats. The last distances computed are
     those of the returned centroids and give the assignment and SSE.
-    Every iteration scores into one (n, k) array."""
+    Every iteration scores into one (n, k) array. Assignments take the
+    narrowest unsigned type that counts the clusters (uint8 up to 256),
+    each row block's argmin written into them."""
+    n, k = features.shape[0], centroids.shape[0]
+    blocks, _ = row_blocks(n, k)
     previous = d2 = None
     for it in range(max_iter + 1):
         d2 = _sq_dists(features, centroids, d2)
-        assignments = d2.argmin(axis=1)
+        assignments = np.empty(n, dtype=np.min_scalar_type(k - 1))
+        for lo, hi in blocks:
+            d2[lo:hi].argmin(axis=1, out=assignments[lo:hi])
         if it == max_iter or (previous is not None and np.array_equal(assignments, previous)):
             break
         previous = assignments
@@ -285,7 +278,7 @@ def _point_entropy(d2):
     np.exp(soft, out=soft)
     soft /= soft.sum(axis=1, keepdims=True)
     entropy = np.empty(soft.shape[0])
-    blocks, rows = _row_blocks(*soft.shape)
+    blocks, rows = row_blocks(*soft.shape)
     buf = np.empty((rows, soft.shape[1]))
     for lo, hi in blocks:
         term = np.maximum(soft[lo:hi], 1e-12, out=buf[:hi - lo])
@@ -368,7 +361,9 @@ def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, tempera
             raise ValueError(f"pseudo-labels of scene {cloud.scene_id!r} must pair points in "
                              f"[0, {m}) with slots in [0, {n_rows - n_base})")
         cols = np.concatenate([base_idx, idx]).astype(ad.index_dtype(m))
-        rows = np.concatenate([split.base_slots(cloud.labels[base_idx]), n_base + slots])
+        # added in int64: k-means slots come in uint8, where 250 + 9 wraps to 3
+        rows = np.concatenate([split.base_slots(cloud.labels[base_idx]),
+                               slots.astype(np.int64) + n_base])
         targets.append((cols, rows.astype(row_dtype)) if cols.size else None)
 
     def batch_loss(ids, _last_lr):

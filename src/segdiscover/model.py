@@ -53,34 +53,45 @@ class ModelConfig:
             raise ValueError(f"eval_head must be auto or 0..{self.heads - 1}, got {head!r}")
 
 
-# Squared distances one ``distance_blocks`` block may hold. A k-NN block
-# works on three arrays of this size at once (the distances, one axis's
-# term and the int64 partition index), so it is sized for the per-core
-# L2 cache: 256 KiB blocks keep 768 KiB at work, where 2 MiB blocks put
+# Bytes of one row block of every pass cut into row blocks
+# (``row_blocks``): the squared distances of the k-NN and of the
+# baseline's ``propagate_nn`` (``distance_blocks``), and the baseline's
+# k-means distances, centroid sums and over-clustering entropy, as FAISS
+# blocks its k-means distances (Johnson et al., 2019). A k-NN block works
+# on three arrays of this size at once (the distances, one axis's term
+# and the int64 partition index), so it is sized for the per-core L2
+# cache: 256 KiB blocks keep 768 KiB at work, where 2 MiB blocks put
 # 6 MiB against a 2 MiB L2 and ran an 8,192-point k-NN ~25% slower.
-KNN_BLOCK_BYTES = 1 << 18
+BLOCK_BYTES = 1 << 18
 
 # Bytes of one (hidden, chunk) encoder layer of an untaped forward
 # (``Extractor.feature_chunks``): 2,048 points at hidden = 64.
 FORWARD_CHUNK_BYTES = 1 << 20
 
 
+def row_blocks(n: int, width: int, budget: int | None = None):
+    """``(lo, hi)`` ranges over n rows of ``width`` float64 values, in
+    order, each of at most ``budget // (8 width)`` rows (at least one),
+    and the longest range's row count. ``budget`` defaults to
+    ``BLOCK_BYTES``, read at each call."""
+    step = max(1, (BLOCK_BYTES if budget is None else budget) // (8 * width))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)], min(step, n)
+
+
 def distance_blocks(points: np.ndarray, others: np.ndarray):
     """Yield ``(lo, hi, d2)``: squared distances from ``points[lo:hi]`` to all
-    ``others``, ``KNN_BLOCK_BYTES // (8 len(others))`` rows (at least one) at
-    a time; each is summed from coordinate differences, x then y then z,
-    so it does not depend on its block.
+    ``others``, over the ``row_blocks`` of width ``len(others)``; each is
+    summed from coordinate differences, x then y then z, so it does not
+    depend on its block.
 
     Every block is written into the same two reused buffers, so the next
     block overwrites a yielded one: a caller consumes each block, and may
     change it, before asking for the next."""
     axes = np.ascontiguousarray(points.T, dtype=np.float64)
     rest = np.ascontiguousarray(others.T, dtype=np.float64)
-    step = max(1, KNN_BLOCK_BYTES // (8 * rest.shape[1]))
-    rows = min(step, axes.shape[1])
+    blocks, rows = row_blocks(axes.shape[1], rest.shape[1])
     d2_rows, term_rows = np.empty((2, rows, rest.shape[1]))
-    for lo in range(0, axes.shape[1], step):
-        hi = min(lo + step, axes.shape[1])
+    for lo, hi in blocks:
         d2, term = d2_rows[:hi - lo], term_rows[:hi - lo]
         np.subtract(axes[0, lo:hi, None], rest[0], out=d2)
         np.square(d2, out=d2)
@@ -130,6 +141,8 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     graph, but the default jitter moves points enough to change some
     neighbour sets.
     """
+    if not k >= 1:
+        raise ValueError(f"knn_indices: k must be at least 1, got {k}")
     m = coords.shape[0]
     if m > np.iinfo(np.int32).max:
         raise ValueError(f"knn_indices: a scene of {m} points is past the int32 index range")
@@ -240,31 +253,30 @@ class Extractor:
     def _layer1(self, coords: np.ndarray) -> np.ndarray:
         return _relu_layer(self.w1.data, coords.T, self.b1.data)
 
-    def _forward(self, coords, graph, step, hidden=None):
+    def _forward(self, coords, graph, blocks, hidden=None):
         """Yield ``(lo, hi, z, norms)``: the unit (D, hi - lo) features of
-        points lo:hi and their pre-normalisation column norms, chunk by
-        chunk of ``step`` points, untaped. ``hidden``, a list, gets each
-        chunk's second layer.
+        points lo:hi and their pre-normalisation column norms, over the
+        ``(lo, hi)`` ranges of ``blocks`` in order, untaped. ``hidden``, a
+        list, gets each range's second layer.
 
-        Pass 1 runs the encoder on each chunk and keeps only its two
-        halves of the projection: the own half by chunk, the pooled half
-        points-major in one (m, D) array. Pass 2 pools each chunk over its
+        Pass 1 runs the encoder on each range and keeps only its two
+        halves of the projection: the own half by range, the pooled half
+        points-major in one (m, D) array. Pass 2 pools each range over its
         rows of ``graph`` (``NeighbourGraph.mean``), then adds the bias
-        and normalises. So one chunk's encoder layers and the two (D, m)
+        and normalises. So one range's encoder layers and the two (D, m)
         projections are held at a time, never every (hidden, m) layer.
         """
         w_own, w_pool = self._halves()
         own, pooled = [], np.empty((coords.shape[0], w_pool.shape[0]))
-        for lo in range(0, coords.shape[0], step):
-            h = _relu_layer(self.w2.data, self._layer1(coords[lo:lo + step]), self.b2.data)
+        for lo, hi in blocks:
+            h = _relu_layer(self.w2.data, self._layer1(coords[lo:hi]), self.b2.data)
             own.append(w_own @ h)
-            pooled[lo:lo + step] = (w_pool @ h).T
+            pooled[lo:hi] = (w_pool @ h).T
             if hidden is not None:
                 hidden.append(h)
             del h
-        for lo in range(0, coords.shape[0], step):
+        for lo, hi in blocks:
             z = own.pop(0)
-            hi = lo + z.shape[1]
             z += graph.mean(pooled.T, lo, hi)
             z += self.b3.data
             norms = ad.col_norms(z)
@@ -290,7 +302,7 @@ class Extractor:
         kept, col = [], 0
         for coords, graph in scenes:
             hidden, m = [], coords.shape[0]
-            for _, _, z, norms in self._forward(coords, graph, m, hidden):
+            for _, _, z, norms in self._forward(coords, graph, [(0, m)], hidden):
                 out[:, col:col + m] = z
             kept.append((col, col + m, coords, graph, hidden[0], norms))
             col += m
@@ -321,14 +333,14 @@ class Extractor:
 
     def feature_chunks(self, coords: np.ndarray, neighbours: ad.NeighbourGraph | None = None):
         """Yield ``(lo, hi, z)``: the untaped (D, hi - lo) features of
-        points lo:hi, ``_forward`` by chunks of ``FORWARD_CHUNK_BYTES //
-        (8 hidden)`` points. A scene of one chunk gets the features of
-        ``extract_features`` bit for bit; past one chunk, BLAS may round
-        a narrower product's columns in the last bit.
+        points lo:hi, ``_forward`` over the ``row_blocks`` of
+        ``FORWARD_CHUNK_BYTES`` at width hidden. A scene of one chunk gets
+        the features of ``extract_features`` bit for bit; past one chunk,
+        BLAS may round a narrower product's columns in the last bit.
         """
         coords, neighbours = self._scene(coords, neighbours)
-        step = max(1, FORWARD_CHUNK_BYTES // (8 * self.cfg.hidden))
-        for lo, hi, z, _ in self._forward(coords, neighbours, step):
+        chunks, _ = row_blocks(coords.shape[0], self.cfg.hidden, FORWARD_CHUNK_BYTES)
+        for lo, hi, z, _ in self._forward(coords, neighbours, chunks):
             yield lo, hi, z
 
     def _slots(self, coords, neighbours, logits) -> np.ndarray:

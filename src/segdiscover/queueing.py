@@ -50,9 +50,17 @@ def select_phi(class_probs: np.ndarray, p: float) -> SelectionResult:
         raise ValueError(f"class_probs must be at least 2-D, got shape {probs.shape}")
     if not (0.0 <= p < 1.0):
         raise ValueError(f"percentile p must be in [0, 1), got {p}")
-    colsums = probs.sum(axis=-2)
-    if probs.shape[-1] and (np.any(probs < -1e-9) or np.any(np.abs(colsums - 1.0) > 1e-6)):
-        raise ValueError("class_probs columns must be distributions summing to 1")
+    # NaN fails both comparisons, so a column holding one is refused
+    valid = (probs >= -1e-9).all(axis=-2) & (np.abs(probs.sum(axis=-2) - 1.0) <= 1e-6)
+    if not valid.all():
+        *head, col = np.argwhere(~valid)[0].tolist()
+        column = probs[(*head, slice(None), col)]
+        bad = np.flatnonzero(~np.isfinite(column))
+        where = f"column {col}" + (f" of head {', '.join(map(str, head))}" if head else "")
+        what = (f"holds {column[bad[0]]} at row {bad[0]}" if bad.size
+                else f"sums to {column.sum()} with least entry {column.min()}")
+        raise ValueError(f"class_probs columns must be distributions summing to 1; "
+                         f"{where} {what}")
 
     *lead, n_classes, m = probs.shape
     # one group per (head, class); points sorted by confidence, then

@@ -60,10 +60,15 @@ def sinkhorn_assign(scores, eps: float, n_iters: int, heads: int = 1) -> np.ndar
         raise ValueError(f"scores must be a non-empty 2-D matrix, got shape {scores.shape}")
     if heads < 1 or scores.shape[0] % heads:
         raise ValueError(f"{scores.shape[0]} score rows do not split into {heads} heads")
-    if np.any(np.isnan(scores)):
-        raise ValueError("scores contain NaN")
-    if eps <= 0.0:
+    finite = np.isfinite(scores)
+    if not finite.all():
+        row, col = divmod(int(finite.argmin()), scores.shape[1])
+        raise ValueError(f"scores must be finite (no NaN or inf), "
+                         f"got {scores[row, col]} at row {row}, column {col}")
+    if not eps > 0.0:  # NaN fails it too
         raise ValueError(f"eps must be positive, got {eps}")
+    if n_iters < 0:
+        raise ValueError(f"n_iters must be non-negative, got {n_iters}")
     m = scores.shape[1]
     rho = scores.shape[0] // heads
     # row sums reduce the contiguous axis and column sums add each set's
@@ -83,8 +88,9 @@ def pseudo_labels_from(q: np.ndarray, m_batch: int) -> np.ndarray:
     past ``m_batch`` and are dropped; each kept column is rescaled to
     sum to one.
     """
-    if m_batch > q.shape[-1]:
-        raise ValueError(f"m_batch {m_batch} exceeds {q.shape[-1]} assignment columns")
+    if not 0 <= m_batch <= q.shape[-1]:
+        raise ValueError(f"m_batch must be in [0, {q.shape[-1]}] ({q.shape[-1]} assignment "
+                         f"columns), got {m_batch}")
     kept = q[..., :m_batch].copy()
     kept /= np.maximum(kept.sum(axis=-2, keepdims=True), _TINY)
     return kept

@@ -28,6 +28,7 @@ from segdiscover.data import LabelledCloud, generate_synthetic, mask_novel, toy_
 from segdiscover.evaluate import evaluate
 from segdiscover.losses import TrainConfig
 from segdiscover.model import ModelConfig
+from test_model import block_budgets, random_cloud
 
 
 def tiny_setup(seed=0, scenes=6, points=48):
@@ -204,7 +205,7 @@ def one_shot_entropy(d2):
     return -(soft * np.log(np.maximum(soft, 1e-12))).sum(axis=1)
 
 
-BLOCK_ROWS = bl.KMEANS_BLOCK_BYTES // (8 * 32)  # rows of one block at D = 32
+BLOCK_ROWS = model_module.BLOCK_BYTES // (8 * 32)  # rows of one block at D = 32
 
 
 class TestBlockwiseClustering:
@@ -249,7 +250,7 @@ class TestBlockwiseClustering:
     def test_a_small_pool_over_many_blocks_keeps_every_bit(self, monkeypatch, width, rows):
         # blocks of a few rows: k = 5 clusters outnumber one block's
         # members, and most clusters skip most blocks
-        monkeypatch.setattr(bl, "KMEANS_BLOCK_BYTES", 8 * width * rows)
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 8 * width * rows)
         pts = self.pool(40, width, seed=width)
         rng = np.random.default_rng(rows)
         centroids = rng.normal(size=(5, width))
@@ -285,9 +286,44 @@ class TestBlockwiseClustering:
 
     @pytest.mark.parametrize("k", [1, 2, 7, 9, 20])
     def test_point_entropy_equals_the_one_shot_one(self, k):
-        n = 2 * (bl.KMEANS_BLOCK_BYTES // (8 * k)) + 1
+        n = 2 * (model_module.BLOCK_BYTES // (8 * k)) + 1
         d2 = one_shot_sq_dists(self.pool(n), np.random.default_rng(k).normal(size=(k, 32)))
         assert np.array_equal(bl._point_entropy(d2.copy()), one_shot_entropy(d2))
+
+    @pytest.mark.parametrize("k, dtype", [(5, np.uint8), (300, np.uint16)])
+    def test_labels_take_the_narrowest_unsigned_type(self, monkeypatch, k, dtype):
+        # one byte a pool row up to 256 clusters, where int64 took eight
+        monkeypatch.setattr(bl, "KMEANS_RESTARTS", 2)
+        pts = self.pool(k + 20, width=4)
+        km, assign = kmeans(pts, k, seed=0)
+        assert assign.dtype == dtype
+        _, lloyd, _ = bl._lloyd(pts, km.centroids.copy(), 0)
+        assert lloyd.dtype == dtype
+        # the labels of the returned centroids, as the int64 argmin gives them
+        want = one_shot_sq_dists(pts, km.centroids).argmin(axis=1)
+        assert np.array_equal(assign, want) and np.array_equal(lloyd, want)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(k, 600), st.integers(2, 8), st.integers(0, 2**32 - 1))))
+    def test_kmeans_does_not_depend_on_the_block_budget(self, case):
+        # blocks of one row, of three rows, of the default size, and one
+        # block of the whole pool give the same centroids, labels and
+        # over-clustering entropies (D >= 2; one column is summed pairwise)
+        k, n, width, seed = case
+        pts = self.pool(n, width, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bl, "KMEANS_RESTARTS", 2)
+            mp.setattr(bl, "KMEANS_MAX_ITER", 8)
+            km, want = kmeans(pts, k, seed=seed)
+            entropy = bl._point_entropy(bl._sq_dists(pts, km.centroids))
+            for budget in block_budgets(width):
+                mp.setattr(model_module, "BLOCK_BYTES", budget)
+                got_km, got = kmeans(pts, k, seed=seed)
+                assert np.array_equal(got_km.centroids, km.centroids), budget
+                assert np.array_equal(got, want), budget
+                assert np.array_equal(bl._point_entropy(bl._sq_dists(pts, km.centroids)),
+                                      entropy), budget
 
     def test_kmeans_holds_the_pool_once(self, monkeypatch):
         import tracemalloc
@@ -306,7 +342,8 @@ class TestBlockwiseClustering:
         # the one-shot k-means copied each cluster and made (n, D)
         # temporaries per centroid (12.9 MiB here, 15.1 MiB at 20 seedings
         # of up to 300 iterations); blockwise it holds one (n, k) distance
-        # array, the assignments and a block (2.3 MiB)
+        # array, a block and the uint8 assignments (1.7 MiB; 2.3 MiB with
+        # int64 ones)
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -370,6 +407,26 @@ class TestPropagateNN:
         ref_idx, ref_lab = loop_propagate_nn(coords, selected, labels)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(lab, ref_lab)
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 3000).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, m), st.integers(0, 2**32 - 1), st.booleans())))
+    def test_outputs_do_not_depend_on_the_block_budget(self, case):
+        # blocks of one row, of three rows, of the default size, and one
+        # block of every selected point give the same labels; a coarse
+        # lattice makes nearest distances tie
+        m, n_selected, seed, lattice = case
+        coords = random_cloud(m, seed, lattice)
+        rng = np.random.default_rng(seed + 1)
+        selected = np.sort(rng.choice(m, size=n_selected, replace=False))
+        labels = rng.integers(0, 5, size=n_selected)
+        want = propagate_nn(coords, selected, labels)
+        with pytest.MonkeyPatch.context() as mp:
+            for budget in block_budgets(max(1, m - n_selected)):
+                mp.setattr(model_module, "BLOCK_BYTES", budget)
+                got = propagate_nn(coords, selected, labels)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), budget
 
 
 def loop_propagate_nn(coords, selected, labels):
@@ -786,6 +843,29 @@ class TestPipeline:
         run_baseline(clouds, split, TINY_MODEL, TINY_TRAIN, TINY_BASE, AUG)
         # 48-point scenes and at most 5 head rows: 3 bytes per target
         assert seen == {(np.dtype(np.uint16), np.dtype(np.uint8))}
+
+    def test_pseudo_slots_past_255_rows_are_added_wide(self, monkeypatch):
+        # k-means slots come in uint8: at 250 base rows slot 9 trains row
+        # 259, where uint8 arithmetic would give 3
+        from segdiscover.data import UNLABELLED, SplitSpec
+        from segdiscover.model import CombinedHeadModel
+
+        seen = []
+        real_ce = bl.tempered_ce
+
+        def recorded(logits, cols, rows, *args):
+            seen.append((cols.tolist(), rows.tolist(), rows.dtype))
+            return real_ce(logits, cols, rows, *args)
+
+        monkeypatch.setattr(bl, "tempered_ce", recorded)
+        split = SplitSpec("toy", "wide", frozenset(range(250)), frozenset(range(250, 260)))
+        labels = [0, 7, 249, 3] + [UNLABELLED] * 8
+        scene = LabelledCloud(np.random.default_rng(0).normal(size=(12, 3)), labels, "s0")
+        pseudo = {"s0": (np.array([5, 9]), np.array([9, 0], dtype=np.uint8))}
+        model = CombinedHeadModel(TINY_MODEL, 250, 10, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        bl._ce_loss(model, [scene], split, pseudo, 0.1, AUG, rng)([0], None)
+        assert seen == [([0, 1, 2, 3, 5, 9], [0, 7, 249, 3, 259, 250], np.dtype(np.uint16))]
 
     @pytest.mark.parametrize("idx, slots", [
         ([3, 1 << 16], [0, 1]),  # past the scene: uint16 would wrap it to 0

@@ -21,6 +21,20 @@ from segdiscover.model import (
 CHUNK = model_module.FORWARD_CHUNK_BYTES // (8 * ModelConfig().hidden)
 
 
+def block_budgets(width, default=model_module.BLOCK_BYTES):
+    """Byte budgets of blocks of one row, of three rows of ``width``
+    float64 values, of the default size, and of more than any array here."""
+    return [1, 3 * 8 * width, default, 1 << 40]
+
+
+def random_cloud(m, seed, lattice):
+    """m normal points, or m points of a coarse lattice, whose distances tie."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        return rng.integers(0, 6, size=(m, 3)).astype(np.float64)
+    return rng.normal(size=(m, 3)) * 5
+
+
 def make_model(seed=0, **kw):
     cfg = ModelConfig(**kw)
     return SegmentationModel(cfg, n_base=3, n_novel=2, rng=np.random.default_rng(seed))
@@ -411,7 +425,7 @@ class TestCheckpointInput:
 
 
 # the block size as shipped, the 2 MiB it replaced, and blocks of a few rows
-BLOCK_BYTES = [model_module.KNN_BLOCK_BYTES, 1 << 21, 1 << 14]
+BUDGETS = [model_module.BLOCK_BYTES, 1 << 21, 1 << 14]
 
 
 def _knn_reference(coords, k):
@@ -474,9 +488,9 @@ class TestKnnIndices:
         coords = np.asarray(values, dtype=np.float64).reshape(-1, 3)
         m = len(coords)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model_module, "KNN_BLOCK_BYTES", 1 << 40)
+            mp.setattr(model_module, "BLOCK_BYTES", 1 << 40)
             whole = knn_indices(coords, k)
-            mp.setattr(model_module, "KNN_BLOCK_BYTES", 8 * m * rows)
+            mp.setattr(model_module, "BLOCK_BYTES", 8 * m * rows)
             blocked = knn_indices(coords, k)
         assert whole.shape == (m, max(1, min(k, m - 1)))
         assert whole.dtype == ad.index_dtype(m)
@@ -484,42 +498,43 @@ class TestKnnIndices:
         np.testing.assert_array_equal(blocked, whole)
         np.testing.assert_array_equal(whole, _knn_reference(coords, k))
 
-    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    @pytest.mark.parametrize("block_bytes", BUDGETS)
     def test_a_toy_scan_equals_the_replaced_selection(self, block_bytes, monkeypatch):
         syn = toy_discovery_config(seed=0, n_scenes=1, points_per_scene=2048)
         # through float32, as a scan file stores it
         coords = generate_synthetic(syn)[0].coords.astype(np.float32).astype(np.float64)
         want = _knn_selection_reference(coords, 16)
-        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", block_bytes)
         got = knn_indices(coords, 16)
         assert got.dtype == np.uint16
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    @pytest.mark.parametrize("block_bytes", BUDGETS)
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_the_smallest_scenes_equal_the_replaced_selection(self, m, block_bytes, monkeypatch):
         # k = m - 1 reads the self distance at partition position k; past
-        # it k is capped to m - 1
+        # it k is capped to m - 1 (k = 0, at m = 1, is refused: see
+        # test_a_neighbour_count_below_one_is_refused)
         coords = np.random.default_rng(m).normal(size=(m, 3))
-        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
-        for k in (m - 1, m, m + 1):
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", block_bytes)
+        for k in range(max(1, m - 1), m + 2):
             got = knn_indices(coords, k)
             assert got.dtype == np.uint16
             np.testing.assert_array_equal(got, _knn_selection_reference(coords, k))
 
-    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    @pytest.mark.parametrize("block_bytes", BUDGETS)
     def test_equal_kth_and_next_distances_equal_the_replaced_selection(
         self, block_bytes, monkeypatch
     ):
         # point 0 is 0.5 from point 1 and 1 from points 2 and 3, so at k = 2
         # its 2nd and 3rd distances are equal and the lower index wins
         coords = np.array([[0.0, 0, 0], [0.5, 0, 0], [-1, 0, 0], [0, 1, 0]])
-        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", block_bytes)
         got = knn_indices(coords, 2)
         assert got[0].tolist() == [1, 2]
         np.testing.assert_array_equal(got, _knn_selection_reference(coords, 2))
 
-    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    @pytest.mark.parametrize("block_bytes", BUDGETS)
     def test_a_duplicate_heavy_lattice_equals_the_replaced_selection(
         self, block_bytes, monkeypatch
     ):
@@ -527,7 +542,7 @@ class TestKnnIndices:
         # distance, so the tie rule picks most neighbours
         coords = np.random.default_rng(5).integers(0, 5, size=(1000, 3)).astype(np.float64)
         want = _knn_selection_reference(coords, 16)
-        monkeypatch.setattr(model_module, "KNN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", block_bytes)
         np.testing.assert_array_equal(knn_indices(coords, 16), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -538,6 +553,13 @@ class TestKnnIndices:
             knn_indices(coords, 4)
         with pytest.raises(ValueError, match=r"point 17 has a non-finite coordinate"):
             make_model().predict_slots(coords)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_a_neighbour_count_below_one_is_refused(self, m, k):
+        # k = 0 failed in numpy's reduction of a zero-size array
+        with pytest.raises(ValueError, match=rf"^knn_indices: k must be at least 1, got {k}$"):
+            knn_indices(np.random.default_rng(m).normal(size=(m, 3)), k)
 
     def test_coordinates_whose_squared_differences_overflow_are_refused(self):
         # past ~1.3e154 the squared distances overflow to inf and tie with
@@ -572,6 +594,42 @@ class TestKnnIndices:
         coords = np.broadcast_to(np.zeros(3), (2**31, 3))
         with pytest.raises(ValueError, match="2147483648 points"):
             knn_indices(coords, 16)
+
+
+class TestBlockBudgets:
+    """Neither the block budget nor the forward chunk size changes a
+    result: each property runs at blocks of one row, of three rows, of the
+    default size and of the whole array, against the default."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 2000), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 20))
+    def test_knn_graphs(self, m, seed, lattice, k):
+        coords = random_cloud(m, seed, lattice)
+        want = knn_indices(coords, k)
+        with pytest.MonkeyPatch.context() as mp:
+            for budget in block_budgets(m):
+                mp.setattr(model_module, "BLOCK_BYTES", budget)
+                assert np.array_equal(knn_indices(coords, k), want), budget
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 2500), st.integers(0, 2**32 - 1), st.booleans())
+    def test_slots_and_features(self, m, seed, lattice):
+        rng = np.random.default_rng(seed)
+        model = SegmentationModel(ModelConfig(), 3, 2, rng)
+        coords = random_cloud(m, seed, lattice)
+        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        slots = model.predict_slots(coords, neighbours=graph)
+        features = np.concatenate([z for _, _, z in model.feature_chunks(coords, graph)], axis=1)
+        with pytest.MonkeyPatch.context() as mp:
+            for budget in block_budgets(model.cfg.hidden, model_module.FORWARD_CHUNK_BYTES):
+                mp.setattr(model_module, "FORWARD_CHUNK_BYTES", budget)
+                assert np.array_equal(model.predict_slots(coords, neighbours=graph), slots), budget
+                chunks = list(model.feature_chunks(coords, graph))
+                # the chunks tile the points in order
+                ends = [0] + [hi for _, hi, _ in chunks]
+                assert [lo for lo, _, _ in chunks] == ends[:-1] and ends[-1] == m, budget
+                got = np.concatenate([z for _, _, z in chunks], axis=1)
+                np.testing.assert_allclose(got, features, rtol=0, atol=1e-15, err_msg=str(budget))
 
 
 class TestGraphWidth:

@@ -64,6 +64,22 @@ class TestSelectPhi:
         with pytest.raises(ValueError, match="percentile"):
             select_phi(np.array([[1.0], [0.0]]), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_column_is_refused_by_its_row_and_column(self, bad):
+        # a NaN column passed both checks and came back unkept, at threshold NaN
+        probs = distributions(np.random.default_rng(3), 4, 6)
+        probs[2, 5] = bad
+        with pytest.raises(ValueError, match=rf"distributions .*; column 5 holds {bad} at row 2$"):
+            select_phi(probs, 0.3)
+        heads = np.stack([distributions(np.random.default_rng(4), 4, 6), probs])
+        with pytest.raises(ValueError, match=rf"column 5 of head 1 holds {bad} at row 2$"):
+            select_phi(heads, 0.3)
+
+    def test_a_column_off_the_simplex_is_refused_by_its_sum(self):
+        probs = np.array([[0.5, 0.5], [0.5, 0.4]])
+        with pytest.raises(ValueError, match=r"column 1 sums to 0\.9 with least entry 0\.4$"):
+            select_phi(probs, 0.3)
+
     def test_threshold_point_itself_kept(self):
         probs = np.array([[0.6, 0.7, 0.8], [0.4, 0.3, 0.2]])
         result = select_phi(probs, 0.5)

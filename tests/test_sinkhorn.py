@@ -129,6 +129,26 @@ class TestSinkhornAssign:
         with pytest.raises(ValueError, match="NaN"):
             sinkhorn_assign(np.array([[np.nan, 0.0]]), eps=0.1, n_iters=3)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_score_is_refused_by_its_row_and_column(self, bad):
+        # an inf score made an all-NaN plan, with only a RuntimeWarning
+        scores = np.zeros((4, 3))
+        scores[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"scores must be finite .* got {bad} at row 2, "
+                                             r"column 1$"):
+            sinkhorn_assign(scores, eps=0.1, n_iters=3)
+        with pytest.raises(ValueError, match=r"at row 0, column 0$"):
+            sinkhorn_assign(np.array([[bad, 0.0], [1.0, 0.0]]), eps=0.1, n_iters=3)
+
+    def test_a_negative_iteration_count_is_refused(self):
+        # it returned the kernel un-normalised
+        with pytest.raises(ValueError, match=r"^n_iters must be non-negative, got -1$"):
+            sinkhorn_assign(np.zeros((2, 2)), eps=0.1, n_iters=-1)
+
+    def test_a_nan_eps_is_refused(self):
+        with pytest.raises(ValueError, match=r"^eps must be positive, got nan$"):
+            sinkhorn_assign(np.zeros((2, 2)), eps=float("nan"), n_iters=3)
+
     @settings(max_examples=30, deadline=None)
     @given(
         rho=st.integers(min_value=1, max_value=8),
@@ -167,3 +187,9 @@ class TestPseudoLabels:
     def test_m_batch_too_large_rejected(self):
         with pytest.raises(ValueError):
             pseudo_labels_from(np.ones((2, 3)), 4)
+
+    @pytest.mark.parametrize("m_batch", [-1, -3])
+    def test_m_batch_outside_the_columns_is_refused_by_value(self, m_batch):
+        # -1 dropped the last column
+        with pytest.raises(ValueError, match=rf"^m_batch must be in \[0, 3\] .* got {m_batch}$"):
+            pseudo_labels_from(np.ones((2, 3)), m_batch)
