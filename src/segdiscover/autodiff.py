@@ -19,25 +19,12 @@ Supported operations: matmul, optionally with a column-vector bias
 folded in, transpose, add (with column-vector bias broadcast),
 elementwise multiply, scalar scaling, ReLU, column-wise L2
 normalization, column-wise softmax, clamped log, sum and mean
-reduction, a sum in row-major order, row/column concatenation, a
-column gather used to slice batches, and a fused softmax cross entropy
-that scores a view's logits as one tape node: one value per head, head
-families read as contiguous row slabs that share the base rows, with a
-closed-form backward. ``record`` makes the node of an op written
-elsewhere, such as the extractor's one node per view
-(``model.Extractor.view_features``).
-
-Neighbour pooling runs on a ``NeighbourGraph`` around a
-``model.knn_indices`` index. The neighbour mean P is
-``NeighbourGraph.mean``: column i of P(a) is the mean of ``a``'s
-columns ``index[i]``. Its transpose, ``NeighbourGraph.mean_transpose``,
-runs through reverse passes that the first backward builds and the
-graph keeps, at 2 bytes per entry up to 65,536 points, so a scene's
-later passes gather through them without rebuilding them; inference
-never builds them, and pools a range of columns at a time
-(``NeighbourGraph.mean``'s ``lo`` and ``hi``).
-Backward closures compute gradients only for operands that reach a
-tracked leaf.
+reduction, a sum in row-major order, row/column concatenation, and a
+column gather used to slice batches. ``record`` makes the node of an op
+written elsewhere, such as the extractor's one node per view
+(``model.Extractor.view_features``) and the fused cross entropy
+(``losses.tempered_ce``). Backward closures compute gradients only for
+operands that reach a tracked leaf.
 """
 
 from __future__ import annotations
@@ -329,243 +316,6 @@ def gather_cols(a, indices):
         acc(a, g)
 
     return record(a.data[:, idx], (a,), backward)
-
-
-def index_dtype(m: int):
-    """The narrowest type that indexes m points: uint16 up to 65,536
-    points, int32 past that. ``model.knn_indices`` returns its graphs in
-    it and ``_reverse_passes`` keeps their transposes in it."""
-    return np.uint16 if m <= 1 << 16 else np.int32
-
-
-def _reverse_passes(neighbours, m):
-    """The transpose of a k-NN index as gather passes.
-
-    Returns ``order``, the points sorted by falling in-degree; ``flat``,
-    the passes one after another; and ``offsets``, where pass s is
-    ``flat[offsets[s]:offsets[s + 1]]``: the rows that name, for the
-    s-th time, each of the first ``offsets[s + 1] - offsets[s]`` points
-    of ``order`` (those named by more than s rows). ``order`` and
-    ``flat`` take ``index_dtype(m)``. Sorts run on the narrowest
-    unsigned key type, so numpy takes its radix sort when the key fits
-    16 bits.
-    """
-    k = neighbours.shape[1]
-    flat = neighbours.reshape(-1)
-    degree = np.bincount(flat, minlength=m)
-    # each point's naming rows, grouped by point and in row order
-    by_point = np.argsort(flat.astype(np.min_scalar_type(m - 1)), kind="stable") // k
-    start = np.cumsum(degree) - degree
-    top = int(degree.max())
-    order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
-    named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
-    dtype = index_dtype(m)
-    passes = np.concatenate([by_point[start[order[:c]] + s] for s, c in enumerate(named)])
-    offsets = np.concatenate([[0], np.cumsum(named)])
-    return order.astype(dtype), passes.astype(dtype), offsets
-
-
-class NeighbourGraph:
-    """A k-NN graph as the averaging operator P: column i of P(a) is the
-    mean of ``a``'s columns ``index[i]``.
-
-    ``index`` is an (m, k) integer array, e.g. ``model.knn_indices``,
-    checked here and not changed afterwards. P's transpose, which every
-    backward pass through the pooling gathers with, is built by the
-    first ``mean_transpose`` and kept in ``reverse`` (None until then):
-    ``_reverse_passes``' order, flat passes and pass offsets, at most
-    2 bytes per graph entry up to 65,536 points. Inference never builds
-    it; it goes with the graph.
-    """
-
-    __slots__ = ("index", "reverse", "__weakref__")
-
-    def __init__(self, index):
-        nb = np.asarray(index)
-        if nb.ndim != 2 or min(nb.shape) < 1 or not np.issubdtype(nb.dtype, np.integer):
-            raise ShapeError(
-                f"neighbours must be a non-empty 2-D integer array, got {nb.dtype} {nb.shape}"
-            )
-        if nb.min() < 0 or nb.max() >= nb.shape[0]:
-            raise ShapeError(
-                f"neighbour indices span [{nb.min()}, {nb.max()}], outside [0, {nb.shape[0]})"
-            )
-        self.index = nb
-        self.reverse = None
-
-    @property
-    def n_points(self) -> int:
-        return self.index.shape[0]
-
-    def mean(self, a, lo=0, hi=None):
-        """Columns ``lo:hi`` (all by default) of P(a) for a (D, m) array:
-        gathers rows of its points-major copy, which is dropped before the
-        sum is divided in place. A transposed (m, D) C-contiguous array
-        is its own points-major copy and is read in place."""
-        nb = self.index[lo:hi]
-        # gathering rows of the transpose is twice as fast once it is contiguous
-        rows = np.ascontiguousarray(a.T)
-        total = rows.take(nb[:, 0], axis=0)
-        for j in range(1, nb.shape[1]):
-            total += rows.take(nb[:, j], axis=0)
-        del rows
-        total /= nb.shape[1]
-        return total.T
-
-    def mean_transpose(self, grad):
-        """P's transpose applied to a (D, m) array, through the kept
-        reverse passes."""
-        if self.reverse is None:
-            self.reverse = _reverse_passes(self.index, self.n_points)
-        order, flat, offsets = self.reverse
-        g = np.ascontiguousarray(grad.T) / self.index.shape[1]
-        summed = np.zeros_like(g)
-        # pass s adds each point's s-th naming row to the prefix of
-        # points named more than s times
-        bounds = offsets.tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            summed[:hi - lo] += g.take(flat[lo:hi], axis=0)
-        out = np.empty_like(summed)
-        out[order] = summed
-        return out.T
-
-
-def _check_cols(node, cols, n_cols, what):
-    """``cols`` as distinct column indices of ``node``'s n_cols columns."""
-    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    if not cols.size:
-        return cols
-    if cols.min() < 0 or cols.max() >= n_cols:
-        problem = f"columns outside [0, {n_cols})"
-    else:
-        seen = np.zeros(n_cols, dtype=bool)
-        seen[cols] = True
-        if np.count_nonzero(seen) == cols.size:
-            return cols
-        problem = "repeats a column"
-    raise ShapeError(f"softmax_cross_entropy {node.label()}: {what} {problem}")
-
-
-def softmax_cross_entropy(logits, cols, slots, weights, fcols, families, *, scale, floor):
-    """Softmax cross entropy of ``logits`` against a weighted one-hot base
-    target and head families, as one node.
-
-    The base rows are the first ``len(weights)`` rows of ``logits``:
-    column ``cols[j]`` targets base row ``slots[j]`` with weight
-    ``weights[slots[j]]``. Each family is ``(start, target, kept)``: H
-    heads of K rows each, head by head from row ``start``, with targets
-    ``target`` (H, K, c) at the c columns ``fcols`` that all families
-    share, of which head h scores those that ``kept[h]`` (H, c) marks. Head h's column softmax
-    q runs over the base rows and its own K rows of ``logits * scale``,
-    and its value is the mean over its ``len(cols) + kept[h].sum()``
-    scored columns of -sum_r t_rj log max(q_rj, floor): the base target
-    counts in every head. The result is a column of one value per head,
-    family by family; without families, one value of the softmax over
-    the base rows alone. A head with no scored column scores 0 and
-    passes no gradient; neither ``cols`` nor ``fcols`` may repeat a
-    column.
-
-    Each family takes one column shift over the base rows and all of its
-    rows, so one exponential of the base rows serves its every head, and
-    log q is the shifted logit less the log of its head's normaliser.
-    Backward is the closed form scale * (q T - t) / m per head, T being
-    each column's target mass over the entries with q >= floor: below
-    the floor the log is constant and passes no gradient.
-    """
-    logits = _as_tensor(logits)
-    if floor <= 0.0:
-        raise ValueError(f"softmax_cross_entropy needs a positive log floor, got {floor}")
-    data = logits.data
-    n_rows, n_cols = data.shape
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    n_base = weights.size
-    cols = _check_cols(logits, cols, n_cols, "the base target")
-    slots = np.asarray(slots, dtype=np.intp).reshape(-1)
-    if (n_base > n_rows or slots.size != cols.size
-            or slots.size and (slots.min() < 0 or slots.max() >= n_base)):
-        raise ShapeError(
-            f"softmax_cross_entropy {logits.label()}: {slots.size} base slots in "
-            f"[0, {n_base}) for {cols.size} columns of {n_rows} rows"
-        )
-    if families:
-        fcols = _check_cols(logits, fcols, n_cols, "the head target")
-    log_floor = np.log(floor)
-    base = data[:n_base] * scale
-    base_max = base.max(axis=0, initial=-np.inf)
-    w_labels = weights[slots]
-    values, scored = [], []
-    # without families, one head of no rows: the softmax over the base rows
-    for f, family in enumerate(families or [None]):
-        heads, rows_part = 1, None
-        shift, z = base_max, 0.0
-        if family is not None:
-            start, target, kept = family
-            target = np.asarray(target, dtype=np.float64)
-            kept = np.asarray(kept, dtype=bool)
-            heads, k = target.shape[:2] if target.ndim == 3 else (0, 0)
-            if (target.shape != (heads, k, fcols.size) or kept.shape != (heads, fcols.size)
-                    or not n_base <= start <= n_rows - heads * k):
-                raise ShapeError(
-                    f"softmax_cross_entropy {logits.label()}: family {f} has target "
-                    f"{target.shape} and kept {kept.shape} for {fcols.size} columns from row "
-                    f"{start} of {n_rows}, past {n_base} base rows"
-                )
-            rows = data[start:start + heads * k].reshape(heads, k, n_cols) * scale
-            shift = np.maximum(base_max, rows.max(axis=(0, 1), initial=-np.inf))
-            rows -= shift
-            # log q at the scored entries: the shifted logit less log z
-            log_q_rows = np.take(rows, fcols, axis=2)
-            e_rows = np.exp(rows, out=rows)
-            z = e_rows.sum(axis=1)
-        x_base = base - shift
-        log_q_base = x_base[slots, cols]
-        e_base = np.exp(x_base, out=x_base)
-        z = e_base.sum(axis=0, keepdims=True) + z
-        log_z = np.log(z)
-        log_q_base = log_q_base - log_z[:, cols]
-        logs = np.maximum(log_q_base, log_floor) @ w_labels
-        counts = np.full(heads, cols.size)
-        if family is not None:
-            log_q_rows -= log_z[:, None, fcols]
-            t_rows = target * kept[:, None, :]
-            counts += np.count_nonzero(kept, axis=1)
-            logs += (t_rows * np.maximum(log_q_rows, log_floor)).reshape(heads, -1).sum(axis=1)
-            # each head's targets where q >= floor, the only entries whose log moves
-            t_rows *= log_q_rows >= log_floor
-            rows_part = (start, e_rows, t_rows)
-        values.append(np.where(counts > 0, -logs / np.maximum(counts, 1), 0.0))
-        if counts.any():
-            t_base = w_labels * (log_q_base >= log_floor)
-            scored.append((f, e_base, z, t_base, counts, rows_part))
-    out = np.concatenate(values)[:, None]
-    if not scored:
-        return Tensor(out)
-    first = np.cumsum([0] + [v.size for v in values]).tolist()
-
-    def backward(grad, acc):
-        g = np.zeros_like(data)
-        for f, e_base, z, t_base, counts, rows_part in scored:
-            coef = (scale / np.maximum(counts, 1)) * grad[first[f]:first[f + 1], 0]
-            t_base *= coef[:, None]
-            # q T summed over heads: each column's target mass over its normaliser
-            mass = np.zeros(z.shape)
-            mass[:, cols] = t_base
-            if rows_part is not None:
-                start, e_rows, t_rows = rows_part
-                heads, k = e_rows.shape[:2]
-                t_rows *= coef[:, None, None]
-                mass[:, fcols] += t_rows.sum(axis=1)
-            mass /= z
-            g[:n_base] += e_base * mass.sum(axis=0)
-            g[slots, cols] -= t_base.sum(axis=0)
-            if rows_part is not None:
-                e_rows *= mass[:, None, :]
-                g_rows = g[start:start + heads * k]
-                g_rows += e_rows.reshape(heads * k, n_cols)
-                g_rows[:, fcols] -= t_rows.reshape(heads * k, fcols.size)
-        acc(logits, g)
-
-    return record(out, (logits,), backward)
 
 
 def sum_in_order(a, scale):

@@ -31,7 +31,8 @@ from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .data import UNLABELLED, SplitSpec, mask_novel
 from .losses import TrainConfig, compute_loss_weights, fit, tempered_ce
-from .model import CombinedHeadModel, ModelConfig, check_coords, distance_blocks, row_blocks
+from .model import (CombinedHeadModel, ModelConfig, check_coords, distance_blocks,
+                    index_dtype, row_blocks)
 from .model import knn_indices  # noqa: F401 -- unused; the bench checks its hooks reach it here
 
 KMEANS_RESTARTS = 20  # k-means++ seedings per kmeans call; the lowest SSE wins
@@ -340,7 +341,7 @@ def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, tempera
     Targets are base ground truth, plus ``pseudo[scene_id]`` = (point
     indices, slots) in the head's rows after the base ones. They are
     kept for the whole stage in the narrowest types that hold them: a
-    point index in ``autodiff.index_dtype`` of the scene's points, a row
+    point index in ``model.index_dtype`` of the scene's points, a row
     in the narrowest unsigned type that counts the head's rows.
     """
     n_rows, n_base = model.head_w.shape[0], len(split.base_classes)
@@ -360,7 +361,7 @@ def _ce_loss(model: CombinedHeadModel, scenes, split: SplitSpec, pseudo, tempera
                 and slots.max() < n_rows - n_base):
             raise ValueError(f"pseudo-labels of scene {cloud.scene_id!r} must pair points in "
                              f"[0, {m}) with slots in [0, {n_rows - n_base})")
-        cols = np.concatenate([base_idx, idx]).astype(ad.index_dtype(m))
+        cols = np.concatenate([base_idx, idx]).astype(index_dtype(m))
         # added in int64: k-means slots come in uint8, where 250 + 9 wraps to 3
         rows = np.concatenate([split.base_slots(cloud.labels[base_idx]),
                                slots.astype(np.int64) + n_base])

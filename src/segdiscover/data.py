@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import model
-from .autodiff import NeighbourGraph
 
 # Label value a point carries once its (novel) ground truth is hidden.
 UNLABELLED = -1
@@ -53,12 +52,12 @@ class LabelledCloud:
     def n_points(self) -> int:
         return self.coords.shape[0]
 
-    def neighbours(self, k: int) -> NeighbourGraph:
+    def neighbours(self, k: int) -> model.NeighbourGraph:
         """The scene's ``model.knn_indices`` graph for ``k``, built on first
         use and kept, with the transpose the first backward pass builds."""
         if k not in self._graphs:
             # looked up on the module, so a wrapped knn_indices is the one called
-            self._graphs[k] = NeighbourGraph(model.knn_indices(self.coords, k))
+            self._graphs[k] = model.NeighbourGraph(model.knn_indices(self.coords, k))
         return self._graphs[k]
 
 
@@ -473,12 +472,9 @@ _POSS_SPLITS = {
 }
 
 
-def builtin_splits(dataset_name: str, synthetic_cfg: SyntheticConfig | None = None) -> list[SplitSpec]:
-    """The benchmark splits for the real datasets; config-derived for synthetic."""
-    if dataset_name == "synthetic":
-        if synthetic_cfg is None:
-            raise ValueError("synthetic splits are defined by the generation config")
-        return [synthetic_cfg.split()]
+def builtin_splits(dataset_name: str) -> list[SplitSpec]:
+    """The benchmark splits of a real dataset; ``SyntheticConfig.split``
+    gives a synthetic one."""
     if dataset_name == "semantickitti":
         table = _KITTI_SPLITS
     elif dataset_name == "semanticposs":

@@ -1,5 +1,6 @@
-"""Weighted cross entropy, base-class loss weights, LR schedule, optimizer
-and the epoch-and-batch driver both training methods step through.
+"""Weighted and tempered cross entropy, base-class loss weights, LR
+schedule, optimizer and the epoch-and-batch driver both training methods
+step through.
 
 Base-class loss weights are inverse relative frequencies normalized to
 mean one, in the split's base-slot order (``SplitSpec.base_slots``);
@@ -88,16 +89,140 @@ def weighted_ce(pred, target, weights) -> "ad.Tensor":
 
 
 def tempered_ce(logits, cols, slots, weights, fcols, families, temperature) -> "ad.Tensor":
-    """Cross entropy of the column softmax of ``logits / temperature``
-    against the weighted one-hot base target (column ``cols[j]`` on base
-    row ``slots[j]``, rows weighted by ``weights``) and the head
-    ``families`` of ``autodiff.softmax_cross_entropy`` at columns
-    ``fcols``, as one fused tape node: a column of one value per head,
-    family by family, or a single value over the base rows alone when
-    there is no family."""
-    return ad.softmax_cross_entropy(
-        logits, cols, slots, weights, fcols, families, scale=1.0 / temperature, floor=LOG_FLOOR
-    )
+    """Softmax cross entropy of ``logits / temperature`` against a
+    weighted one-hot base target and head families, as one tape node.
+
+    The base rows are the first ``len(weights)`` rows of ``logits``:
+    column ``cols[j]`` targets base row ``slots[j]`` with weight
+    ``weights[slots[j]]``. Each family is ``(start, target, kept)``: H
+    heads of K rows each, head by head from row ``start``, with targets
+    ``target`` (H, K, c) at the c columns ``fcols`` that all families
+    share, of which head h scores those that ``kept[h]`` (H, c) marks.
+    Head h's column softmax q runs over the base rows and its own K rows
+    of ``logits / temperature``, and its value is the mean over its
+    ``len(cols) + kept[h].sum()`` scored columns of
+    -sum_r t_rj log max(q_rj, LOG_FLOOR): the base target counts in every
+    head. The result is a column of one value per head, family by
+    family; without families, one value of the softmax over the base
+    rows alone. A head with no scored column scores 0 and passes no
+    gradient; neither ``cols`` nor ``fcols`` may repeat a column.
+
+    The node is fused: each family takes one column shift over the base
+    rows and all of its rows, so one exponential of the base rows serves
+    its every head, and log q is the shifted logit less the log of its
+    head's normaliser. Backward is the closed form
+    (q T - t) / (m temperature) per head, T being each column's target
+    mass over the entries with q >= LOG_FLOOR: below the floor the log
+    is constant and passes no gradient.
+    """
+    scale = 1.0 / temperature
+    data = logits.data
+    n_rows, n_cols = data.shape
+
+    def distinct(index, what):
+        """``index`` as distinct indices of the logits' columns."""
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        if not index.size:
+            return index
+        if index.min() < 0 or index.max() >= n_cols:
+            problem = f"columns outside [0, {n_cols})"
+        else:
+            seen = np.zeros(n_cols, dtype=bool)
+            seen[index] = True
+            if np.count_nonzero(seen) == index.size:
+                return index
+            problem = "repeats a column"
+        raise ad.ShapeError(f"tempered_ce {logits.label()}: {what} {problem}")
+
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    n_base = weights.size
+    cols = distinct(cols, "the base target")
+    slots = np.asarray(slots, dtype=np.intp).reshape(-1)
+    if (n_base > n_rows or slots.size != cols.size
+            or slots.size and (slots.min() < 0 or slots.max() >= n_base)):
+        raise ad.ShapeError(
+            f"tempered_ce {logits.label()}: {slots.size} base slots in "
+            f"[0, {n_base}) for {cols.size} columns of {n_rows} rows"
+        )
+    if families:
+        fcols = distinct(fcols, "the head target")
+    log_floor = np.log(LOG_FLOOR)
+    base = data[:n_base] * scale
+    base_max = base.max(axis=0, initial=-np.inf)
+    w_labels = weights[slots]
+    values, scored = [], []
+    # without families, one head of no rows: the softmax over the base rows
+    for f, family in enumerate(families or [None]):
+        heads, rows_part = 1, None
+        shift, z = base_max, 0.0
+        if family is not None:
+            start, target, kept = family
+            target = np.asarray(target, dtype=np.float64)
+            kept = np.asarray(kept, dtype=bool)
+            heads, k = target.shape[:2] if target.ndim == 3 else (0, 0)
+            if (target.shape != (heads, k, fcols.size) or kept.shape != (heads, fcols.size)
+                    or not n_base <= start <= n_rows - heads * k):
+                raise ad.ShapeError(
+                    f"tempered_ce {logits.label()}: family {f} has target "
+                    f"{target.shape} and kept {kept.shape} for {fcols.size} columns from row "
+                    f"{start} of {n_rows}, past {n_base} base rows"
+                )
+            rows = data[start:start + heads * k].reshape(heads, k, n_cols) * scale
+            shift = np.maximum(base_max, rows.max(axis=(0, 1), initial=-np.inf))
+            rows -= shift
+            # log q at the scored entries: the shifted logit less log z
+            log_q_rows = np.take(rows, fcols, axis=2)
+            e_rows = np.exp(rows, out=rows)
+            z = e_rows.sum(axis=1)
+        x_base = base - shift
+        log_q_base = x_base[slots, cols]
+        e_base = np.exp(x_base, out=x_base)
+        z = e_base.sum(axis=0, keepdims=True) + z
+        log_z = np.log(z)
+        log_q_base = log_q_base - log_z[:, cols]
+        logs = np.maximum(log_q_base, log_floor) @ w_labels
+        counts = np.full(heads, cols.size)
+        if family is not None:
+            log_q_rows -= log_z[:, None, fcols]
+            t_rows = target * kept[:, None, :]
+            counts += np.count_nonzero(kept, axis=1)
+            logs += (t_rows * np.maximum(log_q_rows, log_floor)).reshape(heads, -1).sum(axis=1)
+            # each head's targets where q >= floor, the only entries whose log moves
+            t_rows *= log_q_rows >= log_floor
+            rows_part = (start, e_rows, t_rows)
+        values.append(np.where(counts > 0, -logs / np.maximum(counts, 1), 0.0))
+        if counts.any():
+            t_base = w_labels * (log_q_base >= log_floor)
+            scored.append((f, e_base, z, t_base, counts, rows_part))
+    out = np.concatenate(values)[:, None]
+    if not scored:
+        return ad.Tensor(out)
+    first = np.cumsum([0] + [v.size for v in values]).tolist()
+
+    def backward(grad, acc):
+        g = np.zeros_like(data)
+        for f, e_base, z, t_base, counts, rows_part in scored:
+            coef = (scale / np.maximum(counts, 1)) * grad[first[f]:first[f + 1], 0]
+            t_base *= coef[:, None]
+            # q T summed over heads: each column's target mass over its normaliser
+            mass = np.zeros(z.shape)
+            mass[:, cols] = t_base
+            if rows_part is not None:
+                start, e_rows, t_rows = rows_part
+                heads, k = e_rows.shape[:2]
+                t_rows *= coef[:, None, None]
+                mass[:, fcols] += t_rows.sum(axis=1)
+            mass /= z
+            g[:n_base] += e_base * mass.sum(axis=0)
+            g[slots, cols] -= t_base.sum(axis=0)
+            if rows_part is not None:
+                e_rows *= mass[:, None, :]
+                g_rows = g[start:start + heads * k]
+                g_rows += e_rows.reshape(heads * k, n_cols)
+                g_rows[:, fcols] -= t_rows.reshape(heads * k, fcols.size)
+        acc(logits, g)
+
+    return ad.record(out, (logits,), backward)
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:

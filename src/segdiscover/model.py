@@ -7,6 +7,16 @@ dimensions, L2-normalized per point. The pooling is linear, so it runs
 after the projection, on D rows rather than twice the hidden width:
 ``W [h; P h] = W_a h + P (W_b h)``.
 
+Neighbour pooling runs on a ``NeighbourGraph`` around a
+``knn_indices`` index. The neighbour mean P is
+``NeighbourGraph.mean``: column i of P(a) is the mean of ``a``'s
+columns ``index[i]``. Its transpose, ``NeighbourGraph.mean_transpose``,
+runs through reverse passes that the first backward builds and the
+graph keeps, at 2 bytes per entry up to 65,536 points, so a scene's
+later passes gather through them without rebuilding them; inference
+never builds them, and pools a range of columns at a time
+(``NeighbourGraph.mean``'s ``lo`` and ``hi``).
+
 Training records a view's scenes as one tape node
 (``Extractor.view_features``) that keeps per scene only the second
 hidden layer, the column norms and the coordinates, and recomputes the
@@ -120,7 +130,7 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     """(m, min(k, m-1)) nearest-neighbour indices per point, self
     excluded, each row in ascending index order. A distance tie at the
     k-th neighbour is broken by lower point index. Indices take
-    ``autodiff.index_dtype(m)``: uint16 up to 65,536 points, int32 past
+    ``index_dtype(m)``: uint16 up to 65,536 points, int32 past
     that. A scene with more points than int32 can count, or with a
     coordinate that is non-finite or of magnitude ``2**510`` or more
     (past which squared distances overflow), is refused by its point.
@@ -148,9 +158,9 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"knn_indices: a scene of {m} points is past the int32 index range")
     check_coords(coords, "knn_indices")
     if m == 1:
-        return np.zeros((1, 1), dtype=ad.index_dtype(m))
+        return np.zeros((1, 1), dtype=index_dtype(m))
     k = min(k, m - 1)
-    out = np.empty((m, k), dtype=ad.index_dtype(m))
+    out = np.empty((m, k), dtype=index_dtype(m))
     for lo, hi, d2 in distance_blocks(coords, coords):
         rows = np.arange(hi - lo)
         d2[rows, rows + lo] = np.inf
@@ -174,6 +184,105 @@ def knn_indices(coords: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def index_dtype(m: int):
+    """The narrowest type that indexes m points: uint16 up to 65,536
+    points, int32 past that. ``knn_indices`` returns its graphs in
+    it and ``_reverse_passes`` keeps their transposes in it."""
+    return np.uint16 if m <= 1 << 16 else np.int32
+
+
+def _reverse_passes(neighbours, m):
+    """The transpose of a k-NN index as gather passes.
+
+    Returns ``order``, the points sorted by falling in-degree; ``flat``,
+    the passes one after another; and ``offsets``, where pass s is
+    ``flat[offsets[s]:offsets[s + 1]]``: the rows that name, for the
+    s-th time, each of the first ``offsets[s + 1] - offsets[s]`` points
+    of ``order`` (those named by more than s rows). ``order`` and
+    ``flat`` take ``index_dtype(m)``. Sorts run on the narrowest
+    unsigned key type, so numpy takes its radix sort when the key fits
+    16 bits.
+    """
+    k = neighbours.shape[1]
+    flat = neighbours.reshape(-1)
+    degree = np.bincount(flat, minlength=m)
+    # each point's naming rows, grouped by point and in row order
+    by_point = np.argsort(flat.astype(np.min_scalar_type(m - 1)), kind="stable") // k
+    start = np.cumsum(degree) - degree
+    top = int(degree.max())
+    order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
+    named = m - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]
+    dtype = index_dtype(m)
+    passes = np.concatenate([by_point[start[order[:c]] + s] for s, c in enumerate(named)])
+    offsets = np.concatenate([[0], np.cumsum(named)])
+    return order.astype(dtype), passes.astype(dtype), offsets
+
+
+class NeighbourGraph:
+    """A k-NN graph as the averaging operator P: column i of P(a) is the
+    mean of ``a``'s columns ``index[i]``.
+
+    ``index`` is an (m, k) integer array, e.g. from ``knn_indices``,
+    checked here and not changed afterwards. P's transpose, which every
+    backward pass through the pooling gathers with, is built by the
+    first ``mean_transpose`` and kept in ``reverse`` (None until then):
+    ``_reverse_passes``' order, flat passes and pass offsets, at most
+    2 bytes per graph entry up to 65,536 points. Inference never builds
+    it; it goes with the graph.
+    """
+
+    __slots__ = ("index", "reverse", "__weakref__")
+
+    def __init__(self, index):
+        nb = np.asarray(index)
+        if nb.ndim != 2 or min(nb.shape) < 1 or not np.issubdtype(nb.dtype, np.integer):
+            raise ad.ShapeError(
+                f"neighbours must be a non-empty 2-D integer array, got {nb.dtype} {nb.shape}"
+            )
+        if nb.min() < 0 or nb.max() >= nb.shape[0]:
+            raise ad.ShapeError(
+                f"neighbour indices span [{nb.min()}, {nb.max()}], outside [0, {nb.shape[0]})"
+            )
+        self.index = nb
+        self.reverse = None
+
+    @property
+    def n_points(self) -> int:
+        return self.index.shape[0]
+
+    def mean(self, a, lo=0, hi=None):
+        """Columns ``lo:hi`` (all by default) of P(a) for a (D, m) array:
+        gathers rows of its points-major copy, which is dropped before the
+        sum is divided in place. A transposed (m, D) C-contiguous array
+        is its own points-major copy and is read in place."""
+        nb = self.index[lo:hi]
+        # gathering rows of the transpose is twice as fast once it is contiguous
+        rows = np.ascontiguousarray(a.T)
+        total = rows.take(nb[:, 0], axis=0)
+        for j in range(1, nb.shape[1]):
+            total += rows.take(nb[:, j], axis=0)
+        del rows
+        total /= nb.shape[1]
+        return total.T
+
+    def mean_transpose(self, grad):
+        """P's transpose applied to a (D, m) array, through the kept
+        reverse passes."""
+        if self.reverse is None:
+            self.reverse = _reverse_passes(self.index, self.n_points)
+        order, flat, offsets = self.reverse
+        g = np.ascontiguousarray(grad.T) / self.index.shape[1]
+        summed = np.zeros_like(g)
+        # pass s adds each point's s-th naming row to the prefix of
+        # points named more than s times
+        bounds = offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            summed[:hi - lo] += g.take(flat[lo:hi], axis=0)
+        out = np.empty_like(summed)
+        out[order] = summed
+        return out.T
+
+
 def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = None) -> np.ndarray:
     """Column-stochastic (m, m) matrix averaging each point's k nearest
     neighbours; right-multiplying features (D, m) by it yields the
@@ -182,7 +291,7 @@ def knn_mean_matrix(coords: np.ndarray, k: int, neighbours: np.ndarray | None = 
     Each row of ``neighbours`` must hold distinct point indices, as
     ``knn_indices`` returns them.
 
-    The package pools through ``autodiff.NeighbourGraph`` and no longer
+    The package pools through ``NeighbourGraph`` and no longer
     calls this; it stays as the dense reference that the benchmark's
     layer hooks and checks still name."""
     if neighbours is None:
@@ -236,7 +345,7 @@ class Extractor:
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
             raise ValueError(f"expected (m, 3) coordinates, got {coords.shape}")
         if neighbours is None:
-            neighbours = ad.NeighbourGraph(knn_indices(coords, self.cfg.knn))
+            neighbours = NeighbourGraph(knn_indices(coords, self.cfg.knn))
         m, (rows, width) = coords.shape[0], neighbours.index.shape
         knn_width = min(self.cfg.knn, max(m - 1, 1))
         if (rows, width) != (m, knn_width):
@@ -327,11 +436,11 @@ class Extractor:
         return ad.record(out, (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3), backward)
 
     def extract_features(self, coords: np.ndarray,
-                         neighbours: ad.NeighbourGraph | None = None) -> ad.Tensor:
+                         neighbours: NeighbourGraph | None = None) -> ad.Tensor:
         """``view_features`` of one scene: (D, m) unit-column features."""
         return self.view_features([coords], [neighbours])
 
-    def feature_chunks(self, coords: np.ndarray, neighbours: ad.NeighbourGraph | None = None):
+    def feature_chunks(self, coords: np.ndarray, neighbours: NeighbourGraph | None = None):
         """Yield ``(lo, hi, z)``: the untaped (D, hi - lo) features of
         points lo:hi, ``_forward`` over the ``row_blocks`` of
         ``FORWARD_CHUNK_BYTES`` at width hidden. A scene of one chunk gets
@@ -433,7 +542,7 @@ class SegmentationModel(Extractor):
         return families
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
-                      neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
+                      neighbours: NeighbourGraph | None = None) -> np.ndarray:
         """Per-point argmax over concatenated base+novel logits.
 
         Slots 0..n_base-1 are base classes in sorted-id order; slots
@@ -476,7 +585,7 @@ class CombinedHeadModel(Extractor):
         return ad.matmul(self.head_w, z, bias=self.head_b)
 
     def predict_slots(self, coords: np.ndarray, head: int | None = None,
-                      neighbours: ad.NeighbourGraph | None = None) -> np.ndarray:
+                      neighbours: NeighbourGraph | None = None) -> np.ndarray:
         """Per-point argmax of the one head; ``head`` is ignored."""
         return self._slots(coords, neighbours, lambda z: self.logits(z).data)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
-from .data import UNLABELLED, SplitSpec, mask_novel
+from .data import UNLABELLED, SplitSpec, check_labels, mask_novel
 from .evaluate import evaluate
 from .losses import TrainConfig, compute_loss_weights, fit, tempered_ce
 from .model import ModelConfig, SegmentationModel
@@ -72,12 +72,6 @@ class TrainResult:
         return "\n".join([METRICS_HEADER, *rows]) + "\n"
 
 
-def _features(model, views, neighbours):
-    """One view's (D, n) features, the scenes' coordinate arrays side by
-    side as one tape node; each scene pools over its entry of ``neighbours``."""
-    return model.view_features(views, neighbours)
-
-
 def _pseudo_label(scores, heads, m, eps, iters, percentile):
     """Transport-based soft labels for one head family from its stacked
     prototype scores (heads x rho rows; m novel points, then queue
@@ -95,12 +89,15 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
     ``clouds`` keep their ground truth; ``mask_novel`` hides novel labels and
     ignored points here, and only the masked view is ever batched. Evaluation
     metrics use ``val_clouds`` (unmasked) or, when it is None, the training
-    scenes themselves; an empty ``val_clouds`` is refused before any step.
+    scenes themselves; an empty ``val_clouds``, or one with an id outside
+    the split, is refused before any step.
     """
     if not clouds:
         raise ValueError("training dataset must be non-empty")
-    if val_clouds is not None and not val_clouds:
-        raise ValueError("val_clouds is empty; pass None to score the training scenes")
+    if val_clouds is not None:
+        if not val_clouds:
+            raise ValueError("val_clouds is empty; pass None to score the training scenes")
+        check_labels(val_clouds, split)
     masked = mask_novel(clouds, split)
     if not masked:
         raise ValueError("no usable scenes after masking")
@@ -139,7 +136,7 @@ def train(clouds, split: SplitSpec, cfg: ExperimentConfig, val_clouds=None,
         scenes = [masked[i] for i in scene_ids]
         views = [make_views(c, rng, cfg.augment, 2) for c in scenes]
         neigh = [c.neighbours(k) for c in scenes]
-        zs = [_features(model, coords, neigh) for coords in zip(*views)]
+        zs = [model.view_features(coords, neigh) for coords in zip(*views)]
         if not all(np.isfinite(z.data).all() for z in zs):
             raise ValueError(f"features went non-finite after the SGD step at lr {last_lr:g}")
         # views keep point order, so one label layout serves both

@@ -126,7 +126,7 @@ def test_criterion_03_full_loss_gradient():
     from segdiscover.losses import compute_loss_weights
     from segdiscover.model import SegmentationModel
     from segdiscover.sinkhorn import pseudo_labels_from
-    from segdiscover.train import _features, _step_loss
+    from segdiscover.train import _step_loss
 
     cfg = toy_discovery_config(seed=0, n_scenes=2, points_per_scene=16)
     clouds = generate_synthetic(cfg)
@@ -145,7 +145,7 @@ def test_criterion_03_full_loss_gradient():
     slots = split.base_slots(labels[base_idx])
 
     def build():
-        return [_features(model, views, neigh) for views in zip(*pairs)]
+        return [model.view_features(views, neigh) for views in zip(*pairs)]
 
     def logits():
         w_stack, b_stack = model.stacked_heads(False)

@@ -231,161 +231,6 @@ class TestGatherBackward:
         np.testing.assert_array_equal(a.grad, expected)
 
 
-def _per_block_reference(data, blocks, coefs, scale, floor):
-    """Cross entropy one block at a time, in numpy: per ``(rows, cols,
-    target, weights)`` block, the column softmax of its rows and columns
-    of ``data * scale`` and the mean over its columns of
-    -sum w t log max(q, floor). Returns the values and the gradient of
-    sum_b coefs[b] * value_b, each block's scattered by ``np.add.at``."""
-    values, grad = np.zeros(len(blocks)), np.zeros_like(data)
-    for b, (rows, cols, target, weights) in enumerate(blocks):
-        if not len(cols):
-            continue
-        s = data[np.ix_(rows, cols)] * scale
-        q = np.exp(s - s.max(axis=0))
-        q /= q.sum(axis=0)
-        wt = weights[:, None] * target
-        m = len(cols)
-        values[b] = -(wt * np.log(np.maximum(q, floor))).sum() / m
-        dq = wt * ((-coefs[b] / m) * (q >= floor)) / np.maximum(q, floor)
-        np.add.at(grad, np.ix_(rows, cols), q * (dq - (dq * q).sum(axis=0)) * scale)
-    return values, grad
-
-
-def _as_blocks(cols, slots, weights, fcols, families):
-    """The blocks of ``_per_block_reference`` that score what
-    ``softmax_cross_entropy`` scores: one per head, the base rows and the
-    head's rows over the base columns and the head's kept columns."""
-    n_base, cols = len(weights), np.asarray(cols)
-    onehot = np.zeros((n_base, cols.size))
-    onehot[slots, np.arange(cols.size)] = 1.0
-    if not families:
-        return [(np.arange(n_base), cols, onehot, weights)]
-    blocks = []
-    for start, target, kept in families:
-        heads, k, _ = target.shape
-        for h in range(heads):
-            block_cols = np.concatenate([cols, np.asarray(fcols)[kept[h]]])
-            block = np.zeros((n_base + k, block_cols.size))
-            block[:n_base, :cols.size] = onehot
-            block[n_base:, cols.size:] = target[h][:, kept[h]]
-            rows = np.concatenate([np.arange(n_base), start + h * k + np.arange(k)])
-            blocks.append((rows, block_cols, block, np.concatenate([weights, np.ones(k)])))
-    return blocks
-
-
-class TestSoftmaxCrossEntropy:
-    """Head families of one logit matrix against the per-block reference:
-    3 base rows, then a family of 3 heads of 2 rows and one of 3 heads of
-    4 rows, over 14 columns."""
-
-    FLOOR, SCALE = 1e-12, 1.5
-    COLS = [0, 2, 3, 5, 7, 8, 11]  # base points
-    FCOLS = [1, 4, 6, 9, 10, 12, 13]  # novel points
-
-    def setup_case(self, seed=31):
-        fcols = self.FCOLS
-        rng = np.random.default_rng(seed)
-        data = rng.normal(size=(21, 14))
-        data[3:9, 4] = data[9, 6] = data[2, 0] = -40.0  # softmaxes below the floor
-        slots = rng.integers(0, 3, len(self.COLS))
-        slots[self.COLS.index(0)] = 2  # a base target below the floor
-        weights = rng.uniform(0.5, 2.0, 3)
-        families = []
-        for start, k in ((3, 2), (9, 4)):
-            target = rng.random((3, k, len(fcols)))
-            kept = rng.random((3, len(fcols))) < 0.6
-            kept[:, 0] = kept[0, 1] = True
-            families.append((start, target / target.sum(axis=1, keepdims=True), kept))
-        coefs = rng.uniform(-1.0, 2.0, 6)
-        return ad.parameter(data, "logits"), slots, weights, families, coefs
-
-    def fused(self, logits, slots, weights, families, cols=COLS, fcols=FCOLS):
-        return ad.softmax_cross_entropy(logits, cols, slots, weights, fcols, families,
-                                        scale=self.SCALE, floor=self.FLOOR)
-
-    def weighted(self, values, coefs):
-        return ad.sum_all(ad.mul(values, ad.constant(np.asarray(coefs)[:, None])))
-
-    def check_against_reference(self, logits, slots, weights, families, coefs, cols=COLS):
-        values = self.fused(logits, slots, weights, families, cols)
-        assert values.data.shape == (len(coefs), 1)
-        ad.backward(self.weighted(values, coefs))
-        ref_values, ref_grad = _per_block_reference(
-            logits.data, _as_blocks(cols, slots, weights, self.FCOLS, families), coefs,
-            self.SCALE, self.FLOOR,
-        )
-        np.testing.assert_allclose(values.data[:, 0], ref_values, rtol=1e-12)
-        np.testing.assert_allclose(logits.grad, ref_grad, rtol=1e-12, atol=1e-15)
-
-    def test_values_and_gradient_match_the_per_block_reference(self):
-        logits, slots, weights, families, coefs = self.setup_case()
-        # the clamp is exercised on a base and a head target
-        s = logits.data * self.SCALE
-        assert np.exp(s[2, 0] - np.logaddexp.reduce(s[[0, 1, 2, 3, 4], 0])) < self.FLOOR
-        assert np.exp(s[3, 4] - np.logaddexp.reduce(s[[0, 1, 2, 3, 4], 4])) < self.FLOOR
-        self.check_against_reference(logits, slots, weights, families, coefs)
-
-    def test_one_family_matches_the_reference(self):
-        # the over-clustering family alone
-        logits, slots, weights, families, coefs = self.setup_case()
-        self.check_against_reference(logits, slots, weights, families[1:], coefs[3:])
-
-    def test_no_family_is_the_softmax_over_the_base_rows(self):
-        # the baseline's call: every row is a base row
-        logits, _, _, _, _ = self.setup_case()
-        rng = np.random.default_rng(4)
-        slots, weights = rng.integers(0, 21, 10), rng.uniform(0.5, 2.0, 21)
-        cols = [13, 0, 2, 5, 4, 7, 9, 10, 11, 6]  # unsorted, like base then pseudo points
-        self.check_against_reference(logits, slots, weights, (), [0.7], cols=cols)
-
-    def test_central_differences_including_clamped_entries(self):
-        logits, slots, weights, families, coefs = self.setup_case()
-
-        def loss():
-            return self.weighted(self.fused(logits, slots, weights, families), coefs)
-
-        ad.backward(loss())
-        coords = [(logits, i) for i in range(logits.data.size)]
-        fd = finite_difference(lambda: float(loss().data[0, 0]), {"logits": logits}, coords,
-                               step=1e-6)
-        np.testing.assert_allclose(logits.grad.reshape(-1), fd, rtol=1e-6, atol=1e-9)
-
-    def test_a_head_with_no_scored_column_scores_zero_and_passes_no_gradient(self):
-        logits, slots, weights, families, coefs = self.setup_case()
-        start, target, kept = families[1]
-        kept = kept.copy()
-        kept[1] = False
-        values = self.fused(logits, slots[:0], weights, [(start, target, kept)], cols=[])
-        assert values.data[1, 0] == 0.0 and np.all(values.data[[0, 2], 0] > 0.0)
-        ad.backward(self.weighted(values, [0.0, 1.0, 0.0]))
-        assert not np.any(logits.grad)
-
-    def test_nothing_to_score_records_no_tape(self):
-        logits, _, weights, families, _ = self.setup_case()
-        empty = [(start, target[:, :, :0], kept[:, :0]) for start, target, kept in families]
-        values = self.fused(logits, [], weights, empty, cols=[], fcols=[])
-        assert np.array_equal(values.data, np.zeros((6, 1)))
-        assert values._backward is None
-
-    @pytest.mark.parametrize("cols, slots, fcols, families, match", [
-        ([0, 2, 0], [0, 1, 2], [1], (), "the base target repeats a column"),
-        ([0, 14], [0, 1], [1], (), r"the base target columns outside \[0, 14\)"),
-        ([0, 2], [0, 3], [1], (), r"2 base slots in \[0, 3\)"),
-        ([0], [0], [1, 4, 1], [(3, np.ones((3, 2, 3)) / 2, np.ones((3, 3), bool))],
-         "the head target repeats a column"),
-        ([0], [0], [1], [(2, np.ones((3, 2, 1)) / 2, np.ones((3, 1), bool))],
-         "family 0 has target .* from row 2 of 21, past 3 base rows"),
-        ([0], [0], [1], [(3, np.ones((3, 2, 1)) / 2, np.ones((2, 1), bool))],
-         r"family 0 has target \(3, 2, 1\) and kept \(2, 1\)"),
-    ])
-    def test_bad_targets_raise_a_shape_error_naming_the_node(self, cols, slots, fcols, families,
-                                                             match):
-        logits, _, weights, _, _ = self.setup_case()
-        with pytest.raises(ad.ShapeError, match="logits: " + match):
-            self.fused(logits, slots, weights, families, cols, fcols)
-
-
 class TestSumInOrder:
     def test_value_is_a_chain_of_adds_then_a_scale(self):
         # in order 1 + 1e16 rounds to 1e16 and the total is 0; numpy's
@@ -505,78 +350,3 @@ class TestCheckpoint:
         path.write_bytes(blob + blob[8:])
         with pytest.raises(ValueError, match=r"twice\.ckpt: parameter a appears twice"):
             ad.load_checkpoint(path)
-
-
-def _dense_mean(neighbours):
-    """The (m, m) averaging matrix of an (m, k) neighbour index, built entry
-    by entry: ``a @ _dense_mean(nb)`` is P(a)."""
-    m, k = neighbours.shape
-    mat = np.zeros((m, m))
-    for i in range(m):
-        for n in neighbours[i]:
-            mat[n, i] += 1.0 / k
-    return mat
-
-
-class TestNeighbourMean:
-    @pytest.mark.parametrize("neighbours", [
-        [[0]],  # one point averages itself
-        [[1, 2], [0, 2], [0, 1]],
-        [[1, 1], [0, 0], [1, 0], [0, 1]],  # points 2 and 3 are named by no row
-        [[3], [3], [3], [0]],  # point 3 named three times, 1 and 2 never
-    ])
-    def test_value_and_gradient_match_the_dense_matrix(self, neighbours):
-        nb = np.asarray(neighbours)
-        m = nb.shape[0]
-        rng = np.random.default_rng(5)
-        a, upstream = rng.normal(size=(2, 3, m))
-        mat = _dense_mean(nb)
-        graph = ad.NeighbourGraph(nb)
-        np.testing.assert_allclose(graph.mean(a), a @ mat, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(graph.mean_transpose(upstream), upstream @ mat.T,
-                                   rtol=0, atol=1e-12)
-
-    def test_knn_graph_matches_knn_mean_matrix(self):
-        from segdiscover.model import knn_indices, knn_mean_matrix
-
-        rng = np.random.default_rng(8)
-        # a far outlier, so no row names it
-        coords = np.concatenate([rng.normal(size=(62, 3)), np.full((1, 3), 50.0)])
-        nb = knn_indices(coords, 5)
-        assert np.bincount(nb.reshape(-1), minlength=63)[62] == 0
-        mat = knn_mean_matrix(coords, 5, nb)
-        a, upstream = rng.normal(size=(2, 7, 63))
-        graph = ad.NeighbourGraph(nb)
-        np.testing.assert_allclose(graph.mean(a), a @ mat, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(graph.mean_transpose(upstream), upstream @ mat.T,
-                                   rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("neighbours, match", [
-        (np.array([0, 1, 2]), "integer array"),
-        (np.zeros((3, 1, 1), dtype=np.intp), "integer array"),
-        (np.zeros((3, 0), dtype=np.intp), "integer array"),
-        (np.zeros((3, 1)), "integer array"),
-        (np.array([[1], [3], [0]]), r"outside \[0, 3\)"),
-        (np.array([[1], [-1], [0]]), r"outside \[0, 3\)"),
-    ])
-    def test_a_bad_index_is_refused_by_the_graph(self, neighbours, match):
-        with pytest.raises(ad.ShapeError, match=match):
-            ad.NeighbourGraph(neighbours)
-
-
-class TestReversePasses:
-    @pytest.mark.parametrize("m, dtype", [(1, np.uint16), (1 << 16, np.uint16),
-                                          ((1 << 16) + 1, np.int32)])
-    def test_index_dtype_is_the_narrowest_type_that_indexes_m_points(self, m, dtype):
-        assert ad.index_dtype(m) is dtype
-        assert np.iinfo(dtype).max >= m - 1
-
-    @pytest.mark.parametrize("m, dtype", [(2, np.uint16), (1 << 16, np.uint16),
-                                          ((1 << 16) + 1, np.int32)])
-    def test_the_transpose_takes_the_narrowest_type_that_indexes_m_points(self, m, dtype):
-        # a ring: point i names point i + 1
-        nb = ((np.arange(m) + 1) % m).reshape(-1, 1)
-        order, flat, offsets = ad._reverse_passes(nb, m)
-        assert order.dtype == flat.dtype == dtype
-        assert offsets.tolist() == [0, m]
-        assert np.array_equal(flat[np.argsort(order)], (np.arange(m) - 1) % m)

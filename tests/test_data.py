@@ -324,11 +324,10 @@ class TestSplits:
         with pytest.raises(ValueError, match="unknown dataset"):
             D.builtin_splits("nuscenes")
 
-    def test_synthetic_split_needs_config(self):
-        with pytest.raises(ValueError, match="config"):
+    def test_a_synthetic_split_comes_from_its_config_not_the_builtins(self):
+        with pytest.raises(ValueError, match="unknown dataset 'synthetic'"):
             D.builtin_splits("synthetic")
-        (split,) = D.builtin_splits("synthetic", small_config())
-        assert split.novel_classes == frozenset({2})
+        assert small_config().split().novel_classes == frozenset({2})
 
     def test_split_file_round_trip(self, tmp_path):
         cfg = small_config()
@@ -351,7 +350,7 @@ class TestSplits:
             assert D.load_class_table(dataset).ignore_id == 0
             assert {s.ignore_id for s in D.builtin_splits(dataset)} == {0}
         # the synthetic classes start at 0, so their split ignores no id
-        assert D.builtin_splits("synthetic", small_config())[0].ignore_id is None
+        assert small_config().split().ignore_id is None
 
     def test_a_split_with_no_base_class_is_refused(self):
         with pytest.raises(ValueError, match="s: need at least one base class"):

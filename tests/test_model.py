@@ -11,7 +11,9 @@ from segdiscover.data import generate_synthetic, toy_discovery_config
 from segdiscover.model import (
     CombinedHeadModel,
     ModelConfig,
+    NeighbourGraph,
     SegmentationModel,
+    index_dtype,
     knn_indices,
     knn_mean_matrix,
 )
@@ -493,7 +495,7 @@ class TestKnnIndices:
             mp.setattr(model_module, "BLOCK_BYTES", 8 * m * rows)
             blocked = knn_indices(coords, k)
         assert whole.shape == (m, max(1, min(k, m - 1)))
-        assert whole.dtype == ad.index_dtype(m)
+        assert whole.dtype == index_dtype(m)
         assert blocked.dtype == whole.dtype
         np.testing.assert_array_equal(blocked, whole)
         np.testing.assert_array_equal(whole, _knn_reference(coords, k))
@@ -596,6 +598,79 @@ class TestKnnIndices:
             knn_indices(coords, 16)
 
 
+def _dense_mean(neighbours):
+    """The (m, m) averaging matrix of an (m, k) neighbour index, built entry
+    by entry: ``a @ _dense_mean(nb)`` is P(a)."""
+    m, k = neighbours.shape
+    mat = np.zeros((m, m))
+    for i in range(m):
+        for n in neighbours[i]:
+            mat[n, i] += 1.0 / k
+    return mat
+
+
+class TestNeighbourMean:
+    @pytest.mark.parametrize("neighbours", [
+        [[0]],  # one point averages itself
+        [[1, 2], [0, 2], [0, 1]],
+        [[1, 1], [0, 0], [1, 0], [0, 1]],  # points 2 and 3 are named by no row
+        [[3], [3], [3], [0]],  # point 3 named three times, 1 and 2 never
+    ])
+    def test_value_and_gradient_match_the_dense_matrix(self, neighbours):
+        nb = np.asarray(neighbours)
+        m = nb.shape[0]
+        rng = np.random.default_rng(5)
+        a, upstream = rng.normal(size=(2, 3, m))
+        mat = _dense_mean(nb)
+        graph = NeighbourGraph(nb)
+        np.testing.assert_allclose(graph.mean(a), a @ mat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(graph.mean_transpose(upstream), upstream @ mat.T,
+                                   rtol=0, atol=1e-12)
+
+    def test_knn_graph_matches_knn_mean_matrix(self):
+        rng = np.random.default_rng(8)
+        # a far outlier, so no row names it
+        coords = np.concatenate([rng.normal(size=(62, 3)), np.full((1, 3), 50.0)])
+        nb = knn_indices(coords, 5)
+        assert np.bincount(nb.reshape(-1), minlength=63)[62] == 0
+        mat = knn_mean_matrix(coords, 5, nb)
+        a, upstream = rng.normal(size=(2, 7, 63))
+        graph = NeighbourGraph(nb)
+        np.testing.assert_allclose(graph.mean(a), a @ mat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(graph.mean_transpose(upstream), upstream @ mat.T,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("neighbours, match", [
+        (np.array([0, 1, 2]), "integer array"),
+        (np.zeros((3, 1, 1), dtype=np.intp), "integer array"),
+        (np.zeros((3, 0), dtype=np.intp), "integer array"),
+        (np.zeros((3, 1)), "integer array"),
+        (np.array([[1], [3], [0]]), r"outside \[0, 3\)"),
+        (np.array([[1], [-1], [0]]), r"outside \[0, 3\)"),
+    ])
+    def test_a_bad_index_is_refused_by_the_graph(self, neighbours, match):
+        with pytest.raises(ad.ShapeError, match=match):
+            NeighbourGraph(neighbours)
+
+
+class TestReversePasses:
+    @pytest.mark.parametrize("m, dtype", [(1, np.uint16), (1 << 16, np.uint16),
+                                          ((1 << 16) + 1, np.int32)])
+    def test_index_dtype_is_the_narrowest_type_that_indexes_m_points(self, m, dtype):
+        assert index_dtype(m) is dtype
+        assert np.iinfo(dtype).max >= m - 1
+
+    @pytest.mark.parametrize("m, dtype", [(2, np.uint16), (1 << 16, np.uint16),
+                                          ((1 << 16) + 1, np.int32)])
+    def test_the_transpose_takes_the_narrowest_type_that_indexes_m_points(self, m, dtype):
+        # a ring: point i names point i + 1
+        nb = ((np.arange(m) + 1) % m).reshape(-1, 1)
+        order, flat, offsets = model_module._reverse_passes(nb, m)
+        assert order.dtype == flat.dtype == dtype
+        assert offsets.tolist() == [0, m]
+        assert np.array_equal(flat[np.argsort(order)], (np.arange(m) - 1) % m)
+
+
 class TestBlockBudgets:
     """Neither the block budget nor the forward chunk size changes a
     result: each property runs at blocks of one row, of three rows, of the
@@ -617,7 +692,7 @@ class TestBlockBudgets:
         rng = np.random.default_rng(seed)
         model = SegmentationModel(ModelConfig(), 3, 2, rng)
         coords = random_cloud(m, seed, lattice)
-        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        graph = NeighbourGraph(knn_indices(coords, 16))
         slots = model.predict_slots(coords, neighbours=graph)
         features = np.concatenate([z for _, _, z in model.feature_chunks(coords, graph)], axis=1)
         with pytest.MonkeyPatch.context() as mp:
@@ -637,17 +712,17 @@ class TestGraphWidth:
     def test_only_a_graph_of_the_knn_width_is_pooled(self, m, width):
         model = make_model()
         coords = np.random.default_rng(m).normal(size=(m, 3))
-        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        graph = NeighbourGraph(knn_indices(coords, 16))
         assert graph.index.shape == (m, width)
         model.predict_slots(coords, neighbours=graph)
         if m > 2:
-            narrow = ad.NeighbourGraph(knn_indices(coords, 4))
+            narrow = NeighbourGraph(knn_indices(coords, 4))
             message = rf"{m} neighbour rows of width 4 for {m} points and a k-NN of width {width} "
             for forward in (model.predict_slots, model.extract_features):
                 with pytest.raises(ad.ShapeError, match=message + r"\(knn=16\)"):
                     forward(coords, neighbours=narrow)
         # a graph of another scene's rows is refused as before
-        other = ad.NeighbourGraph(knn_indices(np.zeros((m + 1, 3)), 16))
+        other = NeighbourGraph(knn_indices(np.zeros((m + 1, 3)), 16))
         with pytest.raises(ad.ShapeError, match=rf"{m + 1} neighbour rows of width"):
             model.predict_slots(coords, neighbours=other)
 
@@ -661,7 +736,7 @@ class TestLeanInference:
         model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 3, 2, rng)
         model.selected_head = 2
         coords = rng.normal(size=(200, 3))
-        nb = ad.NeighbourGraph(knn_indices(coords, 16))
+        nb = NeighbourGraph(knn_indices(coords, 16))
         z = model.extract_features(coords, nb)
         if combined:
             logits = model.logits(z)
@@ -685,7 +760,7 @@ class TestLeanInference:
         rng = np.random.default_rng(15)
         model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 3, 2, rng)
         coords = rng.normal(size=(100, 3))
-        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        graph = NeighbourGraph(knn_indices(coords, 16))
         model.predict_slots(coords, neighbours=graph)
         with ad.no_tape():
             model.extract_features(coords, graph)
@@ -702,7 +777,7 @@ class TestLeanInference:
         rng = np.random.default_rng(14)
         model = SegmentationModel(ModelConfig(), 3, 2, rng)
         coords = rng.normal(size=(m, 3))
-        nb = ad.NeighbourGraph(rng.integers(0, m, size=(m, 16)).astype(ad.index_dtype(m)))
+        nb = NeighbourGraph(rng.integers(0, m, size=(m, 16)).astype(index_dtype(m)))
         tracemalloc.start()
         try:
             model.predict_slots(coords, neighbours=nb)
@@ -729,7 +804,7 @@ class TestLeanInference:
         rng = np.random.default_rng(m)
         model = (CombinedHeadModel if combined else SegmentationModel)(ModelConfig(), 4, 3, rng)
         coords = rng.normal(size=(m, 3)) * 5
-        graph = ad.NeighbourGraph(knn_indices(coords, 16))
+        graph = NeighbourGraph(knn_indices(coords, 16))
         # a non-default eval head; the combined model has one head only
         slots = model.predict_slots(coords, 3, graph)
         assert graph.reverse is None
@@ -755,7 +830,7 @@ class TestExtractFeaturesGradient:
         rng = np.random.default_rng(12)
         model = SegmentationModel(ModelConfig(feature_dim=4, hidden=5, knn=3), 2, 2, rng)
         coords = rng.normal(size=(9, 3))
-        neighbours = ad.NeighbourGraph(knn_indices(coords, 3))
+        neighbours = NeighbourGraph(knn_indices(coords, 3))
         weight = ad.constant(rng.normal(size=(4, 9)))
 
         def loss():
@@ -787,7 +862,7 @@ def _view_case(seed):
     rng = np.random.default_rng(seed)
     model = SegmentationModel(ModelConfig(feature_dim=4, hidden=5, knn=3), 2, 2, rng)
     coords = [rng.normal(size=(m, 3)) for m in VIEW_SIZES]
-    graphs = [ad.NeighbourGraph(knn_indices(c, 3)) for c in coords]
+    graphs = [NeighbourGraph(knn_indices(c, 3)) for c in coords]
     weight = ad.constant(rng.normal(size=(4, sum(VIEW_SIZES))))
     return model, coords, graphs, weight
 
@@ -863,12 +938,12 @@ class TestViewFeatures:
         model = SegmentationModel(ModelConfig(), 3, 2, rng)
         coords = rng.normal(size=(300, 3))
         nb = knn_indices(coords, 16)
-        graph = ad.NeighbourGraph(nb)
+        graph = NeighbourGraph(nb)
         z = model.view_features([coords], [graph])
         assert graph.reverse is None  # a forward pass builds none
         ad.backward(ad.sum_all(z))
         kept = graph.reverse
-        fresh = ad._reverse_passes(nb, 300)
+        fresh = model_module._reverse_passes(nb, 300)
         assert kept[0].dtype == kept[1].dtype == np.uint16
         assert kept[1].nbytes == 2 * nb.size
         for got, want in zip(kept[:2], fresh[:2]):
@@ -904,5 +979,5 @@ class TestViewFeatures:
         scene = np.random.default_rng(m).normal(size=(m, 3))
         built = model.view_features(coords + [scene], graphs + [None])
         given = model.view_features(coords + [scene],
-                                    graphs + [ad.NeighbourGraph(knn_indices(scene, 3))])
+                                    graphs + [NeighbourGraph(knn_indices(scene, 3))])
         assert np.array_equal(built.data, given.data)

@@ -6,6 +6,14 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# the digest lines of ``output_digest.py --seeds 3`` at ``DIGEST_SIZES``,
+# after a ``numpy <version>`` header; rewritten by
+# ``PYTHONPATH=src python tests/test_scripts.py``
+PINNED_DIGEST = Path(__file__).resolve().parent / "data" / "output_digest_seed3.txt"
+DIGEST_SIZES = {
+    "scenes": 6, "points": 32, "val_scenes": 2, "epochs": 1,
+    "baseline_epochs": (1, 1), "ablate_epochs": 1,
+}
 
 
 def load_script(name):
@@ -46,13 +54,11 @@ def test_toy_discovery_reports_the_mean_over_seeds(capsys, monkeypatch):
 
 def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys):
     script = load_script("output_digest")
-    monkeypatch.setattr(script, "SIZES", {
-        "scenes": 6, "points": 32, "val_scenes": 2, "epochs": 1,
-        "baseline_epochs": (1, 1), "ablate_epochs": 1,
-    })
+    monkeypatch.setattr(script, "SIZES", DIGEST_SIZES)
     argv = ["--seeds", "3"]
     assert script.main(argv) == 0
     first = capsys.readouterr().out.splitlines()
+    check_pinned_digest(first)
     digests = dict(reversed(line.split("  ", 1)) for line in first)
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
     for path in (
@@ -76,6 +82,41 @@ def test_output_digest_lists_every_output_and_repeats_itself(monkeypatch, capsys
     # a second run in another temporary directory prints the same lines
     assert script.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == first
+
+
+def check_pinned_digest(lines):
+    """Fail unless ``lines`` are the pinned digest lines, naming both numpy
+    versions when they differ, else the first line that differs."""
+    import numpy as np
+
+    header, *pinned = PINNED_DIGEST.read_text().splitlines()
+    here = f"numpy {np.__version__}"
+    assert header == here, (
+        f"{PINNED_DIGEST.name} was written under {header}, this run has {here}; "
+        f"rewrite it with `PYTHONPATH=src python tests/test_scripts.py` and check the diff")
+    for i, (want, got) in enumerate(zip(pinned, lines)):
+        assert got == want, f"digest line {i + 1} differs: pinned {want!r}, now {got!r}"
+    unmatched = lines[len(pinned):] or pinned[len(lines):]
+    assert not unmatched, (f"{len(lines)} digest lines against {len(pinned)} pinned; "
+                           f"first unmatched {unmatched[0]!r}")
+
+
+def write_pinned_digest():
+    """Rewrite ``PINNED_DIGEST`` from this tree's outputs."""
+    import contextlib
+    import io
+
+    # loaded before numpy: the script pins BLAS to one thread first
+    script = load_script("output_digest")
+    import numpy as np
+
+    script.SIZES = DIGEST_SIZES
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if script.main(["--seeds", "3"]) != 0:
+            raise SystemExit(f"a digest run failed; {PINNED_DIGEST.name} is unchanged")
+    PINNED_DIGEST.parent.mkdir(exist_ok=True)
+    PINNED_DIGEST.write_text(f"numpy {np.__version__}\n" + out.getvalue())
 
 
 def test_toy_discovery_with_the_baseline_appends_a_quality_record(tmp_path, capsys, monkeypatch):
@@ -125,3 +166,7 @@ def test_toy_discovery_on_a_paper_split_shape_records_the_shape(tmp_path, monkey
     assert len(per_class) == 19 and sum(per_class.values()) == pytest.approx(32)
     assert set(record["per_seed"]) == {"online", "baseline"}
     assert script.split_shapes()["poss-4-0"] == (13, 4)
+
+
+if __name__ == "__main__":
+    write_pinned_digest()

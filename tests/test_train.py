@@ -30,7 +30,6 @@ from segdiscover.train import (
     METRICS_HEADER,
     SinkhornConfig,
     TrainResult,
-    _features,
     _step_loss,
     train,
 )
@@ -120,6 +119,22 @@ class TestSmoke:
         clouds, split = tiny_setup()
         with pytest.raises(ValueError, match="val_clouds is empty"):
             train(clouds, split, tiny_exp(epochs=1), val_clouds=[])
+
+    def test_a_validation_label_outside_the_split_is_refused_before_the_first_step(
+            self, monkeypatch):
+        from segdiscover import losses
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("an SGD step ran")
+
+        monkeypatch.setattr(losses.SGD, "step", no_step)
+        clouds, split = tiny_setup()
+        val, _ = tiny_setup(seed=1, scenes=2)
+        labels = val[1].labels.copy()
+        labels[0] = 99
+        bad = LabelledCloud(val[1].coords, labels, scene_id="val-1")
+        with pytest.raises(ValueError, match=r"^scene 'val-1': label ids \[99\] are neither"):
+            train(clouds, split, tiny_exp(epochs=1), val_clouds=[val[0], bad])
 
     @pytest.mark.parametrize("lr_max, message", [
         # parameters stay finite at 1e300, but the next forward overflows
@@ -263,7 +278,8 @@ def record_steps(monkeypatch):
             steps[-1]["logits"].append(out.data.copy())
 
     wrap(train_mod, "make_views", views)
-    wrap(train_mod, "_features", lambda args, out: steps[-1]["zs"].append(out.data.copy()))
+    wrap(SegmentationModel, "view_features",
+         lambda args, out: steps[-1]["zs"].append(out.data.copy()))
     wrap(SegmentationModel, "stacked_heads", heads)
     wrap(ad, "matmul", product)
     wrap(FeatureQueue, "sample", lambda args, out: steps[-1]["queue"].append(out.copy()))
@@ -460,7 +476,7 @@ def batch_layout(masked, split):
 
 
 def view_features(model, pairs, neigh):
-    return [_features(model, views, neigh) for views in zip(*pairs)]
+    return [model.view_features(views, neigh) for views in zip(*pairs)]
 
 
 def step_case(heads, overcluster):
@@ -630,8 +646,8 @@ class TestFullLossGradient:
 
 def dense_pool(a, graph):
     """The neighbour mean P(a) as a product with the graph's dense
-    averaging matrix, the numpy reference of ``tests/test_autodiff.py``."""
-    from test_autodiff import _dense_mean
+    averaging matrix, the numpy reference of ``tests/test_model.py``."""
+    from test_model import _dense_mean
 
     return ad.matmul(a, ad.constant(_dense_mean(graph.index)))
 
@@ -665,10 +681,10 @@ def per_entry_step_loss(c, zs, temperature):
     """``_step_loss`` one head entry and view at a time, the way the step
     composed it before the families: each entry's cross entropy on its
     own block of the view's logits, by the numpy reference of
-    ``tests/test_autodiff.py``. Returns the objective, the novel heads'
+    ``tests/test_losses.py``. Returns the objective, the novel heads'
     terms and a surrogate whose gradient reaches every parameter through
     the reference's gradient of the objective at each view's logits."""
-    from test_autodiff import _per_block_reference
+    from test_losses import _per_block_reference
 
     heads, n_base = c.model.cfg.heads, 3
     w_stack, b_stack = c.model.stacked_heads(len(c.families) > 1)
@@ -744,7 +760,7 @@ class TestOneTapePerStep:
 
         import segdiscover.train as train_mod
 
-        ce, features = train_mod.tempered_ce, train_mod._features
+        ce, features = train_mod.tempered_ce, SegmentationModel.view_features
         made, alive = [], []
 
         def tracked_ce(*args, **kwargs):
@@ -759,7 +775,7 @@ class TestOneTapePerStep:
             return features(*args, **kwargs)
 
         monkeypatch.setattr(train_mod, "tempered_ce", tracked_ce)
-        monkeypatch.setattr(train_mod, "_features", checked_features)
+        monkeypatch.setattr(SegmentationModel, "view_features", checked_features)
         clouds, split = tiny_setup(scenes=7)  # 4 steps per epoch
         train(clouds, split, tiny_exp(epochs=2))
         # one CE node per view: 8 steps x 2
@@ -771,8 +787,10 @@ class TestOneTapePerStep:
     ])
     def test_a_step_makes_two_ce_nodes_whatever_the_head_count(self, monkeypatch, heads,
                                                                 overcluster):
+        import segdiscover.train as train_mod
+
         counts = {"ce": 0, "nodes": [], "steps": 0}
-        real_ce, real_backward = ad.softmax_cross_entropy, ad.backward
+        real_ce, real_backward = train_mod.tempered_ce, ad.backward
 
         def counted_ce(*args, **kwargs):
             out = real_ce(*args, **kwargs)
@@ -784,7 +802,7 @@ class TestOneTapePerStep:
             counts["nodes"].append(tape_size(loss))
             return real_backward(loss)
 
-        monkeypatch.setattr(ad, "softmax_cross_entropy", counted_ce)
+        monkeypatch.setattr(train_mod, "tempered_ce", counted_ce)
         monkeypatch.setattr(ad, "backward", counted_backward)
         clouds, split = tiny_setup(scenes=4)
         exp = ExperimentConfig(
